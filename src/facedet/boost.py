@@ -7,22 +7,30 @@ vote reaches the stage threshold (default: half the total alpha, lowered
 after every boosting round until the detection-rate target is met on the
 training positives).
 
-Stump search is a single sorted sweep per feature, run simultaneously over
-the whole feature bank as an (F, N) value matrix. Candidate thresholds are
-the midpoints between consecutive distinct sorted values plus one sentinel
-below the minimum and one above the maximum; ties are broken towards the
-smaller threshold, then polarity +1, and across features towards the lowest
-feature index, which makes training fully deterministic.
+Stump search is a single sorted sweep per feature over an (F, N) value
+matrix, whose sort order is computed once per stage. Each round sweeps the
+features in blocks of SWEEP_ROWS rows, so the per-block temporaries stay in
+cache; rows never interact, so the result equals a sweep over the whole
+matrix. Candidate thresholds are the midpoints between consecutive distinct
+sorted values plus one sentinel below the minimum and one above the maximum;
+ties are broken towards the smaller threshold, then polarity +1, and across
+features towards the lowest feature index, which makes training fully
+deterministic.
+
+Hard-negative mining scans the background pool with the cascade trained so
+far, picks accepted windows round-robin across the images, and crops and
+resizes only the picks. It runs only when another stage follows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import HaarFeature, eval_feature, generate_feature_set, scaled_parts
+from .haar import KINDS, HaarFeature, eval_feature, fits_window, generate_feature_set, scaled_parts
 from .integral import IntegralSet, integral_set
 
 __all__ = [
@@ -40,6 +48,9 @@ __all__ = [
 ]
 
 MIN_EPSILON = 1e-10
+# features per block of the stump sweep: a block's (rows, N + 1) float64
+# temporaries then stay in cache instead of streaming 2,500 x 2,912 matrices
+SWEEP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,9 @@ class _StumpSearch:
         vs = np.take_along_axis(values, self.order, axis=1)
         self.pos_sorted = (labels > 0)[self.order]
         # candidate j = number of samples strictly below the threshold
-        self.valid = np.ones((f, n + 1), dtype=bool)
-        self.valid[:, 1:n] = vs[:, :-1] < vs[:, 1:]
+        valid = np.ones((f, n + 1), dtype=bool)
+        valid[:, 1:n] = vs[:, :-1] < vs[:, 1:]
+        self.invalid = ~valid
         self.thresholds = np.empty((f, n + 1))
         self.thresholds[:, 0] = vs[:, 0] - 1.0
         self.thresholds[:, 1:n] = 0.5 * (vs[:, :-1] + vs[:, 1:])
@@ -105,9 +117,23 @@ class _StumpSearch:
 
     def best(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-feature (error, threshold, polarity) of the optimal stump."""
-        f, n = self.order.shape
-        ws = weights[self.order]
-        wpos = np.where(self.pos_sorted, ws, 0.0)
+        f = self.order.shape[0]
+        err = np.empty(f)
+        thr = np.empty(f)
+        pol = np.empty(f, dtype=np.int64)
+        for lo in range(0, f, SWEEP_ROWS):
+            rows = slice(lo, lo + SWEEP_ROWS)
+            err[rows], thr[rows], pol[rows] = self._best_rows(weights, rows)
+        return err, thr, pol
+
+    def _best_rows(self, weights: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``best`` for one block of features; rows never interact."""
+        order = self.order[rows]
+        invalid = self.invalid[rows]
+        thresholds = self.thresholds[rows]
+        f, n = order.shape
+        ws = weights[order]
+        wpos = np.where(self.pos_sorted[rows], ws, 0.0)
         wneg = ws - wpos
         cp = np.zeros((f, n + 1))
         cn = np.zeros((f, n + 1))
@@ -117,15 +143,15 @@ class _StumpSearch:
         tn = cn[:, -1:]
         err_pos = cn + (tp - cp)  # polarity +1: face iff value < threshold
         err_neg = cp + (tn - cn)  # polarity -1: face iff value > threshold
-        err_pos[~self.valid] = np.inf
-        err_neg[~self.valid] = np.inf
-        rows = np.arange(f)
+        err_pos[invalid] = np.inf
+        err_neg[invalid] = np.inf
+        idx = np.arange(f)
         j_pos = np.argmin(err_pos, axis=1)  # first minimum = smallest threshold
         j_neg = np.argmin(err_neg, axis=1)
-        e_pos = err_pos[rows, j_pos]
-        e_neg = err_neg[rows, j_neg]
-        t_pos = self.thresholds[rows, j_pos]
-        t_neg = self.thresholds[rows, j_neg]
+        e_pos = err_pos[idx, j_pos]
+        e_neg = err_neg[idx, j_neg]
+        t_pos = thresholds[idx, j_pos]
+        t_neg = thresholds[idx, j_neg]
         use_neg = (e_neg < e_pos) | ((e_neg == e_pos) & (t_neg < t_pos))
         err = np.where(use_neg, e_neg, e_pos)
         thr = np.where(use_neg, t_neg, t_pos)
@@ -320,31 +346,30 @@ def _mine_false_positives(
     cascade: Cascade, pool: list[np.ndarray], needed: int, scan_step: int = 3
 ) -> list[np.ndarray]:
     """Crop windows from pool images that the current cascade accepts,
-    drawing evenly across the pool so one image cannot fill the quota."""
+    drawing evenly across the pool so one image cannot fill the quota.
+
+    Each image contributes its first ``needed`` detections in scan order;
+    picks go round-robin by rank in pool order, and only the picks are
+    cropped and resized.
+    """
     from .detect import detect_multiscale
     from .images import resize_bilinear
 
     base = cascade.base_window
-    per_image: list[list[np.ndarray]] = []
-    for img in pool:
-        if min(img.shape) < base:
-            continue
-        crops: list[np.ndarray] = []
-        for det in detect_multiscale(cascade, img, step=scan_step):
-            crop = img[det.y : det.y + det.h, det.x : det.x + det.w]
-            crops.append(crop if crop.shape == (base, base) else resize_bilinear(crop, base, base))
-            if len(crops) >= needed:
-                break
-        per_image.append(crops)
+    scanned = [
+        (img, detect_multiscale(cascade, img, step=scan_step)[:needed])
+        for img in pool
+        if min(img.shape) >= base
+    ]
+    longest = max((len(dets) for _, dets in scanned), default=0)
+    picks = itertools.islice(
+        ((img, dets[rank]) for rank in range(longest) for img, dets in scanned if rank < len(dets)),
+        needed,
+    )
     mined: list[np.ndarray] = []
-    rank = 0
-    while len(mined) < needed and any(rank < len(c) for c in per_image):
-        for crops in per_image:
-            if rank < len(crops):
-                mined.append(crops[rank])
-                if len(mined) >= needed:
-                    break
-        rank += 1
+    for img, det in picks:
+        crop = img[det.y : det.y + det.h, det.x : det.x + det.w]
+        mined.append(crop if crop.shape == (base, base) else resize_bilinear(crop, base, base))
     return mined
 
 
@@ -364,8 +389,9 @@ def train_cascade(
     """Train stages sequentially on base-window grayscale samples.
 
     After each stage the negatives it correctly rejects are dropped; when a
-    background pool is supplied they are replaced by windows the cascade
-    still accepts there. Training halts early once no negatives remain.
+    background pool is supplied and another stage follows, they are replaced
+    by windows the cascade still accepts there. Training halts early once no
+    negatives remain.
     """
     if not pos_samples or not neg_samples:
         raise ValueError("need non-empty positive and negative sample sets")
@@ -399,7 +425,7 @@ def train_cascade(
         neg_scores = result.scores[len(pos_samples) :]
         survivors = [s for s, sc in zip(negatives, neg_scores) if sc >= result.stage.threshold]
         negatives = survivors
-        if pool is not None and len(negatives) < neg_target:
+        if pool is not None and len(negatives) < neg_target and len(stages) < n_stages:
             current = Cascade(base_window, list(stages), list(metadata))
             negatives.extend(_mine_false_positives(current, pool, neg_target - len(negatives)))
     return Cascade(base_window, stages, metadata)
@@ -423,32 +449,72 @@ def save_cascade(cascade: Cascade, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _field(path: str, line: int, text: str, kind: type):
+    """One numeric field of a model line, finite, or a ValueError naming it."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{path}:{line}: bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line}: non-finite number {text!r}")
+    return value
+
+
 def load_cascade(path: str) -> Cascade:
+    """Read a model written by :func:`save_cascade`.
+
+    Raises ValueError naming the file and line for a bad header, a
+    malformed, missing or extra line, a negative count, a non-finite
+    number, a polarity other than +1/-1, an unknown feature kind and stump
+    geometry that does not fit the base window.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("CASCADE v1 "):
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1][:2] != ["CASCADE", "v1"] or len(lines[0][1]) != 4:
         raise ValueError(f"{path}: not a cascade model file")
-    header = lines[0].split()
-    base_window = int(header[2])
-    n_stages = int(header[3])
+    rest = iter(lines[1:])
+
+    def take(tag: str, n_fields: int) -> tuple[int, list[str]]:
+        no, toks = next(rest, (None, None))
+        if no is None:
+            raise ValueError(f"{path}: truncated after line {lines[-1][0]}, expected a {tag} line")
+        if toks[0] != tag or len(toks) != n_fields:
+            got = " ".join(toks)
+            raise ValueError(f"{path}:{no}: expected a {tag} line of {n_fields} fields, got {got!r}")
+        return no, toks
+
+    head_no, header = lines[0]
+    base_window = _field(path, head_no, header[2], int)
+    n_stages = _field(path, head_no, header[3], int)
+    if base_window < 1 or n_stages < 0:
+        raise ValueError(f"{path}:{head_no}: bad window {base_window} or stage count {n_stages}")
     stages: list[Stage] = []
-    pos = 1
     for _ in range(n_stages):
-        toks = lines[pos].split()
-        if toks[0] != "STAGE":
-            raise ValueError(f"{path}: expected STAGE line, got {lines[pos]!r}")
-        n_stumps = int(toks[1])
-        threshold = float(toks[2])
-        pos += 1
+        no, toks = take("STAGE", 3)
+        n_stumps = _field(path, no, toks[1], int)
+        threshold = _field(path, no, toks[2], float)
+        if n_stumps < 0:
+            raise ValueError(f"{path}:{no}: negative stump count {n_stumps}")
         stumps: list[tuple[WeakClassifier, float]] = []
         for _ in range(n_stumps):
-            st = lines[pos].split()
-            if st[0] != "STUMP":
-                raise ValueError(f"{path}: expected STUMP line, got {lines[pos]!r}")
-            kind, x, y, w, h = st[1], int(st[2]), int(st[3]), int(st[4]), int(st[5])
+            no, st = take("STUMP", 9)
+            kind = st[1]
+            if kind not in KINDS:
+                raise ValueError(f"{path}:{no}: unknown feature kind {kind!r}")
+            x, y, w, h, polarity = (_field(path, no, t, int) for t in (*st[2:6], st[7]))
             feature = HaarFeature(kind, x, y, w, h, base_window)
-            stumps.append((WeakClassifier(feature, float(st[6]), int(st[7])), float(st[8])))
-            pos += 1
+            if not fits_window(feature):
+                raise ValueError(
+                    f"{path}:{no}: {kind} {x} {y} {w} {h} does not fit the {base_window}px window"
+                )
+            if polarity not in (1, -1):
+                raise ValueError(f"{path}:{no}: polarity must be +1 or -1, got {st[7]!r}")
+            thr = _field(path, no, st[6], float)
+            alpha = _field(path, no, st[8], float)
+            stumps.append((WeakClassifier(feature, thr, polarity), alpha))
         stages.append(Stage(stumps, threshold))
+    extra = next(rest, None)
+    if extra is not None:
+        raise ValueError(f"{path}:{extra[0]}: trailing line after the last stage")
     nan = float("nan")
     return Cascade(base_window, stages, [(nan, nan)] * len(stages))

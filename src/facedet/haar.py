@@ -23,7 +23,7 @@ import numpy as np
 
 from .integral import IntegralSet, _tilted_sums, _upright_sums
 
-__all__ = ["HaarFeature", "KINDS", "generate_feature_set", "enumerate_kind", "eval_feature", "scaled_parts", "window_sigma"]
+__all__ = ["HaarFeature", "KINDS", "generate_feature_set", "enumerate_kind", "fits_window", "eval_feature", "scaled_parts", "window_sigma"]
 
 # kind -> (w unit, h unit, tilted flag); units are enumeration steps and
 # divisibility constraints (arms for the tilted kinds)
@@ -101,6 +101,18 @@ def enumerate_kind(kind: str, window: int) -> list[HaarFeature]:
                     for w in range(1, wmax + 1):
                         out.append(HaarFeature(kind, x, y, w, h, window))
     return out
+
+
+def fits_window(feature: HaarFeature) -> bool:
+    """Whether the geometry is a placement :func:`enumerate_kind` produces:
+    inside the feature's window and divisible by its kind's units."""
+    uw, uh, tilted = KIND_SPECS[feature.kind]
+    x, y, w, h, window = feature.x, feature.y, feature.w, feature.h, feature.window
+    if h < uh or h % uh or y < 0:
+        return False
+    if not tilted:
+        return x >= 0 and w >= uw and w % uw == 0 and x + w <= window and y + h <= window
+    return w >= 1 and h <= x + 1 and x + w <= window and y + w + h - 1 <= window
 
 
 def generate_feature_set(base_window: int) -> list[HaarFeature]:

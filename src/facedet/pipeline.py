@@ -81,7 +81,8 @@ def detect_faces(
     """Preprocess, scan, merge, and (with a model) validate.
 
     ``gray`` and ``skin`` are full-resolution; preprocessing (including any
-    downscale) happens here and boxes come back in input coordinates.
+    downscale) happens here and boxes come back in input coordinates,
+    clipped to the input image.
     """
     work = preprocess_gray(gray, config)
     factor = config.downscale
@@ -97,11 +98,21 @@ def detect_faces(
         min_skin_fraction=config.min_skin_fraction,
     )
     merged = merge_detections(raw, config.min_neighbors, config.overlap)
-    if factor > 1:
-        merged = [
-            Detection(d.x * factor, d.y * factor, d.w * factor, d.h * factor, d.score, d.scale)
-            for d in merged
-        ]
+    # clip: the downscaled image keeps ceil(side / factor) pixels, so a box
+    # scaled back can overhang the input by up to factor - 1 pixels, and a
+    # merged box rounds its mean position and size separately
+    height, width = gray.shape
+    merged = [
+        Detection(
+            d.x * factor,
+            d.y * factor,
+            min(d.w * factor, width - d.x * factor),
+            min(d.h * factor, height - d.y * factor),
+            d.score,
+            d.scale,
+        )
+        for d in merged
+    ]
     if svm is not None:
         kept, _ = validate_detections(
             merged, gray, svm, config.svm_threshold, config.block_weights

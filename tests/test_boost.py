@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from facedet import boost
 from facedet.boost import (
+    SWEEP_ROWS,
     Cascade,
     Stage,
+    _mine_false_positives,
+    _StumpSearch,
     classify_window,
     feature_value_matrix,
     load_cascade,
@@ -15,7 +21,9 @@ from facedet.boost import (
     train_stage,
     train_stump,
 )
+from facedet.detect import detect_multiscale
 from facedet.haar import enumerate_kind, eval_feature
+from facedet.images import resize_bilinear
 from facedet.integral import integral_set
 
 
@@ -86,6 +94,70 @@ class TestTrainStump:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_stump(np.array([0.0, 1.0]), np.array([1, 1]), np.array([0.5, 0.5]))
+
+
+def whole_matrix_best(values, labels, weights):
+    """The stump sweep over the whole (F, N) matrix at once."""
+    f, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    vs = np.take_along_axis(values, order, axis=1)
+    pos_sorted = (labels > 0)[order]
+    valid = np.ones((f, n + 1), dtype=bool)
+    valid[:, 1:n] = vs[:, :-1] < vs[:, 1:]
+    thresholds = np.empty((f, n + 1))
+    thresholds[:, 0] = vs[:, 0] - 1.0
+    thresholds[:, 1:n] = 0.5 * (vs[:, :-1] + vs[:, 1:])
+    thresholds[:, n] = vs[:, -1] + 1.0
+    ws = weights[order]
+    wpos = np.where(pos_sorted, ws, 0.0)
+    wneg = ws - wpos
+    cp = np.zeros((f, n + 1))
+    cn = np.zeros((f, n + 1))
+    np.cumsum(wpos, axis=1, out=cp[:, 1:])
+    np.cumsum(wneg, axis=1, out=cn[:, 1:])
+    tp = cp[:, -1:]
+    tn = cn[:, -1:]
+    err_pos = cn + (tp - cp)
+    err_neg = cp + (tn - cn)
+    err_pos[~valid] = np.inf
+    err_neg[~valid] = np.inf
+    rows = np.arange(f)
+    j_pos = np.argmin(err_pos, axis=1)
+    j_neg = np.argmin(err_neg, axis=1)
+    e_pos = err_pos[rows, j_pos]
+    e_neg = err_neg[rows, j_neg]
+    t_pos = thresholds[rows, j_pos]
+    t_neg = thresholds[rows, j_neg]
+    use_neg = (e_neg < e_pos) | ((e_neg == e_pos) & (t_neg < t_pos))
+    return (
+        np.where(use_neg, e_neg, e_pos),
+        np.where(use_neg, t_neg, t_pos),
+        np.where(use_neg, -1, 1),
+    )
+
+
+class TestBlockedSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_features=st.integers(1, 3 * SWEEP_ROWS + 5),
+        n_samples=st.integers(1, 40),
+        levels=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_features=SWEEP_ROWS - 1, n_samples=17, levels=3, seed=0)
+    @example(n_features=2 * SWEEP_ROWS + 3, n_samples=25, levels=2, seed=1)
+    def test_matches_whole_matrix_sweep(self, n_features, n_samples, levels, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values and weights: ties between samples and candidates
+        values = 0.5 * rng.integers(0, levels, size=(n_features, n_samples))
+        labels = rng.choice([-1, 1], size=n_samples)
+        weights = rng.integers(1, 4, size=n_samples).astype(np.float64)
+        weights /= weights.sum()
+        got = _StumpSearch(values, labels).best(weights)
+        want = whole_matrix_best(values, labels, weights)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got[2].dtype == want[2].dtype
 
 
 class TestTrainStage:
@@ -203,6 +275,92 @@ class TestTrainCascade:
             train_cascade(pos, neg, base_window=12, feature_subsample=100)
 
 
+def eager_mine_oracle(cascade, pool, needed, scan_step=3):
+    """Mining as first written: crop and resize up to ``needed`` windows of
+    every pool image, then keep ``needed`` of them round-robin by rank."""
+    base = cascade.base_window
+    per_image = []
+    for img in pool:
+        if min(img.shape) < base:
+            continue
+        crops = []
+        for det in detect_multiscale(cascade, img, step=scan_step):
+            crop = img[det.y : det.y + det.h, det.x : det.x + det.w]
+            crops.append(crop if crop.shape == (base, base) else resize_bilinear(crop, base, base))
+            if len(crops) >= needed:
+                break
+        per_image.append(crops)
+    mined = []
+    rank = 0
+    while len(mined) < needed and any(rank < len(c) for c in per_image):
+        for crops in per_image:
+            if rank < len(crops):
+                mined.append(crops[rank])
+                if len(mined) >= needed:
+                    break
+        rank += 1
+    return mined
+
+
+class TestMining:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        rng = np.random.default_rng(20)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        cascade = train_cascade(
+            pos, neg, n_stages=1, base_window=12, feature_subsample=250, max_stumps=2, seed=5
+        )
+        sizes = [(30, 40), (10, 40), (16, 16), (40, 24), (26, 33)]
+        pool = [rng.integers(0, 200, size=s).astype(np.uint8) for s in sizes]
+        pool[0][:12] = 220  # a bright band: many accepted windows in one image
+        available = sum(len(detect_multiscale(cascade, img, step=3)) for img in pool)
+        return cascade, pool, available
+
+    @pytest.mark.parametrize("share", [0.05, 0.5, 2.0])
+    def test_lazy_matches_eager(self, setup, share):
+        cascade, pool, available = setup
+        assert available > 20
+        needed = max(1, int(share * available))
+        got = _mine_false_positives(cascade, pool, needed)
+        want = eager_mine_oracle(cascade, pool, needed)
+        assert len(got) == len(want) == min(needed, available)
+        assert all(g.shape == (12, 12) for g in got)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_empty_cascade_takes_every_window_round_robin(self, setup):
+        _, pool, _ = setup
+        empty = Cascade(12, [], [])
+        got = _mine_false_positives(empty, pool, 37)
+        want = eager_mine_oracle(empty, pool, 37)
+        assert len(got) == 37
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_mines_only_when_another_stage_follows(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        pool = [rng.integers(0, 200, size=(36, 36)).astype(np.uint8) for _ in range(6)]
+        for img in pool[::2]:
+            img[:18] = np.clip(rng.normal(165, 55, size=(18, 36)), 0, 255)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return _mine_false_positives(*args, **kwargs)
+
+        monkeypatch.setattr(boost, "_mine_false_positives", counting)
+        n_stages = 3
+        cascade = train_cascade(
+            pos, neg, n_stages=n_stages, base_window=12, feature_subsample=250,
+            max_fpr=0.45, max_stumps=4, pool=pool, seed=3,
+        )
+        assert len(cascade.stages) == n_stages
+        # every stage rejects negatives, so each one leaves a deficit to fill
+        assert all(fpr < 1.0 for _, fpr in cascade.metadata)
+        assert len(calls) == n_stages - 1
+
+
 class TestClassifyWindow:
     def test_empty_cascade_accepts_with_zero_score(self):
         cascade = Cascade(12, [], [])
@@ -302,3 +460,64 @@ class TestModelFormat:
         path.write_text("SVM v1 3\n")
         with pytest.raises(ValueError):
             load_cascade(path)
+
+    MODEL = [
+        "CASCADE v1 24 2",
+        "STAGE 1 0.5",
+        "STUMP edge2h 2 3 8 6 0.25 +1 0.75",
+        "STAGE 2 1.0",
+        "STUMP tilted_edge2 10 2 4 6 -1.5 -1 0.5",
+        "STUMP center_surround 0 0 24 24 3 +1 0.5",
+    ]
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_hand_written_model_loads(self, tmp_path):
+        cascade = load_cascade(self._write(tmp_path, self.MODEL))
+        assert [len(s.stumps) for s in cascade.stages] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m[:-1], r"model\.txt: truncated after line 5, expected a STUMP line"),
+            (lambda m: m[:3], r"model\.txt: truncated after line 3, expected a STAGE line"),
+            (
+                lambda m: m[:2] + ["STUMP edge9 2 3 8 6 0.25 +1 0.75"] + m[3:],
+                r"model\.txt:3: unknown feature kind 'edge9'",
+            ),
+            (
+                lambda m: m[:2] + ["STUMP edge2h 20 20 8 8 0.25 +1 0.75"] + m[3:],
+                r"model\.txt:3: edge2h 20 20 8 8 does not fit the 24px window",
+            ),
+            (
+                lambda m: m[:2] + ["STUMP line3h 0 0 4 3 0.25 +1 0.75"] + m[3:],
+                r"model\.txt:3: line3h 0 0 4 3 does not fit",
+            ),
+            (lambda m: m + ["STAGE 0 0"], r"model\.txt:7: trailing line after the last stage"),
+            (
+                lambda m: m[:2] + ["STUMP edge2h 2 3 8 6 nan +1 0.75"] + m[3:],
+                r"model\.txt:3: non-finite number 'nan'",
+            ),
+            (
+                lambda m: m[:2] + ["STUMP edge2h 2 3 8 6 0.25 +2 0.75"] + m[3:],
+                r"model\.txt:3: polarity must be \+1 or -1",
+            ),
+            (
+                lambda m: m[:2] + ["STUMP edge2h 2 3 8 0.25 +1 0.75"] + m[3:],
+                r"model\.txt:3: expected a STUMP line of 9 fields",
+            ),
+            (lambda m: ["CASCADE v1 24 x"] + m[1:], r"model\.txt:1: bad number 'x'"),
+            (lambda m: m[:1] + ["STAGE -1 0.5"] + m[2:], r"model\.txt:2: negative stump count"),
+        ],
+        ids=[
+            "truncated-stump", "truncated-stage", "unknown-kind", "outside-window",
+            "indivisible-width", "trailing-line", "nan-threshold", "bad-polarity",
+            "short-stump-line", "bad-header-number", "negative-count",
+        ],
+    )
+    def test_invalid_model_names_file_and_line(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            load_cascade(self._write(tmp_path, edit(list(self.MODEL))))

@@ -229,6 +229,17 @@ class TestTrainDetectEval:
         assert code == 2
         assert "smaller" in capsys.readouterr().err
 
+    def test_bad_cascade_file_exits_2_with_one_line(self, workspace, capsys):
+        bad = workspace["root"] / "bad.txt"
+        lines = workspace["model"].read_text().splitlines()
+        bad.write_text("\n".join(lines[:-1]) + "\n")  # drop the last stump
+        code = main(["detect", "--cascade", str(bad), "--image", str(workspace["img"]),
+                     "--out", str(workspace["root"] / "bad_dets.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("facedet: error: ") and "bad.txt" in err
+
     def test_eval_prints_table_and_roc(self, workspace, capsys):
         roc = workspace["root"] / "roc.csv"
         code = main(

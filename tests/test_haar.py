@@ -6,6 +6,7 @@ from facedet.haar import (
     HaarFeature,
     enumerate_kind,
     eval_feature,
+    fits_window,
     generate_feature_set,
     scaled_parts,
     window_sigma,
@@ -64,6 +65,21 @@ class TestEnumeration:
             assert f.h <= f.x + 1
             assert f.x + f.w <= 10
             assert f.y + f.w + f.h - 2 <= 9
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fits_window_accepts_exactly_the_bank(self, kind):
+        window = 9
+        span = range(-2, window + 2)
+        accepted = {
+            (x, y, w, h)
+            for x in span
+            for y in span
+            for w in span
+            for h in span
+            if fits_window(HaarFeature(kind, x, y, w, h, window))
+        }
+        assert accepted == {(f.x, f.y, f.w, f.h) for f in enumerate_kind(kind, window)}
 
 
 class TestZeroSum:

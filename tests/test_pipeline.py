@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from facedet.boost import Cascade
 from facedet.config import PipelineConfig
 from facedet.detect import Detection
 from facedet.evaluate import match_detections
@@ -62,6 +63,18 @@ class TestDetectFaces:
             (d.x * 2, d.y * 2, d.w * 2, d.h * 2) for d in dets_work
         ]
         assert [d.score for d in dets_full] == [d.score for d in dets_work]
+
+    def test_downscaled_boxes_stay_inside_the_image(self):
+        # 25 px at downscale 3 keeps 9 px, whose 8 px window maps back to
+        # 24 px boxes; every one of them must be clipped to the 25 px input
+        img = np.zeros((25, 25), dtype=np.uint8)
+        config = PipelineConfig().override(base_window=8, downscale=3, step=1)
+        dets, _ = detect_faces(img, Cascade(8, [], []), config)
+        assert dets
+        for d in dets:
+            assert d.x >= 0 and d.y >= 0
+            assert d.x + d.w <= 25 and d.y + d.h <= 25
+        assert [(d.x, d.y, d.w, d.h) for d in dets] == [(3, 3, 22, 22)]
 
     def test_training_manifest_smoke(self, experiment):
         # detection rate on the training split itself clears the compounded
