@@ -1,4 +1,9 @@
-"""Skin-gated multi-scale sliding-window detection and box merging."""
+"""Skin-gated multi-scale sliding-window detection and box merging.
+
+The merge computes pairwise IoU with numpy broadcasting, in blocks of
+``MERGE_ROWS`` boxes so memory stays linear in the box count, and joins the
+overlapping pairs with a union-find in row-major pair order.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,11 @@ from .haar import eval_parts_grid, scaled_parts, window_sigma_grid
 from .integral import integral_image, integral_set, _upright_sums
 
 __all__ = ["Detection", "ScanStats", "detect_multiscale", "detect_multiscale_counted", "merge_detections", "iou"]
+
+
+# boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
+# small however many raw windows a scene yields
+MERGE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,31 @@ def detect_multiscale(
     return dets
 
 
+def _overlapping_pairs(detections: list[Detection], overlap: float):
+    """Yield every pair i < j with ``iou >= overlap``, in row-major order.
+
+    Same arithmetic as :func:`iou`: integer intersection and union, one
+    float64 division, 0.0 where the union is not positive.
+    """
+    boxes = np.array([(d.x, d.y, d.w, d.h) for d in detections], dtype=np.int64)
+    x0, y0 = boxes[:, 0], boxes[:, 1]
+    x1, y1 = x0 + boxes[:, 2], y0 + boxes[:, 3]
+    area = boxes[:, 2] * boxes[:, 3]
+    n = boxes.shape[0]
+    for lo in range(0, n, MERGE_ROWS):
+        rows = slice(lo, lo + MERGE_ROWS)
+        cols = slice(lo, n)  # pairs j < lo were taken by earlier blocks
+        ix = np.minimum(x1[rows, None], x1[None, cols]) - np.maximum(x0[rows, None], x0[None, cols])
+        iy = np.minimum(y1[rows, None], y1[None, cols]) - np.maximum(y0[rows, None], y0[None, cols])
+        inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+        union = area[rows, None] + area[None, cols] - inter
+        ratio = np.zeros(inter.shape)
+        np.divide(inter, union, out=ratio, where=union > 0)
+        # block-local (r, c) is the pair (lo + r, lo + c): keep c > r only
+        r, c = np.nonzero(np.triu(ratio >= overlap, 1))
+        yield from zip((r + lo).tolist(), (c + lo).tolist())
+
+
 def merge_detections(
     detections: list[Detection], min_neighbors: int = 1, overlap: float = 0.3
 ) -> list[Detection]:
@@ -152,14 +187,10 @@ def merge_detections(
             i = parent[i]
         return i
 
-    for i in range(n):
-        bi = (detections[i].x, detections[i].y, detections[i].w, detections[i].h)
-        for j in range(i + 1, n):
-            dj = detections[j]
-            if iou(bi, (dj.x, dj.y, dj.w, dj.h)) >= overlap:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in _overlapping_pairs(detections, overlap):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[Detection]] = {}
     for i in range(n):

@@ -64,20 +64,21 @@ def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     voff = (w - 1) + ((w - 1) & 1)
     umax = (w - 1) + (h - 1)
     vmax = (h - 1) + voff
-    ys, xs = np.indices((h, w))
+    ys = np.arange(h)[:, None]
+    xs = np.arange(w)
     u = xs + ys
-    v = ys - xs + voff
-    grids: list[np.ndarray] = []
-    for parity in (0, 1):
-        m = (u & 1) == parity
-        nu = max(0, (umax - parity) // 2 + 1)
-        nv = max(0, (vmax - parity) // 2 + 1)
-        g = np.zeros((nu + 1, nv + 1), dtype=np.int64)
-        g[(u[m] - parity) // 2 + 1, (v[m] - parity) // 2 + 1] = img[m]
-        np.cumsum(g, axis=0, out=g)
-        np.cumsum(g, axis=1, out=g)
-        grids.append(g)
-    return grids[0], grids[1], voff
+    v = ys - xs + voff  # voff is even, so v has the parity of u
+    parity = u & 1
+    u >>= 1  # (u, v) is now the pixel's cell in its parity's table,
+    v >>= 1  # not counting the table's zero first row and column
+    # one scatter for both parities: parity p's table is the leading
+    # ((umax - p) // 2 + 2) x ((vmax - p) // 2 + 2) block of plane p, and a
+    # prefix sum inside that block reads nothing outside it
+    g = np.zeros((2, umax // 2 + 2, vmax // 2 + 2), dtype=np.int64)
+    g[:, 1:, 1:][parity, u, v] = img
+    np.cumsum(g, axis=1, out=g)
+    np.cumsum(g, axis=2, out=g)
+    return g[0], g[1, : (umax + 1) // 2 + 1, : (vmax + 1) // 2 + 1], voff
 
 
 def integral_image(img: np.ndarray, variant: str = UPRIGHT, with_squares: bool = False) -> IntegralImage:

@@ -7,6 +7,8 @@ reader accepts arbitrary whitespace and '#' comments before the raster.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -59,16 +61,24 @@ def _parse_header(data: bytes, path: str) -> tuple[bytes, int, int, int, int]:
     return magic, width, height, maxval, pos
 
 
+def _raster(data: bytes, path: str, off: int, shape: tuple[int, ...], maxval: int) -> np.ndarray:
+    """The 8-bit raster after the header, checked for length and maxval."""
+    size = math.prod(shape)
+    if len(data) - off < size:
+        raise NetpbmError(f"{path}: truncated raster")
+    raster = np.frombuffer(data, dtype=np.uint8, count=size, offset=off).reshape(shape).copy()
+    if maxval < 255 and raster.max() > maxval:
+        raise NetpbmError(f"{path}: sample {raster.max()} above maxval {maxval}")
+    return raster
+
+
 def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, w, h, _, off = _parse_header(data, str(path))
+    magic, w, h, maxval, off = _parse_header(data, str(path))
     if magic != b"P5":
         raise NetpbmError(f"{path}: expected P5, got {magic!r}")
-    raster = data[off : off + w * h]
-    if len(raster) != w * h:
-        raise NetpbmError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    return _raster(data, path, off, (h, w), maxval)
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
@@ -84,13 +94,10 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, w, h, _, off = _parse_header(data, str(path))
+    magic, w, h, maxval, off = _parse_header(data, str(path))
     if magic != b"P6":
         raise NetpbmError(f"{path}: expected P6, got {magic!r}")
-    raster = data[off : off + 3 * w * h]
-    if len(raster) != 3 * w * h:
-        raise NetpbmError(f"{path}: truncated raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _raster(data, path, off, (h, w, 3), maxval)
 
 
 def write_ppm(path: str, img: np.ndarray) -> None:

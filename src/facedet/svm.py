@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boost import _field
+from .lbp import DESCRIPTOR_LENGTH
+
 __all__ = ["LinearSvmModel", "train_svm", "svm_objective", "save_svm", "load_svm"]
 
 
@@ -86,13 +89,31 @@ def save_svm(model: LinearSvmModel, path: str) -> None:
 
 
 def load_svm(path: str) -> LinearSvmModel:
+    """Read a model written by :func:`save_svm`.
+
+    Raises ValueError naming the file and line for a bad header, a weight
+    count other than the descriptor length, a missing, malformed or extra
+    line, and a non-numeric or non-finite weight or bias.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("SVM v1 "):
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1][:2] != ["SVM", "v1"] or len(lines[0][1]) != 3:
         raise ValueError(f"{path}: not an SVM model file")
-    dim = int(lines[0].split()[2])
-    if len(lines) != dim + 2 or not lines[-1].startswith("BIAS "):
-        raise ValueError(f"{path}: malformed SVM model file")
-    weights = np.array([float(v) for v in lines[1 : dim + 1]], dtype=np.float64)
-    bias = float(lines[-1].split()[1])
-    return LinearSvmModel(weights, bias)
+    head_no, header = lines[0]
+    dim = _field(path, head_no, header[2], int)
+    if dim != DESCRIPTOR_LENGTH:
+        raise ValueError(f"{path}:{head_no}: {dim} weights, the descriptor has {DESCRIPTOR_LENGTH}")
+    if len(lines) < dim + 2:
+        raise ValueError(f"{path}: truncated after line {lines[-1][0]}, expected {dim} weights and a BIAS line")
+    weights = []
+    for no, toks in lines[1 : dim + 1]:
+        if len(toks) != 1:
+            raise ValueError(f"{path}:{no}: expected one weight, got {' '.join(toks)!r}")
+        weights.append(_field(path, no, toks[0], float))
+    no, toks = lines[dim + 1]
+    if toks[0] != "BIAS" or len(toks) != 2:
+        raise ValueError(f"{path}:{no}: expected a BIAS line of 2 fields, got {' '.join(toks)!r}")
+    bias = _field(path, no, toks[1], float)
+    if len(lines) > dim + 2:
+        raise ValueError(f"{path}:{lines[dim + 2][0]}: trailing line after the BIAS line")
+    return LinearSvmModel(np.array(weights, dtype=np.float64), bias)

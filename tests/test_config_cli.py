@@ -240,6 +240,18 @@ class TestTrainDetectEval:
         assert err.count("\n") == 1
         assert err.startswith("facedet: error: ") and "bad.txt" in err
 
+    def test_nan_svm_weight_exits_2_with_one_line(self, workspace, capsys):
+        bad = workspace["root"] / "nan_svm.txt"
+        lines = workspace["svm"].read_text().splitlines()
+        lines[1] = "nan"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["detect", "--cascade", str(workspace["model"]), "--image", str(workspace["img"]),
+                     "--svm", str(bad), "--out", str(workspace["root"] / "nan_dets.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("facedet: error: ") and "nan_svm.txt:2: non-finite" in err
+
     def test_eval_prints_table_and_roc(self, workspace, capsys):
         roc = workspace["root"] / "roc.csv"
         code = main(

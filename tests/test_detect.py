@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from facedet import detect
 from facedet.boost import Cascade, classify_window, train_cascade
 from facedet.detect import (
+    MERGE_ROWS,
     Detection,
     detect_multiscale,
     detect_multiscale_counted,
@@ -149,6 +155,71 @@ def graph_components_oracle(dets, overlap):
     return set(comps)
 
 
+def merge_oracle(detections, min_neighbors=1, overlap=0.3):
+    """The nested-loop merge: pairwise iou() in (i, j) order into a union-find."""
+    n = len(detections)
+    if n == 0:
+        return []
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        bi = (detections[i].x, detections[i].y, detections[i].w, detections[i].h)
+        for j in range(i + 1, n):
+            dj = detections[j]
+            if iou(bi, (dj.x, dj.y, dj.w, dj.h)) >= overlap:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(detections[i])
+    merged = []
+    for root in sorted(groups):
+        members = groups[root]
+        if len(members) < min_neighbors:
+            continue
+        mx = int(np.floor(np.mean([d.x for d in members]) + 0.5))
+        my = int(np.floor(np.mean([d.y for d in members]) + 0.5))
+        mw = int(np.floor(np.mean([d.w for d in members]) + 0.5))
+        mh = int(np.floor(np.mean([d.h for d in members]) + 0.5))
+        merged.append(
+            Detection(
+                mx, my, mw, mh,
+                max(d.score for d in members),
+                float(np.mean([d.scale for d in members])),
+            )
+        )
+    return merged
+
+
+# mixed sizes on a small field so that many pairs overlap; zero sides give
+# pairs with a zero union
+boxes = st.builds(
+    Detection,
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.integers(0, 30),
+    st.integers(0, 30),
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.sampled_from([1.0, 1.25, 1.5625, 2.0]),
+)
+
+
+def random_detections(rng, n, field=200):
+    sides = rng.integers(8, 60, size=(n, 2))
+    return [
+        Detection(int(x), int(y), int(w), int(h), float(rng.normal()), float(w) / 24)
+        for (x, y), (w, h) in zip(rng.integers(0, field, size=(n, 2)), sides)
+    ]
+
+
 class TestMergeDetections:
     def test_single_detection_unchanged(self):
         det = Detection(5, 6, 20, 20, 1.5, 1.0)
@@ -186,6 +257,35 @@ class TestMergeDetections:
             overlap = float(rng.uniform(0.15, 0.6))
             merged = merge_detections(dets, min_neighbors=1, overlap=overlap)
             assert len(merged) == len(graph_components_oracle(dets, overlap))
+
+    @given(
+        st.lists(boxes, min_size=1, max_size=40),
+        st.data(),
+        st.integers(1, 5),
+        st.sampled_from([0.2, 0.3, 1 / 3, 0.5, 0.75]),
+        st.sampled_from([1, 3, MERGE_ROWS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_nested_loop_oracle(self, dets, data, min_neighbors, overlap, block):
+        for det in data.draw(st.lists(st.sampled_from(dets), max_size=5), label="duplicates"):
+            dets.insert(data.draw(st.integers(0, len(dets)), label="at"), det)
+        with mock.patch.object(detect, "MERGE_ROWS", block):
+            got = merge_detections(dets, min_neighbors, overlap)
+        assert got == merge_oracle(dets, min_neighbors, overlap)
+
+    @pytest.mark.parametrize("n", [MERGE_ROWS - 1, MERGE_ROWS, 2 * MERGE_ROWS + 7])
+    def test_matches_oracle_around_the_row_block(self, n):
+        dets = random_detections(np.random.default_rng(n), n)
+        for min_neighbors in (1, 3):
+            assert merge_detections(dets, min_neighbors) == merge_oracle(dets, min_neighbors)
+
+    def test_iou_equal_to_overlap_joins(self):
+        a = Detection(0, 0, 10, 10, 1.0, 1.0)
+        b = Detection(5, 0, 10, 10, 2.0, 1.0)
+        assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == 1 / 3
+        merged = merge_detections([a, b], min_neighbors=2, overlap=1 / 3)
+        assert merged == merge_oracle([a, b], 2, 1 / 3)
+        assert len(merged) == 1
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):

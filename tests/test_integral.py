@@ -4,9 +4,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from facedet.integral import integral_image, integral_set, rect_sum
+from facedet.integral import _tilted_grids, integral_image, integral_set, rect_sum
 
 small_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))
+
+
+def tilted_grids_oracle(img):
+    """One masked scatter and one pair of cumsums per parity."""
+    h, w = img.shape
+    voff = (w - 1) + ((w - 1) & 1)
+    umax = (w - 1) + (h - 1)
+    vmax = (h - 1) + voff
+    ys, xs = np.indices((h, w))
+    u = xs + ys
+    v = ys - xs + voff
+    grids = []
+    for parity in (0, 1):
+        m = (u & 1) == parity
+        nu = max(0, (umax - parity) // 2 + 1)
+        nv = max(0, (vmax - parity) // 2 + 1)
+        g = np.zeros((nu + 1, nv + 1), dtype=np.int64)
+        g[(u[m] - parity) // 2 + 1, (v[m] - parity) // 2 + 1] = img[m]
+        np.cumsum(g, axis=0, out=g)
+        np.cumsum(g, axis=1, out=g)
+        grids.append(g)
+    return grids[0], grids[1], voff
 
 
 def brute_prefix(img, x, y):
@@ -134,6 +156,26 @@ class TestTilted:
     def test_zero_area(self):
         ti = integral_image(np.full((4, 4), 9, dtype=np.uint8), "tilted")
         assert rect_sum(ti, (2, 1, 0, 1)) == 0
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (1, 10), (9, 1), (10, 1), (7, 12), (12, 7), (24, 24), (240, 320)]
+    )
+    def test_grids_match_two_pass_oracle(self, shape):
+        img = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
+        even, odd, voff = _tilted_grids(img)
+        want_even, want_odd, want_voff = tilted_grids_oracle(img)
+        assert voff == want_voff
+        for got, want in ((even, want_even), (odd, want_odd)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @given(small_images)
+    @settings(max_examples=60, deadline=None)
+    def test_grids_match_two_pass_oracle_property(self, img):
+        got = _tilted_grids(img)
+        want = tilted_grids_oracle(img)
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @given(small_images, st.integers(0, 1 << 30))

@@ -73,3 +73,24 @@ def test_reader_rejects_malformed(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(NetpbmError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "reader, payload",
+    [
+        (read_pgm, b"P5\n2 2\n15\n\x00\x0f\x10\x00"),  # 16 > maxval 15
+        (read_ppm, b"P6\n1 2\n100\n" + bytes([0, 100, 0, 50, 101, 0])),  # 101 > 100
+    ],
+    ids=["P5", "P6"],
+)
+def test_sample_above_maxval_rejected_naming_file(tmp_path, reader, payload):
+    path = tmp_path / "over.pnm"
+    path.write_bytes(payload)
+    with pytest.raises(NetpbmError, match="over.pnm.*above maxval"):
+        reader(path)
+
+
+def test_samples_at_maxval_accepted(tmp_path):
+    path = tmp_path / "low.pgm"
+    path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")
+    assert read_pgm(path).tolist() == [[0, 15]]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from facedet.skin import (
     Region,
+    _dilate3,
+    _erode3,
     SkinThresholds,
     classify_skin,
     classify_skin_hsv,
@@ -20,6 +22,29 @@ from facedet.skin import (
 )
 
 masks = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=st.integers(0, 1))
+
+SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
+SOBEL_Y = SOBEL_X.T
+
+
+def sobel_oracle(gray, threshold):
+    """Sobel as a 3x3 correlation over window views."""
+    win = np.lib.stride_tricks.sliding_window_view(gray.astype(np.int64), (3, 3))
+    gx = np.einsum("ijkl,kl->ij", win, SOBEL_X)
+    gy = np.einsum("ijkl,kl->ij", win, SOBEL_Y)
+    out = np.zeros(gray.shape, dtype=np.uint8)
+    out[1:-1, 1:-1] = (gx * gx + gy * gy > threshold * threshold).astype(np.uint8)
+    return out
+
+
+def dilate_oracle(mask):
+    padded = np.pad(mask, 1, mode="constant", constant_values=0)
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).max(axis=(2, 3))
+
+
+def erode_oracle(mask):
+    padded = np.pad(mask, 1, mode="constant", constant_values=1)
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
 
 
 def ycbcr_pixel(y, cb, cr):
@@ -80,6 +105,18 @@ class TestSobel:
         img = rng.integers(0, 256, size=(10, 10), dtype=np.uint8)
         assert np.all(sobel_edges(img, 1445.0) == 0)
 
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(3, 20), st.integers(3, 20))),
+        st.floats(0.0, 1500.0, allow_nan=False),
+    )
+    @example(np.array([[0, 0, 255], [0, 0, 255], [0, 0, 255]], dtype=np.uint8), 100.0)
+    @example(np.array([[255, 0, 7], [3, 200, 0], [0, 90, 255]], dtype=np.uint8), 0.0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_window_view_oracle(self, img, threshold):
+        out = sobel_edges(img, threshold)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, sobel_oracle(img, threshold))
+
     def test_rejects_tiny_images(self):
         with pytest.raises(ValueError):
             sobel_edges(np.zeros((2, 5), dtype=np.uint8), 10)
@@ -111,6 +148,17 @@ class TestMorphology:
         closed = morphology(mask, "close")
         assert np.array_equal(morphology(opened, "open"), opened)
         assert np.array_equal(morphology(closed, "close"), closed)
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16))))
+    @example(np.array([[1]], dtype=np.uint8))
+    @example(np.array([[0]], dtype=np.uint8))
+    @example(np.array([[1, 0, 1, 1, 0]], dtype=np.uint8))
+    @example(np.array([[0], [1], [1]], dtype=np.uint8))
+    @settings(max_examples=80, deadline=None)
+    def test_kernels_match_window_view_oracle(self, mask):
+        for got, want in ((_dilate3(mask), dilate_oracle(mask)), (_erode3(mask), erode_oracle(mask))):
+            assert got.dtype == want.dtype == np.uint8
+            assert np.array_equal(got, want)
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):

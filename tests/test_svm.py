@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,43 @@ class TestModelFile:
         path = tmp_path / "bad.txt"
         path.write_text("SVM v1 3\n1\n2\n")
         with pytest.raises(ValueError):
+            load_svm(path)
+
+    @pytest.mark.parametrize(
+        "index, replacement, message",
+        [
+            (1, ["nan"], r":2: non-finite number 'nan'"),
+            (7, ["inf"], r":8: non-finite number 'inf'"),
+            (3, ["0.5x"], r":4: bad number '0\.5x'"),
+            (204, ["BIAS nan"], r":205: non-finite number 'nan'"),
+            (204, ["BIAS -inf"], r":205: non-finite number '-inf'"),
+            (204, ["BIAS x"], r":205: bad number 'x'"),
+            (0, ["SVM v1 x"], r":1: bad number 'x'"),
+            (0, ["SVM v1 202"], r":1: 202 weights, the descriptor has 203"),
+            (5, [], r": truncated after line 204"),
+            (2, ["1 2"], r":3: expected one weight"),
+            (204, ["0.25"], r":205: expected a BIAS line"),
+            (205, ["0"], r":206: trailing line"),
+        ],
+        ids=[
+            "nan-weight", "inf-weight", "bad-weight", "nan-bias", "inf-bias", "bad-bias",
+            "bad-count", "wrong-count", "truncated", "two-weights", "missing-bias",
+            "trailing-line",
+        ],
+    )
+    def test_invalid_model_names_file_and_line(self, tmp_path, index, replacement, message):
+        path = tmp_path / "svm.txt"
+        save_svm(LinearSvmModel(np.linspace(-1.0, 1.0, 203), 0.25), path)
+        lines = path.read_text().splitlines()
+        lines[index : index + 1] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + message):
+            load_svm(path)
+
+    def test_consistent_file_of_another_length_rejected(self, tmp_path):
+        path = tmp_path / "svm204.txt"
+        save_svm(LinearSvmModel(np.zeros(204), 0.0), path)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r":1: 204 weights"):
             load_svm(path)
 
 
