@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class Cascade:
     # per-stage (detection_rate, false_positive_rate) on the data each stage
     # was trained on; NaN pairs for models loaded from disk
     metadata: list[tuple[float, float]]
+    # compiled scan programs by window size, filled by facedet.detect; they
+    # are derived from ``stages``, which therefore must not change in place
+    programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.stages) != len(self.metadata):

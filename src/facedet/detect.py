@@ -1,5 +1,23 @@
 """Skin-gated multi-scale sliding-window detection and box merging.
 
+The cascade scan is compiled. For each window size, every stage becomes a
+program: the distinct summed-area-table corners its stumps' rectangles read,
+as (plane, row, column) offsets from a window origin, and an int64
+(corners, stumps) matrix of rectangle weights. Tilted stumps get one such
+gather per origin parity (x + y) & 1, into the two-plane tilted buffer. The
+programs are built once per cascade and size and cached on the cascade;
+the offsets become flat indices per image, since those depend on its width.
+
+A pyramid level lays its window origins on a regular lattice, so the skin
+fraction and the pixel sigma of every window come from four strided slices
+of the summed-area tables; only the windows that pass the gate are kept.
+A stage then gathers ``flat[origin[:, None] + offsets]`` for its surviving
+windows, in blocks of ``SCAN_ROWS`` origins so the (origins, corners)
+temporary stays bounded, and multiplies by the weight matrix. The integer
+responses are exactly those of the per-rectangle sums; they are divided by
+sigma in float64 and the votes are added in stump order from 0.0, so every
+margin is bit-identical to a window-by-window evaluation.
+
 The merge computes pairwise IoU with numpy broadcasting, in blocks of
 ``MERGE_ROWS`` boxes so memory stays linear in the box count, and joins the
 overlapping pairs with a union-find in row-major pair order.
@@ -7,13 +25,13 @@ overlapping pairs with a union-find in row-major pair order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import Cascade
-from .haar import eval_parts_grid, scaled_parts, window_sigma_grid
-from .integral import integral_image, integral_set, _upright_sums
+from .boost import Cascade, Stage
+from .haar import scaled_parts
+from .integral import IntegralSet, integral_image, integral_set
 
 __all__ = ["Detection", "ScanStats", "detect_multiscale", "detect_multiscale_counted", "merge_detections", "iou"]
 
@@ -21,6 +39,9 @@ __all__ = ["Detection", "ScanStats", "detect_multiscale", "detect_multiscale_cou
 # boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
 # small however many raw windows a scene yields
 MERGE_ROWS = 256
+# window origins per block of a stage's gather: the (rows, corners) int64
+# temporary stays in cache however large the image
+SCAN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -38,6 +59,9 @@ class ScanStats:
     total_windows: int = 0
     evaluated_windows: int = 0
     accepted_windows: int = 0
+    # windows entering each stage, summed over the levels, then the windows
+    # that passed every stage: [evaluated_windows, ..., accepted_windows]
+    stage_windows: list[int] = field(default_factory=list)
 
 
 def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
@@ -49,6 +73,142 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class _Gather:
+    """Table corners relative to a window origin, with their weights."""
+
+    table: int  # 0: upright SAT; 1 + q: tilted planes, origins of parity q
+    plane: np.ndarray  # (corners,) tilted plane, 0 for the upright table
+    row: np.ndarray  # (corners,)
+    col: np.ndarray  # (corners,)
+    coef: np.ndarray  # (corners, stumps) int64, each column times its polarity
+
+    def offsets(self, table: np.ndarray) -> np.ndarray:
+        """Flat offsets into ``table`` (upright, or the tilted planes): they
+        depend on the image width, so they are not part of the program."""
+        rows, cols = table.shape[-2:]
+        return (self.plane * rows + self.row) * cols + self.col
+
+
+@dataclass(frozen=True)
+class _StageProgram:
+    gathers: list[_Gather]
+    signed_threshold: np.ndarray  # (stumps,) polarity * threshold
+    alpha: tuple[float, ...]
+    threshold: float
+
+
+def _compile_stage(stage: Stage, size: int) -> _StageProgram:
+    n = len(stage.stumps)
+    # cell (plane, row, col) -> weights per stump, for each of the tables
+    tables: list[dict] = [{}, {}, {}]
+
+    def box(table: int, j: int, plane: int, row: int, col: int, drow: int, dcol: int, wt: int) -> None:
+        for cell, sign in (
+            ((plane, row + drow, col + dcol), 1),
+            ((plane, row, col + dcol), -1),
+            ((plane, row + drow, col), -1),
+            ((plane, row, col), 1),
+        ):
+            tables[table].setdefault(cell, np.zeros(n, dtype=np.int64))[j] += sign * wt
+
+    for j, (wc, _) in enumerate(stage.stumps):
+        # the polarity goes into the weights: an int64 response negates
+        # exactly, and so do its float64 conversion and its division by sigma
+        for px, py, pw, ph, wt in scaled_parts(wc.feature, size):
+            if not wc.feature.tilted:
+                box(0, j, 0, py, px, ph, pw, wt * wc.polarity)
+                continue
+            # the apex (x + px, y + py) lies in plane p at cell
+            # ((x + y) >> 1, (y - x + voff) >> 1) plus (du, dv); exact
+            # because q + px + py - p and q + py - px - p are even
+            for q in (0, 1):
+                p = (q + px + py) & 1
+                du = (q + px + py - p) // 2
+                dv = (q + py - px - p) // 2
+                box(1 + q, j, p, du, dv, pw, ph, wt * wc.polarity)
+    gathers = []
+    for t, cells in enumerate(tables):
+        cells = {cell: wts for cell, wts in cells.items() if wts.any()}
+        if cells:
+            plane, row, col = (np.array(v, dtype=np.int64) for v in zip(*cells))
+            gathers.append(_Gather(t, plane, row, col, np.array(list(cells.values()))))
+    return _StageProgram(
+        gathers,
+        np.array([wc.polarity * wc.threshold for wc, _ in stage.stumps], dtype=np.float64),
+        tuple(float(alpha) for _, alpha in stage.stumps),
+        stage.threshold,
+    )
+
+
+def _programs(cascade: Cascade, size: int) -> list[_StageProgram]:
+    """The cascade's stage programs for one window size, compiled once.
+
+    Concurrent scans may both compile a missing size; they store equal
+    programs, so the race costs only the duplicate work.
+    """
+    programs = cascade.programs.get(size)
+    if programs is None:
+        programs = [_compile_stage(stage, size) for stage in cascade.stages]
+        cascade.programs[size] = programs
+    return programs
+
+
+def _window_sums(grid: np.ndarray, size: int, step: int) -> np.ndarray:
+    """(rows, cols) sums of the size x size windows at origins step * (j, i),
+    from four strided slices of a summed-area table."""
+    h, w = grid.shape[0] - 1, grid.shape[1] - 1
+    top = grid[: h - size + 1 : step]
+    bottom = grid[size::step]
+    return bottom[:, size::step] - top[:, size::step] - bottom[:, : w - size + 1 : step] + top[:, : w - size + 1 : step]
+
+
+def _window_sigma(iset: IntegralSet, size: int, step: int) -> np.ndarray:
+    """Pixel standard deviation of every lattice window, floored at 1."""
+    n = size * size
+    total = _window_sums(iset.upright.grid, size, step)
+    total_sq = _window_sums(iset.upright.sq, size, step)
+    var = total_sq / n - (total / n) ** 2
+    return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
+
+
+class _Level:
+    """One pyramid level's gated windows, as origins into each table."""
+
+    def __init__(self, iset: IntegralSet, xs: np.ndarray, ys: np.ndarray, sigma: np.ndarray | None):
+        self.sigma = sigma
+        up = iset.upright.grid
+        # indexed by _Gather.table: (table, origins, mask of the windows it serves)
+        self.tables = [(up, ys * up.shape[1] + xs, None)]
+        if iset.tilted is not None:
+            planes = iset.tilted.planes
+            origins = ((xs + ys) >> 1) * planes.shape[2] + ((ys - xs + iset.tilted.voff) >> 1)
+            parity = (xs + ys) & 1
+            self.tables += [(planes, origins, parity == q) for q in (0, 1)]
+
+    def margins(self, program: _StageProgram, idx: np.ndarray) -> np.ndarray:
+        """Vote margins of one stage at the windows ``idx`` (not empty), in
+        blocks of SCAN_ROWS windows."""
+        return np.concatenate(
+            [self._block_margins(program, idx[lo : lo + SCAN_ROWS]) for lo in range(0, idx.size, SCAN_ROWS)]
+        )
+
+    def _block_margins(self, program: _StageProgram, rows: np.ndarray) -> np.ndarray:
+        values = np.zeros((rows.size, len(program.alpha)), dtype=np.int64)
+        for g in program.gathers:
+            table, origins, mask = self.tables[g.table]
+            sel = slice(None) if mask is None else mask[rows]
+            values[sel] += table.ravel()[origins[rows[sel]][:, None] + g.offsets(table)] @ g.coef
+        responses = values.astype(np.float64)
+        if self.sigma is not None:
+            responses /= self.sigma[rows, None]
+        hits = responses < program.signed_threshold
+        votes = np.zeros(rows.size)
+        for alpha, hit in zip(program.alpha, hits.T):
+            votes += alpha * hit
+        return votes - program.threshold
 
 
 def detect_multiscale_counted(
@@ -73,14 +233,15 @@ def detect_multiscale_counted(
     img = np.asarray(img)
     h, w = img.shape
     base = cascade.base_window
-    iset = integral_set(img)
+    tilted = any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps)
+    iset = integral_set(img, with_tilted=tilted)
     skin_ii = None
     if skin is not None:
         skin = np.asarray(skin)
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
         skin_ii = integral_image((skin > 0).astype(np.uint8))
-    stats = ScanStats()
+    stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
     detections: list[Detection] = []
     level = 0
     size = base
@@ -88,41 +249,33 @@ def detect_multiscale_counted(
         step_k = max(1, round(step * size / base))
         xs0 = np.arange(0, w - size + 1, step_k, dtype=np.int64)
         ys0 = np.arange(0, h - size + 1, step_k, dtype=np.int64)
-        grid_y, grid_x = np.meshgrid(ys0, xs0, indexing="ij")
-        xs = grid_x.ravel()
-        ys = grid_y.ravel()
-        stats.total_windows += xs.size
-        if skin_ii is not None:
-            frac = _upright_sums(skin_ii.grid, xs, ys, size, size) / (size * size)
-            keep = frac >= min_skin_fraction
-            xs = xs[keep]
-            ys = ys[keep]
-        stats.evaluated_windows += xs.size
-        if xs.size:
-            margins = np.zeros(xs.size)
-            alive = np.ones(xs.size, dtype=bool)
-            sigma = window_sigma_grid(iset, xs, ys, size) if variance_norm else None
-            for stage in cascade.stages:
-                idx = np.flatnonzero(alive)
+        stats.total_windows += xs0.size * ys0.size
+        if skin_ii is None:
+            keep = np.arange(xs0.size * ys0.size)
+        else:
+            frac = _window_sums(skin_ii.grid, size, step_k) / (size * size)
+            keep = np.flatnonzero(frac >= min_skin_fraction)
+        stats.evaluated_windows += keep.size
+        if keep.size:
+            xs = xs0[keep % xs0.size]
+            ys = ys0[keep // xs0.size]
+            sigma = _window_sigma(iset, size, step_k).ravel()[keep] if variance_norm else None
+            windows = _Level(iset, xs, ys, sigma)
+            margins = np.zeros(keep.size)
+            idx = np.arange(keep.size)
+            for k, program in enumerate(_programs(cascade, size)):
+                stats.stage_windows[k] += idx.size
                 if idx.size == 0:
                     break
-                sx = xs[idx]
-                sy = ys[idx]
-                votes = np.zeros(idx.size)
-                for wc, alpha in stage.stumps:
-                    parts = scaled_parts(wc.feature, size)
-                    vals = eval_parts_grid(iset, parts, wc.feature.tilted, sx, sy).astype(np.float64)
-                    if variance_norm:
-                        vals /= sigma[idx]
-                    votes += alpha * (wc.polarity * vals < wc.polarity * wc.threshold)
-                stage_margin = votes - stage.threshold
-                margins[idx] = stage_margin
-                alive[idx] = stage_margin >= 0
-            for i in np.flatnonzero(alive):
-                detections.append(
-                    Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]), size / base)
-                )
-                stats.accepted_windows += 1
+                margin = windows.margins(program, idx)
+                margins[idx] = margin
+                idx = idx[margin >= 0]
+            stats.stage_windows[-1] += idx.size
+            stats.accepted_windows += idx.size
+            detections.extend(
+                Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]), size / base)
+                for i in idx
+            )
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     return detections, stats

@@ -202,33 +202,3 @@ def eval_feature(
     if not variance_norm:
         return float(value)
     return float(value) / window_sigma(iset, x, y, size)
-
-
-def eval_parts_grid(
-    iset: IntegralSet,
-    parts: list[Part],
-    tilted: bool,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Unnormalized responses of one scaled decomposition at many window
-    origins simultaneously (the vectorized inner loop of scanning)."""
-    total = np.zeros(xs.shape, dtype=np.int64)
-    if tilted:
-        for px, py, pw, ph, wt in parts:
-            total += wt * _tilted_sums(iset.tilted, xs + px, ys + py, pw, ph)
-    else:
-        grid = iset.upright.grid
-        for px, py, pw, ph, wt in parts:
-            total += wt * _upright_sums(grid, xs + px, ys + py, pw, ph)
-    return total
-
-
-def window_sigma_grid(iset: IntegralSet, xs: np.ndarray, ys: np.ndarray, size: int) -> np.ndarray:
-    """Vectorized window_sigma over many window origins."""
-    up = iset.upright
-    n = size * size
-    total = _upright_sums(up.grid, xs, ys, size, size)
-    total_sq = _upright_sums(up.sq, xs, ys, size, size)
-    var = total_sq / n - (total / n) ** 2
-    return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)

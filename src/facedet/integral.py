@@ -38,6 +38,9 @@ class IntegralImage:
     grid_odd: np.ndarray | None = None  # tilted only: odd-parity diagonal SAT
     sq: np.ndarray | None = None  # upright only: squared-value SAT, if requested
     voff: int = 0  # tilted only: even shift making y - x non-negative
+    # tilted only: the (2, U, V) buffer whose planes hold the even table and
+    # (as a leading block) the odd one, so one flat index reaches both
+    planes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,8 @@ def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     v >>= 1  # not counting the table's zero first row and column
     # one scatter for both parities: parity p's table is the leading
     # ((umax - p) // 2 + 2) x ((vmax - p) // 2 + 2) block of plane p, and a
-    # prefix sum inside that block reads nothing outside it
+    # prefix sum inside that block reads nothing outside it; both tables
+    # returned are views of g (their ``base``)
     g = np.zeros((2, umax // 2 + 2, vmax // 2 + 2), dtype=np.int64)
     g[:, 1:, 1:][parity, u, v] = img
     np.cumsum(g, axis=1, out=g)
@@ -91,7 +95,7 @@ def integral_image(img: np.ndarray, variant: str = UPRIGHT, with_squares: bool =
         return IntegralImage(UPRIGHT, w, h, _upright_grid(img, squared=False), sq=sq)
     if variant == TILTED:
         even, odd, voff = _tilted_grids(img)
-        return IntegralImage(TILTED, w, h, even, grid_odd=odd, voff=voff)
+        return IntegralImage(TILTED, w, h, even, grid_odd=odd, voff=voff, planes=even.base)
     raise ValueError(f"unknown integral variant {variant!r}")
 
 

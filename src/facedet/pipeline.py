@@ -64,8 +64,10 @@ class SegmentResult:
 def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
     """Skin classification, Sobel-edge refinement, and region extraction."""
     thresholds = SkinThresholds(config.cb_min, config.cb_max, config.cr_min, config.cr_max)
-    skin = classify_skin(rgb_to_ycbcr(rgb), thresholds)
-    edges = sobel_edges(to_grayscale(rgb), config.sobel_threshold)
+    ycbcr = rgb_to_ycbcr(rgb)
+    skin = classify_skin(ycbcr, thresholds)
+    # the Y plane is to_grayscale(rgb): the same expression and rounding
+    edges = sobel_edges(ycbcr[..., 0], config.sobel_threshold)
     mask = refine_mask(skin, edges)
     min_area = config.min_area or max(1, round(mask.size * 0.001))
     return SegmentResult(mask, extract_regions(mask, min_area), skin_ratio(mask))

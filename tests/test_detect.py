@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facedet import detect
-from facedet.boost import Cascade, classify_window, train_cascade
+from facedet.boost import Cascade, Stage, WeakClassifier, classify_window, train_cascade
 from facedet.detect import (
     MERGE_ROWS,
+    SCAN_ROWS,
     Detection,
+    ScanStats,
     detect_multiscale,
     detect_multiscale_counted,
     iou,
     merge_detections,
 )
-from facedet.integral import integral_set
+from facedet.haar import KINDS, enumerate_kind, scaled_parts
+from facedet.integral import _tilted_sums, _upright_sums, integral_image, integral_set
 
 
 def scan_count_oracle(shape, base, scale_factor, step):
@@ -32,6 +35,103 @@ def scan_count_oracle(shape, base, scale_factor, step):
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     return count
+
+
+def scan_oracle(
+    cascade, img, skin=None, scale_factor=1.25, step=2, min_skin_fraction=0.25, variance_norm=True
+):
+    """The per-stump scan: index arrays per level, four lookups per rectangle
+    per stump, votes added in stump order."""
+    h, w = img.shape
+    base = cascade.base_window
+    iset = integral_set(img)
+    skin_ii = None if skin is None else integral_image((np.asarray(skin) > 0).astype(np.uint8))
+    stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
+    detections = []
+    level = 0
+    size = base
+    while size <= min(w, h):
+        step_k = max(1, round(step * size / base))
+        grid_y, grid_x = np.meshgrid(
+            np.arange(0, h - size + 1, step_k), np.arange(0, w - size + 1, step_k), indexing="ij"
+        )
+        xs = grid_x.ravel()
+        ys = grid_y.ravel()
+        stats.total_windows += xs.size
+        if skin_ii is not None:
+            frac = _upright_sums(skin_ii.grid, xs, ys, size, size) / (size * size)
+            keep = frac >= min_skin_fraction
+            xs = xs[keep]
+            ys = ys[keep]
+        stats.evaluated_windows += xs.size
+        if xs.size:
+            margins = np.zeros(xs.size)
+            alive = np.ones(xs.size, dtype=bool)
+            n = size * size
+            total = _upright_sums(iset.upright.grid, xs, ys, size, size)
+            total_sq = _upright_sums(iset.upright.sq, xs, ys, size, size)
+            sigma = np.maximum(np.sqrt(np.maximum(total_sq / n - (total / n) ** 2, 0.0)), 1.0)
+            for k, stage in enumerate(cascade.stages):
+                idx = np.flatnonzero(alive)
+                stats.stage_windows[k] += idx.size
+                if idx.size == 0:
+                    break
+                sx = xs[idx]
+                sy = ys[idx]
+                votes = np.zeros(idx.size)
+                for wc, alpha in stage.stumps:
+                    vals = np.zeros(idx.size, dtype=np.int64)
+                    for px, py, pw, ph, wt in scaled_parts(wc.feature, size):
+                        if wc.feature.tilted:
+                            vals += wt * _tilted_sums(iset.tilted, sx + px, sy + py, pw, ph)
+                        else:
+                            vals += wt * _upright_sums(iset.upright.grid, sx + px, sy + py, pw, ph)
+                    vals = vals.astype(np.float64)
+                    if variance_norm:
+                        vals /= sigma[idx]
+                    votes += alpha * (wc.polarity * vals < wc.polarity * wc.threshold)
+                stage_margin = votes - stage.threshold
+                margins[idx] = stage_margin
+                alive[idx] = stage_margin >= 0
+            for i in np.flatnonzero(alive):
+                detections.append(
+                    Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]), size / base)
+                )
+                stats.accepted_windows += 1
+            stats.stage_windows[-1] += int(alive.sum())
+        level += 1
+        size = max(size + 1, round(base * scale_factor**level))
+    return detections, stats
+
+
+_BANKS = {}
+
+
+def bank(kind, base):
+    if (kind, base) not in _BANKS:
+        _BANKS[kind, base] = enumerate_kind(kind, base)
+    return _BANKS[kind, base]
+
+
+@st.composite
+def cascades(draw, variance_norm=True):
+    """Small random cascades over every kind; thresholds near typical
+    responses on random 8-bit images, so windows both pass and fail."""
+    base = draw(st.sampled_from([8, 9, 10]), label="base")
+    scale = 1.0 if variance_norm else 70.0
+    stages = []
+    for _ in range(draw(st.integers(0, 3), label="stages")):
+        stumps = []
+        for _ in range(draw(st.integers(1, 10), label="stumps")):
+            kind = draw(st.sampled_from(KINDS + ("tilted_edge2", "tilted_line3")), label="kind")
+            feature = draw(st.sampled_from(bank(kind, base)), label="feature")
+            threshold = draw(st.floats(-25.0, 25.0), label="threshold") * scale
+            polarity = draw(st.sampled_from([1, -1]), label="polarity")
+            alpha = draw(st.floats(0.01, 2.0), label="alpha")
+            stumps.append((WeakClassifier(feature, threshold, polarity), alpha))
+        total = sum(alpha for _, alpha in stumps)
+        stages.append(Stage(stumps, draw(st.floats(0.0, 1.0), label="pass share") * total))
+    return Cascade(base, stages, [(float("nan"), float("nan"))] * len(stages))
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +225,87 @@ class TestDetectMultiscale:
             detect_multiscale(toy_cascade, img, step=0)
         with pytest.raises(ValueError):
             detect_multiscale(toy_cascade, img, skin=np.zeros((4, 4), dtype=np.uint8))
+
+
+class TestCompiledScan:
+    @given(
+        st.data(),
+        st.booleans(),
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.integers(1, 4),
+        st.sampled_from([1.1, 1.25, 1.5, 2.0]),
+        st.sampled_from([1, 3, SCAN_ROWS]),
+        st.integers(0, 1 << 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_stump_oracle(self, data, variance_norm, h, w, step, scale_factor, block, seed):
+        cascade = data.draw(cascades(variance_norm), label="cascade")
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        skin = None
+        min_skin = 0.25
+        if data.draw(st.booleans(), label="gated"):
+            skin = (rng.random((h, w)) < rng.random()).astype(np.uint8)
+            min_skin = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="min skin")
+        args = (skin, scale_factor, step, min_skin, variance_norm)
+        with mock.patch.object(detect, "SCAN_ROWS", block):
+            got = detect_multiscale_counted(cascade, img, *args)
+        assert got == scan_oracle(cascade, img, *args)
+
+    def test_one_cascade_over_images_of_different_widths(self, toy_cascade):
+        cascade = Cascade(toy_cascade.base_window, toy_cascade.stages, toy_cascade.metadata)
+        rng = np.random.default_rng(31)
+        images = [toy_scene(rng, h=40, w=w)[0] for w in (31, 57, 31, 44)]
+        for img in images:
+            assert detect_multiscale_counted(cascade, img, step=1) == scan_oracle(cascade, img, step=1)
+        assert cascade.programs  # compiled once, reused across the images
+
+    def test_tilted_cascade_over_images_of_different_widths(self):
+        rng = np.random.default_rng(32)
+        stumps = [
+            (WeakClassifier(f, 0.0, 1), 1.0)
+            for f in (bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3])
+        ]
+        cascade = Cascade(10, [Stage(stumps, 1.5)], [(1.0, 0.5)])
+        for w in (23, 36, 23, 17):
+            img = rng.integers(0, 256, size=(29, w)).astype(np.uint8)
+            assert detect_multiscale_counted(cascade, img, step=1) == scan_oracle(cascade, img, step=1)
+
+    def test_empty_cascade(self):
+        cascade = Cascade(12, [], [])
+        img = np.random.default_rng(33).integers(0, 256, size=(25, 31)).astype(np.uint8)
+        got = detect_multiscale_counted(cascade, img, step=3)
+        assert got == scan_oracle(cascade, img, step=3)
+        assert got[1].stage_windows == [got[1].total_windows]
+
+    def test_image_smaller_than_the_window(self, toy_cascade):
+        img = np.zeros((11, 40), dtype=np.uint8)
+        dets, stats = detect_multiscale_counted(toy_cascade, img)
+        assert (dets, stats) == scan_oracle(toy_cascade, img)
+        assert stats == ScanStats(stage_windows=[0] * (len(toy_cascade.stages) + 1))
+
+    def test_upright_cascade_builds_no_tilted_tables(self, toy_cascade):
+        assert not any(wc.feature.tilted for s in toy_cascade.stages for wc, _ in s.stumps)
+        img = toy_scene(np.random.default_rng(34))[0]
+        with mock.patch.object(detect, "integral_set", wraps=detect.integral_set) as build:
+            detect_multiscale_counted(toy_cascade, img)
+        build.assert_called_once_with(img, with_tilted=False)
+
+
+class TestStageAttrition:
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_counts_fall_from_evaluated_to_accepted(self, toy_cascade, gated):
+        rng = np.random.default_rng(35)
+        img, _ = toy_scene(rng, spots=4)
+        skin = (rng.random(img.shape) < 0.6).astype(np.uint8) if gated else None
+        _, stats = detect_multiscale_counted(toy_cascade, img, skin=skin, step=1)
+        counts = stats.stage_windows
+        assert len(counts) == len(toy_cascade.stages) + 1
+        assert counts[0] == stats.evaluated_windows
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] == stats.accepted_windows > 0
+        assert counts[0] > counts[1]
 
 
 def graph_components_oracle(dets, overlap):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -59,6 +59,18 @@ class TestYCbCr:
     def test_round_trip_within_two(self, img):
         back = ycbcr_to_rgb(rgb_to_ycbcr(img))
         assert np.max(np.abs(back.astype(int) - img.astype(int))) <= 2
+
+    @given(rgb_images)
+    @example(np.array([[[255, 255, 255]]], dtype=np.uint8))
+    @example(np.array([[[0, 0, 0]]], dtype=np.uint8))
+    @example(np.array([[[255, 0, 0]]], dtype=np.uint8))
+    @example(np.array([[[0, 255, 0]]], dtype=np.uint8))
+    @example(np.array([[[0, 0, 255]]], dtype=np.uint8))
+    @example(np.array([[[255, 255, 0], [0, 255, 255]], [[255, 0, 255], [1, 254, 128]]], dtype=np.uint8))
+    @settings(max_examples=80, deadline=None)
+    def test_y_plane_is_grayscale(self, img):
+        # segment_image feeds Sobel from the Y plane in place of to_grayscale
+        assert np.array_equal(rgb_to_ycbcr(img)[..., 0], to_grayscale(img))
 
 
 class TestDownscale:

@@ -130,6 +130,17 @@ class TestEvaluateImages:
             len(e.boxes) for e in entries
         )
 
+    def test_threads_compile_a_cold_cascade_once_per_size(self, tmp_path, experiment):
+        # the scan compiles stage programs into the cascade on first use;
+        # threads that race on a size must still agree with a warm run
+        entries = self._entries(tmp_path, experiment, count=8)
+        warm = experiment["cascade"]
+        config = experiment["config"]
+        cold = Cascade(warm.base_window, warm.stages, warm.metadata)
+        threaded = evaluate_images(entries, cold, config, threads=4)
+        assert threaded == evaluate_images(entries, warm, config, threads=1)
+        assert cold.programs
+
 
 class TestPickSvmThreshold:
     def test_keeps_requested_fraction(self, experiment):
