@@ -5,12 +5,10 @@ from .boost import (
     Cascade,
     Stage,
     WeakClassifier,
-    classify_window,
     load_cascade,
     save_cascade,
     train_cascade,
     train_stage,
-    train_stump,
 )
 from .config import PipelineConfig, load_config_file
 from .detect import Detection, ScanStats, detect_multiscale, detect_multiscale_counted, merge_detections
@@ -25,7 +23,7 @@ from .evaluate import (
     match_detections,
     roc_sweep,
 )
-from .haar import HaarFeature, eval_feature, generate_feature_set
+from .haar import HaarFeature, generate_feature_set
 from .images import (
     downscale,
     histogram_equalization,
@@ -35,7 +33,7 @@ from .images import (
     to_grayscale,
     ycbcr_to_rgb,
 )
-from .integral import IntegralImage, IntegralSet, integral_image, integral_set, rect_sum
+from .integral import IntegralImage, IntegralSet, integral_image, integral_set
 from .lbp import (
     coarse_histogram,
     fine_features,

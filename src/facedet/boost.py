@@ -7,15 +7,22 @@ vote reaches the stage threshold (default: half the total alpha, lowered
 after every boosting round until the detection-rate target is met on the
 training positives).
 
-Stump search is a single sorted sweep per feature over an (F, N) value
-matrix, whose sort order is computed once per stage. Each round sweeps the
-features in blocks of SWEEP_ROWS rows, so the per-block temporaries stay in
-cache; rows never interact, so the result equals a sweep over the whole
-matrix. Candidate thresholds are the midpoints between consecutive distinct
-sorted values plus one sentinel below the minimum and one above the maximum;
-ties are broken towards the smaller threshold, then polarity +1, and across
-features towards the lowest feature index, which makes training fully
-deterministic.
+The (F, N) value matrix of a stage is one compiled program
+(:func:`facedet.haar.compile_features`) applied to the stacked integral
+tables of all samples: one sparse product, divided by the samples' sigma.
+
+Stump search is a single sorted sweep per feature over the value matrix,
+whose sort order is computed once per stage. The order is numpy's default
+(SIMD, unstable) argsort, after which every run of equal values is put back
+in sample order, so it equals the stable argsort element for element: the
+order inside a run sets the summation order of the weights, and so the last
+bits of the errors. Each round sweeps the features in blocks of SWEEP_ROWS
+rows, so the per-block temporaries stay in cache; rows never interact, so
+the result equals a sweep over the whole matrix. Candidate thresholds are
+the midpoints between consecutive distinct sorted values plus one sentinel
+below the minimum and one above the maximum; ties are broken towards the
+smaller threshold, then polarity +1, and across features towards the lowest
+feature index, which makes training fully deterministic.
 
 Hard-negative mining scans the background pool with the cascade trained so
 far, picks accepted windows round-robin across the images, and crops and
@@ -26,22 +33,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import KINDS, HaarFeature, eval_feature, fits_window, generate_feature_set, scaled_parts
-from .integral import IntegralSet, integral_set
+from .haar import KINDS, HaarFeature, compile_features, fits_window, generate_feature_set
+from .integral import _tilted_grids, _upright_grid
 
 __all__ = [
     "WeakClassifier",
     "Stage",
     "StageResult",
     "Cascade",
-    "train_stump",
     "train_stage",
     "train_cascade",
-    "classify_window",
     "feature_value_matrix",
     "save_cascade",
     "load_cascade",
@@ -51,6 +57,9 @@ MIN_EPSILON = 1e-10
 # features per block of the stump sweep: a block's (rows, N + 1) float64
 # temporaries then stay in cache instead of streaming 2,500 x 2,912 matrices
 SWEEP_ROWS = 16
+# samples per block of the feature matrix: a block's tables and corner reads
+# stay a few MB however many samples a stage has
+MATRIX_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,30 @@ class Cascade:
             raise ValueError("cascade metadata length must match stage count")
 
 
+def _restore_index_order(values: np.ndarray, order: np.ndarray, vs: np.ndarray, tied: np.ndarray) -> None:
+    """Sort every run of equal values in ``order`` by sample index, in place,
+    and gather ``vs`` there again.
+
+    ``order`` is any argsort of the rows of ``values``, ``vs`` the values it
+    gathers and ``tied[r, j]`` whether sorted elements j and j + 1 of row r
+    are equal. Every element outside a run is already where a stable sort
+    puts it, so afterwards ``order`` equals ``np.argsort(values, axis=1,
+    kind="stable")`` and ``vs`` its gather, element for element.
+    """
+    f, n = order.shape
+    in_run = np.zeros((f, n), dtype=bool)
+    in_run[:, 1:] = tied
+    starts = ~in_run  # not equal to the element before it
+    in_run[:, :-1] |= tied
+    r, c = np.nonzero(in_run)
+    run = np.cumsum(starts[r, c])  # increases along the row-major positions
+    # each run keeps its positions: the sorted keys fill them run by run
+    keys = run * n + order[r, c]
+    keys.sort()
+    order[r, c] = keys - run * n
+    vs[r, c] = values[r, order[r, c]]
+
+
 class _StumpSearch:
     """Sorted-order cache over a value matrix, reusable across rounds."""
 
@@ -106,12 +139,15 @@ class _StumpSearch:
         if values.ndim != 2:
             raise ValueError("expected an (F, N) value matrix")
         f, n = values.shape
-        self.order = np.argsort(values, axis=1, kind="stable")
+        self.order = np.argsort(values, axis=1)
         vs = np.take_along_axis(values, self.order, axis=1)
-        self.pos_sorted = (labels > 0)[self.order]
+        if np.isnan(vs[:, -1:]).any():  # NaN sorts last
+            raise ValueError("feature values must not be NaN")
         # candidate j = number of samples strictly below the threshold
         valid = np.ones((f, n + 1), dtype=bool)
-        valid[:, 1:n] = vs[:, :-1] < vs[:, 1:]
+        np.less(vs[:, :-1], vs[:, 1:], out=valid[:, 1:n])
+        _restore_index_order(values, self.order, vs, ~valid[:, 1:n])
+        self.pos_sorted = (labels > 0)[self.order]
         self.invalid = ~valid
         self.thresholds = np.empty((f, n + 1))
         self.thresholds[:, 0] = vs[:, 0] - 1.0
@@ -160,29 +196,6 @@ class _StumpSearch:
         thr = np.where(use_neg, t_neg, t_pos)
         pol = np.where(use_neg, -1, 1)
         return err, thr, pol
-
-
-def train_stump(
-    values: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> tuple[float, int, float]:
-    """Optimal (threshold, polarity, weighted_error) for one feature column.
-
-    One sorted sweep over the samples; the returned error is at most 0.5
-    because both polarities are searched.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    if values.ndim != 1 or values.shape != labels.shape or values.shape != weights.shape:
-        raise ValueError("values, labels, and weights must be equal-length 1-d arrays")
-    if not (np.any(labels > 0) and np.any(labels < 0)):
-        raise ValueError("need at least one sample of each label")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    weights = weights / weights.sum()
-    search = _StumpSearch(values[None, :], labels)
-    err, thr, pol = search.best(weights)
-    return float(thr[0]), int(pol[0]), float(err[0])
 
 
 def train_stage(
@@ -261,87 +274,56 @@ def train_stage(
     return StageResult(Stage(stumps, float(stage_threshold)), dr, fpr, scores)
 
 
-def stage_score(stage: Stage, iset: IntegralSet, x: int, y: int, size: int, variance_norm: bool = True) -> float:
-    total = 0.0
-    for wc, alpha in stage.stumps:
-        value = eval_feature(wc.feature, iset, x, y, size, variance_norm)
-        if wc.polarity * value < wc.polarity * wc.threshold:
-            total += alpha
-    return total
-
-
-def classify_window(
-    cascade: Cascade, iset: IntegralSet, x: int, y: int, size: int, variance_norm: bool = True
-) -> tuple[bool, float]:
-    """Run the stages in order with early exit.
-
-    Returns (accepted, margin): the final stage's vote margin when accepted
-    (0.0 for an empty cascade), else the failing stage's margin.
-    """
-    margin = 0.0
-    for stage in cascade.stages:
-        margin = stage_score(stage, iset, x, y, size, variance_norm) - stage.threshold
-        if margin < 0:
-            return False, margin
-    return True, margin
-
-
 def feature_value_matrix(
-    features: list[HaarFeature], samples: list[np.ndarray], variance_norm: bool = True
+    features: Sequence[HaarFeature], samples: list[np.ndarray], variance_norm: bool = True
 ) -> np.ndarray:
-    """(F, N) responses of every feature on every base-window sample."""
+    """(F, N) responses of every feature on every base-window sample.
+
+    The features are compiled into one program at the base size, and the
+    responses are one sparse product of its weights with the table corners
+    it reads, per block of MATRIX_ROWS samples whose tables are built as one
+    stack. The product runs in float64 on integers: every partial sum is an
+    integer far below 2**53 for 8-bit samples, so it equals the int64 sum
+    exactly.
+    """
+    import scipy.sparse  # training only: detection never pays for the import
+
     if not samples:
         raise ValueError("no samples")
     base = samples[0].shape[0]
-    n = len(samples)
-    up = np.empty((n, base + 1, base + 1), dtype=np.int64)
-    sq = np.empty_like(up)
-    t_even: list[np.ndarray] = []
-    t_odd: list[np.ndarray] = []
-    voff = 0
     for i, sample in enumerate(samples):
         if sample.shape != (base, base):
             raise ValueError(f"sample {i} is {sample.shape}, expected {(base, base)}")
-        iset = integral_set(sample)
-        up[i] = iset.upright.grid
-        sq[i] = iset.upright.sq
-        t_even.append(iset.tilted.grid)
-        t_odd.append(iset.tilted.grid_odd)
-        voff = iset.tilted.voff
-    te = np.stack(t_even)
-    to = np.stack(t_odd)
-    area = base * base
-    total = up[:, base, base].astype(np.float64)
-    var = sq[:, base, base] / area - (total / area) ** 2
-    sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
-
-    out = np.empty((len(features), n), dtype=np.float64)
-    for fi, feature in enumerate(features):
-        parts = scaled_parts(feature, base)
-        acc = np.zeros(n, dtype=np.int64)
-        if feature.tilted:
-            for px, py, pw, ph, wt in parts:
-                p = (px + py) & 1
-                grid = te if p == 0 else to
-                u0 = (px + py - p) // 2
-                v0 = (py - px + voff - p) // 2
-                acc += wt * (
-                    grid[:, u0 + pw, v0 + ph]
-                    - grid[:, u0, v0 + ph]
-                    - grid[:, u0 + pw, v0]
-                    + grid[:, u0, v0]
-                )
-        else:
-            for px, py, pw, ph, wt in parts:
-                acc += wt * (
-                    up[:, py + ph, px + pw]
-                    - up[:, py, px + pw]
-                    - up[:, py + ph, px]
-                    + up[:, py, px]
-                )
-        out[fi] = acc
-    if variance_norm:
-        out /= sigma[None, :]
+    out = np.zeros((len(features), len(samples)))
+    program = [c for c in compile_features(features, base) if c.table < 2]
+    if not program:
+        return out
+    first = np.cumsum([0] + [c.row.size for c in program])
+    coef = scipy.sparse.csr_array(
+        (
+            np.concatenate([c.weight for c in program]).astype(np.float64),
+            (np.concatenate([c.feature for c in program]), np.concatenate([k + c.corner for c, k in zip(program, first)])),
+        ),
+        shape=(len(features), first[-1]),
+    )
+    for lo in range(0, len(samples), MATRIX_ROWS):
+        pixels = np.stack(samples[lo : lo + MATRIX_ROWS]).astype(np.int64)
+        n = len(pixels)
+        # every window origin is (0, 0): cell 0 of the upright table, and
+        # cell (0, voff >> 1) of the tilted planes with origin parity 0
+        up = _upright_grid(pixels, squared=False)
+        tables = [(up, 0)]
+        if any(c.table == 1 for c in program):
+            even, _, voff = _tilted_grids(pixels)
+            tables.append((even.base, voff >> 1))
+        reads = [tables[c.table][0].reshape(n, -1)[:, tables[c.table][1] + c.offsets(tables[c.table][0])] for c in program]
+        block = coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
+        if variance_norm:
+            area = base * base
+            total = up[:, base, base].astype(np.float64)
+            var = (pixels * pixels).sum(axis=(1, 2)) / area - (total / area) ** 2
+            block /= np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)[None, :]
+        out[:, lo : lo + n] = block
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["PipelineConfig", "load_config_file"]
@@ -41,6 +42,11 @@ class PipelineConfig:
     block_weights: tuple[float, ...] = (1.0,) * 9
 
     def __post_init__(self) -> None:
+        # first, so that a NaN cannot slip through a comparison below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         checks = [
             (self.downscale >= 1, "downscale must be >= 1"),
             (self.median_radius >= 0, "median_radius must be >= 0"),
@@ -89,10 +95,11 @@ def _parse_value(name: str, text: str, kind: type):
 
 
 def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Read 'key = value' lines; unknown keys are rejected."""
+    """Read 'key = value' lines; unknown and repeated keys are rejected."""
     base = base or PipelineConfig()
     field_types = {f.name: type(getattr(base, f.name)) for f in fields(base)}
     overrides = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
@@ -104,5 +111,8 @@ def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineC
             key = key.strip()
             if key not in field_types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
+            first_line[key] = lineno
             overrides[key] = _parse_value(key, value.strip(), field_types[key])
     return base.override(**overrides)

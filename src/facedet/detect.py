@@ -1,12 +1,12 @@
 """Skin-gated multi-scale sliding-window detection and box merging.
 
-The cascade scan is compiled. For each window size, every stage becomes a
-program: the distinct summed-area-table corners its stumps' rectangles read,
-as (plane, row, column) offsets from a window origin, and an int64
-(corners, stumps) matrix of rectangle weights. Tilted stumps get one such
-gather per origin parity (x + y) & 1, into the two-plane tilted buffer. The
-programs are built once per cascade and size and cached on the cascade;
-the offsets become flat indices per image, since those depend on its width.
+The cascade scan is compiled. For each window size, every stage's stumps
+become a program (:func:`facedet.haar.compile_features`) whose weights
+carry each stump's polarity: the summed-area-table corners read, as offsets
+from a window origin, and an int64 (corners, stumps) weight matrix, per
+table and, for tilted stumps, per origin parity. The programs are built
+once per cascade and size and cached on the cascade; the offsets become
+flat indices per image, since those depend on its width.
 
 A pyramid level lays its window origins on a regular lattice, so the skin
 fraction and the pixel sigma of every window come from four strided slices
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boost import Cascade, Stage
-from .haar import scaled_parts
+from .haar import Corners, compile_features
 from .integral import IntegralSet, integral_image, integral_set
 
 __all__ = ["Detection", "ScanStats", "detect_multiscale", "detect_multiscale_counted", "merge_detections", "iou"]
@@ -76,67 +76,21 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
 
 
 @dataclass(frozen=True)
-class _Gather:
-    """Table corners relative to a window origin, with their weights."""
-
-    table: int  # 0: upright SAT; 1 + q: tilted planes, origins of parity q
-    plane: np.ndarray  # (corners,) tilted plane, 0 for the upright table
-    row: np.ndarray  # (corners,)
-    col: np.ndarray  # (corners,)
-    coef: np.ndarray  # (corners, stumps) int64, each column times its polarity
-
-    def offsets(self, table: np.ndarray) -> np.ndarray:
-        """Flat offsets into ``table`` (upright, or the tilted planes): they
-        depend on the image width, so they are not part of the program."""
-        rows, cols = table.shape[-2:]
-        return (self.plane * rows + self.row) * cols + self.col
-
-
-@dataclass(frozen=True)
 class _StageProgram:
-    gathers: list[_Gather]
+    # the stumps' corners per table, each with its dense (corners, stumps)
+    # weights times each stump's polarity
+    gathers: list[tuple[Corners, np.ndarray]]
     signed_threshold: np.ndarray  # (stumps,) polarity * threshold
     alpha: tuple[float, ...]
     threshold: float
 
 
 def _compile_stage(stage: Stage, size: int) -> _StageProgram:
-    n = len(stage.stumps)
-    # cell (plane, row, col) -> weights per stump, for each of the tables
-    tables: list[dict] = [{}, {}, {}]
-
-    def box(table: int, j: int, plane: int, row: int, col: int, drow: int, dcol: int, wt: int) -> None:
-        for cell, sign in (
-            ((plane, row + drow, col + dcol), 1),
-            ((plane, row, col + dcol), -1),
-            ((plane, row + drow, col), -1),
-            ((plane, row, col), 1),
-        ):
-            tables[table].setdefault(cell, np.zeros(n, dtype=np.int64))[j] += sign * wt
-
-    for j, (wc, _) in enumerate(stage.stumps):
-        # the polarity goes into the weights: an int64 response negates
-        # exactly, and so do its float64 conversion and its division by sigma
-        for px, py, pw, ph, wt in scaled_parts(wc.feature, size):
-            if not wc.feature.tilted:
-                box(0, j, 0, py, px, ph, pw, wt * wc.polarity)
-                continue
-            # the apex (x + px, y + py) lies in plane p at cell
-            # ((x + y) >> 1, (y - x + voff) >> 1) plus (du, dv); exact
-            # because q + px + py - p and q + py - px - p are even
-            for q in (0, 1):
-                p = (q + px + py) & 1
-                du = (q + px + py - p) // 2
-                dv = (q + py - px - p) // 2
-                box(1 + q, j, p, du, dv, pw, ph, wt * wc.polarity)
-    gathers = []
-    for t, cells in enumerate(tables):
-        cells = {cell: wts for cell, wts in cells.items() if wts.any()}
-        if cells:
-            plane, row, col = (np.array(v, dtype=np.int64) for v in zip(*cells))
-            gathers.append(_Gather(t, plane, row, col, np.array(list(cells.values()))))
+    # the polarity goes into the weights: an int64 response negates
+    # exactly, and so do its float64 conversion and its division by sigma
+    polarity = np.array([wc.polarity for wc, _ in stage.stumps], dtype=np.int64)
     return _StageProgram(
-        gathers,
+        [(c, c.coef() * polarity) for c in compile_features([wc.feature for wc, _ in stage.stumps], size)],
         np.array([wc.polarity * wc.threshold for wc, _ in stage.stumps], dtype=np.float64),
         tuple(float(alpha) for _, alpha in stage.stumps),
         stage.threshold,
@@ -180,7 +134,7 @@ class _Level:
     def __init__(self, iset: IntegralSet, xs: np.ndarray, ys: np.ndarray, sigma: np.ndarray | None):
         self.sigma = sigma
         up = iset.upright.grid
-        # indexed by _Gather.table: (table, origins, mask of the windows it serves)
+        # indexed by Corners.table: (table, origins, mask of the windows it serves)
         self.tables = [(up, ys * up.shape[1] + xs, None)]
         if iset.tilted is not None:
             planes = iset.tilted.planes
@@ -197,10 +151,10 @@ class _Level:
 
     def _block_margins(self, program: _StageProgram, rows: np.ndarray) -> np.ndarray:
         values = np.zeros((rows.size, len(program.alpha)), dtype=np.int64)
-        for g in program.gathers:
-            table, origins, mask = self.tables[g.table]
+        for corners, coef in program.gathers:
+            table, origins, mask = self.tables[corners.table]
             sel = slice(None) if mask is None else mask[rows]
-            values[sel] += table.ravel()[origins[rows[sel]][:, None] + g.offsets(table)] @ g.coef
+            values[sel] += table.ravel()[origins[rows[sel]][:, None] + corners.offsets(table)] @ coef
         responses = values.astype(np.float64)
         if self.sigma is not None:
             responses /= self.sigma[rows, None]

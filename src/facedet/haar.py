@@ -13,17 +13,23 @@ coordinates; tilted kinds store the apex and diagonal arm lengths in the
 same convention as :mod:`facedet.integral`. Scaling to a detection window
 rounds the geometry and then re-snaps it to the kind's divisibility so the
 zero-sum property survives at every scale.
+
+The bank of a window size holds every placement as integer arrays and
+builds a feature object only when one is read. Features are evaluated only
+as compiled programs: :func:`compile_features` turns a list of features at
+a window size into the table corners they read and their weights there,
+which the cascade scan and the training feature matrix both multiply with.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integral import IntegralSet, _tilted_sums, _upright_sums
 
-__all__ = ["HaarFeature", "KINDS", "generate_feature_set", "enumerate_kind", "fits_window", "eval_feature", "scaled_parts", "window_sigma"]
+__all__ = ["HaarFeature", "KINDS", "FeatureBank", "generate_feature_set", "enumerate_kind", "fits_window", "scaled_parts", "compile_features"]
 
 # kind -> (w unit, h unit, tilted flag); units are enumeration steps and
 # divisibility constraints (arms for the tilted kinds)
@@ -81,52 +87,109 @@ def _parts(kind: str, x: int, y: int, w: int, h: int) -> list[Part]:
     raise ValueError(f"unknown feature kind {kind!r}")
 
 
+def _fits(kind: str, x, y, w, h, window: int):
+    """Placement predicate on ints or on broadcast integer arrays."""
+    uw, uh, tilted = KIND_SPECS[kind]
+    ok = (h >= uh) & (h % uh == 0) & (y >= 0)
+    if not tilted:
+        return ok & (x >= 0) & (w >= uw) & (w % uw == 0) & (x + w <= window) & (y + h <= window)
+    # diamond corners inside the window: h <= x + 1, x + w <= window and
+    # (w - 1) + (h - 1) <= window - 1 - y
+    return ok & (w >= 1) & (h <= x + 1) & (x + w <= window) & (y + w + h - 1 <= window)
+
+
+def _placements(kind: str, window: int) -> np.ndarray:
+    """(n, 4) int64 (x, y, w, h) of every placement of one kind, ordered by
+    (y, x, h, w): the C order of the nonzero cells of a (y, x, h, w) grid."""
+    side = np.arange(window)
+    y, x, h, w = np.ix_(side, side, side + 1, side + 1)
+    iy, ix, ih, iw = np.nonzero(_fits(kind, x, y, w, h, window))
+    return np.stack([ix, iy, iw + 1, ih + 1], axis=1)
+
+
 def enumerate_kind(kind: str, window: int) -> list[HaarFeature]:
     """All placements of one kind that fit a window, ordered by (y, x, h, w)."""
-    uw, uh, tilted = KIND_SPECS[kind]
-    out: list[HaarFeature] = []
-    if not tilted:
-        for y in range(window):
-            for x in range(window):
-                for h in range(uh, window - y + 1, uh):
-                    for w in range(uw, window - x + 1, uw):
-                        out.append(HaarFeature(kind, x, y, w, h, window))
-    else:
-        # diamond corners must stay inside the window:
-        #   h <= x + 1, w <= window - x, (w - 1) + (h - 1) <= window - 1 - y
-        for y in range(window):
-            for x in range(window):
-                for h in range(uh, min(x + 1, window - y) + 1, uh):
-                    wmax = min(window - x, window + 1 - y - h)
-                    for w in range(1, wmax + 1):
-                        out.append(HaarFeature(kind, x, y, w, h, window))
-    return out
+    return [HaarFeature(kind, x, y, w, h, window) for x, y, w, h in _placements(kind, window).tolist()]
 
 
 def fits_window(feature: HaarFeature) -> bool:
     """Whether the geometry is a placement :func:`enumerate_kind` produces:
     inside the feature's window and divisible by its kind's units."""
-    uw, uh, tilted = KIND_SPECS[feature.kind]
-    x, y, w, h, window = feature.x, feature.y, feature.w, feature.h, feature.window
-    if h < uh or h % uh or y < 0:
-        return False
-    if not tilted:
-        return x >= 0 and w >= uw and w % uw == 0 and x + w <= window and y + h <= window
-    return w >= 1 and h <= x + 1 and x + w <= window and y + w + h - 1 <= window
+    return bool(_fits(feature.kind, feature.x, feature.y, feature.w, feature.h, feature.window))
 
 
-def generate_feature_set(base_window: int) -> list[HaarFeature]:
+class FeatureBank(Sequence):
+    """The full ordered bank of one window size: kinds in KINDS order,
+    placements by (y, x, h, w). It holds the placements as arrays and builds
+    a :class:`HaarFeature` only when one is read, so a training that keeps
+    a sample of the bank never builds the rest."""
+
+    def __init__(self, window: int):
+        self.window = window
+        placements = [_placements(kind, window) for kind in KINDS]
+        self._kind = np.repeat(np.arange(len(KINDS)), [len(p) for p in placements])
+        self._geometry = np.concatenate(placements)
+
+    def __len__(self) -> int:
+        return len(self._kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        x, y, w, h = self._geometry[index].tolist()
+        return HaarFeature(KINDS[self._kind[index]], x, y, w, h, self.window)
+
+    def __iter__(self):
+        for kind, (x, y, w, h) in zip(self._kind.tolist(), self._geometry.tolist()):
+            yield HaarFeature(KINDS[kind], x, y, w, h, self.window)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FeatureBank):
+            return NotImplemented
+        return self.window == other.window
+
+
+def generate_feature_set(base_window: int) -> FeatureBank:
     """The full ordered bank: kinds in KINDS order, placements by (y, x, h, w)."""
     if base_window < 8:
         raise ValueError(f"base window must be >= 8, got {base_window}")
-    bank: list[HaarFeature] = []
-    for kind in KINDS:
-        bank.extend(enumerate_kind(kind, base_window))
-    return bank
+    return FeatureBank(base_window)
 
 
-def _snap(value: float, unit: int) -> int:
-    return unit * max(1, round(value / unit))
+def _round(value: np.ndarray) -> np.ndarray:
+    return np.rint(value).astype(np.int64)  # half to even, as round()
+
+
+def _snap(value: np.ndarray, unit: int) -> np.ndarray:
+    return unit * np.maximum(1, _round(value / unit))
+
+
+def _scaled_boxes(kind: str, x, y, w, h, window, size: int):
+    """(x, y, w, h) of features of one kind scaled to a size-px window,
+    elementwise over int64 arrays (``window`` may be one per feature)."""
+    s = size / window
+    uw, uh, tilted = KIND_SPECS[kind]
+    if not tilted:
+        # the largest multiple of the unit that is not above size
+        w = np.minimum(_snap(w * s, uw), size // uw * uw)
+        h = np.minimum(_snap(h * s, uh), size // uh * uh)
+        x = np.minimum(np.maximum(_round(x * s), 0), size - w)
+        y = np.minimum(np.maximum(_round(y * s), 0), size - h)
+        return x, y, w, h
+    w = np.maximum(1, _round(w * s))
+    h = _snap(h * s, uh)
+    # shrink until the diamond fits: needs (h-1)+w <= size horizontally
+    # and w+h-1 <= size vertically
+    while True:
+        over = w + h - 1 > size
+        if not over.any():
+            break
+        narrow = over & (w > 1) & ((w >= h) | (h == uh))
+        w = w - narrow
+        h = h - uh * (over & ~narrow)
+    x = np.minimum(np.maximum(_round(x * s), h - 1), size - w)
+    y = np.minimum(np.maximum(_round(y * s), 0), size - (w + h - 1))
+    return x, y, w, h
 
 
 def scaled_parts(feature: HaarFeature, size: int) -> list[Part]:
@@ -136,69 +199,98 @@ def scaled_parts(feature: HaarFeature, size: int) -> list[Part]:
     areas still cancel) and the geometry is clamped back inside the window.
     At size == feature.window this is exactly the base decomposition.
     """
-    s = size / feature.window
-    uw, uh, tilted = KIND_SPECS[feature.kind]
-    if not tilted:
-        w = _snap(feature.w * s, uw)
-        h = _snap(feature.h * s, uh)
-        while w > size:
-            w -= uw
-        while h > size:
-            h -= uh
-        x = min(max(round(feature.x * s), 0), size - w)
-        y = min(max(round(feature.y * s), 0), size - h)
-        return _parts(feature.kind, x, y, w, h)
-    w = max(1, round(feature.w * s))
-    h = _snap(feature.h * s, uh)
-    # shrink until the diamond fits: needs (h-1)+w <= size horizontally
-    # and w+h-1 <= size vertically
-    while w + h - 1 > size:
-        if w > 1 and (w >= h or h == uh):
-            w -= 1
-        else:
-            h -= uh
-    x = min(max(round(feature.x * s), h - 1), size - w)
-    y = min(max(round(feature.y * s), 0), size - (w + h - 1))
-    return _parts(feature.kind, x, y, w, h)
+    box = _scaled_boxes(feature.kind, *np.array([[feature.x], [feature.y], [feature.w], [feature.h]]), feature.window, size)
+    return _parts(feature.kind, *(int(v[0]) for v in box))
 
 
-def window_sigma(iset: IntegralSet, x: int, y: int, size: int) -> float:
-    """Pixel standard deviation of a square window, floored at 1."""
-    up = iset.upright
-    if up.sq is None:
-        raise ValueError("variance normalization requires squared sums")
-    n = size * size
-    total = int(_upright_sums(up.grid, x, y, size, size))
-    total_sq = int(_upright_sums(up.sq, x, y, size, size))
-    var = total_sq / n - (total / n) ** 2
-    return max(float(np.sqrt(max(var, 0.0))), 1.0)
+@dataclass(frozen=True)
+class Corners:
+    """The summed-area-table corners that a list of features reads in one
+    table, relative to the window origin, and the features' weights on them
+    as a sparse (corners, features) int64 matrix of (corner, feature,
+    weight) triples, each pair once and no weight zero."""
+
+    table: int  # 0: upright table; 1 + q: tilted planes, for window origins of parity q
+    plane: np.ndarray  # (corners,) tilted plane, 0 for the upright table
+    row: np.ndarray  # (corners,)
+    col: np.ndarray  # (corners,)
+    corner: np.ndarray  # (entries,)
+    feature: np.ndarray  # (entries,)
+    weight: np.ndarray  # (entries,)
+    n_features: int
+
+    def offsets(self, table: np.ndarray) -> np.ndarray:
+        """Flat offsets into ``table`` (an upright table or tilted planes,
+        with or without leading sample axes): they depend on the table's
+        width, so they are not part of the program."""
+        rows, cols = table.shape[-2:]
+        return (self.plane * rows + self.row) * cols + self.col
+
+    def coef(self) -> np.ndarray:
+        """The dense (corners, features) weight matrix."""
+        out = np.zeros((self.row.size, self.n_features), dtype=np.int64)
+        out[self.corner, self.feature] = self.weight
+        return out
 
 
-def eval_feature(
-    feature: HaarFeature,
-    iset: IntegralSet,
-    x: int,
-    y: int,
-    size: int,
-    variance_norm: bool = True,
-) -> float:
-    """Feature response on the square window at (x, y) of side ``size``."""
-    up = iset.upright
-    if x < 0 or y < 0 or x + size > up.width or y + size > up.height:
-        raise ValueError(f"window ({x},{y},{size}) outside {up.width}x{up.height} image")
-    parts = scaled_parts(feature, size)
-    if feature.tilted:
-        if iset.tilted is None:
-            raise ValueError("tilted feature requires a tilted integral image")
-        value = 0
-        for px, py, pw, ph, wt in parts:
-            value += wt * int(
-                _tilted_sums(iset.tilted, np.array([x + px]), np.array([y + py]), pw, ph)[0]
+def compile_features(features: Sequence[HaarFeature], size: int) -> list[Corners]:
+    """The features scaled to a size-px window as one program: per table,
+    the corners read and the weights on them, so that the responses at a
+    window origin are ``flat_table[origin + offsets] @ coef``.
+
+    Tilted features read the tilted planes once per origin parity q, as
+    tables 1 and 2: an apex at (x + px, y + py) lies in plane p at cell
+    ((x + y) >> 1, (y - x + voff) >> 1) plus (du, dv), exact because
+    q + px + py - p and q + py - px - p are even. Weights that cancel on a
+    shared corner are dropped.
+    """
+    geometry = np.array(
+        [(KINDS.index(f.kind), f.x, f.y, f.w, f.h, f.window) for f in features], dtype=np.int64
+    ).reshape(-1, 6)
+    # one (table, plane, row, col, feature, weight) column per corner read
+    entries = []
+    for k, kind in enumerate(KINDS):
+        index = np.flatnonzero(geometry[:, 0] == k)
+        if not index.size:
+            continue
+        box = _scaled_boxes(kind, *geometry[index, 1:5].T, geometry[index, 5], size)
+        for px, py, pw, ph, wt in _parts(kind, *box):
+            if not KIND_SPECS[kind][2]:
+                rects = [(0, 0, py, px, ph, pw)]
+            else:
+                rects = []
+                for q in (0, 1):
+                    p = (q + px + py) & 1
+                    rects.append((1 + q, p, (q + px + py - p) // 2, (q + py - px - p) // 2, pw, ph))
+            for t, plane, row, col, drow, dcol in rects:
+                for dr, dc, sign in ((drow, dcol, 1), (0, dcol, -1), (drow, 0, -1), (0, 0, 1)):
+                    entries.append(np.stack(np.broadcast_arrays(t, plane, row + dr, col + dc, index, sign * wt)))
+    if not entries:
+        return []
+    table, plane, row, col, feature, weight = np.concatenate(entries, axis=1)
+    # a corner as one non-negative key: rows and columns lie in (-2 size, 2 size]
+    span = 4 * size + 1
+    cell = (plane * span + row + 2 * size) * span + col + 2 * size
+    n = len(geometry)
+    programs = []
+    for t in range(3):
+        mine = table == t
+        pairs, pair = np.unique(cell[mine] * n + feature[mine], return_inverse=True)
+        sums = np.bincount(pair.ravel(), weights=weight[mine], minlength=pairs.size).astype(np.int64)
+        pairs, sums = pairs[sums != 0], sums[sums != 0]
+        if not pairs.size:
+            continue
+        cells, corner = np.unique(pairs // n, return_inverse=True)
+        programs.append(
+            Corners(
+                t,
+                cells // span**2,
+                cells // span % span - 2 * size,
+                cells % span - 2 * size,
+                corner.ravel(),
+                pairs % n,
+                sums,
+                n,
             )
-    else:
-        value = 0
-        for px, py, pw, ph, wt in parts:
-            value += wt * int(_upright_sums(up.grid, x + px, y + py, pw, ph))
-    if not variance_norm:
-        return float(value)
-    return float(value) / window_sigma(iset, x, y, size)
+        )
+    return programs

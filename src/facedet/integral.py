@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IntegralImage", "IntegralSet", "integral_image", "integral_set", "rect_sum"]
+__all__ = ["IntegralImage", "IntegralSet", "integral_image", "integral_set"]
 
 UPRIGHT = "upright"
 TILTED = "tilted"
@@ -52,18 +52,21 @@ class IntegralSet:
 
 
 def _upright_grid(img: np.ndarray, squared: bool) -> np.ndarray:
-    h, w = img.shape
+    """Upright table of an (H, W) image, or of a stack of them (..., H, W)."""
+    h, w = img.shape[-2:]
     vals = img.astype(np.int64)
     if squared:
         vals = vals * vals
-    grid = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(vals, axis=0, out=grid[1:, 1:])
-    np.cumsum(grid[1:, 1:], axis=1, out=grid[1:, 1:])
+    grid = np.zeros(img.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
+    np.cumsum(vals, axis=-2, out=grid[..., 1:, 1:])
+    np.cumsum(grid[..., 1:, 1:], axis=-1, out=grid[..., 1:, 1:])
     return grid
 
 
 def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    h, w = img.shape
+    """(even, odd, voff) tilted tables of an (H, W) image, or of a stack of
+    them (..., H, W) with one scatter for the whole stack."""
+    h, w = img.shape[-2:]
     voff = (w - 1) + ((w - 1) & 1)
     umax = (w - 1) + (h - 1)
     vmax = (h - 1) + voff
@@ -78,11 +81,11 @@ def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     # ((umax - p) // 2 + 2) x ((vmax - p) // 2 + 2) block of plane p, and a
     # prefix sum inside that block reads nothing outside it; both tables
     # returned are views of g (their ``base``)
-    g = np.zeros((2, umax // 2 + 2, vmax // 2 + 2), dtype=np.int64)
-    g[:, 1:, 1:][parity, u, v] = img
-    np.cumsum(g, axis=1, out=g)
-    np.cumsum(g, axis=2, out=g)
-    return g[0], g[1, : (umax + 1) // 2 + 1, : (vmax + 1) // 2 + 1], voff
+    g = np.zeros(img.shape[:-2] + (2, umax // 2 + 2, vmax // 2 + 2), dtype=np.int64)
+    g[..., 1:, 1:][..., parity, u, v] = img
+    np.cumsum(g, axis=-2, out=g)
+    np.cumsum(g, axis=-1, out=g)
+    return g[..., 0, :, :], g[..., 1, : (umax + 1) // 2 + 1, : (vmax + 1) // 2 + 1], voff
 
 
 def integral_image(img: np.ndarray, variant: str = UPRIGHT, with_squares: bool = False) -> IntegralImage:
@@ -103,64 +106,3 @@ def integral_set(img: np.ndarray, with_tilted: bool = True) -> IntegralSet:
     upright = integral_image(img, UPRIGHT, with_squares=True)
     tilted = integral_image(img, TILTED) if with_tilted else None
     return IntegralSet(upright, tilted)
-
-
-def _check_upright_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
-    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > ii.width or y + h > ii.height:
-        raise ValueError(f"rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
-
-
-def _check_tilted_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
-    if w < 0 or h < 0:
-        raise ValueError("negative tilted rect arms")
-    if w == 0 or h == 0:
-        return
-    ok = (
-        y >= 0
-        and x - (h - 1) >= 0
-        and x + (w - 1) <= ii.width - 1
-        and y + (w - 1) + (h - 1) <= ii.height - 1
-    )
-    if not ok:
-        raise ValueError(f"tilted rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
-
-
-def _upright_sums(grid: np.ndarray, x, y, w: int, h: int):
-    return grid[y + h, x + w] - grid[y, x + w] - grid[y + h, x] + grid[y, x]
-
-
-def _tilted_sums(ii: IntegralImage, x, y, w: int, h: int):
-    """Tilted sums for scalar or ndarray apex coordinates (fixed arms)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    u = x + y
-    v = y - x + ii.voff
-    parity = u & 1
-    out = np.empty(np.broadcast(x, y).shape, dtype=np.int64)
-    for p, g in ((0, ii.grid), (1, ii.grid_odd)):
-        m = parity == p
-        if not np.any(m):
-            continue
-        u0 = (u[m] - p) // 2
-        v0 = (v[m] - p) // 2
-        out[m] = g[u0 + w, v0 + h] - g[u0, v0 + h] - g[u0 + w, v0] + g[u0, v0]
-    return out
-
-
-def rect_sum(ii: IntegralImage, rect: tuple[int, int, int, int]) -> int:
-    """Exact pixel sum of a rectangle, four lookups for either variant.
-
-    For the tilted variant ``rect`` is (apex_x, apex_y, w_arm, h_arm) as
-    described in the module docstring. Zero-area rectangles sum to 0;
-    out-of-bounds rectangles are rejected.
-    """
-    x, y, w, h = (int(v) for v in rect)
-    if ii.variant == UPRIGHT:
-        _check_upright_bounds(ii, x, y, w, h)
-        if w == 0 or h == 0:
-            return 0
-        return int(_upright_sums(ii.grid, x, y, w, h))
-    _check_tilted_bounds(ii, x, y, w, h)
-    if w == 0 or h == 0:
-        return 0
-    return int(_tilted_sums(ii, np.array([x]), np.array([y]), w, h)[0])

@@ -1,0 +1,250 @@
+"""Scalar reference implementations that the tests compare the package with.
+
+The package evaluates Haar features only through compiled programs
+(:func:`facedet.haar.compile_features`): in the cascade scan and in the
+training feature matrix. The functions here do the same arithmetic one
+window, one feature or one rectangle at a time, as the package first did.
+"""
+
+import numpy as np
+
+from facedet.boost import Cascade, Stage, _StumpSearch
+from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
+from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
+
+
+def _check_upright_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
+    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > ii.width or y + h > ii.height:
+        raise ValueError(f"rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
+
+
+def _check_tilted_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
+    if w < 0 or h < 0:
+        raise ValueError("negative tilted rect arms")
+    if w == 0 or h == 0:
+        return
+    ok = (
+        y >= 0
+        and x - (h - 1) >= 0
+        and x + (w - 1) <= ii.width - 1
+        and y + (w - 1) + (h - 1) <= ii.height - 1
+    )
+    if not ok:
+        raise ValueError(f"tilted rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
+
+
+def _upright_sums(grid: np.ndarray, x, y, w: int, h: int):
+    return grid[y + h, x + w] - grid[y, x + w] - grid[y + h, x] + grid[y, x]
+
+
+def _tilted_sums(ii: IntegralImage, x, y, w: int, h: int):
+    """Tilted sums for scalar or ndarray apex coordinates (fixed arms)."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    u = x + y
+    v = y - x + ii.voff
+    parity = u & 1
+    out = np.empty(np.broadcast(x, y).shape, dtype=np.int64)
+    for p, g in ((0, ii.grid), (1, ii.grid_odd)):
+        m = parity == p
+        if not np.any(m):
+            continue
+        u0 = (u[m] - p) // 2
+        v0 = (v[m] - p) // 2
+        out[m] = g[u0 + w, v0 + h] - g[u0, v0 + h] - g[u0 + w, v0] + g[u0, v0]
+    return out
+
+
+def rect_sum(ii: IntegralImage, rect: tuple[int, int, int, int]) -> int:
+    """Exact pixel sum of a rectangle, four lookups for either variant.
+
+    For the tilted variant ``rect`` is (apex_x, apex_y, w_arm, h_arm) as
+    described in the module docstring. Zero-area rectangles sum to 0;
+    out-of-bounds rectangles are rejected.
+    """
+    x, y, w, h = (int(v) for v in rect)
+    if ii.variant == UPRIGHT:
+        _check_upright_bounds(ii, x, y, w, h)
+        if w == 0 or h == 0:
+            return 0
+        return int(_upright_sums(ii.grid, x, y, w, h))
+    _check_tilted_bounds(ii, x, y, w, h)
+    if w == 0 or h == 0:
+        return 0
+    return int(_tilted_sums(ii, np.array([x]), np.array([y]), w, h)[0])
+
+
+def window_sigma(iset: IntegralSet, x: int, y: int, size: int) -> float:
+    """Pixel standard deviation of a square window, floored at 1."""
+    up = iset.upright
+    if up.sq is None:
+        raise ValueError("variance normalization requires squared sums")
+    n = size * size
+    total = int(_upright_sums(up.grid, x, y, size, size))
+    total_sq = int(_upright_sums(up.sq, x, y, size, size))
+    var = total_sq / n - (total / n) ** 2
+    return max(float(np.sqrt(max(var, 0.0))), 1.0)
+
+
+def eval_feature(
+    feature: HaarFeature,
+    iset: IntegralSet,
+    x: int,
+    y: int,
+    size: int,
+    variance_norm: bool = True,
+) -> float:
+    """Feature response on the square window at (x, y) of side ``size``."""
+    up = iset.upright
+    if x < 0 or y < 0 or x + size > up.width or y + size > up.height:
+        raise ValueError(f"window ({x},{y},{size}) outside {up.width}x{up.height} image")
+    parts = scaled_parts(feature, size)
+    if feature.tilted:
+        if iset.tilted is None:
+            raise ValueError("tilted feature requires a tilted integral image")
+        value = 0
+        for px, py, pw, ph, wt in parts:
+            value += wt * int(
+                _tilted_sums(iset.tilted, np.array([x + px]), np.array([y + py]), pw, ph)[0]
+            )
+    else:
+        value = 0
+        for px, py, pw, ph, wt in parts:
+            value += wt * int(_upright_sums(up.grid, x + px, y + py, pw, ph))
+    if not variance_norm:
+        return float(value)
+    return float(value) / window_sigma(iset, x, y, size)
+
+
+def stage_score(stage: Stage, iset: IntegralSet, x: int, y: int, size: int, variance_norm: bool = True) -> float:
+    total = 0.0
+    for wc, alpha in stage.stumps:
+        value = eval_feature(wc.feature, iset, x, y, size, variance_norm)
+        if wc.polarity * value < wc.polarity * wc.threshold:
+            total += alpha
+    return total
+
+
+def classify_window(
+    cascade: Cascade, iset: IntegralSet, x: int, y: int, size: int, variance_norm: bool = True
+) -> tuple[bool, float]:
+    """Run the stages in order with early exit.
+
+    Returns (accepted, margin): the final stage's vote margin when accepted
+    (0.0 for an empty cascade), else the failing stage's margin.
+    """
+    margin = 0.0
+    for stage in cascade.stages:
+        margin = stage_score(stage, iset, x, y, size, variance_norm) - stage.threshold
+        if margin < 0:
+            return False, margin
+    return True, margin
+
+
+def train_stump(
+    values: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[float, int, float]:
+    """Optimal (threshold, polarity, weighted_error) for one feature column.
+
+    One sorted sweep over the samples; the returned error is at most 0.5
+    because both polarities are searched.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=np.float64)
+    if values.ndim != 1 or values.shape != labels.shape or values.shape != weights.shape:
+        raise ValueError("values, labels, and weights must be equal-length 1-d arrays")
+    if not (np.any(labels > 0) and np.any(labels < 0)):
+        raise ValueError("need at least one sample of each label")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    weights = weights / weights.sum()
+    search = _StumpSearch(values[None, :], labels)
+    err, thr, pol = search.best(weights)
+    return float(thr[0]), int(pol[0]), float(err[0])
+
+
+def feature_matrix_oracle(features, samples, variance_norm=True):
+    """The feature matrix as first written: one integral set per sample and
+    a Python loop over the features, four table reads per rectangle."""
+    base = samples[0].shape[0]
+    n = len(samples)
+    up = np.empty((n, base + 1, base + 1), dtype=np.int64)
+    sq = np.empty_like(up)
+    t_even, t_odd = [], []
+    voff = 0
+    for i, sample in enumerate(samples):
+        iset = integral_set(sample)
+        up[i] = iset.upright.grid
+        sq[i] = iset.upright.sq
+        t_even.append(iset.tilted.grid)
+        t_odd.append(iset.tilted.grid_odd)
+        voff = iset.tilted.voff
+    te = np.stack(t_even)
+    to = np.stack(t_odd)
+    area = base * base
+    total = up[:, base, base].astype(np.float64)
+    var = sq[:, base, base] / area - (total / area) ** 2
+    sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
+    out = np.empty((len(features), n), dtype=np.float64)
+    for fi, feature in enumerate(features):
+        acc = np.zeros(n, dtype=np.int64)
+        for px, py, pw, ph, wt in scaled_parts(feature, base):
+            if feature.tilted:
+                p = (px + py) & 1
+                grid = te if p == 0 else to
+                u0 = (px + py - p) // 2
+                v0 = (py - px + voff - p) // 2
+                acc += wt * (grid[:, u0 + pw, v0 + ph] - grid[:, u0, v0 + ph] - grid[:, u0 + pw, v0] + grid[:, u0, v0])
+            else:
+                acc += wt * (up[:, py + ph, px + pw] - up[:, py, px + pw] - up[:, py + ph, px] + up[:, py, px])
+        out[fi] = acc
+    if variance_norm:
+        out /= sigma[None, :]
+    return out
+
+
+def scaled_parts_oracle(feature, size):
+    """scaled_parts as first written, one feature at a time in Python ints."""
+    def snap(value, unit):
+        return unit * max(1, round(value / unit))
+
+    s = size / feature.window
+    uw, uh, tilted = KIND_SPECS[feature.kind]
+    if not tilted:
+        w = snap(feature.w * s, uw)
+        h = snap(feature.h * s, uh)
+        while w > size:
+            w -= uw
+        while h > size:
+            h -= uh
+        x = min(max(round(feature.x * s), 0), size - w)
+        y = min(max(round(feature.y * s), 0), size - h)
+        return _parts(feature.kind, x, y, w, h)
+    w = max(1, round(feature.w * s))
+    h = snap(feature.h * s, uh)
+    while w + h - 1 > size:
+        if w > 1 and (w >= h or h == uh):
+            w -= 1
+        else:
+            h -= uh
+    x = min(max(round(feature.x * s), h - 1), size - w)
+    y = min(max(round(feature.y * s), 0), size - (w + h - 1))
+    return _parts(feature.kind, x, y, w, h)
+
+
+def enumerate_kind_oracle(kind, window):
+    """enumerate_kind as first written: nested loops in (y, x, h, w) order."""
+    uw, uh, tilted = KIND_SPECS[kind]
+    out = []
+    for y in range(window):
+        for x in range(window):
+            if not tilted:
+                for h in range(uh, window - y + 1, uh):
+                    for w in range(uw, window - x + 1, uw):
+                        out.append(HaarFeature(kind, x, y, w, h, window))
+            else:
+                for h in range(uh, min(x + 1, window - y) + 1, uh):
+                    for w in range(1, min(window - x, window + 1 - y - h) + 1):
+                        out.append(HaarFeature(kind, x, y, w, h, window))
+    return out

@@ -1,18 +1,21 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them on success)."""
 
+import hashlib
+import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facedet.boost import Cascade, classify_window, train_stage
+from facedet.boost import Cascade, save_cascade, train_stage
 from facedet.detect import detect_multiscale_counted, iou
 from facedet.evaluate import match_detections, roc_sweep
-from facedet.haar import KINDS, enumerate_kind, eval_feature, scaled_parts
+from facedet.haar import KINDS, enumerate_kind, scaled_parts
 from facedet.images import resize_bilinear, rgb_to_ycbcr
-from facedet.integral import integral_image, integral_set, rect_sum, _upright_sums
+from facedet.integral import integral_image, integral_set
 from facedet.lbp import (
     fine_features,
     lbp_label_image,
@@ -24,6 +27,7 @@ from facedet.skin import evaluate_segmentation, segmentation_report, classify_sk
 from facedet.synthetic import _place, render_color_scene, render_scene
 from facedet.validate import decision_values, validate_detections
 from facedet.cli import main as cli_main
+from oracles import _upright_sums, classify_window, eval_feature, rect_sum
 
 
 @contextmanager
@@ -312,6 +316,18 @@ def test_criterion_9_determinism(tmp_path):
                 (model.read_bytes(), svm.read_bytes(), dets.read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
+
+
+def test_fixture_cascade_is_the_benchmark_reference(experiment, tmp_path):
+    # the fixture trains on the seed-7 corpus with the arguments the
+    # benchmark uses, so its cascade must be the stored reference model
+    path = tmp_path / "cascade.txt"
+    save_cascade(experiment["cascade"], path)
+    reference = json.loads(REFERENCE.read_text(encoding="ascii"))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == reference["cascade_sha256"]
 
 
 def test_criterion_10_roc_monotonicity(experiment):

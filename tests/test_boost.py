@@ -1,4 +1,6 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,19 +14,17 @@ from facedet.boost import (
     Stage,
     _mine_false_positives,
     _StumpSearch,
-    classify_window,
     feature_value_matrix,
     load_cascade,
     save_cascade,
-    stage_score,
     train_cascade,
     train_stage,
-    train_stump,
 )
 from facedet.detect import detect_multiscale
-from facedet.haar import enumerate_kind, eval_feature
+from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
+from oracles import classify_window, eval_feature, feature_matrix_oracle, stage_score, train_stump
 
 
 def exhaustive_stump_oracle(values, labels, weights):
@@ -158,6 +158,43 @@ class TestBlockedSweep:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         assert got[2].dtype == want[2].dtype
+
+
+class TestStableOrder:
+    """The search sorts with numpy's default (unstable) sort and then puts
+    every run of equal values back in sample order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_features=st.integers(1, 12),
+        n_samples=st.integers(1, 3000),
+        levels=st.integers(1, 8),
+        signed_zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_features=3, n_samples=1, levels=4, signed_zeros=True, seed=0)  # one column
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=False, seed=1)  # one value per row
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=True, seed=2)  # only 0.0 and -0.0
+    @example(n_features=7, n_samples=2911, levels=3, signed_zeros=True, seed=3)
+    def test_equals_stable_argsort(self, n_features, n_samples, levels, signed_zeros, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, zero among them: long runs of ties
+        values = 0.5 * rng.integers(-(levels // 2), levels - levels // 2, size=(n_features, n_samples))
+        if signed_zeros:
+            values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
+        labels = rng.choice([-1, 1], size=n_samples)
+        search = _StumpSearch(values, labels)
+        stable = np.argsort(values, axis=1, kind="stable")
+        assert np.array_equal(search.order, stable)
+        # the thresholds come from the stable gather, signed zeros included
+        vs = np.take_along_axis(values, stable, axis=1)
+        mid = 0.5 * (vs[:, :-1] + vs[:, 1:])
+        assert np.array_equal(search.thresholds[:, 1:n_samples].view(np.int64), mid.view(np.int64))
+        assert np.array_equal(search.pos_sorted, (labels > 0)[stable])
+
+    def test_nan_values_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            train_stump(np.array([0.0, np.nan, 1.0]), np.array([1, -1, 1]), np.ones(3))
 
 
 class TestTrainStage:
@@ -399,7 +436,41 @@ class TestClassifyWindow:
             assert accepted == all_pass
 
 
+kind_placements = functools.cache(_placements)
+
+
 class TestFeatureValueMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.integers(8, 24),
+        picks=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 2**31)), min_size=1, max_size=40),
+        n_samples=st.integers(1, 12),
+        variance_norm=st.booleans(),
+        low_contrast=st.booleans(),
+        rows=st.sampled_from([1, 3, boost.MATRIX_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(base=8, picks=[(k, 0) for k in KINDS], n_samples=1, variance_norm=True, low_contrast=False, rows=1, seed=0)
+    @example(
+        base=24, picks=[(k, 7**i) for i, k in enumerate(KINDS)], n_samples=7, variance_norm=False,
+        low_contrast=True, rows=3, seed=1,
+    )
+    def test_equals_per_feature_loop(self, base, picks, n_samples, variance_norm, low_contrast, rows, seed):
+        features = []
+        for kind, index in picks:
+            bank = kind_placements(kind, base)
+            x, y, w, h = bank[index % len(bank)].tolist()
+            features.append(HaarFeature(kind, x, y, w, h, base))
+        rng = np.random.default_rng(seed)
+        # pixels of 0 and 1 only: the pixel sigma is floored at 1
+        high = 2 if low_contrast else 256
+        samples = [rng.integers(0, high, size=(base, base)).astype(np.uint8) for _ in range(n_samples)]
+        with mock.patch.object(boost, "MATRIX_ROWS", rows):
+            got = feature_value_matrix(features, samples, variance_norm)
+        want = feature_matrix_oracle(features, samples, variance_norm)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_matches_scalar_eval(self):
         rng = np.random.default_rng(9)
         samples = [rng.integers(0, 256, size=(12, 12)).astype(np.uint8) for _ in range(7)]

@@ -35,6 +35,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(block_weights=(1.0,) * 4)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"svm_threshold": float("nan")},
+            {"sobel_threshold": float("inf")},
+            {"scale_factor": float("nan")},
+            {"svm_reg": float("-inf")},
+            {"block_weights": (1.0, 1.0, 1.0, 1.0, float("nan"), 1.0, 1.0, 1.0, 1.0)},
+        ],
+        ids=["nan-threshold", "inf-sobel", "nan-scale", "neg-inf-reg", "nan-block-weight"],
+    )
+    def test_non_finite_values_rejected(self, overrides):
+        name = next(iter(overrides))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PipelineConfig(**overrides)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PipelineConfig().override(**overrides)
+
+    def test_non_finite_file_value_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("block_weights = 1,1,1,1,nan,1,1,1,1\n")
+        with pytest.raises(ValueError, match="block_weights must be finite"):
+            load_config_file(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("stages = 3\n# more\nstages = 4\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:3: config key 'stages' already set on line 1"):
+            load_config_file(path)
+
     def test_block_weights_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("block_weights = 1,1,1,2,2,2,1,1,1\n")
@@ -103,6 +133,26 @@ class TestSegmentCommand:
         code = main(["segment", "--in", str(missing), "--out", str(tmp_path / "m.pgm")])
         assert code == 2
         assert "nope.ppm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_text, flags, message",
+        [
+            ("svm_threshold = nan\n", [], "svm_threshold must be finite, got nan"),
+            ("stages = 3\nstages = 4\n", [], "run.cfg:2: config key 'stages' already set on line 1"),
+            ("", ["--svm-threshold", "nan"], "svm_threshold must be finite, got nan"),
+            ("", ["--block-weights", "1,1,1,1,nan,1,1,1,1"], "block_weights must be finite"),
+        ],
+        ids=["nan-in-file", "repeated-key", "nan-flag", "nan-block-weights-flag"],
+    )
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, config_text, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        code = main(["segment", "--config", str(cfg), *flags, "--in", str(tmp_path / "x.ppm"),
+                     "--out", str(tmp_path / "m.pgm")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("facedet: error: ") and message in err
 
     def test_gray_input_rejected(self, tmp_path, capsys):
         img = tmp_path / "g.pgm"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facedet import detect
-from facedet.boost import Cascade, Stage, WeakClassifier, classify_window, train_cascade
+from facedet.boost import Cascade, Stage, WeakClassifier, train_cascade
 from facedet.detect import (
     MERGE_ROWS,
     SCAN_ROWS,
@@ -18,7 +18,8 @@ from facedet.detect import (
     merge_detections,
 )
 from facedet.haar import KINDS, enumerate_kind, scaled_parts
-from facedet.integral import _tilted_sums, _upright_sums, integral_image, integral_set
+from facedet.integral import integral_image, integral_set
+from oracles import _tilted_sums, _upright_sums, classify_window
 
 
 def scan_count_oracle(shape, base, scale_factor, step):

@@ -1,17 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from facedet.haar import (
     KINDS,
     HaarFeature,
+    _placements,
     enumerate_kind,
-    eval_feature,
     fits_window,
     generate_feature_set,
     scaled_parts,
-    window_sigma,
 )
 from facedet.integral import integral_set
+from oracles import enumerate_kind_oracle, eval_feature, scaled_parts_oracle, window_sigma
 
 
 def brute_parts_value(img, x0, y0, parts, tilted):
@@ -33,6 +37,18 @@ def brute_sigma(img, x0, y0, size):
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("window", [8, 11, 16])
+    def test_lazy_bank_equals_nested_loop_list(self, window):
+        want = [f for kind in KINDS for f in enumerate_kind_oracle(kind, window)]
+        bank = generate_feature_set(window)
+        assert len(bank) == len(want)
+        assert list(bank) == want
+        for i in (0, 1, len(want) // 3, len(want) - 1, -1, -len(want)):
+            assert bank[i] == want[i]
+        assert bank[5:40:7] == want[5:40:7]
+        with pytest.raises(IndexError):
+            bank[len(want)]
+
     def test_edge2h_count_matches_nested_loop_oracle(self):
         window = 4
         expected = [
@@ -160,7 +176,26 @@ class TestEvalFeature:
             )
 
 
+kind_placements = functools.cache(_placements)
+
+
 class TestScaling:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        window=st.integers(8, 24),
+        index=st.integers(0, 2**31),
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=8),
+    )
+    def test_equals_scalar_oracle(self, kind, window, index, sizes):
+        placements = kind_placements(kind, window)
+        x, y, w, h = placements[index % len(placements)].tolist()
+        feature = HaarFeature(kind, x, y, w, h, window)
+        for size in sizes:
+            got = scaled_parts(feature, size)
+            assert got == scaled_parts_oracle(feature, size)
+            assert all(type(v) is int for part in got for v in part)
+
     def test_identity_at_base_size(self):
         for kind in KINDS:
             for f in enumerate_kind(kind, 12)[::31]:

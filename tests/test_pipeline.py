@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import facedet
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
@@ -156,3 +164,33 @@ class TestPickSvmThreshold:
             for c in crops
         )
         assert passing >= 95
+
+
+def test_detection_never_imports_scipy_sparse():
+    # training builds its feature matrix with scipy.sparse; detection must
+    # not load it, since the import alone costs about 10 MB of memory
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import facedet
+        from facedet import pipeline, synthetic
+        from facedet.boost import Cascade, Stage, WeakClassifier
+        from facedet.haar import HaarFeature
+
+        rgb, scene = synthetic.render_color_scene(np.random.default_rng(5), 160, 120, n_faces=2)
+        config = synthetic.experiment_config(seed=5)
+        stumps = [
+            (WeakClassifier(HaarFeature("edge2v", 4, 4, 16, 12, 24), 0.0, 1), 1.0),
+            (WeakClassifier(HaarFeature("tilted_edge2", 12, 2, 6, 8, 24), 0.0, -1), 1.0),
+        ]
+        cascade = Cascade(24, [Stage(stumps, 0.5)], [(1.0, 0.5)])
+        skin = pipeline.segment_image(rgb, config).mask
+        pipeline.detect_faces(scene.gray, cascade, config, skin=skin)
+        print("scipy.sparse" in sys.modules)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(facedet.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
