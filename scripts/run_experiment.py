@@ -14,11 +14,11 @@ import time
 
 import numpy as np
 
-from facedet.boost import save_cascade, train_cascade
+from facedet.boost import save_cascade
 from facedet.detect import iou
 from facedet.evaluate import detection_rate, emit_report, false_alarm_rate
 from facedet.lbp import validation_feature
-from facedet.pipeline import crop_square, detect_faces, pick_svm_threshold
+from facedet.pipeline import crop_square, detect_faces, pick_svm_threshold, summarize, train_models
 from facedet.svm import save_svm, train_svm
 from facedet.synthetic import build_corpus, experiment_config
 from facedet.validate import validate_detections
@@ -40,18 +40,7 @@ def main() -> int:
         f"{len(corpus.pos_tiles)} pos / {len(corpus.neg_tiles)} neg tiles"
     )
 
-    cascade = train_cascade(
-        corpus.pos_tiles,
-        corpus.neg_tiles,
-        n_stages=config.stages,
-        target_dr=config.target_dr,
-        max_fpr=config.max_fpr,
-        max_stumps=config.max_stumps,
-        base_window=config.base_window,
-        pool=corpus.pool,
-        feature_subsample=config.feature_subsample,
-        seed=config.seed,
-    )
+    cascade, _ = train_models(corpus.pos_tiles, corpus.neg_tiles, config, pool=corpus.pool)
     for i, (dr, fpr) in enumerate(cascade.metadata):
         print(f"stage {i}: stumps={len(cascade.stages[i].stumps)} dr={dr:.4f} fpr={fpr:.4f}")
 
@@ -78,17 +67,13 @@ def main() -> int:
     print(f"validator: {len(positives)} positives, {len(fp_crops)} mined false alarms, "
           f"threshold {threshold:.4f}")
 
-    counts = {"cascade": [0, 0, 0], "validated": [0, 0, 0]}
-    windows = 0
-    from facedet.evaluate import match_detections
-
+    results = []
     for scene in corpus.test:
         dets, stats = detect_faces(scene.gray, cascade, config)
         kept, _ = validate_detections(dets, scene.gray, svm, threshold, config.block_weights)
-        windows += stats.evaluated_windows
-        for key, dd in (("cascade", dets), ("validated", kept)):
-            h, m, f = match_detections(dd, scene.faces)
-            counts[key] = [a + b for a, b in zip(counts[key], (h, m, f))]
+        results.append((dets, kept, scene.faces, stats))
+    counts = summarize(results)
+    windows = counts["evaluated_windows"]
 
     rows = []
     for name, key in (("Adaboost Cascade", "cascade"), ("Proposed method", "validated")):

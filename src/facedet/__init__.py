@@ -11,7 +11,7 @@ from .boost import (
     train_stage,
 )
 from .config import PipelineConfig, load_config_file
-from .detect import Detection, ScanStats, detect_multiscale, detect_multiscale_counted, merge_detections
+from .detect import Detection, ScanStats, detect_multiscale_counted, merge_detections
 from .evaluate import (
     DatasetManifest,
     RocCurve,
@@ -29,19 +29,13 @@ from .images import (
     histogram_equalization,
     median_filter,
     resize_bilinear,
+    resize_boxes,
     rgb_to_ycbcr,
     to_grayscale,
     ycbcr_to_rgb,
 )
 from .integral import IntegralImage, IntegralSet, integral_image, integral_set
-from .lbp import (
-    coarse_histogram,
-    fine_features,
-    lbp_label_image,
-    resize_to_16,
-    uniform_pattern_table,
-    validation_feature,
-)
+from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from .skin import (
     Region,
     SegmentationMetrics,

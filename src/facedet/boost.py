@@ -337,12 +337,12 @@ def _mine_false_positives(
     picks go round-robin by rank in pool order, and only the picks are
     cropped and resized.
     """
-    from .detect import detect_multiscale
+    from .detect import detect_multiscale_counted
     from .images import resize_bilinear
 
     base = cascade.base_window
     scanned = [
-        (img, detect_multiscale(cascade, img, step=scan_step)[:needed])
+        (img, detect_multiscale_counted(cascade, img, step=scan_step)[0][:needed])
         for img in pool
         if min(img.shape) >= base
     ]

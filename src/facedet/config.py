@@ -78,14 +78,17 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
-def _parse_value(name: str, text: str, kind: type):
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", tuple: "comma-separated numbers"}
+
+
+def _parse_value(text: str, kind: type):
     if kind is bool:
-        lowered = text.strip().lower()
+        lowered = text.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"bad boolean for {name}: {text!r}")
+        raise ValueError
     if kind is int:
         return int(text)
     if kind is float:
@@ -114,5 +117,11 @@ def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineC
             if key in first_line:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
             first_line[key] = lineno
-            overrides[key] = _parse_value(key, value.strip(), field_types[key])
+            value = value.strip()
+            try:
+                overrides[key] = _parse_value(value, field_types[key])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key}: expected {_EXPECTED[field_types[key]]}, got {value!r}"
+                ) from None
     return base.override(**overrides)

@@ -1,21 +1,22 @@
 """Skin-gated multi-scale sliding-window detection and box merging.
 
 The cascade scan is compiled. For each window size, every stage's stumps
-become a program (:func:`facedet.haar.compile_features`) whose weights
-carry each stump's polarity: the summed-area-table corners read, as offsets
-from a window origin, and an int64 (corners, stumps) weight matrix, per
-table and, for tilted stumps, per origin parity. The programs are built
-once per cascade and size and cached on the cascade; the offsets become
-flat indices per image, since those depend on its width.
+become a program (:func:`facedet.haar.compile_features`), built once per
+cascade and size and cached on the cascade: the summed-area-table corners
+read, as offsets from a window origin, and a float64 (corners, stumps)
+matrix of integer weights that carry each stump's polarity, per table and,
+for tilted stumps, per origin parity.
 
 A pyramid level lays its window origins on a regular lattice, so the skin
 fraction and the pixel sigma of every window come from four strided slices
 of the summed-area tables; only the windows that pass the gate are kept.
-A stage then gathers ``flat[origin[:, None] + offsets]`` for its surviving
-windows, in blocks of ``SCAN_ROWS`` origins so the (origins, corners)
-temporary stays bounded, and multiplies by the weight matrix. The integer
-responses are exactly those of the per-rectangle sums; they are divided by
-sigma in float64 and the votes are added in stump order from 0.0, so every
+A stage then gathers ``flat[origin[:, None] + offsets]`` from float64
+copies of the tables, in blocks of ``SCAN_ROWS`` origins, and multiplies
+by the weight matrix (a BLAS product). All operands are integers, and no
+partial sum exceeds the largest table value (at most the pixel sum) times
+the largest column L1 norm of the weights; each image checks that this
+bound is below 2**53, so every sum is exact in any order. The responses are
+divided by sigma and the votes added in stump order from 0.0, so every
 margin is bit-identical to a window-by-window evaluation.
 
 The merge computes pairwise IoU with numpy broadcasting, in blocks of
@@ -33,15 +34,17 @@ from .boost import Cascade, Stage
 from .haar import Corners, compile_features
 from .integral import IntegralSet, integral_image, integral_set
 
-__all__ = ["Detection", "ScanStats", "detect_multiscale", "detect_multiscale_counted", "merge_detections", "iou"]
+__all__ = ["Detection", "ScanStats", "detect_multiscale_counted", "merge_detections", "iou"]
 
 
 # boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
 # small however many raw windows a scene yields
 MERGE_ROWS = 256
-# window origins per block of a stage's gather: the (rows, corners) int64
-# temporary stays in cache however large the image
+# window origins per block of a stage's gather: the (rows, corners)
+# temporaries stay in cache however large the image
 SCAN_ROWS = 4096
+# float64 sums of integers are exact below this
+EXACT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -77,23 +80,28 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
 
 @dataclass(frozen=True)
 class _StageProgram:
-    # the stumps' corners per table, each with its dense (corners, stumps)
-    # weights times each stump's polarity
+    # the stumps' corners per table, each with its dense float64
+    # (corners, stumps) weights times each stump's polarity
     gathers: list[tuple[Corners, np.ndarray]]
     signed_threshold: np.ndarray  # (stumps,) polarity * threshold
     alpha: tuple[float, ...]
     threshold: float
+    # largest L1 norm of a stump's weights over all its tables: no response
+    # or partial sum exceeds it times the largest table value
+    weight_l1: int
 
 
 def _compile_stage(stage: Stage, size: int) -> _StageProgram:
-    # the polarity goes into the weights: an int64 response negates
-    # exactly, and so do its float64 conversion and its division by sigma
+    # the polarity goes into the weights: an exact response negates
+    # exactly, and so does its division by sigma
     polarity = np.array([wc.polarity for wc, _ in stage.stumps], dtype=np.int64)
+    coefs = [(c, c.coef() * polarity) for c in compile_features([wc.feature for wc, _ in stage.stumps], size)]
     return _StageProgram(
-        [(c, c.coef() * polarity) for c in compile_features([wc.feature for wc, _ in stage.stumps], size)],
+        [(c, coef.astype(np.float64)) for c, coef in coefs],
         np.array([wc.polarity * wc.threshold for wc, _ in stage.stumps], dtype=np.float64),
         tuple(float(alpha) for _, alpha in stage.stumps),
         stage.threshold,
+        int(sum((np.abs(coef).sum(axis=0) for _, coef in coefs), np.zeros_like(polarity)).max(initial=0)),
     )
 
 
@@ -131,14 +139,15 @@ def _window_sigma(iset: IntegralSet, size: int, step: int) -> np.ndarray:
 class _Level:
     """One pyramid level's gated windows, as origins into each table."""
 
-    def __init__(self, iset: IntegralSet, xs: np.ndarray, ys: np.ndarray, sigma: np.ndarray | None):
+    def __init__(self, upright: np.ndarray, tilted, xs: np.ndarray, ys: np.ndarray, sigma: np.ndarray | None):
+        """``upright`` is the image's float64 summed-area table and
+        ``tilted`` None or (float64 tilted planes, voff)."""
         self.sigma = sigma
-        up = iset.upright.grid
         # indexed by Corners.table: (table, origins, mask of the windows it serves)
-        self.tables = [(up, ys * up.shape[1] + xs, None)]
-        if iset.tilted is not None:
-            planes = iset.tilted.planes
-            origins = ((xs + ys) >> 1) * planes.shape[2] + ((ys - xs + iset.tilted.voff) >> 1)
+        self.tables = [(upright, ys * upright.shape[1] + xs, None)]
+        if tilted is not None:
+            planes, voff = tilted
+            origins = ((xs + ys) >> 1) * planes.shape[2] + ((ys - xs + voff) >> 1)
             parity = (xs + ys) & 1
             self.tables += [(planes, origins, parity == q) for q in (0, 1)]
 
@@ -150,12 +159,11 @@ class _Level:
         )
 
     def _block_margins(self, program: _StageProgram, rows: np.ndarray) -> np.ndarray:
-        values = np.zeros((rows.size, len(program.alpha)), dtype=np.int64)
+        responses = np.zeros((rows.size, len(program.alpha)))
         for corners, coef in program.gathers:
             table, origins, mask = self.tables[corners.table]
             sel = slice(None) if mask is None else mask[rows]
-            values[sel] += table.ravel()[origins[rows[sel]][:, None] + corners.offsets(table)] @ coef
-        responses = values.astype(np.float64)
+            responses[sel] += table.ravel()[origins[rows[sel]][:, None] + corners.offsets(table)] @ coef
         if self.sigma is not None:
             responses /= self.sigma[rows, None]
         hits = responses < program.signed_threshold
@@ -163,6 +171,16 @@ class _Level:
         for alpha, hit in zip(program.alpha, hits.T):
             votes += alpha * hit
         return votes - program.threshold
+
+
+def _check_exact(programs: list[_StageProgram], pixel_sum: int) -> None:
+    """Raise unless every float64 stage product on this image is exact."""
+    weight_l1 = max((p.weight_l1 for p in programs), default=0)
+    if pixel_sum * weight_l1 >= EXACT_LIMIT:
+        raise ValueError(
+            f"image pixel sum {pixel_sum} times stump weight norm {weight_l1} "
+            "reaches 2**53: float64 stage products would not be exact"
+        )
 
 
 def detect_multiscale_counted(
@@ -195,6 +213,11 @@ def detect_multiscale_counted(
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
         skin_ii = integral_image((skin > 0).astype(np.uint8))
+    # every table value, upright or tilted, is a sum of pixels; the float64
+    # copies, made once per image, are exact below 2**53
+    pixel_sum = int(iset.upright.grid[-1, -1])
+    upright = iset.upright.grid.astype(np.float64)
+    tilted_tables = None if iset.tilted is None else (iset.tilted.planes.astype(np.float64), iset.tilted.voff)
     stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
     detections: list[Detection] = []
     level = 0
@@ -214,10 +237,12 @@ def detect_multiscale_counted(
             xs = xs0[keep % xs0.size]
             ys = ys0[keep // xs0.size]
             sigma = _window_sigma(iset, size, step_k).ravel()[keep] if variance_norm else None
-            windows = _Level(iset, xs, ys, sigma)
+            windows = _Level(upright, tilted_tables, xs, ys, sigma)
+            programs = _programs(cascade, size)
+            _check_exact(programs, pixel_sum)
             margins = np.zeros(keep.size)
             idx = np.arange(keep.size)
-            for k, program in enumerate(_programs(cascade, size)):
+            for k, program in enumerate(programs):
                 stats.stage_windows[k] += idx.size
                 if idx.size == 0:
                     break
@@ -233,21 +258,6 @@ def detect_multiscale_counted(
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     return detections, stats
-
-
-def detect_multiscale(
-    cascade: Cascade,
-    img: np.ndarray,
-    skin: np.ndarray | None = None,
-    scale_factor: float = 1.25,
-    step: int = 2,
-    min_skin_fraction: float = 0.25,
-    variance_norm: bool = True,
-) -> list[Detection]:
-    dets, _ = detect_multiscale_counted(
-        cascade, img, skin, scale_factor, step, min_skin_fraction, variance_norm
-    )
-    return dets
 
 
 def _overlapping_pairs(detections: list[Detection], overlap: float):

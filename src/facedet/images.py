@@ -7,6 +7,8 @@ in {0, 1}. All functions are pure; inputs are never modified in place.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "median_filter",
     "histogram_equalization",
     "resize_bilinear",
+    "resize_boxes",
     "draw_boxes",
 ]
 
@@ -110,22 +113,49 @@ def histogram_equalization(img: np.ndarray) -> np.ndarray:
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample with corner alignment (endpoints map to endpoints)."""
     img = _require_gray(img)
-    h, w = img.shape
-    if h < 2 or w < 2:
-        raise ValueError("bilinear resize needs at least a 2x2 source")
+    return resize_boxes(img, [(0, 0, img.shape[1], img.shape[0])], out_h, out_w)[0]
+
+
+@lru_cache(maxsize=4096)
+def _samples(side: int, out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per output position along one axis: the first source index
+    (clamped to side - 2) and the fraction toward the next one; read-only,
+    since every caller shares them."""
+    pos = np.linspace(0.0, side - 1.0, out)
+    first = np.minimum(pos.astype(np.int64), side - 2)
+    frac = pos - first
+    first.flags.writeable = frac.flags.writeable = False
+    return first, frac
+
+
+def resize_boxes(img: np.ndarray, boxes, out_h: int, out_w: int) -> np.ndarray:
+    """(n, out_h, out_w) bilinear resamples of the (x, y, w, h) boxes of a
+    grayscale image in one gather; box i equals
+    ``resize_bilinear(img[y : y + h, x : x + w], out_h, out_w)``.
+
+    The sample positions along an axis depend only on the box side and are
+    cached per (side, out); the four neighbors are read with flat indices,
+    and the interpolation runs in float64 in the same operation order for
+    every box, so batching does not change a single value.
+    """
+    img = _require_gray(img)
+    boxes = [tuple(map(int, box)) for box in boxes]
+    height, width = img.shape
+    for x, y, w, h in boxes:
+        if w < 2 or h < 2:
+            raise ValueError("bilinear resize needs at least a 2x2 source")
+        if x < 0 or y < 0 or x + w > width or y + h > height:
+            raise ValueError(f"resize box {(x, y, w, h)} outside the {width}x{height} image")
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be positive")
-    ys = np.linspace(0.0, h - 1.0, out_h)
-    xs = np.linspace(0.0, w - 1.0, out_w)
-    y0 = np.minimum(ys.astype(np.int64), h - 2)
-    x0 = np.minimum(xs.astype(np.int64), w - 2)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    src = img.astype(np.float64)
-    tl = src[np.ix_(y0, x0)]
-    tr = src[np.ix_(y0, x0 + 1)]
-    bl = src[np.ix_(y0 + 1, x0)]
-    br = src[np.ix_(y0 + 1, x0 + 1)]
+    if not boxes:
+        return np.zeros((0, out_h, out_w), dtype=np.uint8)
+    xs, ys, ws, hs = zip(*boxes)
+    row, fy = (np.stack(a)[:, :, None] for a in zip(*(_samples(h, out_h) for h in hs)))
+    col, fx = (np.stack(a)[:, None, :] for a in zip(*(_samples(w, out_w) for w in ws)))
+    corner = (row + np.array(ys)[:, None, None]) * width + (col + np.array(xs)[:, None, None])
+    flat = img.ravel()
+    tl, tr, bl, br = (flat[corner + shift].astype(np.float64) for shift in (0, 1, width, width + 1))
     top = tl + (tr - tl) * fx
     bot = bl + (br - bl) * fx
     return _round_u8(top + (bot - top) * fy)

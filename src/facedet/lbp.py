@@ -14,20 +14,31 @@ offsets {0, 4, 8}, and keeps a 16-bin histogram of label // 16 per block:
 9 * 16 = 144 values. Both parts are L1-normalized independently and
 concatenated into the 203-value descriptor; fine blocks accept optional
 emphasis weights (default all ones).
+
+One implementation serves all (x, y, w, h) boxes of an image at once; a
+single window is the one-box case. The coarse part labels the image once,
+over the bounding box of all boxes: a box's labels are that label image
+sliced at the box interior, since every interior pixel's 3x3 neighborhood
+lies inside the box. The fine part resamples all boxes to 16x16 in one
+gather, labels the stack at once and counts all blocks of all boxes with
+one offset ``bincount``. The parts are separate calls, so validation can
+skip the fine part of a box its coarse part already rejects. Batching
+changes no value: counts are exact and every division is the per-window one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .images import resize_bilinear
+from .images import resize_boxes
 
 __all__ = [
     "lbp_label_image",
     "uniform_pattern_table",
-    "coarse_histogram",
-    "resize_to_16",
-    "fine_features",
+    "fine_weights",
+    "coarse_parts",
+    "fine_parts",
+    "descriptors",
     "validation_feature",
     "FINE_BLOCK_OFFSETS",
     "DESCRIPTOR_LENGTH",
@@ -39,20 +50,31 @@ _NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)
 FINE_BLOCK_OFFSETS = (0, 4, 8)
 DESCRIPTOR_LENGTH = 203
 
+# the 9 * 36 cells of the fine blocks as flat indices into a 14x14 label
+# image, block by block, and the first of the 16 bins of each cell's block
+_FINE_CELLS = np.array(
+    [(by + r) * 14 + bx + c for by in FINE_BLOCK_OFFSETS for bx in FINE_BLOCK_OFFSETS for r in range(6) for c in range(6)]
+)
+_FINE_BASE = np.repeat(np.arange(9) * 16, 36)
+
 _uniform_table: np.ndarray | None = None
 
 
 def lbp_label_image(img: np.ndarray) -> np.ndarray:
-    """(H-2, W-2) label image; the 1-px border has no full neighborhood."""
+    """(..., H-2, W-2) labels of an image, or of a stack of images along
+    the leading axes; the 1-px border has no full neighborhood."""
     img = np.asarray(img)
-    if img.ndim != 2 or img.shape[0] < 3 or img.shape[1] < 3:
+    if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
         raise ValueError("label image needs a source of at least 3x3")
-    h, w = img.shape
-    center = img[1 : h - 1, 1 : w - 1]
+    h, w = img.shape[-2:]
+    center = img[..., 1 : h - 1, 1 : w - 1]
     labels = np.zeros(center.shape, dtype=np.uint8)
+    ge = np.empty(center.shape, dtype=bool)
+    bit_values = ge.view(np.uint8)
     for bit, (dy, dx) in enumerate(_NEIGHBOR_OFFSETS):
-        neighbor = img[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-        labels |= (neighbor >= center).astype(np.uint8) << bit
+        np.greater_equal(img[..., 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx], center, out=ge)
+        np.left_shift(bit_values, bit, out=bit_values)
+        labels |= bit_values
     return labels
 
 
@@ -73,43 +95,74 @@ def uniform_pattern_table() -> np.ndarray:
     return _uniform_table
 
 
-def coarse_histogram(labels: np.ndarray) -> np.ndarray:
-    """59 bin counts of the label image through the uniform-pattern table."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("empty label image")
-    return np.bincount(uniform_pattern_table()[labels].ravel(), minlength=59).astype(np.int64)
+def fine_weights(block_weights) -> np.ndarray | None:
+    """The (144,) per-bin factors of nine fine-block weights; None stays None."""
+    if block_weights is None:
+        return None
+    weights = np.asarray(block_weights, dtype=np.float64)
+    if weights.shape != (9,):
+        raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
+    return np.repeat(weights, 16)
 
 
-def resize_to_16(patch: np.ndarray) -> np.ndarray:
-    return resize_bilinear(patch, 16, 16)
+def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """The image as (H, W) and the boxes as (x, y, w, h) int tuples, each
+    box inside the image and at least 3x3."""
+    img = np.asarray(img)
+    if img.ndim != 2:
+        raise ValueError(f"expected an (H, W) grayscale image, got shape {img.shape}")
+    boxes = [tuple(map(int, box)) for box in boxes]
+    height, width = img.shape
+    for x, y, w, h in boxes:
+        if x < 0 or y < 0 or x + w > width or y + h > height:
+            raise ValueError(f"box {(x, y, w, h)} outside {width}x{height} image")
+        if w < 3 or h < 3:
+            raise ValueError(f"box {(x, y, w, h)} smaller than 3x3")
+    return img, boxes
 
 
-def fine_features(patch16: np.ndarray) -> np.ndarray:
-    """144 counts: nine overlapping 6x6 label blocks, 16 bins of label // 16."""
-    patch16 = np.asarray(patch16)
-    if patch16.shape != (16, 16):
-        raise ValueError(f"fine stage expects a 16x16 patch, got {patch16.shape}")
-    bands = lbp_label_image(patch16) // 16  # 14x14 values in [0, 15]
-    out = np.empty(144, dtype=np.int64)
-    idx = 0
-    for by in FINE_BLOCK_OFFSETS:
-        for bx in FINE_BLOCK_OFFSETS:
-            block = bands[by : by + 6, bx : bx + 6]
-            out[idx * 16 : (idx + 1) * 16] = np.bincount(block.ravel(), minlength=16)
-            idx += 1
+def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
+    """(n, 59) normalized coarse histograms of the (x, y, w, h) boxes,
+    from one labelling of their bounding box."""
+    img, boxes = _gray_and_boxes(img, boxes)
+    out = np.empty((len(boxes), 59))
+    if not boxes:
+        return out
+    x0 = min(x for x, _, _, _ in boxes)
+    y0 = min(y for _, y, _, _ in boxes)
+    x1 = max(x + w for x, _, w, _ in boxes)
+    y1 = max(y + h for _, y, _, h in boxes)
+    bins = uniform_pattern_table()[lbp_label_image(img[y0:y1, x0:x1])]
+    for row, (x, y, w, h) in zip(out, boxes):
+        row[:] = np.bincount(bins[y - y0 : y - y0 + h - 2, x - x0 : x - x0 + w - 2].ravel(), minlength=59)
+    out /= np.array([(w - 2) * (h - 2) for _, _, w, h in boxes], dtype=np.float64)[:, None]
     return out
 
 
+def fine_parts(img: np.ndarray, boxes, block_weights=None) -> np.ndarray:
+    """(n, 144) normalized, optionally weighted fine histograms of the
+    boxes: one 16x16 resample of all of them, one labelling of the stack
+    and one ``bincount`` over all their blocks."""
+    weights = fine_weights(block_weights)
+    img, boxes = _gray_and_boxes(img, boxes)
+    n = len(boxes)
+    bands = lbp_label_image(resize_boxes(img, boxes, 16, 16)).reshape(n, 196) >> 4
+    keys = bands[:, _FINE_CELLS] + (_FINE_BASE + 144 * np.arange(n)[:, None])
+    fine = np.bincount(keys.ravel(), minlength=144 * n).reshape(n, 144).astype(np.float64)
+    fine /= 9 * 36  # every block holds 36 labels
+    if weights is not None:
+        fine *= weights
+    return fine
+
+
+def descriptors(img: np.ndarray, boxes, block_weights=None) -> np.ndarray:
+    """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image."""
+    return np.concatenate([coarse_parts(img, boxes), fine_parts(img, boxes, block_weights)], axis=1)
+
+
 def validation_feature(window: np.ndarray, block_weights=None) -> np.ndarray:
-    """The 203-value descriptor: normalized coarse part then fine part."""
-    coarse = coarse_histogram(lbp_label_image(window)).astype(np.float64)
-    coarse /= coarse.sum()
-    fine = fine_features(resize_to_16(window)).astype(np.float64)
-    fine /= fine.sum()
-    if block_weights is not None:
-        weights = np.asarray(block_weights, dtype=np.float64)
-        if weights.shape != (9,):
-            raise ValueError("expected 9 fine-block weights")
-        fine = fine * np.repeat(weights, 16)
-    return np.concatenate([coarse, fine])
+    """The 203-value descriptor of a whole window: normalized coarse part
+    then fine part."""
+    window = np.asarray(window)
+    box = [(0, 0, window.shape[1], window.shape[0])] if window.ndim == 2 else []
+    return descriptors(window, box, block_weights)[0]

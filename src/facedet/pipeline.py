@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,21 +57,31 @@ def preprocess_gray(gray: np.ndarray, config: PipelineConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SegmentResult:
+    """A refined skin mask; its regions and skin ratio are computed on
+    first access, since detection reads only the mask."""
+
     mask: np.ndarray
-    regions: list[Region]
-    ratio: float  # percentage of mask pixels marked skin
+    min_area: int  # smallest region kept, in pixels
+
+    @cached_property
+    def regions(self) -> list[Region]:
+        return extract_regions(self.mask, self.min_area)
+
+    @cached_property
+    def ratio(self) -> float:
+        """Percentage of mask pixels marked skin."""
+        return skin_ratio(self.mask)
 
 
 def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
-    """Skin classification, Sobel-edge refinement, and region extraction."""
+    """Skin classification and Sobel-edge refinement; regions on demand."""
     thresholds = SkinThresholds(config.cb_min, config.cb_max, config.cr_min, config.cr_max)
     ycbcr = rgb_to_ycbcr(rgb)
     skin = classify_skin(ycbcr, thresholds)
     # the Y plane is to_grayscale(rgb): the same expression and rounding
     edges = sobel_edges(ycbcr[..., 0], config.sobel_threshold)
     mask = refine_mask(skin, edges)
-    min_area = config.min_area or max(1, round(mask.size * 0.001))
-    return SegmentResult(mask, extract_regions(mask, min_area), skin_ratio(mask))
+    return SegmentResult(mask, config.min_area or max(1, round(mask.size * 0.001)))
 
 
 def detect_faces(

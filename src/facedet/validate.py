@@ -1,11 +1,14 @@
 """Candidate validation: reject detector windows the texture model dislikes.
 
-The coarse 59-bin part of the descriptor is computed first; when even the
-best possible fine-stage contribution cannot lift the decision value to the
-threshold, the window is rejected without running the fine stage. The fine
-part lives on a scaled simplex, so its contribution is bounded above by the
-largest weighted coefficient; the early exit therefore never changes the
-outcome relative to full evaluation.
+The descriptors of all of a scene's candidates are built in one batched
+call per part (:mod:`facedet.lbp`). When even the best possible fine-stage
+contribution cannot lift a candidate's decision value to the threshold, it
+is rejected without its fine part. The fine part lives on a scaled simplex,
+so its contribution is bounded above by the largest weighted coefficient;
+the early exit therefore never changes the outcome relative to full
+evaluation. Each decision value is one 1-D dot product, as
+:meth:`LinearSvmModel.decision` computes it: a matrix-vector product over
+all candidates may sum in another order and differ in the last bit.
 """
 
 from __future__ import annotations
@@ -13,34 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from .detect import Detection
-from .lbp import coarse_histogram, fine_features, lbp_label_image, resize_to_16
+from .lbp import coarse_parts, descriptors, fine_parts, fine_weights
 from .svm import LinearSvmModel
 
 __all__ = ["validate_detections", "decision_values"]
 
 
-def _fine_bound(model: LinearSvmModel, block_weights) -> float:
-    fine_coeffs = model.weights[59:]
-    if block_weights is not None:
-        fine_coeffs = fine_coeffs * np.repeat(np.asarray(block_weights, dtype=np.float64), 16)
-    return float(fine_coeffs.max())
+def _boxes(detections: list[Detection]) -> list[tuple[int, int, int, int]]:
+    return [(d.x, d.y, d.w, d.h) for d in detections]
 
 
-def _descriptor_parts(crop: np.ndarray, block_weights):
-    coarse = coarse_histogram(lbp_label_image(crop)).astype(np.float64)
-    coarse /= coarse.sum()
-    fine = fine_features(resize_to_16(crop)).astype(np.float64)
-    fine /= fine.sum()
-    if block_weights is not None:
-        fine = fine * np.repeat(np.asarray(block_weights, dtype=np.float64), 16)
-    return coarse, fine
-
-
-def _crop(img: np.ndarray, det: Detection) -> np.ndarray:
-    h, w = img.shape
-    if det.x < 0 or det.y < 0 or det.x + det.w > w or det.y + det.h > h:
-        raise ValueError(f"detection {det} outside {w}x{h} image")
-    return img[det.y : det.y + det.h, det.x : det.x + det.w]
+def _row_decisions(model: LinearSvmModel, rows: np.ndarray) -> list[float]:
+    return [float(model.decision(row)) for row in rows]
 
 
 def validate_detections(
@@ -54,32 +41,22 @@ def validate_detections(
 
     Returns (kept detections in input order, rejected count).
     """
-    img = np.asarray(img)
+    weights = fine_weights(block_weights)
     if not detections:
         return [], 0
-    bound = _fine_bound(model, block_weights)
-    kept: list[Detection] = []
-    rejected = 0
-    for det in detections:
-        crop = _crop(img, det)
-        coarse = coarse_histogram(lbp_label_image(crop)).astype(np.float64)
-        coarse /= coarse.sum()
-        partial = float(coarse @ model.weights[:59]) + model.bias
-        # small slack keeps the early exit outcome-identical to the full
-        # evaluation even at floating-point boundary cases
-        if partial + bound < threshold - 1e-9:
-            rejected += 1
-            continue
-        fine = fine_features(resize_to_16(crop)).astype(np.float64)
-        fine /= fine.sum()
-        if block_weights is not None:
-            fine = fine * np.repeat(np.asarray(block_weights, dtype=np.float64), 16)
-        value = float(model.decision(np.concatenate([coarse, fine])))
-        if value >= threshold:
-            kept.append(det)
-        else:
-            rejected += 1
-    return kept, rejected
+    boxes = _boxes(detections)
+    coarse = coarse_parts(img, boxes)
+    fine_coeffs = model.weights[59:] if weights is None else model.weights[59:] * weights
+    bound = float(fine_coeffs.max())
+    # small slack keeps the early exit outcome-identical to the full
+    # evaluation even at floating-point boundary cases
+    live = [
+        i for i, row in enumerate(coarse)
+        if not float(row @ model.weights[:59]) + model.bias + bound < threshold - 1e-9
+    ]
+    full = np.concatenate([coarse[live], fine_parts(img, [boxes[i] for i in live], block_weights)], axis=1)
+    kept = [detections[i] for i, value in zip(live, _row_decisions(model, full)) if value >= threshold]
+    return kept, len(detections) - len(kept)
 
 
 def decision_values(
@@ -89,9 +66,4 @@ def decision_values(
     block_weights=None,
 ) -> np.ndarray:
     """Full decision value per detection (no early exit), for ROC sweeps."""
-    img = np.asarray(img)
-    values = np.empty(len(detections))
-    for i, det in enumerate(detections):
-        coarse, fine = _descriptor_parts(_crop(img, det), block_weights)
-        values[i] = float(model.decision(np.concatenate([coarse, fine])))
-    return values
+    return np.array(_row_decisions(model, descriptors(img, _boxes(detections), block_weights)), dtype=np.float64)

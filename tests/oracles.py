@@ -2,15 +2,19 @@
 
 The package evaluates Haar features only through compiled programs
 (:func:`facedet.haar.compile_features`): in the cascade scan and in the
-training feature matrix. The functions here do the same arithmetic one
-window, one feature or one rectangle at a time, as the package first did.
+training feature matrix. It builds the LBP descriptor only in batches, over
+an image and its boxes (:func:`facedet.lbp.descriptors`). The functions
+here do the same arithmetic one window, one crop, one feature or one
+rectangle at a time, as the package first did.
 """
 
 import numpy as np
 
 from facedet.boost import Cascade, Stage, _StumpSearch
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
+from facedet.images import _round_u8
 from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
+from facedet.lbp import FINE_BLOCK_OFFSETS, lbp_label_image, uniform_pattern_table
 
 
 def _check_upright_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
@@ -248,3 +252,66 @@ def enumerate_kind_oracle(kind, window):
                     for w in range(1, min(window - x, window + 1 - y - h) + 1):
                         out.append(HaarFeature(kind, x, y, w, h, window))
     return out
+
+
+def resize_bilinear_oracle(img, out_h, out_w):
+    """Corner-aligned bilinear resize of one whole image, with np.ix_
+    gathers from a float64 copy, as first written."""
+    img = np.asarray(img)
+    h, w = img.shape
+    if h < 2 or w < 2:
+        raise ValueError("bilinear resize needs at least a 2x2 source")
+    ys = np.linspace(0.0, h - 1.0, out_h)
+    xs = np.linspace(0.0, w - 1.0, out_w)
+    y0 = np.minimum(ys.astype(np.int64), h - 2)
+    x0 = np.minimum(xs.astype(np.int64), w - 2)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    src = img.astype(np.float64)
+    tl = src[np.ix_(y0, x0)]
+    tr = src[np.ix_(y0, x0 + 1)]
+    bl = src[np.ix_(y0 + 1, x0)]
+    br = src[np.ix_(y0 + 1, x0 + 1)]
+    top = tl + (tr - tl) * fx
+    bot = bl + (br - bl) * fx
+    return _round_u8(top + (bot - top) * fy)
+
+
+def coarse_histogram(labels):
+    """59 bin counts of the label image through the uniform-pattern table."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("empty label image")
+    return np.bincount(uniform_pattern_table()[labels].ravel(), minlength=59).astype(np.int64)
+
+
+def resize_to_16(patch):
+    return resize_bilinear_oracle(patch, 16, 16)
+
+
+def fine_features(patch16):
+    """144 counts: nine overlapping 6x6 label blocks, 16 bins of label // 16."""
+    patch16 = np.asarray(patch16)
+    if patch16.shape != (16, 16):
+        raise ValueError(f"fine stage expects a 16x16 patch, got {patch16.shape}")
+    bands = lbp_label_image(patch16) // 16  # 14x14 values in [0, 15]
+    out = np.empty(144, dtype=np.int64)
+    idx = 0
+    for by in FINE_BLOCK_OFFSETS:
+        for bx in FINE_BLOCK_OFFSETS:
+            block = bands[by : by + 6, bx : bx + 6]
+            out[idx * 16 : (idx + 1) * 16] = np.bincount(block.ravel(), minlength=16)
+            idx += 1
+    return out
+
+
+def validation_feature_oracle(window, block_weights=None):
+    """The 203-value descriptor of one crop: it labels, resizes and
+    histograms the crop on its own."""
+    coarse = coarse_histogram(lbp_label_image(window)).astype(np.float64)
+    coarse /= coarse.sum()
+    fine = fine_features(resize_to_16(window)).astype(np.float64)
+    fine /= fine.sum()
+    if block_weights is not None:
+        fine = fine * np.repeat(np.asarray(block_weights, dtype=np.float64), 16)
+    return np.concatenate([coarse, fine])

@@ -16,12 +16,7 @@ from facedet.evaluate import match_detections, roc_sweep
 from facedet.haar import KINDS, enumerate_kind, scaled_parts
 from facedet.images import resize_bilinear, rgb_to_ycbcr
 from facedet.integral import integral_image, integral_set
-from facedet.lbp import (
-    fine_features,
-    lbp_label_image,
-    uniform_pattern_table,
-    validation_feature,
-)
+from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
 from facedet.netpbm import write_pgm
 from facedet.skin import evaluate_segmentation, segmentation_report, classify_skin
 from facedet.synthetic import _place, render_color_scene, render_scene
@@ -144,7 +139,7 @@ def test_criterion_4_descriptor_dimensions():
         from facedet.lbp import FINE_BLOCK_OFFSETS
 
         assert FINE_BLOCK_OFFSETS == (0, 4, 8)
-        assert fine_features(patch).shape == (144,)
+        assert fine_parts(patch, [(0, 0, 16, 16)]).shape == (1, 144)
 
 
 def test_criterion_5_segmentation_metric_oracle():

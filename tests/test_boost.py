@@ -20,7 +20,7 @@ from facedet.boost import (
     train_cascade,
     train_stage,
 )
-from facedet.detect import detect_multiscale
+from facedet.detect import detect_multiscale_counted
 from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
@@ -321,7 +321,7 @@ def eager_mine_oracle(cascade, pool, needed, scan_step=3):
         if min(img.shape) < base:
             continue
         crops = []
-        for det in detect_multiscale(cascade, img, step=scan_step):
+        for det in detect_multiscale_counted(cascade, img, step=scan_step)[0]:
             crop = img[det.y : det.y + det.h, det.x : det.x + det.w]
             crops.append(crop if crop.shape == (base, base) else resize_bilinear(crop, base, base))
             if len(crops) >= needed:
@@ -351,7 +351,7 @@ class TestMining:
         sizes = [(30, 40), (10, 40), (16, 16), (40, 24), (26, 33)]
         pool = [rng.integers(0, 200, size=s).astype(np.uint8) for s in sizes]
         pool[0][:12] = 220  # a bright band: many accepted windows in one image
-        available = sum(len(detect_multiscale(cascade, img, step=3)) for img in pool)
+        available = sum(len(detect_multiscale_counted(cascade, img, step=3)[0]) for img in pool)
         return cascade, pool, available
 
     @pytest.mark.parametrize("share", [0.05, 0.5, 2.0])

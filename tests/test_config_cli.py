@@ -154,6 +154,29 @@ class TestSegmentCommand:
         assert err.count("\n") == 1
         assert err.startswith("facedet: error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            ("stages = x\n", "bad.cfg:1: stages: expected an integer, got 'x'"),
+            ("seed = 1\nmin_area = 2.5\n", "bad.cfg:2: min_area: expected an integer, got '2.5'"),
+            ("equalize = maybe\n", "bad.cfg:1: equalize: expected a boolean, got 'maybe'"),
+            ("# comment\n\noverlap = lots\n", "bad.cfg:3: overlap: expected a number, got 'lots'"),
+            ("block_weights = 1,1,1,1,x,1,1,1,1\n",
+             "bad.cfg:1: block_weights: expected comma-separated numbers, got '1,1,1,1,x,1,1,1,1'"),
+            ("block_weights = 1,,1\n", "bad.cfg:1: block_weights: expected comma-separated numbers, got '1,,1'"),
+            ("svm_threshold =\n", "bad.cfg:1: svm_threshold: expected a number, got ''"),
+        ],
+        ids=["int", "int-from-float", "bool", "float", "tuple", "tuple-empty-item", "empty-value"],
+    )
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, config_text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text)
+        code = main(["segment", "--config", str(cfg), "--in", str(tmp_path / "x.ppm"),
+                     "--out", str(tmp_path / "m.pgm")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"facedet: error: {cfg}:{message.split(':', 1)[1]}\n"
+
     def test_gray_input_rejected(self, tmp_path, capsys):
         img = tmp_path / "g.pgm"
         write_pgm(img, np.zeros((30, 30), dtype=np.uint8))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,14 +13,13 @@ from facedet.detect import (
     SCAN_ROWS,
     Detection,
     ScanStats,
-    detect_multiscale,
     detect_multiscale_counted,
     iou,
     merge_detections,
 )
 from facedet.haar import KINDS, enumerate_kind, scaled_parts
 from facedet.integral import integral_image, integral_set
-from oracles import _tilted_sums, _upright_sums, classify_window
+from oracles import _tilted_sums, _upright_sums, classify_window, eval_feature
 
 
 def scan_count_oracle(shape, base, scale_factor, step):
@@ -181,8 +181,8 @@ class TestDetectMultiscale:
     def test_all_one_mask_equals_no_mask(self, toy_cascade):
         rng = np.random.default_rng(24)
         img, _ = toy_scene(rng)
-        no_mask = detect_multiscale(toy_cascade, img)
-        all_one = detect_multiscale(toy_cascade, img, skin=np.ones_like(img))
+        no_mask = detect_multiscale_counted(toy_cascade, img)[0]
+        all_one = detect_multiscale_counted(toy_cascade, img, skin=np.ones_like(img))[0]
         assert no_mask == all_one
 
     def test_agrees_with_per_window_classifier(self, toy_cascade):
@@ -207,7 +207,7 @@ class TestDetectMultiscale:
     def test_scan_order_is_scale_then_row_major(self, toy_cascade):
         rng = np.random.default_rng(26)
         img, _ = toy_scene(rng, spots=4)
-        dets = detect_multiscale(toy_cascade, img)
+        dets = detect_multiscale_counted(toy_cascade, img)[0]
         keys = [(d.w, d.y, d.x) for d in dets]
         assert keys == sorted(keys)
 
@@ -221,11 +221,11 @@ class TestDetectMultiscale:
     def test_parameter_validation(self, toy_cascade):
         img = np.zeros((30, 30), dtype=np.uint8)
         with pytest.raises(ValueError):
-            detect_multiscale(toy_cascade, img, scale_factor=1.0)
+            detect_multiscale_counted(toy_cascade, img, scale_factor=1.0)
         with pytest.raises(ValueError):
-            detect_multiscale(toy_cascade, img, step=0)
+            detect_multiscale_counted(toy_cascade, img, step=0)
         with pytest.raises(ValueError):
-            detect_multiscale(toy_cascade, img, skin=np.zeros((4, 4), dtype=np.uint8))
+            detect_multiscale_counted(toy_cascade, img, skin=np.zeros((4, 4), dtype=np.uint8))
 
 
 class TestCompiledScan:
@@ -292,6 +292,47 @@ class TestCompiledScan:
         with mock.patch.object(detect, "integral_set", wraps=detect.integral_set) as build:
             detect_multiscale_counted(toy_cascade, img)
         build.assert_called_once_with(img, with_tilted=False)
+
+
+class TestExactProducts:
+    @staticmethod
+    def with_programs(cascade, size, edit):
+        """A copy of the cascade whose size-px programs are edited."""
+        copy = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
+        copy.programs[size] = [edit(p) for p in detect._programs(cascade, size)]
+        return copy
+
+    def test_weight_norm_bounds_every_response(self, toy_cascade):
+        rng = np.random.default_rng(36)
+        img = rng.integers(0, 256, size=(30, 30)).astype(np.uint8)
+        pixel_sum = int(img.astype(np.int64).sum())
+        iset = integral_set(img)
+        for stage, program in zip(toy_cascade.stages, detect._programs(toy_cascade, 12)):
+            assert program.weight_l1 > 0
+            for wc, _ in stage.stumps:
+                for y in range(0, 19, 6):
+                    for x in range(0, 19, 6):
+                        response = eval_feature(wc.feature, iset, x, y, 12, variance_norm=False)
+                        assert abs(response) <= pixel_sum * program.weight_l1
+
+    def test_products_reaching_2_53_raise(self, toy_cascade):
+        img = np.full((16, 32), 128, dtype=np.uint8)  # pixel sum 2**16
+        limit = detect.EXACT_LIMIT // 2**16  # pixel sum * limit == 2**53
+        below = self.with_programs(toy_cascade, 12, lambda p: replace(p, weight_l1=limit - 1))
+        assert detect_multiscale_counted(below, img, step=4) == detect_multiscale_counted(toy_cascade, img, step=4)
+        at = self.with_programs(toy_cascade, 12, lambda p: replace(p, weight_l1=limit))
+        with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
+            detect_multiscale_counted(at, img, step=4)
+
+    def test_huge_weights_are_refused_not_rounded(self, toy_cascade):
+        def scaled(program):
+            factor = 2**44
+            gathers = [(corners, coef * factor) for corners, coef in program.gathers]
+            return replace(program, gathers=gathers, weight_l1=program.weight_l1 * factor)
+
+        huge = self.with_programs(toy_cascade, 12, scaled)
+        with pytest.raises(ValueError, match="would not be exact"):
+            detect_multiscale_counted(huge, np.full((12, 30), 200, dtype=np.uint8))
 
 
 class TestStageAttrition:

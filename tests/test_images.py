@@ -9,10 +9,12 @@ from facedet.images import (
     histogram_equalization,
     median_filter,
     resize_bilinear,
+    resize_boxes,
     rgb_to_ycbcr,
     to_grayscale,
     ycbcr_to_rgb,
 )
+from oracles import resize_bilinear_oracle
 
 rgb_images = arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)))
 gray_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))
@@ -182,3 +184,41 @@ class TestResizeBilinear:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((1, 4), dtype=np.uint8), 16, 16)
+
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(2, 40), st.integers(2, 40))),
+        st.integers(1, 30),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_np_ix_oracle(self, img, out_h, out_w):
+        assert np.array_equal(resize_bilinear(img, out_h, out_w), resize_bilinear_oracle(img, out_h, out_w))
+
+
+class TestResizeBoxes:
+    @given(st.integers(2, 40), st.integers(2, 40), st.integers(1, 24), st.integers(1, 24), st.integers(0, 1 << 30))
+    @settings(max_examples=100, deadline=None)
+    def test_each_box_equals_the_oracle_on_its_crop(self, h, w, out_h, out_w, seed):
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        boxes = [(0, 0, w, h)]
+        for _ in range(int(rng.integers(0, 6))):
+            bw, bh = int(rng.integers(2, w + 1)), int(rng.integers(2, h + 1))
+            boxes.append((int(rng.integers(0, w - bw + 1)), int(rng.integers(0, h - bh + 1)), bw, bh))
+        boxes.append(boxes[-1])
+        got = resize_boxes(img, boxes, out_h, out_w)
+        assert got.shape == (len(boxes), out_h, out_w) and got.dtype == np.uint8
+        for out, (x, y, bw, bh) in zip(got, boxes):
+            assert np.array_equal(out, resize_bilinear_oracle(img[y : y + bh, x : x + bw], out_h, out_w))
+
+    def test_no_boxes(self):
+        assert resize_boxes(np.zeros((5, 5), dtype=np.uint8), [], 4, 3).shape == (0, 4, 3)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [((0, 0, 1, 4), "at least a 2x2 source"), ((4, 0, 3, 3), r"resize box \(4, 0, 3, 3\) outside the 6x5 image"),
+         ((0, -1, 3, 3), "outside")],
+    )
+    def test_rejects_bad_boxes(self, box, message):
+        with pytest.raises(ValueError, match=message):
+            resize_boxes(np.zeros((5, 6), dtype=np.uint8), [box], 4, 4)

@@ -7,13 +7,14 @@ from hypothesis.extra.numpy import arrays
 from facedet.lbp import (
     DESCRIPTOR_LENGTH,
     FINE_BLOCK_OFFSETS,
-    coarse_histogram,
-    fine_features,
+    coarse_parts,
+    descriptors,
+    fine_parts,
     lbp_label_image,
-    resize_to_16,
     uniform_pattern_table,
     validation_feature,
 )
+from oracles import coarse_histogram, fine_features, resize_to_16, validation_feature_oracle
 
 NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
 
@@ -199,3 +200,98 @@ class TestResizeTo16:
     def test_label_image_of_16_patch_is_14x14(self):
         patch = resize_to_16(np.zeros((33, 29), dtype=np.uint8))
         assert lbp_label_image(patch).shape == (14, 14)
+
+
+@st.composite
+def scenes_with_boxes(draw):
+    """An image and boxes in it: random ones, boxes touching each border,
+    3x3 boxes, boxes with a 1-px margin, duplicates and nested boxes."""
+    h = draw(st.integers(3, 40), label="h")
+    w = draw(st.integers(3, 40), label="w")
+    seed = draw(st.integers(0, 1 << 30), label="seed")
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, draw(st.sampled_from([2, 8, 256]), label="levels"), size=(h, w)).astype(np.uint8)
+    boxes = []
+    for _ in range(draw(st.integers(0, 8), label="boxes")):
+        shape = draw(st.sampled_from(["random", "3x3", "full", "margin", "left", "right", "top", "bottom"]))
+        bw = 3 if shape == "3x3" else int(rng.integers(3, w + 1))
+        bh = 3 if shape == "3x3" else int(rng.integers(3, h + 1))
+        x = int(rng.integers(0, w - bw + 1))
+        y = int(rng.integers(0, h - bh + 1))
+        if shape == "full":
+            x, y, bw, bh = 0, 0, w, h
+        elif shape == "margin" and w >= 5 and h >= 5:
+            x, y, bw, bh = 1, 1, w - 2, h - 2
+        elif shape == "left":
+            x = 0
+        elif shape == "right":
+            x = w - bw
+        elif shape == "top":
+            y = 0
+        elif shape == "bottom":
+            y = h - bh
+        boxes.append((x, y, bw, bh))
+    if boxes and draw(st.booleans(), label="duplicate"):
+        boxes.append(boxes[draw(st.integers(0, len(boxes) - 1), label="which")])
+    if boxes and draw(st.booleans(), label="nested"):
+        x, y, bw, bh = boxes[0]
+        if bw >= 5 and bh >= 5:
+            boxes.append((x + 1, y + 1, bw - 2, bh - 2))
+    return img, boxes
+
+
+class TestBatchedDescriptor:
+    @given(scenes_with_boxes(), st.booleans(), st.integers(0, 1 << 30))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_crop_oracle_bit_for_bit(self, scene, weighted, seed):
+        img, boxes = scene
+        weights = np.random.default_rng(seed).uniform(0.0, 3.0, 9) if weighted else None
+        got = descriptors(img, boxes, weights)
+        assert got.shape == (len(boxes), DESCRIPTOR_LENGTH) and got.dtype == np.float64
+        for row, (x, y, w, h) in zip(got, boxes):
+            expected = validation_feature_oracle(img[y : y + h, x : x + w], weights)
+            assert np.array_equal(row, expected)
+        assert np.array_equal(coarse_parts(img, boxes), got[:, :59])
+        assert np.array_equal(fine_parts(img, boxes, weights), got[:, 59:])
+
+    @given(arrays(np.uint8, st.tuples(st.integers(3, 30), st.integers(3, 30))), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_validation_feature_is_the_one_box_call(self, window, weighted):
+        weights = np.linspace(0.5, 2.0, 9) if weighted else None
+        assert np.array_equal(validation_feature(window, weights), validation_feature_oracle(window, weights))
+
+    def test_labels_of_a_stack_are_per_image_labels(self):
+        stack = np.random.default_rng(37).integers(0, 256, size=(4, 7, 9), dtype=np.uint8)
+        labels = lbp_label_image(stack)
+        assert labels.shape == (4, 5, 7)
+        for got, img in zip(labels, stack):
+            assert np.array_equal(got, lbp_label_image(img))
+
+    def test_no_boxes(self):
+        img = np.zeros((10, 10), dtype=np.uint8)
+        assert descriptors(img, []).shape == (0, DESCRIPTOR_LENGTH)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ((-1, 0, 5, 5), r"box \(-1, 0, 5, 5\) outside 20x10 image"),
+            ((0, 6, 5, 5), r"box \(0, 6, 5, 5\) outside 20x10 image"),
+            ((16, 0, 5, 5), r"box \(16, 0, 5, 5\) outside 20x10 image"),
+            ((0, 0, 2, 5), r"box \(0, 0, 2, 5\) smaller than 3x3"),
+            ((0, 0, 5, 2), r"box \(0, 0, 5, 2\) smaller than 3x3"),
+        ],
+    )
+    def test_rejects_bad_boxes(self, box, message):
+        img = np.zeros((10, 20), dtype=np.uint8)
+        for call in (descriptors, coarse_parts, fine_parts):
+            with pytest.raises(ValueError, match=message):
+                call(img, [(0, 0, 5, 5), box])
+
+    @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10), np.ones((3, 3))])
+    def test_rejects_block_weights_of_wrong_shape(self, weights):
+        img = np.zeros((10, 20), dtype=np.uint8)
+        for call in (descriptors, fine_parts):
+            with pytest.raises(ValueError, match="expected 9 fine-block weights"):
+                call(img, [(0, 0, 5, 5)], weights)
+        with pytest.raises(ValueError, match="expected 9 fine-block weights"):
+            validation_feature(img, weights)

@@ -4,10 +4,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import facedet
+from facedet import pipeline
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
@@ -22,6 +25,7 @@ from facedet.pipeline import (
     segment_image,
     summarize,
 )
+from facedet.skin import extract_regions, skin_ratio
 from facedet.synthetic import SKIN_MIX, face_patch
 
 
@@ -57,6 +61,23 @@ class TestSegmentImage:
         result = segment_image(rgb, PipelineConfig())
         assert result.ratio == 0.0
         assert result.regions == []
+
+    @pytest.mark.parametrize("min_area, areas", [(0, [36, 100, 400]), (1, [36, 100, 400]), (100, [100, 400]), (300, [400])])
+    def test_lazy_regions_and_ratio_equal_eager_ones(self, min_area, areas):
+        rgb = np.zeros((60, 80, 3), dtype=np.uint8)
+        rgb[..., 2] = 200
+        for y, x, side in ((5, 20, 8), (30, 10, 22), (20, 50, 12)):
+            for c, mix in enumerate(SKIN_MIX):
+                rgb[y : y + side, x : x + side, c] = int(190.0 * mix)
+        with mock.patch.object(pipeline, "extract_regions", wraps=extract_regions) as regions, \
+                mock.patch.object(pipeline, "skin_ratio", wraps=skin_ratio) as ratio:
+            result = segment_image(rgb, PipelineConfig(min_area=min_area))
+            assert regions.call_count == ratio.call_count == 0  # detection reads only the mask
+            first = result.regions, result.ratio
+            assert result.regions is first[0] and (regions.call_count, ratio.call_count) == (1, 1)
+        assert first[0] == extract_regions(result.mask, min_area or max(1, round(result.mask.size * 0.001)))
+        assert sorted(r.area for r in first[0]) == areas
+        assert first[1] == skin_ratio(result.mask)
 
 
 class TestDetectFaces:

@@ -1,12 +1,17 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from facedet import validate
 from facedet.detect import Detection
 from facedet.lbp import validation_feature
 from facedet.svm import LinearSvmModel, load_svm, save_svm, svm_objective, train_svm
 from facedet.validate import decision_values, validate_detections
+from oracles import validation_feature_oracle
 
 
 def toy_features(rng, n=40, dim=8, margin=1.0):
@@ -204,3 +209,67 @@ class TestValidateDetections:
         for crop in neg[:10]:
             correct += float(model.decision(validation_feature(crop))) < 0
         assert correct >= 18
+
+
+def random_candidates(seed, n=12, side=60):
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, 256, size=(side, side)).astype(np.uint8)
+    img[:, side // 2 :] //= 8  # a low-contrast half: other label statistics
+    dets = []
+    for _ in range(n):
+        w = int(rng.integers(3, side + 1))
+        h = int(rng.integers(3, side + 1))
+        dets.append(Detection(int(rng.integers(0, side - w + 1)), int(rng.integers(0, side - h + 1)), w, h, 0.0, 1.0))
+    model = LinearSvmModel(rng.normal(size=203), float(rng.normal()))
+    weights = rng.uniform(0.1, 2.0, 9) if rng.random() < 0.5 else None
+    return img, dets, model, weights
+
+
+class TestBatchedValidation:
+    @given(st.integers(0, 1 << 30))
+    @settings(max_examples=60, deadline=None)
+    def test_decision_values_equal_per_crop_decisions(self, seed):
+        img, dets, model, weights = random_candidates(seed)
+        got = decision_values(dets, img, model, weights)
+        expected = [
+            float(model.decision(validation_feature_oracle(img[d.y : d.y + d.h, d.x : d.x + d.w], weights)))
+            for d in dets
+        ]
+        assert got.dtype == np.float64 and got.tolist() == expected
+
+    @given(st.integers(0, 1 << 30), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_keeps_exactly_the_full_evaluation_set_at_the_exit_boundary(self, seed, data):
+        img, dets, model, weights = random_candidates(seed)
+        crops = [validation_feature_oracle(img[d.y : d.y + d.h, d.x : d.x + d.w], weights) for d in dets]
+        values = [float(model.decision(c)) for c in crops]
+        fine_coeffs = model.weights[59:] * (1.0 if weights is None else np.repeat(weights, 16))
+        bounds = [float(c[:59] @ model.weights[:59]) + model.bias + float(fine_coeffs.max()) for c in crops]
+        anchor = data.draw(st.sampled_from(values + bounds), label="anchor")
+        threshold = data.draw(
+            st.sampled_from([anchor, np.nextafter(anchor, -np.inf), np.nextafter(anchor, np.inf),
+                             anchor - 1e-9, anchor + 1e-9, anchor + 2e-9, anchor + 1e-3]),
+            label="threshold",
+        )
+        with mock.patch.object(validate, "fine_parts", wraps=validate.fine_parts) as fine:
+            kept, rejected = validate_detections(dets, img, model, threshold, weights)
+        expected = [d for d, v in zip(dets, values) if v >= threshold]
+        assert kept == expected
+        assert rejected == len(dets) - len(expected)
+        # fine parts only for the candidates the coarse bound cannot reject
+        fine_boxes = [tuple(b) for b in fine.call_args.args[1]]
+        assert fine_boxes == [(d.x, d.y, d.w, d.h) for d, b in zip(dets, bounds) if not b < threshold - 1e-9]
+
+    @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10)])
+    def test_rejects_block_weights_of_wrong_shape(self, weights):
+        img, dets, model, _ = random_candidates(5)
+        with pytest.raises(ValueError, match="expected 9 fine-block weights"):
+            validate_detections(dets, img, model, 0.0, weights)
+        with pytest.raises(ValueError, match="expected 9 fine-block weights"):
+            decision_values(dets, img, model, weights)
+
+    def test_rejects_candidates_below_3x3(self):
+        img, _, model, _ = random_candidates(6)
+        for call in (decision_values, validate_detections):
+            with pytest.raises(ValueError, match="smaller than 3x3"):
+                call([Detection(0, 0, 2, 9, 0.0, 1.0)], img, model)
