@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import KINDS, HaarFeature, compile_features, fits_window, generate_feature_set
+from .haar import KINDS, Corners, HaarFeature, compile_features, fits_window, generate_feature_set
 from .integral import _tilted_grids, _upright_grid
 
 __all__ = [
@@ -67,10 +67,6 @@ class WeakClassifier:
     feature: HaarFeature | int | None  # bank feature, or a raw column index
     threshold: float
     polarity: int  # +1 or -1
-
-    def predict(self, value):
-        """+1 (face) / -1 votes for scalar or ndarray feature values."""
-        return np.where(self.polarity * np.asarray(value) < self.polarity * self.threshold, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -274,38 +270,63 @@ def train_stage(
     return StageResult(Stage(stumps, float(stage_threshold)), dr, fpr, scores)
 
 
+@dataclass(frozen=True)
+class _MatrixProgram:
+    """Features compiled once for :func:`feature_value_matrix` at one sample
+    size: the corners read per table, and the sparse (features, corners)
+    weights on all of them, or None when no corner is read."""
+
+    size: int
+    corners: list[Corners]
+    coef: object
+
+
+def _compile_matrix(features: Sequence[HaarFeature], size: int) -> _MatrixProgram:
+    import scipy.sparse  # training only: detection never pays for the import
+
+    # every window origin is (0, 0), of parity 0: table 2 is never read
+    corners = [c for c in compile_features(features, size) if c.table < 2]
+    if not corners:
+        return _MatrixProgram(size, [], None)
+    first = np.cumsum([0] + [c.row.size for c in corners])
+    coef = scipy.sparse.csr_array(
+        (
+            np.concatenate([c.weight for c in corners]).astype(np.float64),
+            (np.concatenate([c.feature for c in corners]), np.concatenate([k + c.corner for c, k in zip(corners, first)])),
+        ),
+        shape=(len(features), first[-1]),
+    )
+    return _MatrixProgram(size, corners, coef)
+
+
 def feature_value_matrix(
-    features: Sequence[HaarFeature], samples: list[np.ndarray], variance_norm: bool = True
+    features: Sequence[HaarFeature],
+    samples: list[np.ndarray],
+    variance_norm: bool = True,
+    program: _MatrixProgram | None = None,
 ) -> np.ndarray:
     """(F, N) responses of every feature on every base-window sample.
 
-    The features are compiled into one program at the base size, and the
-    responses are one sparse product of its weights with the table corners
-    it reads, per block of MATRIX_ROWS samples whose tables are built as one
-    stack. The product runs in float64 on integers: every partial sum is an
-    integer far below 2**53 for 8-bit samples, so it equals the int64 sum
-    exactly.
+    The features are compiled into one program at the base size, or
+    ``program`` is their program from an earlier call, and the responses are
+    one sparse product of its weights with the table corners it reads, per
+    block of MATRIX_ROWS samples whose tables are built as one stack. The
+    product runs in float64 on integers: every partial sum is an integer far
+    below 2**53 for 8-bit samples, so it equals the int64 sum exactly.
     """
-    import scipy.sparse  # training only: detection never pays for the import
-
     if not samples:
         raise ValueError("no samples")
     base = samples[0].shape[0]
     for i, sample in enumerate(samples):
         if sample.shape != (base, base):
             raise ValueError(f"sample {i} is {sample.shape}, expected {(base, base)}")
+    if program is None:
+        program = _compile_matrix(features, base)
+    elif program.size != base:
+        raise ValueError(f"features compiled for {program.size} px samples, given {base} px ones")
     out = np.zeros((len(features), len(samples)))
-    program = [c for c in compile_features(features, base) if c.table < 2]
-    if not program:
+    if program.coef is None:
         return out
-    first = np.cumsum([0] + [c.row.size for c in program])
-    coef = scipy.sparse.csr_array(
-        (
-            np.concatenate([c.weight for c in program]).astype(np.float64),
-            (np.concatenate([c.feature for c in program]), np.concatenate([k + c.corner for c, k in zip(program, first)])),
-        ),
-        shape=(len(features), first[-1]),
-    )
     for lo in range(0, len(samples), MATRIX_ROWS):
         pixels = np.stack(samples[lo : lo + MATRIX_ROWS]).astype(np.int64)
         n = len(pixels)
@@ -313,11 +334,11 @@ def feature_value_matrix(
         # cell (0, voff >> 1) of the tilted planes with origin parity 0
         up = _upright_grid(pixels, squared=False)
         tables = [(up, 0)]
-        if any(c.table == 1 for c in program):
+        if any(c.table == 1 for c in program.corners):
             even, _, voff = _tilted_grids(pixels)
             tables.append((even.base, voff >> 1))
-        reads = [tables[c.table][0].reshape(n, -1)[:, tables[c.table][1] + c.offsets(tables[c.table][0])] for c in program]
-        block = coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
+        reads = [tables[c.table][0].reshape(n, -1)[:, tables[c.table][1] + c.offsets(tables[c.table][0])] for c in program.corners]
+        block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
         if variance_norm:
             area = base * base
             total = up[:, base, base].astype(np.float64)
@@ -385,7 +406,9 @@ def train_cascade(
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(len(features), size=feature_subsample, replace=False))
         features = [features[i] for i in chosen]
-    v_pos = feature_value_matrix(features, pos_samples)
+    # compiled once: every stage's matrix reads the same features
+    program = _compile_matrix(features, base_window)
+    v_pos = feature_value_matrix(features, pos_samples, program=program)
     negatives = list(neg_samples)
     neg_target = len(negatives)
     stages: list[Stage] = []
@@ -394,7 +417,7 @@ def train_cascade(
     for _ in range(n_stages):
         if not negatives:
             break
-        v_neg = feature_value_matrix(features, negatives)
+        v_neg = feature_value_matrix(features, negatives, program=program)
         values = np.concatenate([v_pos, v_neg], axis=1)
         labels = np.concatenate([labels_pos, -np.ones(len(negatives))])
         result = train_stage(

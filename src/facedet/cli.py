@@ -14,7 +14,7 @@ import numpy as np
 
 from . import pipeline
 from .boost import load_cascade, save_cascade
-from .config import PipelineConfig, load_config_file
+from .config import _EXPECTED, PipelineConfig, _parse_value, load_config_file
 from .detect import Detection
 from .evaluate import (
     ManifestError,
@@ -94,7 +94,10 @@ def _build_config(args) -> PipelineConfig:
         if value is None:
             continue
         if key == "block_weights" and isinstance(value, str):
-            value = tuple(float(v) for v in value.split(","))
+            try:
+                value = _parse_value(value, tuple)
+            except ValueError:
+                raise ValueError(f"--block-weights: expected {_EXPECTED[tuple]}, got {value!r}") from None
         overrides[key] = value
     return config.override(**overrides)
 

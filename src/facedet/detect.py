@@ -9,19 +9,23 @@ for tilted stumps, per origin parity.
 
 A pyramid level lays its window origins on a regular lattice, so the skin
 fraction and the pixel sigma of every window come from four strided slices
-of the summed-area tables; only the windows that pass the gate are kept.
-A stage then gathers ``flat[origin[:, None] + offsets]`` from float64
-copies of the tables, in blocks of ``SCAN_ROWS`` origins, and multiplies
-by the weight matrix (a BLAS product). All operands are integers, and no
-partial sum exceeds the largest table value (at most the pixel sum) times
-the largest column L1 norm of the weights; each image checks that this
-bound is below 2**53, so every sum is exact in any order. The responses are
-divided by sigma and the votes added in stump order from 0.0, so every
-margin is bit-identical to a window-by-window evaluation.
+of the summed-area tables; the windows that pass the gate are kept, all
+levels in scan order. Each stage then runs once per image: per level, it
+gathers ``flat[origin[:, None] + offsets]`` from float64 copies of the
+tables at the live windows, in blocks of ``SCAN_ROWS``, and multiplies by
+that size's weight matrix (a BLAS product). All operands are integers, and
+no partial sum exceeds the largest table value (at most the pixel sum)
+times the largest column L1 norm of the weights; each image checks that
+this bound is below 2**53, so every sum is exact in any order. Thresholds
+and alphas do not depend on the size, so the responses of all levels are
+divided by sigma and the votes added in stump order from 0.0 at once:
+every margin is bit-identical to a window-by-window evaluation.
 
 The merge computes pairwise IoU with numpy broadcasting, in blocks of
-``MERGE_ROWS`` boxes so memory stays linear in the box count, and joins the
-overlapping pairs with a union-find in row-major pair order.
+``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
+component of overlapping boxes with its smallest index (``np.minimum.at``
+along the pairs, and pointer jumping) and averages each group's boxes from
+exact integer sums.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ class _StageProgram:
     # largest L1 norm of a stump's weights over all its tables: no response
     # or partial sum exceeds it times the largest table value
     weight_l1: int
+    # each gather's flat corner offsets, by upright table shape: they depend
+    # on the tables' widths, so the scan computes them once per image shape
+    offsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _compile_stage(stage: Stage, size: int) -> _StageProgram:
@@ -136,41 +143,56 @@ def _window_sigma(iset: IntegralSet, size: int, step: int) -> np.ndarray:
     return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
 
 
-class _Level:
-    """One pyramid level's gated windows, as origins into each table."""
+class _Windows:
+    """An image's gated windows over all pyramid levels, in scan order;
+    level l holds windows cuts[l]:cuts[l + 1] and its size's programs."""
 
-    def __init__(self, upright: np.ndarray, tilted, xs: np.ndarray, ys: np.ndarray, sigma: np.ndarray | None):
-        """``upright`` is the image's float64 summed-area table and
-        ``tilted`` None or (float64 tilted planes, voff)."""
+    def __init__(self, upright: np.ndarray, tilted, programs: list, xs: np.ndarray, ys: np.ndarray, counts, sigma):
+        """``upright`` is the image's float64 summed-area table, ``tilted``
+        None or (float64 tilted planes, voff) and ``sigma`` None or the
+        windows' sigma."""
+        self.programs = programs
+        self.cuts = np.cumsum([0, *counts])
         self.sigma = sigma
-        # indexed by Corners.table: (table, origins, mask of the windows it serves)
-        self.tables = [(upright, ys * upright.shape[1] + xs, None)]
+        # both indexed by Corners.table: the tables, and (flat table,
+        # origins, mask of the windows it serves)
+        self.tables = [upright]
+        self.reads = [(upright.ravel(), ys * upright.shape[1] + xs, None)]
         if tilted is not None:
             planes, voff = tilted
+            self.tables += [planes, planes]
             origins = ((xs + ys) >> 1) * planes.shape[2] + ((ys - xs + voff) >> 1)
             parity = (xs + ys) & 1
-            self.tables += [(planes, origins, parity == q) for q in (0, 1)]
+            self.reads += [(planes.ravel(), origins, parity == q) for q in (0, 1)]
 
-    def margins(self, program: _StageProgram, idx: np.ndarray) -> np.ndarray:
-        """Vote margins of one stage at the windows ``idx`` (not empty), in
-        blocks of SCAN_ROWS windows."""
-        return np.concatenate(
-            [self._block_margins(program, idx[lo : lo + SCAN_ROWS]) for lo in range(0, idx.size, SCAN_ROWS)]
-        )
-
-    def _block_margins(self, program: _StageProgram, rows: np.ndarray) -> np.ndarray:
-        responses = np.zeros((rows.size, len(program.alpha)))
-        for corners, coef in program.gathers:
-            table, origins, mask = self.tables[corners.table]
-            sel = slice(None) if mask is None else mask[rows]
-            responses[sel] += table.ravel()[origins[rows[sel]][:, None] + corners.offsets(table)] @ coef
+    def stage_margins(self, k: int, live: np.ndarray) -> np.ndarray:
+        """Vote margins of stage ``k`` at the windows ``live`` (sorted, not
+        empty). Each level's slice of ``live`` is gathered and multiplied by
+        its size's weights, in blocks of SCAN_ROWS windows; the thresholds
+        do not depend on the size, so the stump tests and votes run once."""
+        first = self.programs[0][k]
+        responses = np.zeros((live.size, len(first.alpha)))
+        bounds = np.searchsorted(live, self.cuts).tolist()
+        for programs, lo, hi in zip(self.programs, bounds[:-1], bounds[1:]):
+            program = programs[k]
+            offsets = program.offsets.get(self.tables[0].shape)
+            if offsets is None:
+                offsets = [corners.offsets(self.tables[corners.table]) for corners, _ in program.gathers]
+                program.offsets[self.tables[0].shape] = offsets
+            for b in range(lo, hi, SCAN_ROWS):
+                rows = live[b : min(b + SCAN_ROWS, hi)]
+                block = responses[b : b + rows.size]
+                for (corners, coef), offs in zip(program.gathers, offsets):
+                    flat, origins, mask = self.reads[corners.table]
+                    sel = slice(None) if mask is None else mask[rows]
+                    block[sel] += flat[origins[rows[sel]][:, None] + offs] @ coef
         if self.sigma is not None:
-            responses /= self.sigma[rows, None]
-        hits = responses < program.signed_threshold
-        votes = np.zeros(rows.size)
-        for alpha, hit in zip(program.alpha, hits.T):
+            responses /= self.sigma[live, None]
+        hits = responses < first.signed_threshold
+        votes = np.zeros(live.size)
+        for alpha, hit in zip(first.alpha, hits.T):
             votes += alpha * hit
-        return votes - program.threshold
+        return votes - first.threshold
 
 
 def _check_exact(programs: list[_StageProgram], pixel_sum: int) -> None:
@@ -219,7 +241,8 @@ def detect_multiscale_counted(
     upright = iset.upright.grid.astype(np.float64)
     tilted_tables = None if iset.tilted is None else (iset.tilted.planes.astype(np.float64), iset.tilted.voff)
     stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
-    detections: list[Detection] = []
+    # the gated windows of every level, in level order
+    sizes, programs, xs, ys, sigmas = [], [], [], [], []
     level = 0
     size = base
     while size <= min(w, h):
@@ -234,43 +257,50 @@ def detect_multiscale_counted(
             keep = np.flatnonzero(frac >= min_skin_fraction)
         stats.evaluated_windows += keep.size
         if keep.size:
-            xs = xs0[keep % xs0.size]
-            ys = ys0[keep // xs0.size]
-            sigma = _window_sigma(iset, size, step_k).ravel()[keep] if variance_norm else None
-            windows = _Level(upright, tilted_tables, xs, ys, sigma)
-            programs = _programs(cascade, size)
-            _check_exact(programs, pixel_sum)
-            margins = np.zeros(keep.size)
-            idx = np.arange(keep.size)
-            for k, program in enumerate(programs):
-                stats.stage_windows[k] += idx.size
-                if idx.size == 0:
-                    break
-                margin = windows.margins(program, idx)
-                margins[idx] = margin
-                idx = idx[margin >= 0]
-            stats.stage_windows[-1] += idx.size
-            stats.accepted_windows += idx.size
-            detections.extend(
-                Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]), size / base)
-                for i in idx
-            )
+            programs.append(_programs(cascade, size))
+            _check_exact(programs[-1], pixel_sum)
+            sizes.append(size)
+            xs.append(xs0[keep % xs0.size])
+            ys.append(ys0[keep // xs0.size])
+            if variance_norm:
+                sigmas.append(_window_sigma(iset, size, step_k).ravel()[keep])
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
+    if not sizes:
+        return [], stats
+    counts = [x.size for x in xs]
+    xs, ys = np.concatenate(xs), np.concatenate(ys)
+    windows = _Windows(upright, tilted_tables, programs, xs, ys, counts, np.concatenate(sigmas) if variance_norm else None)
+    margins = np.zeros(xs.size)
+    live = np.arange(xs.size)
+    for k in range(len(cascade.stages)):
+        stats.stage_windows[k] = live.size
+        if live.size == 0:
+            break
+        margin = windows.stage_margins(k, live)
+        margins[live] = margin
+        live = live[margin >= 0]
+    stats.stage_windows[-1] = stats.accepted_windows = live.size
+    sides = np.repeat(sizes, counts)[live].tolist()
+    detections = [
+        Detection(x, y, side, side, margin, side / base)
+        for x, y, side, margin in zip(xs[live].tolist(), ys[live].tolist(), sides, margins[live].tolist())
+    ]
     return detections, stats
 
 
-def _overlapping_pairs(detections: list[Detection], overlap: float):
-    """Yield every pair i < j with ``iou >= overlap``, in row-major order.
+def _overlapping_pairs(boxes: np.ndarray, overlap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of (x, y, w, h) rows with ``iou >= overlap``, as two
+    index arrays in row-major pair order.
 
     Same arithmetic as :func:`iou`: integer intersection and union, one
     float64 division, 0.0 where the union is not positive.
     """
-    boxes = np.array([(d.x, d.y, d.w, d.h) for d in detections], dtype=np.int64)
     x0, y0 = boxes[:, 0], boxes[:, 1]
     x1, y1 = x0 + boxes[:, 2], y0 + boxes[:, 3]
     area = boxes[:, 2] * boxes[:, 3]
     n = boxes.shape[0]
+    firsts, seconds = [], []
     for lo in range(0, n, MERGE_ROWS):
         rows = slice(lo, lo + MERGE_ROWS)
         cols = slice(lo, n)  # pairs j < lo were taken by earlier blocks
@@ -282,7 +312,28 @@ def _overlapping_pairs(detections: list[Detection], overlap: float):
         np.divide(inter, union, out=ratio, where=union > 0)
         # block-local (r, c) is the pair (lo + r, lo + c): keep c > r only
         r, c = np.nonzero(np.triu(ratio >= overlap, 1))
-        yield from zip((r + lo).tolist(), (c + lo).tolist())
+        firsts.append(r + lo)
+        seconds.append(c + lo)
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+def _components(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component, in the graph of n nodes
+    and edges (first[e], second[e]).
+
+    A label is always a node of the same component and never above its
+    own: edges lower both ends to their minimum and pointer jumping
+    shortens chains, until every edge joins equal labels and every label
+    labels itself, which only the component minimum then can.
+    """
+    label = np.arange(n)
+    while True:
+        np.minimum.at(label, first, label[second])
+        np.minimum.at(label, second, label[first])
+        jumped = label[label]
+        if np.array_equal(jumped, label) and np.array_equal(label[first], label[second]):
+            return label
+        label = jumped
 
 
 def merge_detections(
@@ -290,45 +341,34 @@ def merge_detections(
 ) -> list[Detection]:
     """Group boxes whose pairwise IoU reaches ``overlap`` (graph components),
     drop groups smaller than ``min_neighbors``, and emit one averaged box per
-    surviving group carrying the best member score."""
+    surviving group carrying the best member score (the first on ties, as
+    ``max`` picks), groups in the order of their first members.
+
+    Box fields are the members' mean rounded half up, ``floor(sum / count +
+    0.5)``, which is ``np.mean`` to the bit because integer sums are exact;
+    the scale is ``np.mean`` of the members' scales in index order.
+    """
     if not 0.0 < overlap < 1.0:
         raise ValueError("overlap must be in (0, 1)")
     n = len(detections)
     if n == 0:
         return []
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in _overlapping_pairs(detections, overlap):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[Detection]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(detections[i])
-    merged: list[Detection] = []
-    for root in sorted(groups):
-        members = groups[root]
-        if len(members) < min_neighbors:
-            continue
-        mx = int(np.floor(np.mean([d.x for d in members]) + 0.5))
-        my = int(np.floor(np.mean([d.y for d in members]) + 0.5))
-        mw = int(np.floor(np.mean([d.w for d in members]) + 0.5))
-        mh = int(np.floor(np.mean([d.h for d in members]) + 0.5))
-        merged.append(
-            Detection(
-                mx,
-                my,
-                mw,
-                mh,
-                max(d.score for d in members),
-                float(np.mean([d.scale for d in members])),
-            )
+    boxes = np.array([(d.x, d.y, d.w, d.h) for d in detections], dtype=np.int64)
+    label = _components(n, *_overlapping_pairs(boxes, overlap))
+    # members sorted by group, in index order within each; the groups are
+    # the labels that label themselves, in ascending order
+    members = np.argsort(label, kind="stable")
+    roots = np.flatnonzero(label == np.arange(n))
+    sizes = np.bincount(label)[roots]
+    starts = np.cumsum(sizes) - sizes
+    sums = np.add.reduceat(boxes[members], starts)
+    best = np.maximum.reduceat(np.array([d.score for d in detections])[members], starts)
+    scales = np.array([d.scale for d in detections])
+    kept = np.flatnonzero(sizes >= min_neighbors)
+    means = np.floor(sums[kept] / sizes[kept, None] + 0.5).astype(np.int64)
+    return [
+        Detection(x, y, w, h, score, float(np.mean(scales[members[lo : lo + size]])))
+        for (x, y, w, h), score, lo, size in zip(
+            means.tolist(), best[kept].tolist(), starts[kept].tolist(), sizes[kept].tolist()
         )
-    return merged
+    ]

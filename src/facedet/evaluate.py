@@ -58,9 +58,11 @@ def _strip_comment(line: str) -> str:
 
 
 def load_mask_manifest(path: str) -> dict[str, str]:
-    """Image-path -> mask-path mapping (paths resolved to the manifest dir)."""
+    """Image-path -> mask-path mapping (paths resolved to the manifest dir).
+    An image named twice is an error that names both lines."""
     base = os.path.dirname(os.path.abspath(path))
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = _strip_comment(raw)
@@ -69,6 +71,11 @@ def load_mask_manifest(path: str) -> dict[str, str]:
             tokens = text.split()
             if len(tokens) != 2:
                 raise ManifestError(f"{path}:{lineno}: expected '<image> <mask>'")
+            if tokens[0] in first_line:
+                raise ManifestError(
+                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {first_line[tokens[0]]}"
+                )
+            first_line[tokens[0]] = lineno
             mapping[tokens[0]] = os.path.join(base, tokens[1])
     return mapping
 

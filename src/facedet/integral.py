@@ -17,6 +17,7 @@ then again four table lookups. Accumulators are int64 throughout: squared
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,12 @@ def _upright_grid(img: np.ndarray, squared: bool) -> np.ndarray:
     return grid
 
 
-def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(even, odd, voff) tilted tables of an (H, W) image, or of a stack of
-    them (..., H, W) with one scatter for the whole stack."""
-    h, w = img.shape[-2:]
+@functools.lru_cache(maxsize=16)
+def _tilted_scatter(h: int, w: int) -> tuple[np.ndarray, tuple[int, int, int], tuple[int, int], int]:
+    """Where the pixels of an (h, w) image go in the tilted planes: the flat
+    index of each pixel (row-major) in the (2, U, V) buffer, that shape, the
+    odd table's (rows, cols) and voff. Cached per shape; the index is
+    read-only because every caller of the shape shares it."""
     voff = (w - 1) + ((w - 1) & 1)
     umax = (w - 1) + (h - 1)
     vmax = (h - 1) + voff
@@ -74,18 +77,27 @@ def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     xs = np.arange(w)
     u = xs + ys
     v = ys - xs + voff  # voff is even, so v has the parity of u
-    parity = u & 1
-    u >>= 1  # (u, v) is now the pixel's cell in its parity's table,
-    v >>= 1  # not counting the table's zero first row and column
-    # one scatter for both parities: parity p's table is the leading
-    # ((umax - p) // 2 + 2) x ((vmax - p) // 2 + 2) block of plane p, and a
-    # prefix sum inside that block reads nothing outside it; both tables
-    # returned are views of g (their ``base``)
-    g = np.zeros(img.shape[:-2] + (2, umax // 2 + 2, vmax // 2 + 2), dtype=np.int64)
-    g[..., 1:, 1:][..., parity, u, v] = img
+    # parity p's table is the leading ((umax - p) // 2 + 2) x
+    # ((vmax - p) // 2 + 2) block of plane p, and a prefix sum inside that
+    # block reads nothing outside it; (u >> 1, v >> 1) is the pixel's cell
+    # in its parity's table, not counting the zero first row and column
+    shape = (2, umax // 2 + 2, vmax // 2 + 2)
+    index = (((u & 1) * shape[1] + (u >> 1) + 1) * shape[2] + (v >> 1) + 1).ravel()
+    index.flags.writeable = False
+    return index, shape, ((umax + 1) // 2 + 1, (vmax + 1) // 2 + 1), voff
+
+
+def _tilted_grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(even, odd, voff) tilted tables of an (H, W) image, or of a stack of
+    them (..., H, W) with one scatter for the whole stack; both tables
+    returned are views of one (..., 2, U, V) buffer (their ``base``)."""
+    index, shape, (odd_rows, odd_cols), voff = _tilted_scatter(*img.shape[-2:])
+    lead = img.shape[:-2]
+    g = np.zeros(lead + shape, dtype=np.int64)
+    g.reshape(lead + (-1,))[..., index] = img.reshape(lead + (-1,))
     np.cumsum(g, axis=-2, out=g)
     np.cumsum(g, axis=-1, out=g)
-    return g[..., 0, :, :], g[..., 1, : (umax + 1) // 2 + 1, : (vmax + 1) // 2 + 1], voff
+    return g[..., 0, :, :], g[..., 1, :odd_rows, :odd_cols], voff
 
 
 def integral_image(img: np.ndarray, variant: str = UPRIGHT, with_squares: bool = False) -> IntegralImage:

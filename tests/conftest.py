@@ -1,8 +1,10 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from facedet import boost
 from facedet.boost import train_cascade
 from facedet.detect import iou
 from facedet.lbp import validation_feature
@@ -18,18 +20,19 @@ def experiment():
     started = time.monotonic()
     corpus = build_corpus(seed=7, n_train=300, n_test=100)
     config = experiment_config(seed=7)
-    cascade = train_cascade(
-        corpus.pos_tiles,
-        corpus.neg_tiles,
-        n_stages=config.stages,
-        target_dr=config.target_dr,
-        max_fpr=config.max_fpr,
-        max_stumps=config.max_stumps,
-        base_window=config.base_window,
-        pool=corpus.pool,
-        feature_subsample=config.feature_subsample,
-        seed=config.seed,
-    )
+    with mock.patch.object(boost, "compile_features", wraps=boost.compile_features) as compiled:
+        cascade = train_cascade(
+            corpus.pos_tiles,
+            corpus.neg_tiles,
+            n_stages=config.stages,
+            target_dr=config.target_dr,
+            max_fpr=config.max_fpr,
+            max_stumps=config.max_stumps,
+            base_window=config.base_window,
+            pool=corpus.pool,
+            feature_subsample=config.feature_subsample,
+            seed=config.seed,
+        )
 
     # validator data bootstrapped from the training split: positives are
     # ground-truth crops plus the detector's own matched boxes, negatives
@@ -68,5 +71,6 @@ def experiment():
         "threshold": threshold,
         "n_fp_crops": len(fp_crops),
         "test_results": test_results,
+        "feature_compiles": compiled.call_count,
         "elapsed": time.monotonic() - started,
     }

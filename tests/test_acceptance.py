@@ -325,6 +325,12 @@ def test_fixture_cascade_is_the_benchmark_reference(experiment, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == reference["cascade_sha256"]
 
 
+def test_training_compiles_its_feature_set_once(experiment):
+    # five stages and the positives read one compiled program
+    assert len(experiment["cascade"].stages) == 5
+    assert experiment["feature_compiles"] == 1
+
+
 def test_criterion_10_roc_monotonicity(experiment):
     with criterion(10, "ROC sweep has non-increasing TPR and FP/image in threshold"):
         config = experiment["config"]

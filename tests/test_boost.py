@@ -300,6 +300,28 @@ class TestTrainCascade:
         k = len(cascade.stages)
         assert accepted / len(neg) <= max_fpr**k + 1e-9
 
+    def test_compiles_the_feature_set_once(self):
+        rng = np.random.default_rng(11)
+        pos = make_tiles(rng, 30, bright=True)
+        neg = make_tiles(rng, 60, bright=False)
+        pool = [rng.integers(0, 200, size=(30, 36)).astype(np.uint8) for _ in range(4)]
+        args = dict(n_stages=3, base_window=12, pool=pool, feature_subsample=200, max_stumps=3, seed=2)
+        with mock.patch.object(boost, "compile_features", wraps=boost.compile_features) as compile_spy, \
+                mock.patch.object(boost, "feature_value_matrix", wraps=boost.feature_value_matrix) as matrix_spy:
+            cascade = train_cascade(pos, neg, **args)
+        assert len(cascade.stages) == 3 and matrix_spy.call_count == 4
+        assert compile_spy.call_count == 1
+        # compiling on every call instead trains the same cascade
+        original = boost.feature_value_matrix
+        with mock.patch.object(boost, "feature_value_matrix", lambda f, s, program: original(f, s)):
+            assert train_cascade(pos, neg, **args) == cascade
+
+    def test_program_of_another_size_is_refused(self):
+        features = enumerate_kind("edge2h", 12)[:5]
+        samples = [np.zeros((12, 12), dtype=np.uint8)]
+        with pytest.raises(ValueError, match="features compiled for 10 px samples, given 12 px ones"):
+            feature_value_matrix(features, samples, program=boost._compile_matrix(features, 10))
+
     def test_rejects_empty_training_sets(self):
         with pytest.raises(ValueError):
             train_cascade([], [], base_window=12)

@@ -177,6 +177,21 @@ class TestSegmentCommand:
         err = capsys.readouterr().err
         assert err == f"facedet: error: {cfg}:{message.split(':', 1)[1]}\n"
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("1,x,1", "--block-weights: expected comma-separated numbers, got '1,x,1'"),
+            ("1,,1", "--block-weights: expected comma-separated numbers, got '1,,1'"),
+            ("nan", "block_weights must be finite, got (nan,)"),
+        ],
+        ids=["not-a-number", "empty-item", "nan"],
+    )
+    def test_bad_block_weights_flag_exits_2_with_one_line(self, tmp_path, capsys, weights, message):
+        code = main(["segment", "--block-weights", weights, "--in", str(tmp_path / "x.ppm"),
+                     "--out", str(tmp_path / "m.pgm")])
+        assert code == 2
+        assert capsys.readouterr().err == f"facedet: error: {message}\n"
+
     def test_gray_input_rejected(self, tmp_path, capsys):
         img = tmp_path / "g.pgm"
         write_pgm(img, np.zeros((30, 30), dtype=np.uint8))
@@ -357,6 +372,16 @@ class TestTrainDetectEval:
         main(args + ["--threads", "4"])
         threaded = capsys.readouterr().out
         assert single == threaded
+
+    def test_eval_duplicate_mask_manifest_key_exits_2_with_one_line(self, workspace, capsys):
+        masks = workspace["root"] / "masks_dup.txt"
+        masks.write_text("scene.pgm a.pgm\n# again\nscene.pgm b.pgm\n")
+        code = main(["eval", "--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                     "--mask-manifest", str(masks)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"facedet: error: {masks}:3: image 'scene.pgm' already has a mask on line 1\n"
+        )
 
     def test_roc_subcommand(self, workspace):
         out = workspace["root"] / "roc2.csv"

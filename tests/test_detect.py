@@ -135,6 +135,29 @@ def cascades(draw, variance_norm=True):
     return Cascade(base, stages, [(float("nan"), float("nan"))] * len(stages))
 
 
+def edge_skin(h, w):
+    """Skin on the last row and column only, and a gate that any skin pixel
+    passes: a level evaluates just the windows that reach the image's
+    bottom or right edge, so a level whose lattice stops short of both is
+    empty, often between levels that are not."""
+    skin = np.zeros((h, w), dtype=np.uint8)
+    skin[-1, :] = skin[:, -1] = 1
+    return skin, 1e-4
+
+
+def stage_margin_calls(cascade, *args, **kwargs):
+    """detect_multiscale_counted, and the stage of every stage evaluation."""
+    original = detect._Windows.stage_margins
+    calls = []
+
+    def spy(self, k, live):
+        calls.append(k)
+        return original(self, k, live)
+
+    with mock.patch.object(detect._Windows, "stage_margins", spy):
+        return detect_multiscale_counted(cascade, *args, **kwargs), calls
+
+
 @pytest.fixture(scope="module")
 def toy_cascade():
     rng = np.random.default_rng(21)
@@ -246,13 +269,50 @@ class TestCompiledScan:
         img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
         skin = None
         min_skin = 0.25
-        if data.draw(st.booleans(), label="gated"):
+        gate = data.draw(st.sampled_from([None, "random", "edges"]), label="gate")
+        if gate == "random":
             skin = (rng.random((h, w)) < rng.random()).astype(np.uint8)
             min_skin = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="min skin")
+        elif gate == "edges":
+            skin, min_skin = edge_skin(h, w)
         args = (skin, scale_factor, step, min_skin, variance_norm)
         with mock.patch.object(detect, "SCAN_ROWS", block):
             got = detect_multiscale_counted(cascade, img, *args)
         assert got == scan_oracle(cascade, img, *args)
+
+    @pytest.mark.parametrize("block", [1, 3, SCAN_ROWS])
+    def test_tilted_cascade_over_gated_levels_with_gaps(self, block):
+        # base 10, step 3, scale 1.1 on 31 x 31: the size-k windows reach the
+        # last row and column iff (31 - k) % step_k == 0
+        h = w = 31
+        pattern, level, size = "", 0, 10
+        while size <= w:
+            pattern += "1" if (w - size) % max(1, round(3 * size / 10)) == 0 else "0"
+            level += 1
+            size = max(size + 1, round(10 * 1.1**level))
+        assert pattern == "1000110101001"
+        features = [bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3]]
+        stages = [
+            Stage([(WeakClassifier(f, t, p), a) for f, t, p, a in zip(features, thresholds, (1, -1, 1), (0.5, 1.0, 0.7))], share)
+            for thresholds, share in (((0.0, 0.0, 0.0), 0.5), ((0.5, -0.5, 1.0), 0.9), ((-0.5, 0.0, 0.5), 1.0))
+        ]
+        cascade = Cascade(10, stages, [(1.0, 0.5)] * 3)
+        img = np.random.default_rng(37).integers(0, 256, size=(h, w)).astype(np.uint8)
+        skin, min_skin = edge_skin(h, w)
+        with mock.patch.object(detect, "SCAN_ROWS", block):
+            got, calls = stage_margin_calls(cascade, img, skin, 1.1, 3, min_skin)
+        want = scan_oracle(cascade, img, skin, 1.1, 3, min_skin)
+        assert got == want
+        assert want[1].evaluated_windows > 0 and want[1].stage_windows[2] > want[1].accepted_windows > 0
+        assert calls == [0, 1, 2]
+
+    def test_each_stage_is_evaluated_once_per_scan(self, toy_cascade):
+        img, _ = toy_scene(np.random.default_rng(38), spots=4)
+        (dets, stats), calls = stage_margin_calls(toy_cascade, img, step=1)
+        assert dets and stats.accepted_windows == len(dets)
+        # 8 non-empty levels, 3 stages: one evaluation per stage reached
+        assert len({d.w for d in dets}) > 1
+        assert calls == list(range(len(toy_cascade.stages)))
 
     def test_one_cascade_over_images_of_different_widths(self, toy_cascade):
         cascade = Cascade(toy_cascade.base_window, toy_cascade.stages, toy_cascade.metadata)
@@ -501,6 +561,35 @@ class TestMergeDetections:
         dets = random_detections(np.random.default_rng(n), n)
         for min_neighbors in (1, 3):
             assert merge_detections(dets, min_neighbors) == merge_oracle(dets, min_neighbors)
+
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_long_chains_in_scrambled_order(self, n):
+        # box p overlaps only boxes p - 1 and p + 1, and the chain's boxes
+        # come in random order: labels need many propagation rounds
+        rng = np.random.default_rng(n)
+        dets = [Detection(4 * int(p), 3, 10, 10, float(rng.normal()), 1.0) for p in rng.permutation(n)]
+        dets += [Detection(4 * n + 20, 3, 10, 10, 0.0, 1.0)]  # a group of its own
+        for min_neighbors in (1, 2, n):
+            got = merge_detections(dets, min_neighbors, overlap=0.3)
+            assert got == merge_oracle(dets, min_neighbors, overlap=0.3)
+        assert len(merge_detections(dets, 1, overlap=0.3)) == 2
+
+    def test_large_groups_keep_the_pairwise_scale_mean(self):
+        # 11 scales whose numpy mean (pairwise sum) differs from a
+        # left-to-right sum divided by 11
+        scales = np.random.default_rng(7).uniform(0.5, 3.0, size=11).tolist()
+        assert sum(scales) / 11 != np.mean(scales)
+        rng = np.random.default_rng(41)
+        dets = []
+        for x0 in (0, 100):  # two groups of 11, interleaved in index order
+            dets += [
+                Detection(x0 + int(dx), int(dy), 20 + int(dw), 20, float(rng.normal()), s)
+                for (dx, dy, dw), s in zip(rng.integers(0, 4, size=(11, 3)), scales)
+            ]
+        dets = [dets[i] for i in np.argsort(np.arange(22) % 11, kind="stable")]
+        got = merge_detections(dets, min_neighbors=9, overlap=0.3)
+        assert got == merge_oracle(dets, min_neighbors=9, overlap=0.3)
+        assert [d.scale for d in got] == [float(np.mean(scales))] * 2
 
     def test_iou_equal_to_overlap_joins(self):
         a = Detection(0, 0, 10, 10, 1.0, 1.0)

@@ -75,6 +75,16 @@ class TestManifest:
         assert "a.pgm" in load_mask_manifest(masks)
 
 
+    def test_mask_manifest_rejects_a_repeated_image(self, tmp_path):
+        masks = tmp_path / "masks.txt"
+        masks.write_text("a.pgm a_mask.pgm\nb.pgm b_mask.pgm\n\na.pgm other.pgm\n")
+        with pytest.raises(ManifestError) as err:
+            load_mask_manifest(masks)
+        assert str(err.value) == f"{masks}:4: image 'a.pgm' already has a mask on line 1"
+        with pytest.raises(ManifestError):
+            load_manifest(tmp_path / "unread.txt", masks)
+
+
 class TestMatchDetections:
     def test_identical_box_is_a_hit(self):
         assert match_detections([det(10, 10, 20, 20)], [(10, 10, 20, 20)]) == (1, 0, 0)

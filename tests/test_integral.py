@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from facedet.integral import _tilted_grids, integral_image, integral_set
+from facedet.integral import _tilted_grids, _tilted_scatter, integral_image, integral_set
 from oracles import rect_sum
 
 small_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))
@@ -169,6 +169,21 @@ class TestTilted:
         for got, want in ((even, want_even), (odd, want_odd)):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 12), (240, 320)])
+    def test_cached_scatter_equals_uncached_build(self, shape):
+        cached = _tilted_scatter(*shape)
+        assert _tilted_scatter(*shape) is cached
+        index, *rest = _tilted_scatter.__wrapped__(*shape)
+        assert cached[1:] == tuple(rest)
+        assert np.array_equal(cached[0], index) and not cached[0].flags.writeable
+        stack = np.random.default_rng(shape[0] + shape[1]).integers(0, 256, size=(3, *shape), dtype=np.uint8)
+        for _ in range(2):  # a fresh and a cached scatter index
+            even, odd, voff = _tilted_grids(stack)
+            for i, img in enumerate(stack):
+                want_even, want_odd, want_voff = tilted_grids_oracle(img)
+                assert voff == want_voff
+                assert np.array_equal(even[i], want_even) and np.array_equal(odd[i], want_odd)
 
     @given(small_images)
     @settings(max_examples=60, deadline=None)
