@@ -16,13 +16,26 @@ whose sort order is computed once per stage. The order is numpy's default
 (SIMD, unstable) argsort, after which every run of equal values is put back
 in sample order, so it equals the stable argsort element for element: the
 order inside a run sets the summation order of the weights, and so the last
-bits of the errors. Each round sweeps the features in blocks of SWEEP_ROWS
-rows, so the per-block temporaries stay in cache; rows never interact, so
-the result equals a sweep over the whole matrix. Candidate thresholds are
-the midpoints between consecutive distinct sorted values plus one sentinel
-below the minimum and one above the maximum; ties are broken towards the
-smaller threshold, then polarity +1, and across features towards the lowest
-feature index, which makes training fully deterministic.
+bits of the errors. Candidate thresholds are the midpoints between
+consecutive distinct sorted values plus one sentinel below the minimum and
+one above the maximum; ties are broken towards the smaller threshold, then
+polarity +1, and across features towards the lowest feature index, which
+makes training fully deterministic.
+
+The sort and every round's sweep run as tasks of TASK_ROWS feature rows, on
+a thread pool with one worker per CPU in the process's affinity mask, or one
+after another when that mask holds one CPU. A task writes only its own rows
+of arrays allocated beforehand and reads no other row, so every result is
+bit-identical whatever the worker count and the schedule. Small tasks keep
+each worker's argsort and gather temporaries a few MB. Inside a task the
+sweep goes in blocks of SWEEP_ROWS rows, whose temporaries stay in cache.
+With cp, cn the positive and negative weight below a candidate and tp, tn
+their totals, the errors are computed in place as ``(tp - cp) + cn`` for
+polarity +1 and ``cp - (cn - tn)`` for polarity -1. Both are exact
+rewrites of ``cn + (tp - cp)`` and ``cp + (tn - cn)``: IEEE addition
+commutes, round-to-nearest gives ``fl(cn - tn) == -fl(tn - cn)``, and
+``a - b`` is ``a + (-b)``. The positive weights are the sorted weights times
+0.0 or 1.0, which is exact for finite weights.
 
 Hard-negative mining scans the background pool with the cascade trained so
 far, picks accepted windows round-robin across the images, and crops and
@@ -31,9 +44,12 @@ resizes only the picks. It runs only when another stage follows.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from collections.abc import Sequence
+import os
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +73,10 @@ MIN_EPSILON = 1e-10
 # features per block of the stump sweep: a block's (rows, N + 1) float64
 # temporaries then stay in cache instead of streaming 2,500 x 2,912 matrices
 SWEEP_ROWS = 16
+# features per task of the stump search: a task's argsort and gather
+# temporaries stay a few MB per worker, which the per-thread malloc arenas
+# then keep, and a 2,500-row stage still gives every worker many tasks
+TASK_ROWS = 128
 # samples per block of the feature matrix: a block's tables and corner reads
 # stay a few MB however many samples a stage has
 MATRIX_ROWS = 256
@@ -127,28 +147,68 @@ def _restore_index_order(values: np.ndarray, order: np.ndarray, vs: np.ndarray, 
     vs[r, c] = values[r, order[r, c]]
 
 
-class _StumpSearch:
-    """Sorted-order cache over a value matrix, reusable across rounds."""
+def _allowed_cpus() -> int:
+    """The number of CPUs in this process's affinity mask, or on the machine
+    where the platform has no such mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("expected an (F, N) value matrix")
+
+def _task_pool() -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
+    """A thread pool with one worker per allowed CPU, or None on one CPU."""
+    workers = _allowed_cpus()
+    if workers == 1:
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(workers, thread_name_prefix="facedet-stumps")
+
+
+class _StumpSearch:
+    """Sorted-order cache over an (F, N) float64 value matrix, reusable
+    across rounds. Its tasks of TASK_ROWS rows run on ``pool``, or one after
+    another without one."""
+
+    def __init__(self, values: np.ndarray, labels: np.ndarray, pool: ThreadPoolExecutor | None = None):
         f, n = values.shape
-        self.order = np.argsort(values, axis=1)
-        vs = np.take_along_axis(values, self.order, axis=1)
-        if np.isnan(vs[:, -1:]).any():  # NaN sorts last
-            raise ValueError("feature values must not be NaN")
-        # candidate j = number of samples strictly below the threshold
-        valid = np.ones((f, n + 1), dtype=bool)
-        np.less(vs[:, :-1], vs[:, 1:], out=valid[:, 1:n])
-        _restore_index_order(values, self.order, vs, ~valid[:, 1:n])
-        self.pos_sorted = (labels > 0)[self.order]
-        self.invalid = ~valid
+        self.pool = pool
+        self.order = np.empty((f, n), dtype=np.intp)
+        self.pos_sorted = np.empty((f, n), dtype=bool)
+        # candidate j = number of samples strictly below the threshold; it
+        # is invalid where sorted values j - 1 and j are equal
+        self.invalid = np.zeros((f, n + 1), dtype=bool)
         self.thresholds = np.empty((f, n + 1))
-        self.thresholds[:, 0] = vs[:, 0] - 1.0
-        self.thresholds[:, 1:n] = 0.5 * (vs[:, :-1] + vs[:, 1:])
-        self.thresholds[:, n] = vs[:, -1] + 1.0
+        pos = labels > 0
+        self._run(lambda rows: self._sort_rows(values, pos, rows))
+
+    def _run(self, task: Callable[[slice], None]) -> None:
+        """Call ``task`` on every slice of TASK_ROWS rows; a task's error is
+        raised here, and the tasks not yet started are then cancelled."""
+        tasks = [slice(lo, lo + TASK_ROWS) for lo in range(0, self.order.shape[0], TASK_ROWS)]
+        if self.pool is None:
+            for rows in tasks:
+                task(rows)
+        else:
+            for _ in self.pool.map(task, tasks):
+                pass
+
+    def _sort_rows(self, values: np.ndarray, pos: np.ndarray, rows: slice) -> None:
+        """Sort ``rows`` of ``values`` and fill their rows of the cache."""
+        v = values[rows]
+        n = v.shape[1]
+        order = np.argsort(v, axis=1)
+        vs = np.take_along_axis(v, order, axis=1)
+        if np.isnan(vs[:, -1]).any():  # NaN sorts last
+            raise ValueError("feature values must not be NaN")
+        invalid = self.invalid[rows]
+        np.greater_equal(vs[:, :-1], vs[:, 1:], out=invalid[:, 1:n])  # sorted, no NaN: >= is ==
+        _restore_index_order(v, order, vs, invalid[:, 1:n])
+        self.order[rows] = order
+        self.pos_sorted[rows] = pos[order]
+        thresholds = self.thresholds[rows]
+        thresholds[:, 0] = vs[:, 0] - 1.0
+        np.add(vs[:, :-1], vs[:, 1:], out=thresholds[:, 1:n])
+        thresholds[:, 1:n] *= 0.5
+        thresholds[:, n] = vs[:, -1] + 1.0
 
     def best(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-feature (error, threshold, polarity) of the optimal stump."""
@@ -156,9 +216,13 @@ class _StumpSearch:
         err = np.empty(f)
         thr = np.empty(f)
         pol = np.empty(f, dtype=np.int64)
-        for lo in range(0, f, SWEEP_ROWS):
-            rows = slice(lo, lo + SWEEP_ROWS)
-            err[rows], thr[rows], pol[rows] = self._best_rows(weights, rows)
+
+        def sweep(rows: slice) -> None:
+            for lo in range(rows.start, min(rows.stop, f), SWEEP_ROWS):
+                block = slice(lo, min(lo + SWEEP_ROWS, rows.stop))
+                err[block], thr[block], pol[block] = self._best_rows(weights, block)
+
+        self._run(sweep)
         return err, thr, pol
 
     def _best_rows(self, weights: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,18 +232,20 @@ class _StumpSearch:
         thresholds = self.thresholds[rows]
         f, n = order.shape
         ws = weights[order]
-        wpos = np.where(self.pos_sorted[rows], ws, 0.0)
-        wneg = ws - wpos
+        wpos = ws * self.pos_sorted[rows]
+        ws -= wpos  # the negatives' weights
         cp = np.zeros((f, n + 1))
         cn = np.zeros((f, n + 1))
         np.cumsum(wpos, axis=1, out=cp[:, 1:])
-        np.cumsum(wneg, axis=1, out=cn[:, 1:])
-        tp = cp[:, -1:]
-        tn = cn[:, -1:]
-        err_pos = cn + (tp - cp)  # polarity +1: face iff value < threshold
-        err_neg = cp + (tn - cn)  # polarity -1: face iff value > threshold
-        err_pos[invalid] = np.inf
-        err_neg[invalid] = np.inf
+        np.cumsum(ws, axis=1, out=cn[:, 1:])
+        # polarity +1 (face iff value < threshold), then -1 in cp's place
+        err_pos = np.subtract(cp[:, -1:], cp)
+        err_pos += cn
+        cn -= cn[:, -1:].copy()
+        err_neg = cp
+        err_neg -= cn
+        np.copyto(err_pos, np.inf, where=invalid)
+        np.copyto(err_neg, np.inf, where=invalid)
         idx = np.arange(f)
         j_pos = np.argmin(err_pos, axis=1)  # first minimum = smallest threshold
         j_neg = np.argmin(err_neg, axis=1)
@@ -214,6 +280,10 @@ def train_stage(
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError(f"expected an (F, N) value matrix with at least one feature row, got shape {values.shape}")
+    if labels.shape != values.shape[1:]:
+        raise ValueError(f"expected a 1-D label vector of {values.shape[1]} samples, got shape {labels.shape}")
     if not 0.0 < target_dr <= 1.0:
         raise ValueError("target_dr must be in (0, 1]")
     pos = labels > 0
@@ -223,50 +293,51 @@ def train_stage(
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need non-empty positive and negative sets")
     weights = np.where(pos, 0.5 / n_pos, 0.5 / n_neg)
-    search = _StumpSearch(values, labels)
-    stumps: list[tuple[WeakClassifier, float]] = []
-    scores = np.zeros(labels.shape[0])
-    stage_threshold = 0.0
-    dr = fpr = 0.0
-    k_fail = max(1, math.ceil((1.0 - target_dr) * n_pos))
-    for rnd in range(max_stumps):
-        err_f, thr_f, pol_f = search.best(weights)
-        f_idx = int(np.argmin(err_f))
-        err = float(err_f[f_idx])
-        thr = float(thr_f[f_idx])
-        pol = int(pol_f[f_idx])
-        if err >= 0.5:
-            if rnd == 0:
-                raise ValueError("no stump beats chance on the first round")
-            break
-        eps = max(err, MIN_EPSILON)
-        alpha = 0.5 * math.log((1.0 - eps) / eps)
-        feature = features[f_idx] if features is not None else f_idx
-        stumps.append((WeakClassifier(feature, thr, pol), alpha))
-        pred = np.where(pol * values[f_idx] < pol * thr, 1, -1)
-        scores = scores + alpha * (pred > 0)
-        total_alpha = sum(a for _, a in stumps)
-        pos_sorted = np.sort(scores[pos])
-        stage_threshold = min(total_alpha / 2.0, float(pos_sorted[k_fail - 1]))
-        dr = float(np.mean(scores[pos] >= stage_threshold))
-        fpr = float(np.mean(scores[neg] >= stage_threshold))
-        mis = pred != labels
-        if np.any(mis):
-            weights = weights * np.exp(np.where(mis, alpha, -alpha))
-            weights = weights / weights.sum()
-        if round_log is not None:
-            round_log.append(
-                {
-                    "error": err,
-                    "alpha": alpha,
-                    "weight_sum": float(weights.sum()),
-                    "post_error": float(weights[mis].sum()),
-                    "detection_rate": dr,
-                    "false_positive_rate": fpr,
-                }
-            )
-        if fpr <= max_fpr:
-            break
+    with _task_pool() as pool:
+        search = _StumpSearch(values, labels, pool)
+        stumps: list[tuple[WeakClassifier, float]] = []
+        scores = np.zeros(labels.shape[0])
+        stage_threshold = 0.0
+        dr = fpr = 0.0
+        k_fail = max(1, math.ceil((1.0 - target_dr) * n_pos))
+        for rnd in range(max_stumps):
+            err_f, thr_f, pol_f = search.best(weights)
+            f_idx = int(np.argmin(err_f))
+            err = float(err_f[f_idx])
+            thr = float(thr_f[f_idx])
+            pol = int(pol_f[f_idx])
+            if err >= 0.5:
+                if rnd == 0:
+                    raise ValueError("no stump beats chance on the first round")
+                break
+            eps = max(err, MIN_EPSILON)
+            alpha = 0.5 * math.log((1.0 - eps) / eps)
+            feature = features[f_idx] if features is not None else f_idx
+            stumps.append((WeakClassifier(feature, thr, pol), alpha))
+            pred = np.where(pol * values[f_idx] < pol * thr, 1, -1)
+            scores = scores + alpha * (pred > 0)
+            total_alpha = sum(a for _, a in stumps)
+            pos_sorted = np.sort(scores[pos])
+            stage_threshold = min(total_alpha / 2.0, float(pos_sorted[k_fail - 1]))
+            dr = float(np.mean(scores[pos] >= stage_threshold))
+            fpr = float(np.mean(scores[neg] >= stage_threshold))
+            mis = pred != labels
+            if np.any(mis):
+                weights = weights * np.exp(np.where(mis, alpha, -alpha))
+                weights = weights / weights.sum()
+            if round_log is not None:
+                round_log.append(
+                    {
+                        "error": err,
+                        "alpha": alpha,
+                        "weight_sum": float(weights.sum()),
+                        "post_error": float(weights[mis].sum()),
+                        "detection_rate": dr,
+                        "false_positive_rate": fpr,
+                    }
+                )
+            if fpr <= max_fpr:
+                break
     return StageResult(Stage(stumps, float(stage_threshold)), dr, fpr, scores)
 
 

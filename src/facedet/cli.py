@@ -47,7 +47,7 @@ def _common_flags() -> argparse.ArgumentParser:
     grp = common.add_argument_group("pipeline configuration")
     grp.add_argument("--config", help="key = value config file")
     grp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    grp.add_argument("--threads", type=int, default=1, help="worker threads for eval (default 1)")
+    grp.add_argument("--threads", type=int, default=1, help="worker threads for eval, at least 1 (default 1)")
     grp.add_argument("--downscale", type=int, help="keep every n-th row/column (default 1)")
     grp.add_argument("--median-radius", type=int, dest="median_radius", help="median filter radius, 0 = off (default 0)")
     grp.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=None, help="histogram equalization (default off)")
@@ -196,6 +196,8 @@ def _write_roc(path: str, curve) -> None:
 
 
 def _cmd_eval(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _build_config(args)
     cascade = load_cascade(args.cascade)
     svm = load_svm(args.svm) if args.svm else None

@@ -5,12 +5,15 @@ The package evaluates Haar features only through compiled programs
 training feature matrix. It builds the LBP descriptor only in batches, over
 an image and its boxes (:func:`facedet.lbp.descriptors`). The functions
 here do the same arithmetic one window, one crop, one feature or one
-rectangle at a time, as the package first did.
+rectangle at a time, as the package first did. The package's stump search
+sorts and sweeps in tasks of a few feature rows on a thread pool;
+:class:`WholeMatrixStumpSearch` does both over the whole matrix in one
+thread.
 """
 
 import numpy as np
 
-from facedet.boost import Cascade, Stage, _StumpSearch
+from facedet.boost import Cascade, Stage, _restore_index_order, _StumpSearch
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
 from facedet.images import _round_u8
 from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
@@ -166,6 +169,54 @@ def train_stump(
     search = _StumpSearch(values[None, :], labels)
     err, thr, pol = search.best(weights)
     return float(thr[0]), int(pol[0]), float(err[0])
+
+
+class WholeMatrixStumpSearch:
+    """The stump search as first vectorised: the sort and the sweep each
+    over the whole (F, N) matrix at once, in one thread, with the errors
+    ``cn + (tp - cp)`` and ``cp + (tn - cn)`` as written, not rearranged."""
+
+    def __init__(self, values: np.ndarray, labels: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        f, n = values.shape
+        self.order = np.argsort(values, axis=1)
+        vs = np.take_along_axis(values, self.order, axis=1)
+        if np.isnan(vs[:, -1:]).any():  # NaN sorts last
+            raise ValueError("feature values must not be NaN")
+        valid = np.ones((f, n + 1), dtype=bool)
+        np.less(vs[:, :-1], vs[:, 1:], out=valid[:, 1:n])
+        _restore_index_order(values, self.order, vs, ~valid[:, 1:n])
+        self.pos_sorted = (labels > 0)[self.order]
+        self.invalid = ~valid
+        self.thresholds = np.empty((f, n + 1))
+        self.thresholds[:, 0] = vs[:, 0] - 1.0
+        self.thresholds[:, 1:n] = 0.5 * (vs[:, :-1] + vs[:, 1:])
+        self.thresholds[:, n] = vs[:, -1] + 1.0
+
+    def best(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f, n = self.order.shape
+        ws = weights[self.order]
+        wpos = np.where(self.pos_sorted, ws, 0.0)
+        wneg = ws - wpos
+        cp = np.zeros((f, n + 1))
+        cn = np.zeros((f, n + 1))
+        np.cumsum(wpos, axis=1, out=cp[:, 1:])
+        np.cumsum(wneg, axis=1, out=cn[:, 1:])
+        tp = cp[:, -1:]
+        tn = cn[:, -1:]
+        err_pos = cn + (tp - cp)  # polarity +1: face iff value < threshold
+        err_neg = cp + (tn - cn)  # polarity -1: face iff value > threshold
+        err_pos[self.invalid] = np.inf
+        err_neg[self.invalid] = np.inf
+        idx = np.arange(f)
+        j_pos = np.argmin(err_pos, axis=1)  # first minimum = smallest threshold
+        j_neg = np.argmin(err_neg, axis=1)
+        e_pos = err_pos[idx, j_pos]
+        e_neg = err_neg[idx, j_neg]
+        t_pos = self.thresholds[idx, j_pos]
+        t_neg = self.thresholds[idx, j_neg]
+        use_neg = (e_neg < e_pos) | ((e_neg == e_pos) & (t_neg < t_pos))
+        return np.where(use_neg, e_neg, e_pos), np.where(use_neg, t_neg, t_pos), np.where(use_neg, -1, 1)
 
 
 def feature_matrix_oracle(features, samples, variance_norm=True):

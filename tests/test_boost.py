@@ -1,5 +1,8 @@
+import contextlib
 import functools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from facedet import boost
 from facedet.boost import (
     SWEEP_ROWS,
+    TASK_ROWS,
     Cascade,
     Stage,
     _mine_false_positives,
@@ -24,7 +28,14 @@ from facedet.detect import detect_multiscale_counted
 from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
-from oracles import classify_window, eval_feature, feature_matrix_oracle, stage_score, train_stump
+from oracles import (
+    WholeMatrixStumpSearch,
+    classify_window,
+    eval_feature,
+    feature_matrix_oracle,
+    stage_score,
+    train_stump,
+)
 
 
 def exhaustive_stump_oracle(values, labels, weights):
@@ -96,68 +107,48 @@ class TestTrainStump:
             train_stump(np.array([0.0, 1.0]), np.array([1, 1]), np.array([0.5, 0.5]))
 
 
-def whole_matrix_best(values, labels, weights):
-    """The stump sweep over the whole (F, N) matrix at once."""
-    f, n = values.shape
-    order = np.argsort(values, axis=1, kind="stable")
-    vs = np.take_along_axis(values, order, axis=1)
-    pos_sorted = (labels > 0)[order]
-    valid = np.ones((f, n + 1), dtype=bool)
-    valid[:, 1:n] = vs[:, :-1] < vs[:, 1:]
-    thresholds = np.empty((f, n + 1))
-    thresholds[:, 0] = vs[:, 0] - 1.0
-    thresholds[:, 1:n] = 0.5 * (vs[:, :-1] + vs[:, 1:])
-    thresholds[:, n] = vs[:, -1] + 1.0
-    ws = weights[order]
-    wpos = np.where(pos_sorted, ws, 0.0)
-    wneg = ws - wpos
-    cp = np.zeros((f, n + 1))
-    cn = np.zeros((f, n + 1))
-    np.cumsum(wpos, axis=1, out=cp[:, 1:])
-    np.cumsum(wneg, axis=1, out=cn[:, 1:])
-    tp = cp[:, -1:]
-    tn = cn[:, -1:]
-    err_pos = cn + (tp - cp)
-    err_neg = cp + (tn - cn)
-    err_pos[~valid] = np.inf
-    err_neg[~valid] = np.inf
-    rows = np.arange(f)
-    j_pos = np.argmin(err_pos, axis=1)
-    j_neg = np.argmin(err_neg, axis=1)
-    e_pos = err_pos[rows, j_pos]
-    e_neg = err_neg[rows, j_neg]
-    t_pos = thresholds[rows, j_pos]
-    t_neg = thresholds[rows, j_neg]
-    use_neg = (e_neg < e_pos) | ((e_neg == e_pos) & (t_neg < t_pos))
-    return (
-        np.where(use_neg, e_neg, e_pos),
-        np.where(use_neg, t_neg, t_pos),
-        np.where(use_neg, -1, 1),
-    )
+@contextlib.contextmanager
+def stump_tasks(workers, task_rows=boost.TASK_ROWS):
+    """Run the stump search as if the process may use ``workers`` CPUs, in
+    tasks of ``task_rows`` rows."""
+    with mock.patch.object(boost, "_allowed_cpus", return_value=workers), mock.patch.object(
+        boost, "TASK_ROWS", task_rows
+    ):
+        yield
 
 
 class TestBlockedSweep:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         n_features=st.integers(1, 3 * SWEEP_ROWS + 5),
         n_samples=st.integers(1, 40),
         levels=st.integers(1, 6),
+        spread=st.integers(0, 60),
+        workers=st.sampled_from([1, 2, 3]),
+        task_rows=st.sampled_from([1, 3, TASK_ROWS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_features=SWEEP_ROWS - 1, n_samples=17, levels=3, seed=0)
-    @example(n_features=2 * SWEEP_ROWS + 3, n_samples=25, levels=2, seed=1)
-    def test_matches_whole_matrix_sweep(self, n_features, n_samples, levels, seed):
+    @example(n_features=SWEEP_ROWS - 1, n_samples=17, levels=3, spread=0, workers=1, task_rows=TASK_ROWS, seed=0)
+    @example(n_features=2 * SWEEP_ROWS + 3, n_samples=25, levels=2, spread=0, workers=2, task_rows=3, seed=1)
+    @example(n_features=2 * TASK_ROWS + 5, n_samples=30, levels=3, spread=60, workers=3, task_rows=TASK_ROWS, seed=2)
+    @example(n_features=TASK_ROWS + SWEEP_ROWS + 1, n_samples=9, levels=1, spread=40, workers=2, task_rows=TASK_ROWS, seed=3)
+    def test_matches_whole_matrix_sweep(self, n_features, n_samples, levels, spread, workers, task_rows, seed):
         rng = np.random.default_rng(seed)
-        # few distinct values and weights: ties between samples and candidates
+        # few distinct values: ties between samples and candidates; weights
+        # of up to 2**60 in ratio, with mantissas that round when summed
         values = 0.5 * rng.integers(0, levels, size=(n_features, n_samples))
         labels = rng.choice([-1, 1], size=n_samples)
-        weights = rng.integers(1, 4, size=n_samples).astype(np.float64)
+        weights = rng.choice([1.0, 3.0, 0.1, 1 / 3], size=n_samples) * 2.0 ** -rng.integers(0, spread + 1, size=n_samples)
         weights /= weights.sum()
-        got = _StumpSearch(values, labels).best(weights)
-        want = whole_matrix_best(values, labels, weights)
-        for g, w in zip(got, want):
+        want = WholeMatrixStumpSearch(values, labels)
+        with stump_tasks(workers, task_rows), boost._task_pool() as pool:
+            search = _StumpSearch(values, labels, pool)
+            got = search.best(weights)
+        for name in ("order", "thresholds", "invalid", "pos_sorted"):
+            assert np.array_equal(getattr(search, name), getattr(want, name)), name
+        for g, w in zip(got, want.best(weights)):
             assert np.array_equal(g, w)
-        assert got[2].dtype == want[2].dtype
+            assert g.dtype == w.dtype
 
 
 class TestStableOrder:
@@ -241,6 +232,68 @@ class TestTrainStage:
         result = train_stage(values, labels, target_dr=0.9, max_fpr=0.2, max_stumps=8)
         assert result.stage.threshold <= result.stage.total_alpha / 2 + 1e-12
 
+    @pytest.mark.parametrize(
+        "values, labels, message",
+        [
+            (np.zeros((3, 4)), np.array([1, -1, 1]), "expected a 1-D label vector of 4 samples, got shape (3,)"),
+            (np.zeros((3, 4)), np.array([[1, -1, 1, -1]]), "expected a 1-D label vector of 4 samples, got shape (1, 4)"),
+            (np.zeros((0, 4)), np.array([1, -1, 1, -1]), "at least one feature row, got shape (0, 4)"),
+            (np.zeros(4), np.array([1, -1, 1, -1]), "expected an (F, N) value matrix"),
+        ],
+        ids=["short-labels", "2d-labels", "no-features", "1d-values"],
+    )
+    def test_bad_input_rejected_before_any_task(self, values, labels, message):
+        with stump_tasks(2), mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as spy:
+            with pytest.raises(ValueError) as exc:
+                train_stage(values, labels)
+        assert message in str(exc.value) and "\n" not in str(exc.value)
+        assert spy.call_count == 0
+
+
+class TestStumpTasks:
+    """The stump search runs in tasks on a pool of one thread per allowed CPU."""
+
+    def test_nan_in_a_later_task_rejected_and_threads_joined(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(20, 30))
+        values[17, 4] = np.nan  # the sixth of seven tasks
+        labels = np.where(np.arange(30) % 2 == 0, 1, -1)
+        threads = threading.active_count()
+        with stump_tasks(3, task_rows=3), pytest.raises(ValueError, match="NaN"):
+            train_stage(values, labels)
+        assert threading.active_count() == threads
+
+    def test_tasks_run_on_the_pool_and_its_threads_are_joined(self):
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=(40, 60))
+        labels = np.where(values[5] + 0.3 * rng.normal(size=60) > 0, 1, -1)
+        names = set()
+        sweep = boost._StumpSearch._best_rows
+
+        def spy(search, weights, rows):
+            names.add(threading.current_thread().name)
+            return sweep(search, weights, rows)
+
+        threads = threading.active_count()
+        with stump_tasks(2, task_rows=4), mock.patch.object(boost._StumpSearch, "_best_rows", spy), \
+                mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool_spy:
+            result = train_stage(values, labels, max_stumps=4, max_fpr=0.0)
+        assert len(result.stage.stumps) == 4
+        assert pool_spy.call_count == 1  # one pool for the stage, not one per round
+        assert names and all(name.startswith("facedet-stumps") for name in names)
+        assert threading.active_count() == threads
+
+    def test_one_cpu_builds_no_pool(self):
+        rng = np.random.default_rng(14)
+        values = rng.normal(size=(10, 40))
+        labels = np.where(values[2] > 0, 1, -1)
+        with stump_tasks(1, task_rows=3), mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as spy:
+            serial = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
+        assert spy.call_count == 0
+        with stump_tasks(3, task_rows=3):
+            pooled = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
+        assert pooled.stage == serial.stage and np.array_equal(pooled.scores, serial.scores)
+
 
 def make_tiles(rng, n, bright, base=12):
     """Separable toy data: bright top half vs low-intensity noise."""
@@ -315,6 +368,19 @@ class TestTrainCascade:
         original = boost.feature_value_matrix
         with mock.patch.object(boost, "feature_value_matrix", lambda f, s, program: original(f, s)):
             assert train_cascade(pos, neg, **args) == cascade
+
+    def test_same_cascade_on_one_and_two_cpus(self):
+        rng = np.random.default_rng(15)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        pool = [rng.integers(0, 200, size=(30, 36)).astype(np.uint8) for _ in range(4)]
+        args = dict(n_stages=3, base_window=12, pool=pool, feature_subsample=300, max_stumps=4, seed=3)
+        with stump_tasks(1):
+            serial = train_cascade(pos, neg, **args)
+        with stump_tasks(2, task_rows=7):
+            pooled = train_cascade(pos, neg, **args)
+        assert len(serial.stages) == 3
+        assert pooled == serial
 
     def test_program_of_another_size_is_refused(self):
         features = enumerate_kind("edge2h", 12)[:5]

@@ -373,6 +373,15 @@ class TestTrainDetectEval:
         threaded = capsys.readouterr().out
         assert single == threaded
 
+    @pytest.mark.parametrize("command", ["eval", "roc"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_eval_threads_below_one_exits_2_with_one_line(self, workspace, capsys, command, threads):
+        out = ["--out", str(workspace["root"] / "roc_threads.csv")] if command == "roc" else []
+        code = main([command, "--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                     "--threads", threads, *out])
+        assert code == 2
+        assert capsys.readouterr().err == f"facedet: error: --threads must be at least 1, got {threads}\n"
+
     def test_eval_duplicate_mask_manifest_key_exits_2_with_one_line(self, workspace, capsys):
         masks = workspace["root"] / "masks_dup.txt"
         masks.write_text("scene.pgm a.pgm\n# again\nscene.pgm b.pgm\n")
