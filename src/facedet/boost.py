@@ -23,8 +23,8 @@ polarity +1, and across features towards the lowest feature index, which
 makes training fully deterministic.
 
 The sort and every round's sweep run as tasks of TASK_ROWS feature rows, on
-a thread pool with one worker per CPU in the process's affinity mask, or one
-after another when that mask holds one CPU. A task writes only its own rows
+a thread pool with one worker per CPU in the process's affinity mask (one
+worker runs them one after another). A task writes only its own rows
 of arrays allocated beforehand and reads no other row, so every result is
 bit-identical whatever the worker count and the schedule. Small tasks keep
 each worker's argsort and gather temporaries a few MB. Inside a task the
@@ -44,7 +44,6 @@ resizes only the picks. It runs only when another stage follows.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
@@ -155,20 +154,16 @@ def _allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _task_pool() -> contextlib.AbstractContextManager[ThreadPoolExecutor | None]:
-    """A thread pool with one worker per allowed CPU, or None on one CPU."""
-    workers = _allowed_cpus()
-    if workers == 1:
-        return contextlib.nullcontext()
-    return ThreadPoolExecutor(workers, thread_name_prefix="facedet-stumps")
+def _task_pool() -> ThreadPoolExecutor:
+    """A thread pool for the stump search, one worker per allowed CPU."""
+    return ThreadPoolExecutor(_allowed_cpus(), thread_name_prefix="facedet-stumps")
 
 
 class _StumpSearch:
     """Sorted-order cache over an (F, N) float64 value matrix, reusable
-    across rounds. Its tasks of TASK_ROWS rows run on ``pool``, or one after
-    another without one."""
+    across rounds. Its tasks of TASK_ROWS rows run on ``pool``."""
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, pool: ThreadPoolExecutor | None = None):
+    def __init__(self, values: np.ndarray, labels: np.ndarray, pool: ThreadPoolExecutor):
         f, n = values.shape
         self.pool = pool
         self.order = np.empty((f, n), dtype=np.intp)
@@ -184,12 +179,8 @@ class _StumpSearch:
         """Call ``task`` on every slice of TASK_ROWS rows; a task's error is
         raised here, and the tasks not yet started are then cancelled."""
         tasks = [slice(lo, lo + TASK_ROWS) for lo in range(0, self.order.shape[0], TASK_ROWS)]
-        if self.pool is None:
-            for rows in tasks:
-                task(rows)
-        else:
-            for _ in self.pool.map(task, tasks):
-                pass
+        for _ in self.pool.map(task, tasks):
+            pass
 
     def _sort_rows(self, values: np.ndarray, pos: np.ndarray, rows: slice) -> None:
         """Sort ``rows`` of ``values`` and fill their rows of the cache."""

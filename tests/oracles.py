@@ -13,7 +13,7 @@ thread.
 
 import numpy as np
 
-from facedet.boost import Cascade, Stage, _restore_index_order, _StumpSearch
+from facedet.boost import Cascade, Stage, _StumpSearch, _task_pool
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
 from facedet.images import _round_u8
 from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
@@ -166,26 +166,26 @@ def train_stump(
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     weights = weights / weights.sum()
-    search = _StumpSearch(values[None, :], labels)
-    err, thr, pol = search.best(weights)
+    with _task_pool() as pool:
+        err, thr, pol = _StumpSearch(values[None, :], labels, pool).best(weights)
     return float(thr[0]), int(pol[0]), float(err[0])
 
 
 class WholeMatrixStumpSearch:
     """The stump search as first vectorised: the sort and the sweep each
-    over the whole (F, N) matrix at once, in one thread, with the errors
-    ``cn + (tp - cp)`` and ``cp + (tn - cn)`` as written, not rearranged."""
+    over the whole (F, N) matrix at once, in one thread, with numpy's
+    stable argsort and the errors ``cn + (tp - cp)`` and ``cp + (tn - cn)``
+    as written, not rearranged."""
 
     def __init__(self, values: np.ndarray, labels: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         f, n = values.shape
-        self.order = np.argsort(values, axis=1)
+        self.order = np.argsort(values, axis=1, kind="stable")
         vs = np.take_along_axis(values, self.order, axis=1)
         if np.isnan(vs[:, -1:]).any():  # NaN sorts last
             raise ValueError("feature values must not be NaN")
         valid = np.ones((f, n + 1), dtype=bool)
         np.less(vs[:, :-1], vs[:, 1:], out=valid[:, 1:n])
-        _restore_index_order(values, self.order, vs, ~valid[:, 1:n])
         self.pos_sorted = (labels > 0)[self.order]
         self.invalid = ~valid
         self.thresholds = np.empty((f, n + 1))

@@ -123,7 +123,7 @@ class TestBlockedSweep:
         n_features=st.integers(1, 3 * SWEEP_ROWS + 5),
         n_samples=st.integers(1, 40),
         levels=st.integers(1, 6),
-        spread=st.integers(0, 60),
+        spread=st.sampled_from([0, 0, 1, 8, 60]),
         workers=st.sampled_from([1, 2, 3]),
         task_rows=st.sampled_from([1, 3, TASK_ROWS]),
         seed=st.integers(0, 2**32 - 1),
@@ -134,11 +134,13 @@ class TestBlockedSweep:
     @example(n_features=TASK_ROWS + SWEEP_ROWS + 1, n_samples=9, levels=1, spread=40, workers=2, task_rows=TASK_ROWS, seed=3)
     def test_matches_whole_matrix_sweep(self, n_features, n_samples, levels, spread, workers, task_rows, seed):
         rng = np.random.default_rng(seed)
-        # few distinct values: ties between samples and candidates; weights
-        # of up to 2**60 in ratio, with mantissas that round when summed
+        # few distinct values: ties between samples and candidates
         values = 0.5 * rng.integers(0, levels, size=(n_features, n_samples))
         labels = rng.choice([-1, 1], size=n_samples)
-        weights = rng.choice([1.0, 3.0, 0.1, 1 / 3], size=n_samples) * 2.0 ** -rng.integers(0, spread + 1, size=n_samples)
+        if spread == 0:  # few distinct small weights: ties between errors
+            weights = rng.integers(1, 4, size=n_samples).astype(np.float64)
+        else:  # up to 2**spread in ratio, with mantissas that round when summed
+            weights = rng.choice([1.0, 3.0, 0.1, 1 / 3], size=n_samples) * 2.0 ** -rng.integers(0, spread + 1, size=n_samples)
         weights /= weights.sum()
         want = WholeMatrixStumpSearch(values, labels)
         with stump_tasks(workers, task_rows), boost._task_pool() as pool:
@@ -161,20 +163,22 @@ class TestStableOrder:
         n_samples=st.integers(1, 3000),
         levels=st.integers(1, 8),
         signed_zeros=st.booleans(),
+        task_rows=st.sampled_from([1, 5, TASK_ROWS]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_features=3, n_samples=1, levels=4, signed_zeros=True, seed=0)  # one column
-    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=False, seed=1)  # one value per row
-    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=True, seed=2)  # only 0.0 and -0.0
-    @example(n_features=7, n_samples=2911, levels=3, signed_zeros=True, seed=3)
-    def test_equals_stable_argsort(self, n_features, n_samples, levels, signed_zeros, seed):
+    @example(n_features=3, n_samples=1, levels=4, signed_zeros=True, task_rows=TASK_ROWS, seed=0)  # one column
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=False, task_rows=TASK_ROWS, seed=1)  # one value per row
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=True, task_rows=1, seed=2)  # only 0.0 and -0.0
+    @example(n_features=12, n_samples=2911, levels=3, signed_zeros=True, task_rows=5, seed=3)
+    def test_equals_stable_argsort(self, n_features, n_samples, levels, signed_zeros, task_rows, seed):
         rng = np.random.default_rng(seed)
         # few distinct values, zero among them: long runs of ties
         values = 0.5 * rng.integers(-(levels // 2), levels - levels // 2, size=(n_features, n_samples))
         if signed_zeros:
             values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
         labels = rng.choice([-1, 1], size=n_samples)
-        search = _StumpSearch(values, labels)
+        with stump_tasks(2, task_rows), boost._task_pool() as pool:
+            search = _StumpSearch(values, labels, pool)
         stable = np.argsort(values, axis=1, kind="stable")
         assert np.array_equal(search.order, stable)
         # the thresholds come from the stable gather, signed zeros included
@@ -283,13 +287,26 @@ class TestStumpTasks:
         assert names and all(name.startswith("facedet-stumps") for name in names)
         assert threading.active_count() == threads
 
-    def test_one_cpu_builds_no_pool(self):
+    def test_one_cpu_runs_every_task_on_one_thread(self):
         rng = np.random.default_rng(14)
         values = rng.normal(size=(10, 40))
         labels = np.where(values[2] > 0, 1, -1)
-        with stump_tasks(1, task_rows=3), mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as spy:
+        names = set()
+        sort = boost._StumpSearch._sort_rows
+        sweep = boost._StumpSearch._best_rows
+
+        def sort_spy(search, *args):
+            names.add(threading.current_thread().name)
+            return sort(search, *args)
+
+        def sweep_spy(search, *args):
+            names.add(threading.current_thread().name)
+            return sweep(search, *args)
+
+        with stump_tasks(1, task_rows=3), mock.patch.object(boost._StumpSearch, "_sort_rows", sort_spy), \
+                mock.patch.object(boost._StumpSearch, "_best_rows", sweep_spy):
             serial = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
-        assert spy.call_count == 0
+        assert len(names) == 1 and names.pop().startswith("facedet-stumps")
         with stump_tasks(3, task_rows=3):
             pooled = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
         assert pooled.stage == serial.stage and np.array_equal(pooled.scores, serial.scores)
