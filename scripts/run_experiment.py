@@ -12,16 +12,11 @@ import argparse
 import os
 import time
 
-import numpy as np
-
 from facedet.boost import save_cascade
-from facedet.detect import iou
 from facedet.evaluate import detection_rate, emit_report, false_alarm_rate
-from facedet.lbp import validation_feature
-from facedet.pipeline import crop_square, detect_faces, pick_svm_threshold, summarize, train_models
-from facedet.svm import save_svm, train_svm
-from facedet.synthetic import build_corpus, experiment_config
-from facedet.validate import validate_detections
+from facedet.pipeline import summarize
+from facedet.svm import save_svm
+from facedet.synthetic import run_experiment
 
 
 def main() -> int:
@@ -33,48 +28,18 @@ def main() -> int:
     args = parser.parse_args()
 
     started = time.monotonic()
-    corpus = build_corpus(seed=args.seed, n_train=args.train, n_test=args.test)
-    config = experiment_config(seed=args.seed)
+    run = run_experiment(seed=args.seed, n_train=args.train, n_test=args.test)
+    corpus, cascade, threshold = run.corpus, run.cascade, run.config.svm_threshold
     print(
         f"corpus: {len(corpus.train)} train / {len(corpus.test)} test scenes, "
         f"{len(corpus.pos_tiles)} pos / {len(corpus.neg_tiles)} neg tiles"
     )
-
-    cascade, _ = train_models(corpus.pos_tiles, corpus.neg_tiles, config, pool=corpus.pool)
     for i, (dr, fpr) in enumerate(cascade.metadata):
         print(f"stage {i}: stumps={len(cascade.stages[i].stumps)} dr={dr:.4f} fpr={fpr:.4f}")
+    print(f"validator threshold {threshold:.4f}")
 
-    # validator bootstrap: ground-truth and matched crops vs mined false alarms
-    pos_crops, matched_crops, fp_crops = [], [], []
-    for scene in corpus.train:
-        dets, _ = detect_faces(scene.gray, cascade, config)
-        for box in scene.faces:
-            pos_crops.append(crop_square(scene.gray, box, config.base_window))
-        for det in dets:
-            box = (det.x, det.y, det.w, det.h)
-            crop = crop_square(scene.gray, box, det.w)
-            if all(iou(box, t) < 0.5 for t in scene.faces):
-                fp_crops.append(crop)
-            else:
-                matched_crops.append(crop)
-    fp_crops = fp_crops[:900]
-    positives = pos_crops + matched_crops
-    features = np.stack([validation_feature(c) for c in positives + fp_crops])
-    labels = np.concatenate([np.ones(len(positives)), -np.ones(len(fp_crops))])
-    svm = train_svm(features, labels, reg=config.svm_reg, epochs=config.svm_epochs, seed=config.seed)
-    threshold = pick_svm_threshold(svm, matched_crops, config, keep_fraction=0.99)
-    config = config.override(svm_threshold=threshold)
-    print(f"validator: {len(positives)} positives, {len(fp_crops)} mined false alarms, "
-          f"threshold {threshold:.4f}")
-
-    results = []
-    for scene in corpus.test:
-        dets, stats = detect_faces(scene.gray, cascade, config)
-        kept, _ = validate_detections(dets, scene.gray, svm, threshold, config.block_weights)
-        results.append((dets, kept, scene.faces, stats))
-    counts = summarize(results)
+    counts = summarize(run.results)
     windows = counts["evaluated_windows"]
-
     rows = []
     for name, key in (("Adaboost Cascade", "cascade"), ("Proposed method", "validated")):
         h, m, f = counts[key]
@@ -90,7 +55,7 @@ def main() -> int:
     if args.models:
         os.makedirs(args.models, exist_ok=True)
         save_cascade(cascade, os.path.join(args.models, "cascade.txt"))
-        save_svm(svm, os.path.join(args.models, "svm.txt"))
+        save_svm(run.svm, os.path.join(args.models, "svm.txt"))
         print(f"models written to {args.models} (validator threshold {threshold:.6g})")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -75,21 +76,12 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-_CONFIG_KEYS = [
-    "downscale", "median_radius", "equalize", "cb_min", "cb_max", "cr_min", "cr_max",
-    "sobel_threshold", "min_area", "stages", "target_dr", "max_fpr", "max_stumps",
-    "base_window", "feature_subsample", "seed", "scale_factor", "step",
-    "min_skin_fraction", "min_neighbors", "overlap", "svm_threshold", "svm_reg",
-    "svm_epochs", "block_weights",
-]
-
-
 def _build_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if args.config:
         config = load_config_file(args.config, config)
     overrides = {}
-    for key in _CONFIG_KEYS:
+    for key in (f.name for f in fields(PipelineConfig)):
         value = getattr(args, key, None)
         if value is None:
             continue
@@ -124,12 +116,13 @@ def _cmd_train(args) -> int:
     pos = pipeline.load_sample_dir(args.pos)
     neg = pipeline.load_sample_dir(args.neg)
     pool = pipeline.load_sample_dir(args.pool) if args.pool else None
-    cascade, svm = pipeline.train_models(pos, neg, config, pool=pool, with_svm=bool(args.svm_out))
+    cascade = pipeline.train_cascade_from_config(pos, neg, config, pool=pool)
     save_cascade(cascade, args.out)
     for i, (dr, fpr) in enumerate(cascade.metadata):
         print(f"stage {i}: dr={dr:.9g} fpr={fpr:.9g}")
     if args.svm_out:
-        save_svm(svm, args.svm_out)
+        # on the tiles themselves; the experiment bootstraps it instead
+        save_svm(pipeline.train_validator_from_crops(pos, neg, config), args.svm_out)
     return 0
 
 

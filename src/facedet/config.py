@@ -124,4 +124,10 @@ def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineC
                 raise ValueError(
                     f"{path}:{lineno}: {key}: expected {_EXPECTED[field_types[key]]}, got {value!r}"
                 ) from None
-    return base.override(**overrides)
+    try:
+        return base.override(**overrides)
+    except ValueError as exc:
+        # checks name the field first; a cross-field check names no line
+        key = str(exc).split()[0]
+        where = f"{path}:{first_line[key]}" if key in first_line else str(path)
+        raise ValueError(f"{where}: {exc}") from None

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boost import Cascade, train_cascade
 from .config import PipelineConfig
-from .detect import Detection, ScanStats, detect_multiscale_counted, merge_detections
+from .detect import Detection, ScanStats, detect_multiscale_counted, iou, merge_detections
 from .evaluate import DatasetManifest, match_detections
 from .images import (
     downscale,
@@ -36,12 +36,17 @@ __all__ = [
     "segment_image",
     "detect_faces",
     "load_sample_dir",
-    "train_models",
+    "train_cascade_from_config",
     "train_validator_from_crops",
     "crop_square",
     "pick_svm_threshold",
+    "bootstrap_validator",
+    "evaluate_image",
     "evaluate_images",
 ]
+
+# false-alarm crops kept as validator negatives by ``bootstrap_validator``
+MAX_BOOTSTRAP_NEGATIVES = 900
 
 
 def preprocess_gray(gray: np.ndarray, config: PipelineConfig) -> np.ndarray:
@@ -154,15 +159,14 @@ def crop_square(img: np.ndarray, box: tuple[int, int, int, int], size: int) -> n
     return crop if crop.shape == (size, size) else resize_bilinear(crop, size, size)
 
 
-def train_models(
+def train_cascade_from_config(
     pos_samples: list[np.ndarray],
     neg_samples: list[np.ndarray],
     config: PipelineConfig,
     pool: list[np.ndarray] | None = None,
-    with_svm: bool = False,
-):
-    """Cascade (and optionally a validator trained on the same samples)."""
-    cascade = train_cascade(
+) -> Cascade:
+    """``boost.train_cascade`` with its settings taken from ``config``."""
+    return train_cascade(
         pos_samples,
         neg_samples,
         n_stages=config.stages,
@@ -174,10 +178,6 @@ def train_models(
         feature_subsample=config.feature_subsample,
         seed=config.seed,
     )
-    svm = None
-    if with_svm:
-        svm = train_validator_from_crops(pos_samples, neg_samples, config)
-    return cascade, svm
 
 
 def train_validator_from_crops(
@@ -201,11 +201,52 @@ def pick_svm_threshold(
     Same quantile rule as the stage-threshold adjustment: the k-th lowest
     decision value with k = ceil((1 - keep) * n), so fewer than k fail.
     """
+    if not pos_crops:
+        raise ValueError("no positive crops to pick the validator threshold from")
     values = np.sort(
         [float(model.decision(validation_feature(c, config.block_weights))) for c in pos_crops]
     )
     k = max(1, int(np.ceil((1.0 - keep_fraction) * len(values))))
     return float(values[k - 1])
+
+
+def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tuple[LinearSvmModel, float]:
+    """Validator trained on the cascade's own output over ``scenes``.
+
+    Positives are the ground-truth crops plus the detections that match a
+    face (IoU >= 0.5); negatives are the first ``MAX_BOOTSTRAP_NEGATIVES``
+    false alarms. The threshold passes 99% of the matched detections.
+    """
+    pos_crops, matched_crops, fp_crops = [], [], []
+    for scene in scenes:
+        dets, _ = detect_faces(scene.gray, cascade, config)
+        pos_crops.extend(crop_square(scene.gray, box, config.base_window) for box in scene.faces)
+        for det in dets:
+            box = (det.x, det.y, det.w, det.h)
+            crop = crop_square(scene.gray, box, det.w)
+            if all(iou(box, t) < 0.5 for t in scene.faces):
+                fp_crops.append(crop)
+            else:
+                matched_crops.append(crop)
+    svm = train_validator_from_crops(pos_crops + matched_crops, fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
+    return svm, pick_svm_threshold(svm, matched_crops, config, keep_fraction=0.99)
+
+
+def evaluate_image(
+    gray: np.ndarray,
+    truth,
+    cascade: Cascade,
+    config: PipelineConfig,
+    svm: LinearSvmModel | None = None,
+    skin: np.ndarray | None = None,
+):
+    """(cascade detections, validated detections, truth, stats) of one image,
+    the record ``summarize`` reads; without a model both lists are equal."""
+    dets, stats = detect_faces(gray, cascade, config, skin=skin)
+    validated = dets
+    if svm is not None:
+        validated, _ = validate_detections(dets, gray, svm, config.svm_threshold, config.block_weights)
+    return dets, validated, truth, stats
 
 
 def evaluate_images(
@@ -215,7 +256,7 @@ def evaluate_images(
     svm: LinearSvmModel | None = None,
     threads: int = 1,
 ):
-    """Per-entry (cascade detections, validated detections, truth, stats).
+    """``evaluate_image`` of every manifest entry, read from disk.
 
     Aggregation is order-independent; results always come back in manifest
     order regardless of the worker count.
@@ -226,13 +267,7 @@ def evaluate_images(
         img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
         skin = read_mask(entry.mask_path) if entry.mask_path else None
-        dets, stats = detect_faces(gray, cascade, config, skin=skin)
-        validated = dets
-        if svm is not None:
-            validated, _ = validate_detections(
-                dets, gray, svm, config.svm_threshold, config.block_weights
-            )
-        return dets, validated, entry.boxes, stats
+        return evaluate_image(gray, entry.boxes, cascade, config, svm, skin)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boost import Cascade
 from .config import PipelineConfig
 from .detect import iou
 from .images import to_grayscale
 from .netpbm import write_pgm
+from .pipeline import bootstrap_validator, evaluate_image, train_cascade_from_config
+from .svm import LinearSvmModel
 
 __all__ = [
     "Scene",
@@ -38,6 +41,8 @@ __all__ = [
     "build_corpus",
     "write_corpus",
     "experiment_config",
+    "Experiment",
+    "run_experiment",
 ]
 
 CHECKER_AMP = 12
@@ -284,6 +289,27 @@ def experiment_config(seed: int = 7) -> PipelineConfig:
         min_neighbors=5,
         overlap=0.65,
     )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    corpus: Corpus
+    config: PipelineConfig  # svm_threshold is the bootstrapped threshold
+    cascade: Cascade
+    svm: LinearSvmModel
+    results: list  # per test scene, in the ``pipeline.summarize`` format
+
+
+def run_experiment(seed: int = 7, n_train: int = 300, n_test: int = 100) -> Experiment:
+    """Train the cascade on the corpus tiles, bootstrap the validator from
+    its output on the train split, and evaluate both on the test split."""
+    corpus = build_corpus(seed=seed, n_train=n_train, n_test=n_test)
+    config = experiment_config(seed=seed)
+    cascade = train_cascade_from_config(corpus.pos_tiles, corpus.neg_tiles, config, pool=corpus.pool)
+    svm, threshold = bootstrap_validator(corpus.train, cascade, config)
+    config = config.override(svm_threshold=threshold)
+    results = [evaluate_image(s.gray, s.faces, cascade, config, svm) for s in corpus.test]
+    return Experiment(corpus, config, cascade, svm, results)
 
 
 def write_corpus(corpus: Corpus, root: str) -> dict[str, str]:

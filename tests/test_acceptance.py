@@ -2,10 +2,14 @@
 PASS/FAIL line (run with -s to see them on success)."""
 
 import hashlib
+import importlib.util
 import json
+import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +22,10 @@ from facedet.images import resize_bilinear, rgb_to_ycbcr
 from facedet.integral import integral_image, integral_set
 from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
 from facedet.netpbm import write_pgm
+from facedet.pipeline import summarize
 from facedet.skin import evaluate_segmentation, segmentation_report, classify_skin
-from facedet.synthetic import _place, render_color_scene, render_scene
+from facedet.svm import save_svm
+from facedet.synthetic import Experiment, _place, render_color_scene, render_scene
 from facedet.validate import decision_values, validate_detections
 from facedet.cli import main as cli_main
 from oracles import _upright_sums, classify_window, eval_feature, rect_sum
@@ -178,7 +184,7 @@ def test_criterion_6_scaled_end_to_end(experiment):
         assert len(cascade.stages) == 5
         c_hits = c_misses = c_fps = 0
         v_hits = v_misses = v_fps = 0
-        for scene, dets, _stats in experiment["test_results"]:
+        for scene, (dets, *_) in zip(experiment["corpus"].test, experiment["results"]):
             kept, _ = validate_detections(
                 dets, scene.gray, svm, config.svm_threshold, config.block_weights
             )
@@ -316,13 +322,43 @@ def test_criterion_9_determinism(tmp_path):
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "reference.json"
 
 
+def sha256_file(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_fixture_cascade_is_the_benchmark_reference(experiment, tmp_path):
-    # the fixture trains on the seed-7 corpus with the arguments the
-    # benchmark uses, so its cascade must be the stored reference model
-    path = tmp_path / "cascade.txt"
-    save_cascade(experiment["cascade"], path)
+    # the fixture trains and bootstraps on the seed-7 corpus with the
+    # arguments the benchmark uses, so its models and validator threshold
+    # must be the stored reference
+    save_cascade(experiment["cascade"], tmp_path / "cascade.txt")
+    save_svm(experiment["svm"], tmp_path / "svm.txt")
     reference = json.loads(REFERENCE.read_text(encoding="ascii"))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == reference["cascade_sha256"]
+    assert sha256_file(tmp_path / "cascade.txt") == reference["cascade_sha256"]
+    assert sha256_file(tmp_path / "svm.txt") == reference["svm_sha256"]
+    assert experiment["config"].svm_threshold == reference["threshold"]
+
+
+def test_run_experiment_script_reports_the_experiment(experiment, tmp_path, capsys):
+    # the script prints and saves what run_experiment returns; the session
+    # experiment stands in for a second training
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_experiment_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    run = Experiment(**{f.name: experiment[f.name] for f in fields(Experiment)})
+    argv = ["run_experiment.py", "--seed", "7", "--models", str(tmp_path)]
+    with mock.patch.object(script, "run_experiment", return_value=run) as runner, \
+            mock.patch.object(sys, "argv", argv):
+        assert script.main() == 0
+    runner.assert_called_once_with(seed=7, n_train=300, n_test=100)
+    lines = capsys.readouterr().out.splitlines()
+    counts = summarize(experiment["results"])
+    for name, key in (("Adaboost Cascade", "cascade"), ("Proposed method", "validated")):
+        row = next(line for line in lines if line.startswith(name + " "))
+        assert row.split()[-4:-1] == [str(n) for n in counts[key]]  # hits, misses, FPs
+    reference = json.loads(REFERENCE.read_text(encoding="ascii"))
+    assert sha256_file(tmp_path / "cascade.txt") == reference["cascade_sha256"]
+    assert sha256_file(tmp_path / "svm.txt") == reference["svm_sha256"]
 
 
 def test_training_compiles_its_feature_set_once(experiment):
@@ -337,7 +373,7 @@ def test_criterion_10_roc_monotonicity(experiment):
         svm = experiment["svm"]
         per_image_cascade = []
         per_image_validated = []
-        for scene, dets, _stats in experiment["test_results"]:
+        for scene, (dets, *_) in zip(experiment["corpus"].test, experiment["results"]):
             per_image_cascade.append((dets, scene.faces))
             values = decision_values(dets, scene.gray, svm, config.block_weights)
             rescored = [

@@ -1,6 +1,10 @@
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from facedet import pipeline
 from facedet.cli import main
 from facedet.config import PipelineConfig, load_config_file
 from facedet.netpbm import read_pgm, write_pgm, write_ppm
@@ -87,6 +91,26 @@ class TestConfig:
         assert built.sobel_threshold == 50  # file wins over default
         assert built.stages == 15  # default survives
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    def test_every_field_has_a_flag_that_reaches_the_config(self, name, tmp_path):
+        flag = "--" + name.replace("_", "-")
+        default = getattr(PipelineConfig(), name)
+        if isinstance(default, bool):
+            value, args = True, [flag]
+        elif isinstance(default, tuple):
+            value = tuple(float(v) for v in range(1, 10))
+            args = [flag, ",".join(map(str, value))]
+        else:
+            # default + 1 for integers; halfway to 1 is valid for every float
+            value = default + 1 if isinstance(default, int) else (default + 1) / 2
+            args = [flag, str(value)]
+        assert value != default
+        img = tmp_path / "b.ppm"
+        write_ppm(img, np.zeros((30, 30, 3), dtype=np.uint8))
+        with mock.patch.object(pipeline, "segment_image", wraps=pipeline.segment_image) as segment:
+            assert main(["segment", *args, "--in", str(img), "--out", str(tmp_path / "m.pgm")]) == 0
+        assert segment.call_args.args[1] == PipelineConfig().override(**{name: value})
+
     def test_block_weights_flag_parses_nine_values(self):
         from facedet.cli import _build_config
         import argparse
@@ -165,8 +189,14 @@ class TestSegmentCommand:
              "bad.cfg:1: block_weights: expected comma-separated numbers, got '1,1,1,1,x,1,1,1,1'"),
             ("block_weights = 1,,1\n", "bad.cfg:1: block_weights: expected comma-separated numbers, got '1,,1'"),
             ("svm_threshold =\n", "bad.cfg:1: svm_threshold: expected a number, got ''"),
+            # values that parse but fail validation; a cross-field check has no one line
+            ("seed = 1\nstages = 0\n", "bad.cfg:2: stages must be >= 1"),
+            ("overlap = 1.5\n", "bad.cfg:1: overlap must be in (0, 1)"),
+            ("sobel_threshold = inf\n", "bad.cfg:1: sobel_threshold must be finite, got inf"),
+            ("cb_min = 200\n", "bad.cfg: cb interval must be non-empty"),
         ],
-        ids=["int", "int-from-float", "bool", "float", "tuple", "tuple-empty-item", "empty-value"],
+        ids=["int", "int-from-float", "bool", "float", "tuple", "tuple-empty-item", "empty-value",
+             "out-of-range", "out-of-range-float", "not-finite", "cross-field"],
     )
     def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, config_text, message):
         cfg = tmp_path / "bad.cfg"

@@ -17,6 +17,7 @@ from facedet.config import PipelineConfig
 from facedet.detect import Detection
 from facedet.evaluate import match_detections
 from facedet.images import downscale, histogram_equalization, median_filter
+from facedet.lbp import DESCRIPTOR_LENGTH
 from facedet.pipeline import (
     detect_faces,
     evaluate_images,
@@ -26,6 +27,7 @@ from facedet.pipeline import (
     summarize,
 )
 from facedet.skin import extract_regions, skin_ratio
+from facedet.svm import LinearSvmModel
 from facedet.synthetic import SKIN_MIX, face_patch
 
 
@@ -185,6 +187,12 @@ class TestPickSvmThreshold:
             for c in crops
         )
         assert passing >= 95
+
+    def test_no_crops_is_a_one_line_error(self):
+        # a bootstrap whose cascade matched no face has no crops to rank
+        svm = LinearSvmModel(np.zeros(DESCRIPTOR_LENGTH), 0.0)
+        with pytest.raises(ValueError, match="^no positive crops to pick the validator threshold from$"):
+            pick_svm_threshold(svm, [], PipelineConfig())
 
 
 def test_detection_never_imports_scipy_sparse():
