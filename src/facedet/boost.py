@@ -22,20 +22,21 @@ one above the maximum; ties are broken towards the smaller threshold, then
 polarity +1, and across features towards the lowest feature index, which
 makes training fully deterministic.
 
-The sort and every round's sweep run as tasks of TASK_ROWS feature rows, on
-a thread pool with one worker per CPU in the process's affinity mask (one
-worker runs them one after another). A task writes only its own rows
-of arrays allocated beforehand and reads no other row, so every result is
-bit-identical whatever the worker count and the schedule. Small tasks keep
-each worker's argsort and gather temporaries a few MB. Inside a task the
-sweep goes in blocks of SWEEP_ROWS rows, whose temporaries stay in cache.
-With cp, cn the positive and negative weight below a candidate and tp, tn
-their totals, the errors are computed in place as ``(tp - cp) + cn`` for
-polarity +1 and ``cp - (cn - tn)`` for polarity -1. Both are exact
-rewrites of ``cn + (tp - cp)`` and ``cp + (tn - cn)``: IEEE addition
-commutes, round-to-nearest gives ``fl(cn - tn) == -fl(tn - cn)``, and
-``a - b`` is ``a + (-b)``. The positive weights are the sorted weights times
-0.0 or 1.0, which is exact for finite weights.
+The search runs in tasks of TASK_ROWS feature rows, in forked children
+(the ``fork`` start method: Linux or macOS), one per CPU in the process's
+affinity mask. Per stage, each inherits the value matrix copy-on-write,
+owns a contiguous range of whole tasks and sorts them once; each round the
+parent sends the weights and joins the answers in row order. A task reads
+and writes only its own rows, so every result is bit-identical whatever the
+worker count. Small tasks keep the argsort and gather temporaries a few MB. Inside a task the sweep goes in
+blocks of SWEEP_ROWS rows, whose temporaries stay in cache. With cp, cn
+the positive and negative weight below a candidate and tp, tn their totals,
+the errors are computed in place as ``(tp - cp) + cn`` for polarity +1 and
+``cp - (cn - tn)`` for polarity -1. Both are exact rewrites of
+``cn + (tp - cp)`` and ``cp + (tn - cn)``: IEEE addition commutes,
+round-to-nearest gives ``fl(cn - tn) == -fl(tn - cn)``, and ``a - b`` is
+``a + (-b)``. The positive weights are the sorted weights times 0.0 or 1.0,
+which is exact for finite weights.
 
 Hard-negative mining scans the background pool with the cascade trained so
 far, picks accepted windows round-robin across the images, and crops and
@@ -44,11 +45,12 @@ resizes only the picks. It runs only when another stage follows.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import multiprocessing
 import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +75,8 @@ MIN_EPSILON = 1e-10
 # temporaries then stay in cache instead of streaming 2,500 x 2,912 matrices
 SWEEP_ROWS = 16
 # features per task of the stump search: a task's argsort and gather
-# temporaries stay a few MB per worker, which the per-thread malloc arenas
-# then keep, and a 2,500-row stage still gives every worker many tasks
+# temporaries stay a few MB per worker, and a 2,500-row stage still gives
+# every worker many tasks
 TASK_ROWS = 128
 # samples per block of the feature matrix: a block's tables and corner reads
 # stay a few MB however many samples a stage has
@@ -154,33 +156,21 @@ def _allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _task_pool() -> ThreadPoolExecutor:
-    """A thread pool for the stump search, one worker per allowed CPU."""
-    return ThreadPoolExecutor(_allowed_cpus(), thread_name_prefix="facedet-stumps")
-
-
 class _StumpSearch:
     """Sorted-order cache over an (F, N) float64 value matrix, reusable
-    across rounds. Its tasks of TASK_ROWS rows run on ``pool``."""
+    across rounds, built and swept in tasks of TASK_ROWS rows."""
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, pool: ThreadPoolExecutor):
+    def __init__(self, values: np.ndarray, labels: np.ndarray):
         f, n = values.shape
-        self.pool = pool
         self.order = np.empty((f, n), dtype=np.intp)
         self.pos_sorted = np.empty((f, n), dtype=bool)
         # candidate j = number of samples strictly below the threshold; it
         # is invalid where sorted values j - 1 and j are equal
         self.invalid = np.zeros((f, n + 1), dtype=bool)
         self.thresholds = np.empty((f, n + 1))
-        pos = labels > 0
-        self._run(lambda rows: self._sort_rows(values, pos, rows))
-
-    def _run(self, task: Callable[[slice], None]) -> None:
-        """Call ``task`` on every slice of TASK_ROWS rows; a task's error is
-        raised here, and the tasks not yet started are then cancelled."""
-        tasks = [slice(lo, lo + TASK_ROWS) for lo in range(0, self.order.shape[0], TASK_ROWS)]
-        for _ in self.pool.map(task, tasks):
-            pass
+        self.tasks = [slice(lo, min(lo + TASK_ROWS, f)) for lo in range(0, f, TASK_ROWS)]
+        for rows in self.tasks:
+            self._sort_rows(values, labels > 0, rows)
 
     def _sort_rows(self, values: np.ndarray, pos: np.ndarray, rows: slice) -> None:
         """Sort ``rows`` of ``values`` and fill their rows of the cache."""
@@ -207,13 +197,10 @@ class _StumpSearch:
         err = np.empty(f)
         thr = np.empty(f)
         pol = np.empty(f, dtype=np.int64)
-
-        def sweep(rows: slice) -> None:
-            for lo in range(rows.start, min(rows.stop, f), SWEEP_ROWS):
+        for rows in self.tasks:
+            for lo in range(rows.start, rows.stop, SWEEP_ROWS):
                 block = slice(lo, min(lo + SWEEP_ROWS, rows.stop))
                 err[block], thr[block], pol[block] = self._best_rows(weights, block)
-
-        self._run(sweep)
         return err, thr, pol
 
     def _best_rows(self, weights: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,6 +238,64 @@ class _StumpSearch:
         return err, thr, pol
 
 
+@contextlib.contextmanager
+def _stump_workers(values: np.ndarray, labels: np.ndarray):
+    """Fork the stump search of one stage and yield its ``best``: one child
+    per allowed CPU, at most one per task, each owning whole tasks, balanced
+    by count. A child's error, or its exit without a reply, raises in the
+    parent; on exit the pipes close and the children stop."""
+    f = values.shape[0]
+    tasks = -(-f // TASK_ROWS)
+    k = min(_allowed_cpus(), tasks)
+    cuts = [min(f, TASK_ROWS * (tasks * i // k)) for i in range(k + 1)]
+    fork = multiprocessing.get_context("fork")
+    conns, procs = [], []
+
+    def serve(conn, rows: np.ndarray) -> None:  # in the child
+        for end in conns:  # the parent's ends the fork copied, so EOF arrives
+            end.close()
+        try:
+            search = _StumpSearch(rows, labels)
+            while True:
+                conn.send(search.best(conn.recv()))
+        except (EOFError, BrokenPipeError):
+            pass  # the parent closed its end or died
+        except Exception as exc:
+            conn.send(exc)
+
+    def best(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        for conn in conns:
+            with contextlib.suppress(BrokenPipeError):  # a dead child raises below
+                conn.send(weights)
+        parts = []
+        for i, (conn, proc) in enumerate(zip(conns, procs)):
+            try:
+                parts.append(conn.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"stump worker {i} exited with code {proc.exitcode} without replying") from None
+            if isinstance(parts[-1], Exception):
+                raise parts[-1]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    try:
+        for i in range(k):
+            conn, child_end = fork.Pipe()
+            conns.append(conn)
+            proc = fork.Process(target=serve, args=(child_end, values[cuts[i] : cuts[i + 1]]), name=f"facedet-stumps-{i}")
+            proc.start()
+            procs.append(proc)
+            child_end.close()
+        yield best
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join(1.0)
+            proc.terminate()  # a no-op once it has exited
+            proc.join()
+
+
 def train_stage(
     values: np.ndarray,
     labels: np.ndarray,
@@ -284,15 +329,14 @@ def train_stage(
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need non-empty positive and negative sets")
     weights = np.where(pos, 0.5 / n_pos, 0.5 / n_neg)
-    with _task_pool() as pool:
-        search = _StumpSearch(values, labels, pool)
+    with _stump_workers(values, labels) as best:
         stumps: list[tuple[WeakClassifier, float]] = []
         scores = np.zeros(labels.shape[0])
         stage_threshold = 0.0
         dr = fpr = 0.0
         k_fail = max(1, math.ceil((1.0 - target_dr) * n_pos))
         for rnd in range(max_stumps):
-            err_f, thr_f, pol_f = search.best(weights)
+            err_f, thr_f, pol_f = best(weights)
             f_idx = int(np.argmin(err_f))
             err = float(err_f[f_idx])
             thr = float(thr_f[f_idx])

@@ -180,14 +180,20 @@ def train_cascade_from_config(
     )
 
 
+def _describe(crops: list[np.ndarray], config: PipelineConfig) -> np.ndarray:
+    return np.array([validation_feature(c, config.block_weights) for c in crops])
+
+
+def _train_validator(rows: np.ndarray, n_pos: int, config: PipelineConfig) -> LinearSvmModel:
+    """The SVM on descriptor rows whose first ``n_pos`` are the positives."""
+    labels = np.concatenate([np.ones(n_pos), -np.ones(len(rows) - n_pos)])
+    return train_svm(rows, labels, reg=config.svm_reg, epochs=config.svm_epochs, seed=config.seed)
+
+
 def train_validator_from_crops(
     pos_crops: list[np.ndarray], neg_crops: list[np.ndarray], config: PipelineConfig
 ) -> LinearSvmModel:
-    features = np.stack(
-        [validation_feature(c, config.block_weights) for c in pos_crops + neg_crops]
-    )
-    labels = np.concatenate([np.ones(len(pos_crops)), -np.ones(len(neg_crops))])
-    return train_svm(features, labels, reg=config.svm_reg, epochs=config.svm_epochs, seed=config.seed)
+    return _train_validator(_describe(pos_crops + neg_crops, config), len(pos_crops), config)
 
 
 def pick_svm_threshold(
@@ -196,16 +202,16 @@ def pick_svm_threshold(
     config: PipelineConfig,
     keep_fraction: float = 0.99,
 ) -> float:
-    """Decision threshold passing at least ``keep_fraction`` of the crops.
+    """Decision threshold passing at least ``keep_fraction`` of the crops."""
+    return _keep_threshold(model, _describe(pos_crops, config), keep_fraction)
 
-    Same quantile rule as the stage-threshold adjustment: the k-th lowest
-    decision value with k = ceil((1 - keep) * n), so fewer than k fail.
-    """
-    if not pos_crops:
+
+def _keep_threshold(model: LinearSvmModel, rows: np.ndarray, keep_fraction: float) -> float:
+    """The stage-threshold rule: the k-th lowest decision value of the rows,
+    k = ceil((1 - keep) * n), so fewer than k fail."""
+    if len(rows) == 0:
         raise ValueError("no positive crops to pick the validator threshold from")
-    values = np.sort(
-        [float(model.decision(validation_feature(c, config.block_weights))) for c in pos_crops]
-    )
+    values = np.sort([float(model.decision(row)) for row in rows])
     k = max(1, int(np.ceil((1.0 - keep_fraction) * len(values))))
     return float(values[k - 1])
 
@@ -215,7 +221,8 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
 
     Positives are the ground-truth crops plus the detections that match a
     face (IoU >= 0.5); negatives are the first ``MAX_BOOTSTRAP_NEGATIVES``
-    false alarms. The threshold passes 99% of the matched detections.
+    false alarms. The threshold passes 99% of the matched detections. Every
+    crop is described once: the threshold ranks the matched crops' rows.
     """
     pos_crops, matched_crops, fp_crops = [], [], []
     for scene in scenes:
@@ -228,8 +235,10 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
                 fp_crops.append(crop)
             else:
                 matched_crops.append(crop)
-    svm = train_validator_from_crops(pos_crops + matched_crops, fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
-    return svm, pick_svm_threshold(svm, matched_crops, config, keep_fraction=0.99)
+    rows = _describe(pos_crops + matched_crops + fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
+    n_pos = len(pos_crops) + len(matched_crops)
+    svm = _train_validator(rows, n_pos, config)
+    return svm, _keep_threshold(svm, rows[len(pos_crops) : n_pos], 0.99)
 
 
 def evaluate_image(

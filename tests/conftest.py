@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 from unittest import mock
 
@@ -16,3 +17,10 @@ def experiment():
     with mock.patch.object(boost, "compile_features", wraps=boost.compile_features) as compiled:
         run = run_experiment(seed=7, n_train=300, n_test=100)
     return {**vars(run), "feature_compiles": compiled.call_count, "elapsed": time.monotonic() - started}
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    """Fail a test that leaves a child process running."""
+    yield
+    assert multiprocessing.active_children() == [], "a child process outlived the test"

@@ -6,14 +6,14 @@ training feature matrix. It builds the LBP descriptor only in batches, over
 an image and its boxes (:func:`facedet.lbp.descriptors`). The functions
 here do the same arithmetic one window, one crop, one feature or one
 rectangle at a time, as the package first did. The package's stump search
-sorts and sweeps in tasks of a few feature rows on a thread pool;
-:class:`WholeMatrixStumpSearch` does both over the whole matrix in one
-thread.
+sorts and sweeps in tasks of a few feature rows, in forked workers that
+each own a range of the rows; :class:`WholeMatrixStumpSearch` does both
+over the whole matrix at once, in one process.
 """
 
 import numpy as np
 
-from facedet.boost import Cascade, Stage, _StumpSearch, _task_pool
+from facedet.boost import Cascade, Stage, _StumpSearch
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
 from facedet.images import _round_u8
 from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
@@ -166,8 +166,7 @@ def train_stump(
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     weights = weights / weights.sum()
-    with _task_pool() as pool:
-        err, thr, pol = _StumpSearch(values[None, :], labels, pool).best(weights)
+    err, thr, pol = _StumpSearch(values[None, :], labels).best(weights)
     return float(thr[0]), int(pol[0]), float(err[0])
 
 

@@ -1,8 +1,8 @@
 import contextlib
 import functools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
 from unittest import mock
 
 import numpy as np
@@ -18,6 +18,7 @@ from facedet.boost import (
     Stage,
     _mine_false_positives,
     _StumpSearch,
+    _stump_workers,
     feature_value_matrix,
     load_cascade,
     save_cascade,
@@ -117,6 +118,42 @@ def stump_tasks(workers, task_rows=boost.TASK_ROWS):
         yield
 
 
+def fork_process_spy():
+    """Spy on the ``Process`` of the fork context that the search starts its
+    workers with."""
+    fork = multiprocessing.get_context("fork")
+    return mock.patch.object(fork, "Process", wraps=fork.Process)
+
+
+@contextlib.contextmanager
+def task_log(path):
+    """Log every sort task and sweep block as (kind, pid, first row, row
+    stop), in whichever process runs it, to ``path``; yields a function
+    that reads the log back."""
+    sort = boost._StumpSearch._sort_rows
+    sweep = boost._StumpSearch._best_rows
+
+    def record(kind, rows):
+        with open(path, "a") as fh:
+            fh.write(f"{kind} {os.getpid()} {rows.start} {rows.stop}\n")
+
+    def sort_spy(search, values, pos, rows):
+        record("sort", rows)
+        return sort(search, values, pos, rows)
+
+    def sweep_spy(search, weights, rows):
+        record("sweep", rows)
+        return sweep(search, weights, rows)
+
+    def read():
+        with open(path) as fh:
+            return [(kind, int(pid), int(lo), int(hi)) for kind, pid, lo, hi in map(str.split, fh)]
+
+    with mock.patch.object(boost._StumpSearch, "_sort_rows", sort_spy), \
+            mock.patch.object(boost._StumpSearch, "_best_rows", sweep_spy):
+        yield read
+
+
 class TestBlockedSweep:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -143,14 +180,15 @@ class TestBlockedSweep:
             weights = rng.choice([1.0, 3.0, 0.1, 1 / 3], size=n_samples) * 2.0 ** -rng.integers(0, spread + 1, size=n_samples)
         weights /= weights.sum()
         want = WholeMatrixStumpSearch(values, labels)
-        with stump_tasks(workers, task_rows), boost._task_pool() as pool:
-            search = _StumpSearch(values, labels, pool)
-            got = search.best(weights)
+        with stump_tasks(workers, task_rows):
+            search = _StumpSearch(values, labels)
+            with _stump_workers(values, labels) as best:
+                got = best(weights)
         for name in ("order", "thresholds", "invalid", "pos_sorted"):
             assert np.array_equal(getattr(search, name), getattr(want, name)), name
-        for g, w in zip(got, want.best(weights)):
-            assert np.array_equal(g, w)
-            assert g.dtype == w.dtype
+        for g, s, w in zip(got, search.best(weights), want.best(weights)):
+            assert np.array_equal(g, w) and np.array_equal(s, w)
+            assert g.dtype == w.dtype and s.dtype == w.dtype
 
 
 class TestStableOrder:
@@ -164,21 +202,22 @@ class TestStableOrder:
         levels=st.integers(1, 8),
         signed_zeros=st.booleans(),
         task_rows=st.sampled_from([1, 5, TASK_ROWS]),
+        workers=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n_features=3, n_samples=1, levels=4, signed_zeros=True, task_rows=TASK_ROWS, seed=0)  # one column
-    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=False, task_rows=TASK_ROWS, seed=1)  # one value per row
-    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=True, task_rows=1, seed=2)  # only 0.0 and -0.0
-    @example(n_features=12, n_samples=2911, levels=3, signed_zeros=True, task_rows=5, seed=3)
-    def test_equals_stable_argsort(self, n_features, n_samples, levels, signed_zeros, task_rows, seed):
+    @example(n_features=3, n_samples=1, levels=4, signed_zeros=True, task_rows=TASK_ROWS, workers=1, seed=0)  # one column
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=False, task_rows=TASK_ROWS, workers=2, seed=1)  # one value per row
+    @example(n_features=5, n_samples=2911, levels=1, signed_zeros=True, task_rows=1, workers=3, seed=2)  # only 0.0 and -0.0
+    @example(n_features=12, n_samples=2911, levels=3, signed_zeros=True, task_rows=5, workers=3, seed=3)
+    def test_equals_stable_argsort(self, n_features, n_samples, levels, signed_zeros, task_rows, workers, seed):
         rng = np.random.default_rng(seed)
         # few distinct values, zero among them: long runs of ties
         values = 0.5 * rng.integers(-(levels // 2), levels - levels // 2, size=(n_features, n_samples))
         if signed_zeros:
             values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
         labels = rng.choice([-1, 1], size=n_samples)
-        with stump_tasks(2, task_rows), boost._task_pool() as pool:
-            search = _StumpSearch(values, labels, pool)
+        with stump_tasks(1, task_rows):
+            search = _StumpSearch(values, labels)
         stable = np.argsort(values, axis=1, kind="stable")
         assert np.array_equal(search.order, stable)
         # the thresholds come from the stable gather, signed zeros included
@@ -186,6 +225,11 @@ class TestStableOrder:
         mid = 0.5 * (vs[:, :-1] + vs[:, 1:])
         assert np.array_equal(search.thresholds[:, 1:n_samples].view(np.int64), mid.view(np.int64))
         assert np.array_equal(search.pos_sorted, (labels > 0)[stable])
+        # the workers' joined sweep equals the in-process one
+        weights = rng.random(n_samples)
+        with stump_tasks(workers, task_rows), _stump_workers(values, labels) as best:
+            got = best(weights)
+        assert all(np.array_equal(g, w) for g, w in zip(got, search.best(weights)))
 
     def test_nan_values_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -247,7 +291,7 @@ class TestTrainStage:
         ids=["short-labels", "2d-labels", "no-features", "1d-values"],
     )
     def test_bad_input_rejected_before_any_task(self, values, labels, message):
-        with stump_tasks(2), mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as spy:
+        with stump_tasks(2), fork_process_spy() as spy:
             with pytest.raises(ValueError) as exc:
                 train_stage(values, labels)
         assert message in str(exc.value) and "\n" not in str(exc.value)
@@ -255,61 +299,65 @@ class TestTrainStage:
 
 
 class TestStumpTasks:
-    """The stump search runs in tasks on a pool of one thread per allowed CPU."""
+    """The stump search runs in tasks in forked children, one per allowed
+    CPU, each owning a range of whole tasks for the stage."""
 
-    def test_nan_in_a_later_task_rejected_and_threads_joined(self):
+    def test_nan_in_a_later_task_rejected_and_children_joined(self):
         rng = np.random.default_rng(12)
         values = rng.normal(size=(20, 30))
-        values[17, 4] = np.nan  # the sixth of seven tasks
+        values[17, 4] = np.nan  # the sixth of seven tasks, in the third child
         labels = np.where(np.arange(30) % 2 == 0, 1, -1)
-        threads = threading.active_count()
-        with stump_tasks(3, task_rows=3), pytest.raises(ValueError, match="NaN"):
+        with stump_tasks(3, task_rows=3), fork_process_spy() as spy, pytest.raises(ValueError, match="NaN"):
             train_stage(values, labels)
-        assert threading.active_count() == threads
+        assert spy.call_count == 3
+        assert multiprocessing.active_children() == []
 
-    def test_tasks_run_on_the_pool_and_its_threads_are_joined(self):
+    def test_tasks_run_in_one_set_of_children_per_stage(self, tmp_path):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(40, 60))
         labels = np.where(values[5] + 0.3 * rng.normal(size=60) > 0, 1, -1)
-        names = set()
-        sweep = boost._StumpSearch._best_rows
-
-        def spy(search, weights, rows):
-            names.add(threading.current_thread().name)
-            return sweep(search, weights, rows)
-
-        threads = threading.active_count()
-        with stump_tasks(2, task_rows=4), mock.patch.object(boost._StumpSearch, "_best_rows", spy), \
-                mock.patch.object(boost, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool_spy:
+        with stump_tasks(2, task_rows=4), task_log(tmp_path / "tasks") as read, fork_process_spy() as spy:
             result = train_stage(values, labels, max_stumps=4, max_fpr=0.0)
         assert len(result.stage.stumps) == 4
-        assert pool_spy.call_count == 1  # one pool for the stage, not one per round
-        assert names and all(name.startswith("facedet-stumps") for name in names)
-        assert threading.active_count() == threads
+        assert spy.call_count == 2  # one set of children for the stage, not one per round
+        log = read()
+        pids = {pid for _, pid, _, _ in log}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # each child owns five whole tasks of four rows, in its own row numbers
+        for pid in pids:
+            sorts = [(lo, hi) for kind, p, lo, hi in log if kind == "sort" and p == pid]
+            assert sorts == [(lo, lo + 4) for lo in range(0, 20, 4)]
+        assert multiprocessing.active_children() == []
 
-    def test_one_cpu_runs_every_task_on_one_thread(self):
+    def test_one_cpu_runs_every_task_in_one_child(self, tmp_path):
         rng = np.random.default_rng(14)
         values = rng.normal(size=(10, 40))
         labels = np.where(values[2] > 0, 1, -1)
-        names = set()
-        sort = boost._StumpSearch._sort_rows
-        sweep = boost._StumpSearch._best_rows
-
-        def sort_spy(search, *args):
-            names.add(threading.current_thread().name)
-            return sort(search, *args)
-
-        def sweep_spy(search, *args):
-            names.add(threading.current_thread().name)
-            return sweep(search, *args)
-
-        with stump_tasks(1, task_rows=3), mock.patch.object(boost._StumpSearch, "_sort_rows", sort_spy), \
-                mock.patch.object(boost._StumpSearch, "_best_rows", sweep_spy):
+        with stump_tasks(1, task_rows=3), task_log(tmp_path / "tasks") as read:
             serial = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
-        assert len(names) == 1 and names.pop().startswith("facedet-stumps")
+        log = read()
+        pids = {pid for _, pid, _, _ in log}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert [(lo, hi) for kind, _, lo, hi in log if kind == "sort"] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert sum(kind == "sweep" for kind, _, _, _ in log) == 4 * len(serial.stage.stumps)
         with stump_tasks(3, task_rows=3):
             pooled = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
         assert pooled.stage == serial.stage and np.array_equal(pooled.scores, serial.scores)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_worker_is_an_error_not_a_hang(self, workers):
+        rng = np.random.default_rng(16)
+        values = rng.normal(size=(12, 30))
+        labels = np.where(values[1] > 0, 1, -1)
+
+        def die(search, weights, rows):
+            os._exit(3)
+
+        with stump_tasks(workers, task_rows=4), mock.patch.object(boost._StumpSearch, "_best_rows", die):
+            with pytest.raises(RuntimeError) as exc:
+                train_stage(values, labels)
+        assert str(exc.value) == "stump worker 0 exited with code 3 without replying"
+        assert multiprocessing.active_children() == []
 
 
 def make_tiles(rng, n, bright, base=12):
@@ -398,6 +446,21 @@ class TestTrainCascade:
             pooled = train_cascade(pos, neg, **args)
         assert len(serial.stages) == 3
         assert pooled == serial
+
+    def test_saved_file_same_at_one_two_and_four_workers(self, tmp_path):
+        rng = np.random.default_rng(17)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        pool = [rng.integers(0, 200, size=(30, 36)).astype(np.uint8) for _ in range(4)]
+        args = dict(n_stages=3, base_window=12, pool=pool, feature_subsample=300, max_stumps=4, seed=5)
+        files = []
+        for workers in (1, 2, 4):
+            with stump_tasks(workers, task_rows=16):
+                cascade = train_cascade(pos, neg, **args)
+            save_cascade(cascade, tmp_path / f"{workers}.txt")
+            files.append((tmp_path / f"{workers}.txt").read_bytes())
+        assert len(cascade.stages) == 3
+        assert files[0] == files[1] == files[2]
 
     def test_program_of_another_size_is_refused(self):
         features = enumerate_kind("edge2h", 12)[:5]
