@@ -408,7 +408,6 @@ def _compile_matrix(features: Sequence[HaarFeature], size: int) -> _MatrixProgra
 def feature_value_matrix(
     features: Sequence[HaarFeature],
     samples: list[np.ndarray],
-    variance_norm: bool = True,
     program: _MatrixProgram | None = None,
 ) -> np.ndarray:
     """(F, N) responses of every feature on every base-window sample.
@@ -445,11 +444,10 @@ def feature_value_matrix(
             tables.append((even.base, voff >> 1))
         reads = [tables[c.table][0].reshape(n, -1)[:, tables[c.table][1] + c.offsets(tables[c.table][0])] for c in program.corners]
         block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
-        if variance_norm:
-            area = base * base
-            total = up[:, base, base].astype(np.float64)
-            var = (pixels * pixels).sum(axis=(1, 2)) / area - (total / area) ** 2
-            block /= np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)[None, :]
+        area = base * base
+        total = up[:, base, base].astype(np.float64)
+        var = (pixels * pixels).sum(axis=(1, 2)) / area - (total / area) ** 2
+        block /= np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)[None, :]
         out[:, lo : lo + n] = block
     return out
 

@@ -48,7 +48,6 @@ def _common_flags() -> argparse.ArgumentParser:
     grp = common.add_argument_group("pipeline configuration")
     grp.add_argument("--config", help="key = value config file")
     grp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    grp.add_argument("--threads", type=int, default=1, help="worker threads for eval, at least 1 (default 1)")
     grp.add_argument("--downscale", type=int, help="keep every n-th row/column (default 1)")
     grp.add_argument("--median-radius", type=int, dest="median_radius", help="median filter radius, 0 = off (default 0)")
     grp.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=None, help="histogram equalization (default off)")
@@ -133,8 +132,9 @@ def _cmd_detect(args) -> int:
     img = read_image(args.image)
     color = img if img.ndim == 3 else None
     gray = to_grayscale(img) if img.ndim == 3 else img
-    work_h = gray.shape[0] // config.downscale
-    work_w = gray.shape[1] // config.downscale
+    # images.downscale keeps ceil(side / factor) pixels per side
+    work_h = -(-gray.shape[0] // config.downscale)
+    work_w = -(-gray.shape[1] // config.downscale)
     if min(work_h, work_w) < cascade.base_window:
         raise ValueError(
             f"{args.image}: preprocessed image {work_w}x{work_h} is smaller than "
@@ -158,11 +158,9 @@ def _cmd_detect(args) -> int:
 
 def _rescore(results, svm, config):
     """Replace detection scores with validator decision values."""
-    from .netpbm import read_image as _read
-
     rescored = []
     for (dets, _validated, truth, _stats), entry in results:
-        img = _read(entry.path)
+        img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
         values = decision_values(dets, gray, svm, config.block_weights)
         scored = [
@@ -189,15 +187,13 @@ def _write_roc(path: str, curve) -> None:
 
 
 def _cmd_eval(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     config = _build_config(args)
     cascade = load_cascade(args.cascade)
     svm = load_svm(args.svm) if args.svm else None
     manifest = load_manifest(args.manifest, args.mask_manifest)
     if not manifest.entries:
         raise ValueError(f"{args.manifest}: empty manifest")
-    results = pipeline.evaluate_images(manifest, cascade, config, svm=svm, threads=args.threads)
+    results = pipeline.evaluate_images(manifest, cascade, config, svm=svm)
     summary = pipeline.summarize(results)
     rows = [("Adaboost Cascade", *summary["cascade"], detection_rate(summary["cascade"][0], summary["cascade"][1]))]
     if svm is not None:

@@ -113,11 +113,7 @@ def _compile_stage(stage: Stage, size: int) -> _StageProgram:
 
 
 def _programs(cascade: Cascade, size: int) -> list[_StageProgram]:
-    """The cascade's stage programs for one window size, compiled once.
-
-    Concurrent scans may both compile a missing size; they store equal
-    programs, so the race costs only the duplicate work.
-    """
+    """The cascade's stage programs for one window size, compiled once."""
     programs = cascade.programs.get(size)
     if programs is None:
         programs = [_compile_stage(stage, size) for stage in cascade.stages]
@@ -149,8 +145,8 @@ class _Windows:
 
     def __init__(self, upright: np.ndarray, tilted, programs: list, xs: np.ndarray, ys: np.ndarray, counts, sigma):
         """``upright`` is the image's float64 summed-area table, ``tilted``
-        None or (float64 tilted planes, voff) and ``sigma`` None or the
-        windows' sigma."""
+        None or (float64 tilted planes, voff) and ``sigma`` the windows'
+        sigma."""
         self.programs = programs
         self.cuts = np.cumsum([0, *counts])
         self.sigma = sigma
@@ -186,8 +182,7 @@ class _Windows:
                     flat, origins, mask = self.reads[corners.table]
                     sel = slice(None) if mask is None else mask[rows]
                     block[sel] += flat[origins[rows[sel]][:, None] + offs] @ coef
-        if self.sigma is not None:
-            responses /= self.sigma[live, None]
+        responses /= self.sigma[live, None]
         hits = responses < first.signed_threshold
         votes = np.zeros(live.size)
         for alpha, hit in zip(first.alpha, hits.T):
@@ -212,7 +207,6 @@ def detect_multiscale_counted(
     scale_factor: float = 1.25,
     step: int = 2,
     min_skin_fraction: float = 0.25,
-    variance_norm: bool = True,
 ) -> tuple[list[Detection], ScanStats]:
     """Scan all window placements and return accepted ones in scan order.
 
@@ -262,15 +256,14 @@ def detect_multiscale_counted(
             sizes.append(size)
             xs.append(xs0[keep % xs0.size])
             ys.append(ys0[keep // xs0.size])
-            if variance_norm:
-                sigmas.append(_window_sigma(iset, size, step_k).ravel()[keep])
+            sigmas.append(_window_sigma(iset, size, step_k).ravel()[keep])
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     if not sizes:
         return [], stats
     counts = [x.size for x in xs]
     xs, ys = np.concatenate(xs), np.concatenate(ys)
-    windows = _Windows(upright, tilted_tables, programs, xs, ys, counts, np.concatenate(sigmas) if variance_norm else None)
+    windows = _Windows(upright, tilted_tables, programs, xs, ys, counts, np.concatenate(sigmas))
     margins = np.zeros(xs.size)
     live = np.arange(xs.size)
     for k in range(len(cascade.stages)):

@@ -5,8 +5,8 @@ lines, a center-surround, and two 45-degree-rotated kinds. A feature is a
 signed decomposition into weighted rectangles whose weights cancel exactly
 (sum of weight * area == 0), so every kind responds 0 on constant input.
 The response is the weighted white-minus-black sum of rectangle pixel sums,
-optionally divided by the window's pixel standard deviation (floored at 1)
-so that stumps are invariant to affine brightness changes.
+divided by the window's pixel standard deviation (floored at 1) so that
+stumps are invariant to affine brightness changes.
 
 Upright kinds store their bounding box (x, y, w, h) in base-window
 coordinates; tilted kinds store the apex and diagonal arm lengths in the

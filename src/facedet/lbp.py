@@ -12,8 +12,8 @@ plus one catch-all bin. The fine stage resamples the window to 16x16,
 labels it (14x14), splits it into nine 6x6 blocks with 2-px overlap at
 offsets {0, 4, 8}, and keeps a 16-bin histogram of label // 16 per block:
 9 * 16 = 144 values. Both parts are L1-normalized independently and
-concatenated into the 203-value descriptor; fine blocks accept optional
-emphasis weights (default all ones).
+concatenated into the 203-value descriptor; the fine part is then scaled
+by nine per-block emphasis weights (default all ones).
 
 One implementation serves all (x, y, w, h) boxes of an image at once; a
 single window is the one-box case. The coarse part labels the image once,
@@ -36,6 +36,7 @@ __all__ = [
     "lbp_label_image",
     "uniform_pattern_table",
     "fine_weights",
+    "UNIT_BLOCK_WEIGHTS",
     "coarse_parts",
     "fine_parts",
     "descriptors",
@@ -49,6 +50,8 @@ _NEIGHBOR_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)
 
 FINE_BLOCK_OFFSETS = (0, 4, 8)
 DESCRIPTOR_LENGTH = 203
+# the default fine-block weights: multiplying by 1.0 changes no bit
+UNIT_BLOCK_WEIGHTS = (1.0,) * 9
 
 # the 9 * 36 cells of the fine blocks as flat indices into a 14x14 label
 # image, block by block, and the first of the 16 bins of each cell's block
@@ -95,10 +98,8 @@ def uniform_pattern_table() -> np.ndarray:
     return _uniform_table
 
 
-def fine_weights(block_weights) -> np.ndarray | None:
-    """The (144,) per-bin factors of nine fine-block weights; None stays None."""
-    if block_weights is None:
-        return None
+def fine_weights(block_weights) -> np.ndarray:
+    """The (144,) per-bin factors of nine fine-block weights."""
     weights = np.asarray(block_weights, dtype=np.float64)
     if weights.shape != (9,):
         raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
@@ -139,8 +140,8 @@ def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
     return out
 
 
-def fine_parts(img: np.ndarray, boxes, block_weights=None) -> np.ndarray:
-    """(n, 144) normalized, optionally weighted fine histograms of the
+def fine_parts(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
+    """(n, 144) normalized, block-weighted fine histograms of the
     boxes: one 16x16 resample of all of them, one labelling of the stack
     and one ``bincount`` over all their blocks."""
     weights = fine_weights(block_weights)
@@ -150,17 +151,16 @@ def fine_parts(img: np.ndarray, boxes, block_weights=None) -> np.ndarray:
     keys = bands[:, _FINE_CELLS] + (_FINE_BASE + 144 * np.arange(n)[:, None])
     fine = np.bincount(keys.ravel(), minlength=144 * n).reshape(n, 144).astype(np.float64)
     fine /= 9 * 36  # every block holds 36 labels
-    if weights is not None:
-        fine *= weights
+    fine *= weights
     return fine
 
 
-def descriptors(img: np.ndarray, boxes, block_weights=None) -> np.ndarray:
+def descriptors(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
     """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image."""
     return np.concatenate([coarse_parts(img, boxes), fine_parts(img, boxes, block_weights)], axis=1)
 
 
-def validation_feature(window: np.ndarray, block_weights=None) -> np.ndarray:
+def validation_feature(window: np.ndarray, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
     """The 203-value descriptor of a whole window: normalized coarse part
     then fine part."""
     window = np.asarray(window)

@@ -263,27 +263,16 @@ def evaluate_images(
     cascade: Cascade,
     config: PipelineConfig,
     svm: LinearSvmModel | None = None,
-    threads: int = 1,
 ):
-    """``evaluate_image`` of every manifest entry, read from disk.
-
-    Aggregation is order-independent; results always come back in manifest
-    order regardless of the worker count.
-    """
-    manifest_entries = entries.entries if isinstance(entries, DatasetManifest) else list(entries)
-
-    def run(entry):
+    """``evaluate_image`` of every manifest entry, read from disk, in
+    manifest order."""
+    results = []
+    for entry in entries.entries if isinstance(entries, DatasetManifest) else entries:
         img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
         skin = read_mask(entry.mask_path) if entry.mask_path else None
-        return evaluate_image(gray, entry.boxes, cascade, config, svm, skin)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, manifest_entries))
-    return [run(e) for e in manifest_entries]
+        results.append(evaluate_image(gray, entry.boxes, cascade, config, svm, skin))
+    return results
 
 
 def summarize(results, iou_min: float = 0.5) -> dict:

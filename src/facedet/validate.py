@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .detect import Detection
-from .lbp import coarse_parts, descriptors, fine_parts, fine_weights
+from .lbp import UNIT_BLOCK_WEIGHTS, coarse_parts, descriptors, fine_parts, fine_weights
 from .svm import LinearSvmModel
 
 __all__ = ["validate_detections", "decision_values"]
@@ -35,7 +35,7 @@ def validate_detections(
     img: np.ndarray,
     model: LinearSvmModel,
     threshold: float = 0.0,
-    block_weights=None,
+    block_weights=UNIT_BLOCK_WEIGHTS,
 ) -> tuple[list[Detection], int]:
     """Keep detections whose decision value reaches the threshold.
 
@@ -46,8 +46,7 @@ def validate_detections(
         return [], 0
     boxes = _boxes(detections)
     coarse = coarse_parts(img, boxes)
-    fine_coeffs = model.weights[59:] if weights is None else model.weights[59:] * weights
-    bound = float(fine_coeffs.max())
+    bound = float((model.weights[59:] * weights).max())
     # small slack keeps the early exit outcome-identical to the full
     # evaluation even at floating-point boundary cases
     live = [
@@ -63,7 +62,7 @@ def decision_values(
     detections: list[Detection],
     img: np.ndarray,
     model: LinearSvmModel,
-    block_weights=None,
+    block_weights=UNIT_BLOCK_WEIGHTS,
 ) -> np.ndarray:
     """Full decision value per detection (no early exit), for ROC sweeps."""
     return np.array(_row_decisions(model, descriptors(img, _boxes(detections), block_weights)), dtype=np.float64)

@@ -347,6 +347,20 @@ class TestTrainDetectEval:
         assert code == 2
         assert "smaller" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side, code", [(47, 0), (45, 2)])
+    def test_downscaled_size_counts_the_pixels_kept(self, workspace, capsys, side, code):
+        # --downscale 2 keeps ceil(side / 2) pixels per side: 24 fill the
+        # 24px window, 23 do not
+        img = workspace["root"] / f"side{side}.pgm"
+        write_pgm(img, np.random.default_rng(side).integers(0, 256, size=(side, side), dtype=np.uint8))
+        assert main(["detect", "--cascade", str(workspace["model"]), "--image", str(img),
+                     "--downscale", "2", "--out", str(workspace["root"] / f"side{side}.txt")]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err == f"facedet: error: {img}: preprocessed image 23x23 is smaller than the 24px model window\n"
+        else:
+            assert "total_windows=1" in out and err == ""
+
     def test_bad_cascade_file_exits_2_with_one_line(self, workspace, capsys):
         bad = workspace["root"] / "bad.txt"
         lines = workspace["model"].read_text().splitlines()
@@ -393,24 +407,6 @@ class TestTrainDetectEval:
         )
         assert code == 0
         assert "method,hits,misses,false_positives,detection_rate" in capsys.readouterr().out
-
-    def test_eval_threads_match_single_thread(self, workspace, capsys):
-        args = ["eval", "--cascade", str(workspace["model"]), "--manifest",
-                str(workspace["manifest"]), "--csv"]
-        main(args)
-        single = capsys.readouterr().out
-        main(args + ["--threads", "4"])
-        threaded = capsys.readouterr().out
-        assert single == threaded
-
-    @pytest.mark.parametrize("command", ["eval", "roc"])
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_eval_threads_below_one_exits_2_with_one_line(self, workspace, capsys, command, threads):
-        out = ["--out", str(workspace["root"] / "roc_threads.csv")] if command == "roc" else []
-        code = main([command, "--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
-                     "--threads", threads, *out])
-        assert code == 2
-        assert capsys.readouterr().err == f"facedet: error: --threads must be at least 1, got {threads}\n"
 
     def test_eval_duplicate_mask_manifest_key_exits_2_with_one_line(self, workspace, capsys):
         masks = workspace["root"] / "masks_dup.txt"

@@ -115,11 +115,11 @@ def bank(kind, base):
 
 
 @st.composite
-def cascades(draw, variance_norm=True):
+def cascades(draw, scale=1.0):
     """Small random cascades over every kind; thresholds near typical
-    responses on random 8-bit images, so windows both pass and fail."""
+    responses on random 8-bit images, so windows both pass and fail. On
+    random 0/1 images the responses spread half as wide: scale 0.5."""
     base = draw(st.sampled_from([8, 9, 10]), label="base")
-    scale = 1.0 if variance_norm else 70.0
     stages = []
     for _ in range(draw(st.integers(0, 3), label="stages")):
         stumps = []
@@ -263,10 +263,12 @@ class TestCompiledScan:
         st.integers(0, 1 << 30),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_stump_oracle(self, data, variance_norm, h, w, step, scale_factor, block, seed):
-        cascade = data.draw(cascades(variance_norm), label="cascade")
+    def test_matches_per_stump_oracle(self, data, binary, h, w, step, scale_factor, block, seed):
+        cascade = data.draw(cascades(0.5 if binary else 1.0), label="cascade")
         rng = np.random.default_rng(seed)
-        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        # pixels of 0 and 1 only: the pixel sigma is floored at 1, so the
+        # normalised responses are the raw integer ones
+        img = rng.integers(0, 2 if binary else 256, size=(h, w)).astype(np.uint8)
         skin = None
         min_skin = 0.25
         gate = data.draw(st.sampled_from([None, "random", "edges"]), label="gate")
@@ -275,10 +277,12 @@ class TestCompiledScan:
             min_skin = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="min skin")
         elif gate == "edges":
             skin, min_skin = edge_skin(h, w)
-        args = (skin, scale_factor, step, min_skin, variance_norm)
+        args = (skin, scale_factor, step, min_skin)
         with mock.patch.object(detect, "SCAN_ROWS", block):
             got = detect_multiscale_counted(cascade, img, *args)
         assert got == scan_oracle(cascade, img, *args)
+        if binary:
+            assert got == scan_oracle(cascade, img, *args, variance_norm=False)
 
     @pytest.mark.parametrize("block", [1, 3, SCAN_ROWS])
     def test_tilted_cascade_over_gated_levels_with_gaps(self, block):

@@ -246,19 +246,22 @@ class TestBatchedDescriptor:
     def test_equals_per_crop_oracle_bit_for_bit(self, scene, weighted, seed):
         img, boxes = scene
         weights = np.random.default_rng(seed).uniform(0.0, 3.0, 9) if weighted else None
-        got = descriptors(img, boxes, weights)
+        # unweighted: the default unit weights against the unweighted oracle
+        kw = {} if weights is None else {"block_weights": weights}
+        got = descriptors(img, boxes, **kw)
         assert got.shape == (len(boxes), DESCRIPTOR_LENGTH) and got.dtype == np.float64
         for row, (x, y, w, h) in zip(got, boxes):
             expected = validation_feature_oracle(img[y : y + h, x : x + w], weights)
             assert np.array_equal(row, expected)
         assert np.array_equal(coarse_parts(img, boxes), got[:, :59])
-        assert np.array_equal(fine_parts(img, boxes, weights), got[:, 59:])
+        assert np.array_equal(fine_parts(img, boxes, **kw), got[:, 59:])
 
     @given(arrays(np.uint8, st.tuples(st.integers(3, 30), st.integers(3, 30))), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_validation_feature_is_the_one_box_call(self, window, weighted):
-        weights = np.linspace(0.5, 2.0, 9) if weighted else None
-        assert np.array_equal(validation_feature(window, weights), validation_feature_oracle(window, weights))
+        # unweighted: the default unit weights against the unweighted oracle
+        args = (np.linspace(0.5, 2.0, 9),) if weighted else ()
+        assert np.array_equal(validation_feature(window, *args), validation_feature_oracle(window, *args))
 
     def test_labels_of_a_stack_are_per_image_labels(self):
         stack = np.random.default_rng(37).integers(0, 256, size=(4, 7, 9), dtype=np.uint8)

@@ -147,29 +147,22 @@ class TestEvaluateImages:
             entries.append(self.Entry(str(path), scene.faces))
         return entries
 
-    def test_threads_do_not_change_results(self, tmp_path, experiment):
+    def test_summary_counts_every_image_and_face(self, tmp_path, experiment):
         entries = self._entries(tmp_path, experiment)
-        cascade = experiment["cascade"]
-        config = experiment["config"]
-        svm = experiment["svm"]
-        single = evaluate_images(entries, cascade, config, svm=svm, threads=1)
-        threaded = evaluate_images(entries, cascade, config, svm=svm, threads=4)
-        assert single == threaded
-        summary = summarize(single)
+        results = evaluate_images(entries, experiment["cascade"], experiment["config"], svm=experiment["svm"])
+        summary = summarize(results)
         assert summary["images"] == len(entries)
         assert summary["cascade"][0] + summary["cascade"][1] == sum(
             len(e.boxes) for e in entries
         )
 
-    def test_threads_compile_a_cold_cascade_once_per_size(self, tmp_path, experiment):
-        # the scan compiles stage programs into the cascade on first use;
-        # threads that race on a size must still agree with a warm run
+    def test_cold_cascade_matches_a_warm_one(self, tmp_path, experiment):
+        # the scan compiles stage programs into the cascade on first use
         entries = self._entries(tmp_path, experiment, count=8)
         warm = experiment["cascade"]
         config = experiment["config"]
         cold = Cascade(warm.base_window, warm.stages, warm.metadata)
-        threaded = evaluate_images(entries, cold, config, threads=4)
-        assert threaded == evaluate_images(entries, warm, config, threads=1)
+        assert evaluate_images(entries, cold, config) == evaluate_images(entries, warm, config)
         assert cold.programs
 
 

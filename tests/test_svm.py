@@ -225,12 +225,18 @@ def random_candidates(seed, n=12, side=60):
     return img, dets, model, weights
 
 
+def weight_args(weights):
+    """The block weights as a keyword, or none: None draws the default
+    unit weights, which the unweighted oracle must match bit for bit."""
+    return {} if weights is None else {"block_weights": weights}
+
+
 class TestBatchedValidation:
     @given(st.integers(0, 1 << 30))
     @settings(max_examples=60, deadline=None)
     def test_decision_values_equal_per_crop_decisions(self, seed):
         img, dets, model, weights = random_candidates(seed)
-        got = decision_values(dets, img, model, weights)
+        got = decision_values(dets, img, model, **weight_args(weights))
         expected = [
             float(model.decision(validation_feature_oracle(img[d.y : d.y + d.h, d.x : d.x + d.w], weights)))
             for d in dets
@@ -252,7 +258,7 @@ class TestBatchedValidation:
             label="threshold",
         )
         with mock.patch.object(validate, "fine_parts", wraps=validate.fine_parts) as fine:
-            kept, rejected = validate_detections(dets, img, model, threshold, weights)
+            kept, rejected = validate_detections(dets, img, model, threshold, **weight_args(weights))
         expected = [d for d, v in zip(dets, values) if v >= threshold]
         assert kept == expected
         assert rejected == len(dets) - len(expected)
