@@ -195,12 +195,11 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.manifest}: empty manifest")
     results = pipeline.evaluate_images(manifest, cascade, config, svm=svm)
     summary = pipeline.summarize(results)
-    rows = [("Adaboost Cascade", *summary["cascade"], detection_rate(summary["cascade"][0], summary["cascade"][1]))]
-    if svm is not None:
-        rows.append(
-            ("Cascade + validation", *summary["validated"],
-             detection_rate(summary["validated"][0], summary["validated"][1]))
-        )
+    rows = []
+    for name, key in [("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")][: 1 + (svm is not None)]:
+        hits, misses, fps = summary[key]
+        # a background-only manifest counts false alarms; its rate is n/a
+        rows.append((name, hits, misses, fps, detection_rate(hits, misses) if hits + misses else float("nan")))
     print(emit_report_csv(rows) if args.csv else emit_report(rows))
     windows = summary["evaluated_windows"]
     if windows:

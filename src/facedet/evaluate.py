@@ -213,12 +213,14 @@ _REPORT_HEADER = ["Method", "Hits", "Misses", "False positives", "Detection rate
 
 
 def emit_report(rows: list[tuple[str, int, int, int, float]]) -> str:
-    """Aligned text table; the rate column prints as a whole percent."""
+    """Aligned text table; the rate column prints as a whole percent, or
+    n/a for a NaN rate (no ground-truth faces)."""
     if not rows:
         raise ValueError("need at least one report row")
     table = [_REPORT_HEADER]
     for name, hits, misses, fps, rate in rows:
-        table.append([name, str(hits), str(misses), str(fps), str(int(np.floor(rate + 0.5)))])
+        shown = "n/a" if np.isnan(rate) else str(int(np.floor(rate + 0.5)))
+        table.append([name, str(hits), str(misses), str(fps), shown])
     widths = [max(len(row[c]) for row in table) for c in range(5)]
     lines = []
     for row in table:
@@ -228,7 +230,7 @@ def emit_report(rows: list[tuple[str, int, int, int, float]]) -> str:
 
 
 def emit_report_csv(rows: list[tuple[str, int, int, int, float]]) -> str:
-    """Same numbers, comma-separated, exact rates."""
+    """Same numbers, comma-separated, exact rates (nan without faces)."""
     if not rows:
         raise ValueError("need at least one report row")
     lines = ["method,hits,misses,false_positives,detection_rate"]

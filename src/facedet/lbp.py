@@ -21,9 +21,9 @@ over the bounding box of all boxes: a box's labels are that label image
 sliced at the box interior, since every interior pixel's 3x3 neighborhood
 lies inside the box. The fine part resamples all boxes to 16x16 in one
 gather, labels the stack at once and counts all blocks of all boxes with
-one offset ``bincount``. The parts are separate calls, so validation can
-skip the fine part of a box its coarse part already rejects. Batching
-changes no value: counts are exact and every division is the per-window one.
+one offset ``bincount``. The two parts are separate calls, one per stage of
+the descriptor. Batching changes no value: counts are exact and every
+division is the per-window one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .images import resize_boxes
 __all__ = [
     "lbp_label_image",
     "uniform_pattern_table",
-    "fine_weights",
     "UNIT_BLOCK_WEIGHTS",
     "coarse_parts",
     "fine_parts",
@@ -98,14 +97,6 @@ def uniform_pattern_table() -> np.ndarray:
     return _uniform_table
 
 
-def fine_weights(block_weights) -> np.ndarray:
-    """The (144,) per-bin factors of nine fine-block weights."""
-    weights = np.asarray(block_weights, dtype=np.float64)
-    if weights.shape != (9,):
-        raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
-    return np.repeat(weights, 16)
-
-
 def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
     """The image as (H, W) and the boxes as (x, y, w, h) int tuples, each
     box inside the image and at least 3x3."""
@@ -144,14 +135,16 @@ def fine_parts(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.n
     """(n, 144) normalized, block-weighted fine histograms of the
     boxes: one 16x16 resample of all of them, one labelling of the stack
     and one ``bincount`` over all their blocks."""
-    weights = fine_weights(block_weights)
+    weights = np.asarray(block_weights, dtype=np.float64)
+    if weights.shape != (9,):
+        raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
     img, boxes = _gray_and_boxes(img, boxes)
     n = len(boxes)
     bands = lbp_label_image(resize_boxes(img, boxes, 16, 16)).reshape(n, 196) >> 4
     keys = bands[:, _FINE_CELLS] + (_FINE_BASE + 144 * np.arange(n)[:, None])
     fine = np.bincount(keys.ravel(), minlength=144 * n).reshape(n, 144).astype(np.float64)
     fine /= 9 * 36  # every block holds 36 labels
-    fine *= weights
+    fine *= np.repeat(weights, 16)
     return fine
 
 

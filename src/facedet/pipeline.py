@@ -271,6 +271,9 @@ def evaluate_images(
         img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
         skin = read_mask(entry.mask_path) if entry.mask_path else None
+        if skin is not None and skin.shape != gray.shape:
+            (h, w), (mask_h, mask_w) = gray.shape, skin.shape
+            raise ValueError(f"{entry.mask_path}: skin mask is {mask_w}x{mask_h}, but image {entry.path} is {w}x{h}")
         results.append(evaluate_image(gray, entry.boxes, cascade, config, svm, skin))
     return results
 

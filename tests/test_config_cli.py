@@ -418,6 +418,37 @@ class TestTrainDetectEval:
             f"facedet: error: {masks}:3: image 'scene.pgm' already has a mask on line 1\n"
         )
 
+    def test_eval_background_only_manifest_counts_false_alarms(self, workspace, capsys):
+        background = workspace["root"] / "background.pgm"
+        write_pgm(background, np.random.default_rng(61).integers(0, 256, size=(70, 90), dtype=np.uint8))
+        manifest = workspace["root"] / "background.txt"
+        manifest.write_text("background.pgm 0\n")
+        roc = workspace["root"] / "background_roc.csv"
+        flags = ["--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]), "--manifest", str(manifest)]
+        assert main(["eval", *flags, "--roc", str(roc)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        for line, name in zip(table[1:3], ("Adaboost Cascade", "Cascade + validation")):
+            hits, misses, _fps, rate = line[len(name):].split()
+            assert line.startswith(name) and (hits, misses, rate) == ("0", "0", "n/a")
+        assert sum(line.startswith("false_alarm_rate[") for line in table) == 2
+        assert roc.read_text() and all(line.split(",")[1] == "0" for line in roc.read_text().splitlines())
+        assert main(["eval", *flags, "--csv"]) == 0
+        csv = capsys.readouterr().out.splitlines()
+        assert csv[1].startswith("Adaboost Cascade,0,0,") and csv[1].endswith(",nan")
+        assert csv[2].startswith("Cascade + validation,0,0,") and csv[2].endswith(",nan")
+
+    def test_eval_mask_of_wrong_size_names_both_files(self, workspace, capsys):
+        mask = workspace["root"] / "small_mask.pgm"
+        write_pgm(mask, np.full((30, 40), 255, dtype=np.uint8))
+        masks = workspace["root"] / "masks_small.txt"
+        masks.write_text("scene.pgm small_mask.pgm\n")
+        code = main(["eval", "--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                     "--mask-manifest", str(masks)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"facedet: error: {mask}: skin mask is 40x30, but image {workspace['img']} is 90x70\n"
+        )
+
     def test_roc_subcommand(self, workspace):
         out = workspace["root"] / "roc2.csv"
         code = main(["roc", "--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]),

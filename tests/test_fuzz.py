@@ -1,12 +1,16 @@
-"""Fuzzing of every parser and of the models they load.
+"""Fuzzing of every parser, of the models they load and of the CLI.
 
 Arbitrary bytes, byte-level edits of a valid file and token-level edits
 (a field replaced by a number at or past a limit) go through each loader.
 Each input must give a valid object or a ValueError subclass (a bad
 encoding raises UnicodeDecodeError, which is one). A mutated model that
-still loads must run through ``detect_faces`` or raise ValueError.
+still loads must run through ``detect_faces`` or raise ValueError. The
+same mutations of every file ``facedet detect`` and ``facedet eval`` read
+must end in exit 0, 1 or 2, with exactly one error line on exit 2.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facedet.boost import Cascade, load_cascade
+from facedet.cli import main
 from facedet.config import PipelineConfig, load_config_file
 from facedet.evaluate import DatasetManifest, load_manifest, load_mask_manifest
 from facedet.lbp import DESCRIPTOR_LENGTH
-from facedet.netpbm import read_pgm, read_ppm
+from facedet.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from facedet.pipeline import detect_faces
 from facedet.svm import LinearSvmModel, load_svm
+from facedet.synthetic import SKIN_MIX, face_patch
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 CASCADE = (REFERENCE / "cascade.txt").read_bytes()
@@ -149,3 +155,55 @@ def test_mutated_model_that_loads_detects_or_raises_value_error(kind, data, fuzz
     except ValueError:
         return
     assert all(d.w > 0 and d.h > 0 for d in dets)
+
+
+def cli_scene():
+    """A 32 x 28 flat scene holding one 24 x 24 face, which the reference
+    models detect and keep; flat, so that its skin-toned copy passes the
+    skin gate."""
+    gray = np.full((28, 32), 100, dtype=np.uint8)
+    gray[2:26, 4:28] = face_patch(np.random.default_rng(6), 24)
+    return gray
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """A valid file of every kind, named after it; each CLI run below reads
+    a mutated copy of one of them."""
+    root = tmp_path_factory.mktemp("cli_fuzz")
+    gray = cli_scene()
+    write_pgm(root / "pgm", gray)
+    write_ppm(root / "ppm", np.clip(gray[..., None] * np.array(SKIN_MIX), 0, 255).astype(np.uint8))
+    write_pgm(root / "mask.pgm", np.where(gray > 60, 255, 0).astype(np.uint8))
+    (root / "cascade").write_bytes(CASCADE)
+    (root / "svm").write_bytes(SVM)
+    (root / "manifest").write_bytes(b"pgm 1 4 2 24 24\n# background only\nppm 0\n")
+    (root / "mask_manifest").write_bytes(b"ppm mask.pgm\n")
+    (root / "config").write_bytes(SEEDS["config"])
+    return root
+
+
+def cli_argv(root, kind):
+    """The command that reads ``root / 'mutated'`` in place of the file of ``kind``."""
+    path = {name: str(root / name) for name in SEEDS}
+    path[kind] = str(root / "mutated")
+    models = ["--cascade", path["cascade"], "--svm", path["svm"], "--config", path["config"]]
+    if kind in ("manifest", "mask_manifest"):
+        return ["eval", *models, "--manifest", path["manifest"], "--mask-manifest", path["mask_manifest"],
+                "--roc", str(root / "roc.csv")]
+    image = path["pgm"] if kind in ("cascade", "pgm") else path["ppm"]
+    return ["detect", *models, "--image", image, "--out", str(root / "dets.txt")]
+
+
+@pytest.mark.parametrize("kind", list(SEEDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_1_or_2_on_mutated_inputs(kind, data, cli_dir):
+    (cli_dir / "mutated").write_bytes(data.draw(fuzzed((cli_dir / kind).read_bytes()), label="file"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(cli_argv(cli_dir, kind))
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("facedet: error: ")

@@ -1,12 +1,10 @@
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facedet import validate
 from facedet.detect import Detection
 from facedet.lbp import validation_feature
 from facedet.svm import LinearSvmModel, load_svm, save_svm, svm_objective, train_svm
@@ -257,14 +255,10 @@ class TestBatchedValidation:
                              anchor - 1e-9, anchor + 1e-9, anchor + 2e-9, anchor + 1e-3]),
             label="threshold",
         )
-        with mock.patch.object(validate, "fine_parts", wraps=validate.fine_parts) as fine:
-            kept, rejected = validate_detections(dets, img, model, threshold, **weight_args(weights))
+        kept, rejected = validate_detections(dets, img, model, threshold, **weight_args(weights))
         expected = [d for d, v in zip(dets, values) if v >= threshold]
         assert kept == expected
         assert rejected == len(dets) - len(expected)
-        # fine parts only for the candidates the coarse bound cannot reject
-        fine_boxes = [tuple(b) for b in fine.call_args.args[1]]
-        assert fine_boxes == [(d.x, d.y, d.w, d.h) for d, b in zip(dets, bounds) if not b < threshold - 1e-9]
 
     @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10)])
     def test_rejects_block_weights_of_wrong_shape(self, weights):
