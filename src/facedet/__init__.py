@@ -34,7 +34,7 @@ from .images import (
     to_grayscale,
     ycbcr_to_rgb,
 )
-from .integral import IntegralImage, IntegralSet, integral_image, integral_set
+from .integral import IntegralSet, integral_set
 from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from .skin import (
     Region,

@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .haar import KINDS, Corners, HaarFeature, compile_features, fits_window, generate_feature_set
-from .integral import _tilted_grids, _upright_grid
+from .images import crop_square
+from .integral import integral_set, window_sigma
 
 __all__ = [
     "WeakClassifier",
@@ -432,22 +433,19 @@ def feature_value_matrix(
     out = np.zeros((len(features), len(samples)))
     if program.coef is None:
         return out
+    tilted = any(c.table == 1 for c in program.corners)
+    origin = np.zeros(1, dtype=np.int64)
     for lo in range(0, len(samples), MATRIX_ROWS):
-        pixels = np.stack(samples[lo : lo + MATRIX_ROWS]).astype(np.int64)
-        n = len(pixels)
-        # every window origin is (0, 0): cell 0 of the upright table, and
-        # cell (0, voff >> 1) of the tilted planes with origin parity 0
-        up = _upright_grid(pixels, squared=False)
-        tables = [(up, 0)]
-        if any(c.table == 1 for c in program.corners):
-            even, _, voff = _tilted_grids(pixels)
-            tables.append((even.base, voff >> 1))
-        reads = [tables[c.table][0].reshape(n, -1)[:, tables[c.table][1] + c.offsets(tables[c.table][0])] for c in program.corners]
+        iset = integral_set(np.stack(samples[lo : lo + MATRIX_ROWS]), with_tilted=tilted)
+        n = len(iset.grid)
+        tables = (iset.grid, iset.planes)
+        # every window origin is (0, 0), of parity 0
+        cells = [int(cell[0]) for cell, _ in iset.origins(origin, origin)]
+        reads = [
+            tables[c.table].reshape(n, -1)[:, cells[c.table] + c.offsets(tables[c.table])] for c in program.corners
+        ]
         block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
-        area = base * base
-        total = up[:, base, base].astype(np.float64)
-        var = (pixels * pixels).sum(axis=(1, 2)) / area - (total / area) ** 2
-        block /= np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)[None, :]
+        block /= window_sigma(iset, base, 1).reshape(1, n)
         out[:, lo : lo + n] = block
     return out
 
@@ -463,7 +461,6 @@ def _mine_false_positives(
     cropped and resized.
     """
     from .detect import detect_multiscale_counted
-    from .images import resize_bilinear
 
     base = cascade.base_window
     scanned = [
@@ -476,11 +473,7 @@ def _mine_false_positives(
         ((img, dets[rank]) for rank in range(longest) for img, dets in scanned if rank < len(dets)),
         needed,
     )
-    mined: list[np.ndarray] = []
-    for img, det in picks:
-        crop = img[det.y : det.y + det.h, det.x : det.x + det.w]
-        mined.append(crop if crop.shape == (base, base) else resize_bilinear(crop, base, base))
-    return mined
+    return [crop_square(img, (det.x, det.y, det.w, det.h), base) for img, det in picks]
 
 
 def train_cascade(

@@ -49,7 +49,7 @@ def _common_flags() -> argparse.ArgumentParser:
     grp.add_argument("--config", help="key = value config file")
     grp.add_argument("--seed", type=int, help="RNG seed (default 0)")
     grp.add_argument("--downscale", type=int, help="keep every n-th row/column (default 1)")
-    grp.add_argument("--median-radius", type=int, dest="median_radius", help="median filter radius, 0 = off (default 0)")
+    grp.add_argument("--median-radius", type=int, dest="median_radius", help="median filter radius, 0 = off, at most 15 (default 0)")
     grp.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=None, help="histogram equalization (default off)")
     grp.add_argument("--cb-min", type=int, dest="cb_min", help="skin Cb lower bound (default 77)")
     grp.add_argument("--cb-max", type=int, dest="cb_max", help="skin Cb upper bound (default 127)")
@@ -163,9 +163,7 @@ def _rescore(results, svm, config):
         img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
         values = decision_values(dets, gray, svm, config.block_weights)
-        scored = [
-            Detection(d.x, d.y, d.w, d.h, float(v), d.scale) for d, v in zip(dets, values)
-        ]
+        scored = [Detection(d.x, d.y, d.w, d.h, float(v)) for d, v in zip(dets, values)]
         rescored.append((scored, truth))
     return rescored
 

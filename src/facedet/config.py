@@ -7,12 +7,15 @@ from dataclasses import dataclass, fields, replace
 
 __all__ = ["PipelineConfig", "load_config_file"]
 
+# a 31 x 31 median window; the filter's time grows with the window area
+MAX_MEDIAN_RADIUS = 15
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     # preprocessing
     downscale: int = 1
-    median_radius: int = 0  # 0 disables the filter
+    median_radius: int = 0  # 0 disables the filter; at most MAX_MEDIAN_RADIUS
     equalize: bool = False
     # skin segmentation
     cb_min: int = 77
@@ -49,7 +52,7 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         checks = [
             (self.downscale >= 1, "downscale must be >= 1"),
-            (self.median_radius >= 0, "median_radius must be >= 0"),
+            (0 <= self.median_radius <= MAX_MEDIAN_RADIUS, f"median_radius must be in [0, {MAX_MEDIAN_RADIUS}]"),
             (self.cb_min <= self.cb_max, "cb interval must be non-empty"),
             (self.cr_min <= self.cr_max, "cr interval must be non-empty"),
             (self.sobel_threshold >= 0, "sobel_threshold must be >= 0"),

@@ -36,7 +36,7 @@ import numpy as np
 
 from .boost import Cascade, Stage
 from .haar import Corners, compile_features
-from .integral import IntegralSet, integral_image, integral_set
+from .integral import IntegralSet, integral_set, upright_table, window_sigma, window_sums
 
 __all__ = ["Detection", "ScanStats", "detect_multiscale_counted", "merge_detections", "iou"]
 
@@ -58,7 +58,6 @@ class Detection:
     w: int
     h: int
     score: float  # final-stage vote margin (or validator-specific rescoring)
-    scale: float  # window side / cascade base window
 
 
 @dataclass
@@ -121,45 +120,26 @@ def _programs(cascade: Cascade, size: int) -> list[_StageProgram]:
     return programs
 
 
-def _window_sums(grid: np.ndarray, size: int, step: int) -> np.ndarray:
-    """(rows, cols) sums of the size x size windows at origins step * (j, i),
-    from four strided slices of a summed-area table."""
-    h, w = grid.shape[0] - 1, grid.shape[1] - 1
-    top = grid[: h - size + 1 : step]
-    bottom = grid[size::step]
-    return bottom[:, size::step] - top[:, size::step] - bottom[:, : w - size + 1 : step] + top[:, : w - size + 1 : step]
-
-
-def _window_sigma(iset: IntegralSet, size: int, step: int) -> np.ndarray:
-    """Pixel standard deviation of every lattice window, floored at 1."""
-    n = size * size
-    total = _window_sums(iset.upright.grid, size, step)
-    total_sq = _window_sums(iset.upright.sq, size, step)
-    var = total_sq / n - (total / n) ** 2
-    return np.maximum(np.sqrt(np.maximum(var, 0.0)), 1.0)
-
-
 class _Windows:
     """An image's gated windows over all pyramid levels, in scan order;
     level l holds windows cuts[l]:cuts[l + 1] and its size's programs."""
 
-    def __init__(self, upright: np.ndarray, tilted, programs: list, xs: np.ndarray, ys: np.ndarray, counts, sigma):
-        """``upright`` is the image's float64 summed-area table, ``tilted``
-        None or (float64 tilted planes, voff) and ``sigma`` the windows'
-        sigma."""
+    def __init__(self, iset: IntegralSet, programs: list, xs: np.ndarray, ys: np.ndarray, counts, sigma):
+        """``iset`` holds the image's tables and ``sigma`` the windows' sigma."""
         self.programs = programs
         self.cuts = np.cumsum([0, *counts])
         self.sigma = sigma
+        # float64 copies of the tables, made once per image: every table
+        # value is a sum of pixels, exact below 2**53
+        self.tables = [iset.grid.astype(np.float64)]
+        if iset.planes is not None:
+            planes = iset.planes.astype(np.float64)
+            self.tables += [planes, planes]
         # both indexed by Corners.table: the tables, and (flat table,
         # origins, mask of the windows it serves)
-        self.tables = [upright]
-        self.reads = [(upright.ravel(), ys * upright.shape[1] + xs, None)]
-        if tilted is not None:
-            planes, voff = tilted
-            self.tables += [planes, planes]
-            origins = ((xs + ys) >> 1) * planes.shape[2] + ((ys - xs + voff) >> 1)
-            parity = (xs + ys) & 1
-            self.reads += [(planes.ravel(), origins, parity == q) for q in (0, 1)]
+        self.reads = [
+            (table.ravel(), cells, mask) for table, (cells, mask) in zip(self.tables, iset.origins(xs, ys))
+        ]
 
     def stage_margins(self, k: int, live: np.ndarray) -> np.ndarray:
         """Vote margins of stage ``k`` at the windows ``live`` (sorted, not
@@ -223,17 +203,13 @@ def detect_multiscale_counted(
     base = cascade.base_window
     tilted = any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps)
     iset = integral_set(img, with_tilted=tilted)
-    skin_ii = None
+    skin_table = None
     if skin is not None:
         skin = np.asarray(skin)
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
-        skin_ii = integral_image((skin > 0).astype(np.uint8))
-    # every table value, upright or tilted, is a sum of pixels; the float64
-    # copies, made once per image, are exact below 2**53
-    pixel_sum = int(iset.upright.grid[-1, -1])
-    upright = iset.upright.grid.astype(np.float64)
-    tilted_tables = None if iset.tilted is None else (iset.tilted.planes.astype(np.float64), iset.tilted.voff)
+        skin_table = upright_table(skin > 0)
+    pixel_sum = int(iset.grid[-1, -1])
     stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
     # the gated windows of every level, in level order
     sizes, programs, xs, ys, sigmas = [], [], [], [], []
@@ -244,10 +220,10 @@ def detect_multiscale_counted(
         xs0 = np.arange(0, w - size + 1, step_k, dtype=np.int64)
         ys0 = np.arange(0, h - size + 1, step_k, dtype=np.int64)
         stats.total_windows += xs0.size * ys0.size
-        if skin_ii is None:
+        if skin_table is None:
             keep = np.arange(xs0.size * ys0.size)
         else:
-            frac = _window_sums(skin_ii.grid, size, step_k) / (size * size)
+            frac = window_sums(skin_table, size, step_k) / (size * size)
             keep = np.flatnonzero(frac >= min_skin_fraction)
         stats.evaluated_windows += keep.size
         if keep.size:
@@ -256,14 +232,14 @@ def detect_multiscale_counted(
             sizes.append(size)
             xs.append(xs0[keep % xs0.size])
             ys.append(ys0[keep // xs0.size])
-            sigmas.append(_window_sigma(iset, size, step_k).ravel()[keep])
+            sigmas.append(window_sigma(iset, size, step_k).ravel()[keep])
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     if not sizes:
         return [], stats
     counts = [x.size for x in xs]
     xs, ys = np.concatenate(xs), np.concatenate(ys)
-    windows = _Windows(upright, tilted_tables, programs, xs, ys, counts, np.concatenate(sigmas))
+    windows = _Windows(iset, programs, xs, ys, counts, np.concatenate(sigmas))
     margins = np.zeros(xs.size)
     live = np.arange(xs.size)
     for k in range(len(cascade.stages)):
@@ -276,7 +252,7 @@ def detect_multiscale_counted(
     stats.stage_windows[-1] = stats.accepted_windows = live.size
     sides = np.repeat(sizes, counts)[live].tolist()
     detections = [
-        Detection(x, y, side, side, margin, side / base)
+        Detection(x, y, side, side, margin)
         for x, y, side, margin in zip(xs[live].tolist(), ys[live].tolist(), sides, margins[live].tolist())
     ]
     return detections, stats
@@ -338,8 +314,7 @@ def merge_detections(
     ``max`` picks), groups in the order of their first members.
 
     Box fields are the members' mean rounded half up, ``floor(sum / count +
-    0.5)``, which is ``np.mean`` to the bit because integer sums are exact;
-    the scale is ``np.mean`` of the members' scales in index order.
+    0.5)``, which is ``np.mean`` to the bit because integer sums are exact.
     """
     if not 0.0 < overlap < 1.0:
         raise ValueError("overlap must be in (0, 1)")
@@ -356,12 +331,8 @@ def merge_detections(
     starts = np.cumsum(sizes) - sizes
     sums = np.add.reduceat(boxes[members], starts)
     best = np.maximum.reduceat(np.array([d.score for d in detections])[members], starts)
-    scales = np.array([d.scale for d in detections])
     kept = np.flatnonzero(sizes >= min_neighbors)
     means = np.floor(sums[kept] / sizes[kept, None] + 0.5).astype(np.int64)
     return [
-        Detection(x, y, w, h, score, float(np.mean(scales[members[lo : lo + size]])))
-        for (x, y, w, h), score, lo, size in zip(
-            means.tolist(), best[kept].tolist(), starts[kept].tolist(), sizes[kept].tolist()
-        )
+        Detection(x, y, w, h, score) for (x, y, w, h), score in zip(means.tolist(), best[kept].tolist())
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
 
 __all__ = [
     "to_grayscale",
@@ -20,6 +21,7 @@ __all__ = [
     "histogram_equalization",
     "resize_bilinear",
     "resize_boxes",
+    "crop_square",
     "draw_boxes",
 ]
 
@@ -83,15 +85,15 @@ def downscale(img: np.ndarray, factor: int) -> np.ndarray:
 
 
 def median_filter(img: np.ndarray, radius: int) -> np.ndarray:
-    """Median over a (2*radius+1)^2 window; borders use edge replication."""
+    """Median over a (2*radius+1)^2 window; borders use edge replication.
+
+    The window size is odd, so the median is a sample value; the filter
+    keeps one window of memory, not one copy per pixel.
+    """
     img = _require_gray(img)
     if radius < 1:
         raise ValueError(f"median radius must be >= 1, got {radius}")
-    padded = np.pad(img, radius, mode="edge")
-    side = 2 * radius + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (side, side))
-    # window size is odd, so the median is an exact sample value
-    return np.median(windows, axis=(2, 3)).astype(np.uint8)
+    return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
 
 
 def histogram_equalization(img: np.ndarray) -> np.ndarray:
@@ -114,6 +116,19 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample with corner alignment (endpoints map to endpoints)."""
     img = _require_gray(img)
     return resize_boxes(img, [(0, 0, img.shape[1], img.shape[0])], out_h, out_w)[0]
+
+
+def crop_square(img: np.ndarray, box: tuple[int, int, int, int], size: int) -> np.ndarray:
+    """Clamp an (x, y, w, h) box inside the image, crop, and resize to
+    size x size unless the crop already is."""
+    h, w = img.shape
+    x, y, bw, bh = box
+    x = max(0, min(x, w - 2))
+    y = max(0, min(y, h - 2))
+    bw = max(2, min(bw, w - x))
+    bh = max(2, min(bh, h - y))
+    crop = img[y : y + bh, x : x + bw]
+    return crop if crop.shape == (size, size) else resize_bilinear(crop, size, size)
 
 
 @lru_cache(maxsize=4096)

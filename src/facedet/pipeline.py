@@ -16,14 +16,7 @@ from .boost import Cascade, train_cascade
 from .config import PipelineConfig
 from .detect import Detection, ScanStats, detect_multiscale_counted, iou, merge_detections
 from .evaluate import DatasetManifest, match_detections
-from .images import (
-    downscale,
-    histogram_equalization,
-    median_filter,
-    resize_bilinear,
-    to_grayscale,
-    rgb_to_ycbcr,
-)
+from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import validation_feature
 from .netpbm import read_image, read_mask, read_pgm
 from .skin import Region, SkinThresholds, classify_skin, extract_regions, refine_mask, skin_ratio, sobel_edges
@@ -127,7 +120,6 @@ def detect_faces(
             min(d.w * factor, width - d.x * factor),
             min(d.h * factor, height - d.y * factor),
             d.score,
-            d.scale,
         )
         for d in merged
     ]
@@ -145,18 +137,6 @@ def load_sample_dir(path: str) -> list[np.ndarray]:
     if not names:
         raise ValueError(f"{path}: no .pgm samples found")
     return [read_pgm(os.path.join(path, n)) for n in names]
-
-
-def crop_square(img: np.ndarray, box: tuple[int, int, int, int], size: int) -> np.ndarray:
-    """Clamp a box inside the image, crop, and resize to size x size."""
-    h, w = img.shape
-    x, y, bw, bh = box
-    x = max(0, min(x, w - 2))
-    y = max(0, min(y, h - 2))
-    bw = max(2, min(bw, w - x))
-    bh = max(2, min(bh, h - y))
-    crop = img[y : y + bh, x : x + bw]
-    return crop if crop.shape == (size, size) else resize_bilinear(crop, size, size)
 
 
 def train_cascade_from_config(

@@ -25,7 +25,7 @@ import numpy as np
 from .boost import Cascade
 from .config import PipelineConfig
 from .detect import iou
-from .images import to_grayscale
+from .images import crop_square, to_grayscale
 from .netpbm import write_pgm
 from .pipeline import bootstrap_validator, evaluate_image, train_cascade_from_config
 from .svm import LinearSvmModel
@@ -216,8 +216,6 @@ def build_corpus(
     n_pool: int = 100,
     base_window: int = 24,
 ) -> Corpus:
-    from .images import resize_bilinear
-
     rng = np.random.default_rng(seed)
     train = [render_scene(rng, n_faces=1, n_textured=2, n_rings=1) for _ in range(n_train)]
     test = [render_scene(rng, n_faces=1, n_textured=2, n_rings=1) for _ in range(n_test)]
@@ -241,11 +239,7 @@ def build_corpus(
                 jx = min(max(jx, 0), gw - js)
                 jy = min(max(jy, 0), gh - js)
                 variants.append((jx, jy, js))
-            for vx, vy, vs in variants:
-                crop = scene.gray[vy : vy + vs, vx : vx + vs]
-                pos_tiles.append(
-                    crop if vs == base_window else resize_bilinear(crop, base_window, base_window)
-                )
+            pos_tiles.extend(crop_square(scene.gray, (vx, vy, vs, vs), base_window) for vx, vy, vs in variants)
         blocked = scene.faces + scene.distractors
         # crop sizes span the whole scan range so big windows are represented
         for size_hi in (30, 37, 48, 64, 80, 97):
@@ -254,10 +248,7 @@ def build_corpus(
             if box is None:
                 continue
             x, y, s, _ = box
-            crop = scene.gray[y : y + s, x : x + s]
-            neg_tiles.append(
-                crop if s == base_window else resize_bilinear(crop, base_window, base_window)
-            )
+            neg_tiles.append(crop_square(scene.gray, (x, y, s, s), base_window))
         # near-miss negatives: windows that contain a face badly (low IoU)
         # teach the cascade to reject loose placements, which keeps merge
         # clusters tight around the true box
@@ -273,8 +264,7 @@ def build_corpus(
                 cand = (nx, ny, ns, ns)
                 if iou(cand, (x, y, s, s)) >= 0.2:
                     continue
-                crop = scene.gray[ny : ny + ns, nx : nx + ns]
-                neg_tiles.append(resize_bilinear(crop, base_window, base_window))
+                neg_tiles.append(crop_square(scene.gray, cand, base_window))
     return Corpus(train, test, pool, pos_tiles, neg_tiles)
 
 

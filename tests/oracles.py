@@ -16,43 +16,30 @@ import numpy as np
 from facedet.boost import Cascade, Stage, _StumpSearch
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
 from facedet.images import _round_u8
-from facedet.integral import UPRIGHT, IntegralImage, IntegralSet, integral_set
+from facedet.integral import IntegralSet, integral_set
 from facedet.lbp import FINE_BLOCK_OFFSETS, lbp_label_image, uniform_pattern_table
 
 
-def _check_upright_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
-    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > ii.width or y + h > ii.height:
-        raise ValueError(f"rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
-
-
-def _check_tilted_bounds(ii: IntegralImage, x: int, y: int, w: int, h: int) -> None:
-    if w < 0 or h < 0:
-        raise ValueError("negative tilted rect arms")
-    if w == 0 or h == 0:
-        return
-    ok = (
-        y >= 0
-        and x - (h - 1) >= 0
-        and x + (w - 1) <= ii.width - 1
-        and y + (w - 1) + (h - 1) <= ii.height - 1
-    )
-    if not ok:
-        raise ValueError(f"tilted rect ({x},{y},{w},{h}) outside {ii.width}x{ii.height} image")
+def _shape(iset: IntegralSet) -> tuple[int, int]:
+    """(width, height) of the image whose tables ``iset`` holds."""
+    return iset.grid.shape[-1] - 1, iset.grid.shape[-2] - 1
 
 
 def _upright_sums(grid: np.ndarray, x, y, w: int, h: int):
     return grid[y + h, x + w] - grid[y, x + w] - grid[y + h, x] + grid[y, x]
 
 
-def _tilted_sums(ii: IntegralImage, x, y, w: int, h: int):
-    """Tilted sums for scalar or ndarray apex coordinates (fixed arms)."""
+def _tilted_sums(iset: IntegralSet, x, y, w: int, h: int):
+    """Tilted sums for scalar or ndarray apex coordinates (fixed arms): an
+    apex of parity p reads parity p's table, the leading block of plane p."""
     x = np.asarray(x)
     y = np.asarray(y)
     u = x + y
-    v = y - x + ii.voff
+    v = y - x + iset.voff
     parity = u & 1
     out = np.empty(np.broadcast(x, y).shape, dtype=np.int64)
-    for p, g in ((0, ii.grid), (1, ii.grid_odd)):
+    for p in (0, 1):
+        g = iset.planes[p]
         m = parity == p
         if not np.any(m):
             continue
@@ -62,33 +49,38 @@ def _tilted_sums(ii: IntegralImage, x, y, w: int, h: int):
     return out
 
 
-def rect_sum(ii: IntegralImage, rect: tuple[int, int, int, int]) -> int:
-    """Exact pixel sum of a rectangle, four lookups for either variant.
-
-    For the tilted variant ``rect`` is (apex_x, apex_y, w_arm, h_arm) as
-    described in the module docstring. Zero-area rectangles sum to 0;
-    out-of-bounds rectangles are rejected.
-    """
+def rect_sum(iset: IntegralSet, rect: tuple[int, int, int, int]) -> int:
+    """Exact pixel sum of an upright (x, y, w, h) rectangle, four lookups.
+    Zero-area rectangles sum to 0; out-of-bounds rectangles are rejected."""
     x, y, w, h = (int(v) for v in rect)
-    if ii.variant == UPRIGHT:
-        _check_upright_bounds(ii, x, y, w, h)
-        if w == 0 or h == 0:
-            return 0
-        return int(_upright_sums(ii.grid, x, y, w, h))
-    _check_tilted_bounds(ii, x, y, w, h)
+    width, height = _shape(iset)
+    if w < 0 or h < 0 or x < 0 or y < 0 or x + w > width or y + h > height:
+        raise ValueError(f"rect ({x},{y},{w},{h}) outside {width}x{height} image")
     if w == 0 or h == 0:
         return 0
-    return int(_tilted_sums(ii, np.array([x]), np.array([y]), w, h)[0])
+    return int(_upright_sums(iset.grid, x, y, w, h))
+
+
+def tilted_rect_sum(iset: IntegralSet, rect: tuple[int, int, int, int]) -> int:
+    """Exact pixel sum of a tilted (apex_x, apex_y, w_arm, h_arm) rectangle,
+    as described in :mod:`facedet.integral`, four lookups. Zero-area
+    rectangles sum to 0; out-of-bounds rectangles are rejected."""
+    x, y, w, h = (int(v) for v in rect)
+    width, height = _shape(iset)
+    if w < 0 or h < 0:
+        raise ValueError("negative tilted rect arms")
+    if w == 0 or h == 0:
+        return 0
+    if y < 0 or x - (h - 1) < 0 or x + (w - 1) > width - 1 or y + (w - 1) + (h - 1) > height - 1:
+        raise ValueError(f"tilted rect ({x},{y},{w},{h}) outside {width}x{height} image")
+    return int(_tilted_sums(iset, np.array([x]), np.array([y]), w, h)[0])
 
 
 def window_sigma(iset: IntegralSet, x: int, y: int, size: int) -> float:
     """Pixel standard deviation of a square window, floored at 1."""
-    up = iset.upright
-    if up.sq is None:
-        raise ValueError("variance normalization requires squared sums")
     n = size * size
-    total = int(_upright_sums(up.grid, x, y, size, size))
-    total_sq = int(_upright_sums(up.sq, x, y, size, size))
+    total = int(_upright_sums(iset.grid, x, y, size, size))
+    total_sq = int(_upright_sums(iset.sq, x, y, size, size))
     var = total_sq / n - (total / n) ** 2
     return max(float(np.sqrt(max(var, 0.0))), 1.0)
 
@@ -102,22 +94,20 @@ def eval_feature(
     variance_norm: bool = True,
 ) -> float:
     """Feature response on the square window at (x, y) of side ``size``."""
-    up = iset.upright
-    if x < 0 or y < 0 or x + size > up.width or y + size > up.height:
-        raise ValueError(f"window ({x},{y},{size}) outside {up.width}x{up.height} image")
+    width, height = _shape(iset)
+    if x < 0 or y < 0 or x + size > width or y + size > height:
+        raise ValueError(f"window ({x},{y},{size}) outside {width}x{height} image")
     parts = scaled_parts(feature, size)
     if feature.tilted:
-        if iset.tilted is None:
-            raise ValueError("tilted feature requires a tilted integral image")
+        if iset.planes is None:
+            raise ValueError("tilted feature requires the tilted tables")
         value = 0
         for px, py, pw, ph, wt in parts:
-            value += wt * int(
-                _tilted_sums(iset.tilted, np.array([x + px]), np.array([y + py]), pw, ph)[0]
-            )
+            value += wt * int(_tilted_sums(iset, np.array([x + px]), np.array([y + py]), pw, ph)[0])
     else:
         value = 0
         for px, py, pw, ph, wt in parts:
-            value += wt * int(_upright_sums(up.grid, x + px, y + py, pw, ph))
+            value += wt * int(_upright_sums(iset.grid, x + px, y + py, pw, ph))
     if not variance_norm:
         return float(value)
     return float(value) / window_sigma(iset, x, y, size)
@@ -225,17 +215,15 @@ def feature_matrix_oracle(features, samples, variance_norm=True):
     n = len(samples)
     up = np.empty((n, base + 1, base + 1), dtype=np.int64)
     sq = np.empty_like(up)
-    t_even, t_odd = [], []
+    planes = []
     voff = 0
     for i, sample in enumerate(samples):
         iset = integral_set(sample)
-        up[i] = iset.upright.grid
-        sq[i] = iset.upright.sq
-        t_even.append(iset.tilted.grid)
-        t_odd.append(iset.tilted.grid_odd)
-        voff = iset.tilted.voff
-    te = np.stack(t_even)
-    to = np.stack(t_odd)
+        up[i] = iset.grid
+        sq[i] = iset.sq
+        planes.append(iset.planes)
+        voff = iset.voff
+    planes = np.stack(planes)
     area = base * base
     total = up[:, base, base].astype(np.float64)
     var = sq[:, base, base] / area - (total / area) ** 2
@@ -246,7 +234,7 @@ def feature_matrix_oracle(features, samples, variance_norm=True):
         for px, py, pw, ph, wt in scaled_parts(feature, base):
             if feature.tilted:
                 p = (px + py) & 1
-                grid = te if p == 0 else to
+                grid = planes[:, p]
                 u0 = (px + py - p) // 2
                 v0 = (py - px + voff - p) // 2
                 acc += wt * (grid[:, u0 + pw, v0 + ph] - grid[:, u0, v0 + ph] - grid[:, u0 + pw, v0] + grid[:, u0, v0])

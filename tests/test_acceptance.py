@@ -19,7 +19,7 @@ from facedet.detect import detect_multiscale_counted, iou
 from facedet.evaluate import match_detections, roc_sweep
 from facedet.haar import KINDS, enumerate_kind, scaled_parts
 from facedet.images import resize_bilinear, rgb_to_ycbcr
-from facedet.integral import integral_image, integral_set
+from facedet.integral import integral_set
 from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
 from facedet.netpbm import write_pgm
 from facedet.pipeline import summarize
@@ -28,7 +28,7 @@ from facedet.svm import save_svm
 from facedet.synthetic import Experiment, _place, render_color_scene, render_scene
 from facedet.validate import decision_values, validate_detections
 from facedet.cli import main as cli_main
-from oracles import _upright_sums, classify_window, eval_feature, rect_sum
+from oracles import _upright_sums, classify_window, eval_feature, rect_sum, tilted_rect_sum
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def test_criterion_1_integral_oracle():
             rh = int(rng.integers(0, h + 1))
             rx = int(rng.integers(0, w - rw + 1))
             ry = int(rng.integers(0, h - rh + 1))
-            assert rect_sum(iset.upright, (rx, ry, rw, rh)) == brute_rect(img, (rx, ry, rw, rh))
+            assert rect_sum(iset, (rx, ry, rw, rh)) == brute_rect(img, (rx, ry, rw, rh))
             for _ in range(40):
                 aw = int(rng.integers(1, w + 1))
                 ah = int(rng.integers(1, h + 1))
@@ -76,7 +76,7 @@ def test_criterion_1_integral_oracle():
                     and ay + aw + ah - 2 <= h - 1
                 )
                 if fits:
-                    assert rect_sum(iset.tilted, (ax, ay, aw, ah)) == brute_tilted(
+                    assert tilted_rect_sum(iset, (ax, ay, aw, ah)) == brute_tilted(
                         img, (ax, ay, aw, ah)
                     )
                     break
@@ -229,11 +229,11 @@ def test_criterion_7_skin_gating(experiment):
             )
             evaluated_gated += gstats.evaluated_windows
             evaluated_ungated += ustats.evaluated_windows
-            mask_ii = integral_image(mask)
+            mask_table = integral_set(mask, with_tilted=False).grid
             filtered = [
                 d
                 for d in ungated
-                if _upright_sums(mask_ii.grid, d.x, d.y, d.w, d.h) / (d.w * d.h)
+                if _upright_sums(mask_table, d.x, d.y, d.w, d.h) / (d.w * d.h)
                 >= config.min_skin_fraction
             ]
             assert gated == filtered
@@ -377,7 +377,7 @@ def test_criterion_10_roc_monotonicity(experiment):
             per_image_cascade.append((dets, scene.faces))
             values = decision_values(dets, scene.gray, svm, config.block_weights)
             rescored = [
-                d.__class__(d.x, d.y, d.w, d.h, float(v), d.scale)
+                d.__class__(d.x, d.y, d.w, d.h, float(v))
                 for d, v in zip(dets, values)
             ]
             per_image_validated.append((rescored, scene.faces))

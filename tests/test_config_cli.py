@@ -192,11 +192,12 @@ class TestSegmentCommand:
             # values that parse but fail validation; a cross-field check has no one line
             ("seed = 1\nstages = 0\n", "bad.cfg:2: stages must be >= 1"),
             ("overlap = 1.5\n", "bad.cfg:1: overlap must be in (0, 1)"),
+            ("median_radius = 16\n", "bad.cfg:1: median_radius must be in [0, 15]"),
             ("sobel_threshold = inf\n", "bad.cfg:1: sobel_threshold must be finite, got inf"),
             ("cb_min = 200\n", "bad.cfg: cb interval must be non-empty"),
         ],
         ids=["int", "int-from-float", "bool", "float", "tuple", "tuple-empty-item", "empty-value",
-             "out-of-range", "out-of-range-float", "not-finite", "cross-field"],
+             "out-of-range", "out-of-range-float", "out-of-range-median", "not-finite", "cross-field"],
     )
     def test_unparsable_value_names_file_line_and_key(self, tmp_path, capsys, config_text, message):
         cfg = tmp_path / "bad.cfg"

@@ -18,7 +18,7 @@ from facedet.detect import (
     merge_detections,
 )
 from facedet.haar import KINDS, enumerate_kind, scaled_parts
-from facedet.integral import integral_image, integral_set
+from facedet.integral import integral_set
 from oracles import _tilted_sums, _upright_sums, classify_window, eval_feature
 
 
@@ -46,7 +46,7 @@ def scan_oracle(
     h, w = img.shape
     base = cascade.base_window
     iset = integral_set(img)
-    skin_ii = None if skin is None else integral_image((np.asarray(skin) > 0).astype(np.uint8))
+    skin_table = None if skin is None else integral_set((np.asarray(skin) > 0).astype(np.uint8), False).grid
     stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
     detections = []
     level = 0
@@ -59,8 +59,8 @@ def scan_oracle(
         xs = grid_x.ravel()
         ys = grid_y.ravel()
         stats.total_windows += xs.size
-        if skin_ii is not None:
-            frac = _upright_sums(skin_ii.grid, xs, ys, size, size) / (size * size)
+        if skin_table is not None:
+            frac = _upright_sums(skin_table, xs, ys, size, size) / (size * size)
             keep = frac >= min_skin_fraction
             xs = xs[keep]
             ys = ys[keep]
@@ -69,8 +69,8 @@ def scan_oracle(
             margins = np.zeros(xs.size)
             alive = np.ones(xs.size, dtype=bool)
             n = size * size
-            total = _upright_sums(iset.upright.grid, xs, ys, size, size)
-            total_sq = _upright_sums(iset.upright.sq, xs, ys, size, size)
+            total = _upright_sums(iset.grid, xs, ys, size, size)
+            total_sq = _upright_sums(iset.sq, xs, ys, size, size)
             sigma = np.maximum(np.sqrt(np.maximum(total_sq / n - (total / n) ** 2, 0.0)), 1.0)
             for k, stage in enumerate(cascade.stages):
                 idx = np.flatnonzero(alive)
@@ -84,9 +84,9 @@ def scan_oracle(
                     vals = np.zeros(idx.size, dtype=np.int64)
                     for px, py, pw, ph, wt in scaled_parts(wc.feature, size):
                         if wc.feature.tilted:
-                            vals += wt * _tilted_sums(iset.tilted, sx + px, sy + py, pw, ph)
+                            vals += wt * _tilted_sums(iset, sx + px, sy + py, pw, ph)
                         else:
-                            vals += wt * _upright_sums(iset.upright.grid, sx + px, sy + py, pw, ph)
+                            vals += wt * _upright_sums(iset.grid, sx + px, sy + py, pw, ph)
                     vals = vals.astype(np.float64)
                     if variance_norm:
                         vals /= sigma[idx]
@@ -96,7 +96,7 @@ def scan_oracle(
                 alive[idx] = stage_margin >= 0
             for i in np.flatnonzero(alive):
                 detections.append(
-                    Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]), size / base)
+                    Detection(int(xs[i]), int(ys[i]), size, size, float(margins[i]))
                 )
                 stats.accepted_windows += 1
             stats.stage_windows[-1] += int(alive.sum())
@@ -476,13 +476,7 @@ def merge_oracle(detections, min_neighbors=1, overlap=0.3):
         my = int(np.floor(np.mean([d.y for d in members]) + 0.5))
         mw = int(np.floor(np.mean([d.w for d in members]) + 0.5))
         mh = int(np.floor(np.mean([d.h for d in members]) + 0.5))
-        merged.append(
-            Detection(
-                mx, my, mw, mh,
-                max(d.score for d in members),
-                float(np.mean([d.scale for d in members])),
-            )
-        )
+        merged.append(Detection(mx, my, mw, mh, max(d.score for d in members)))
     return merged
 
 
@@ -495,34 +489,33 @@ boxes = st.builds(
     st.integers(0, 30),
     st.integers(0, 30),
     st.floats(-5.0, 5.0, allow_nan=False),
-    st.sampled_from([1.0, 1.25, 1.5625, 2.0]),
 )
 
 
 def random_detections(rng, n, field=200):
     sides = rng.integers(8, 60, size=(n, 2))
     return [
-        Detection(int(x), int(y), int(w), int(h), float(rng.normal()), float(w) / 24)
+        Detection(int(x), int(y), int(w), int(h), float(rng.normal()))
         for (x, y), (w, h) in zip(rng.integers(0, field, size=(n, 2)), sides)
     ]
 
 
 class TestMergeDetections:
     def test_single_detection_unchanged(self):
-        det = Detection(5, 6, 20, 20, 1.5, 1.0)
+        det = Detection(5, 6, 20, 20, 1.5)
         assert merge_detections([det], min_neighbors=1, overlap=0.5) == [det]
 
     def test_two_identical_boxes_merge_to_one(self):
-        a = Detection(5, 6, 20, 20, 1.0, 1.0)
-        b = Detection(5, 6, 20, 20, 2.0, 1.0)
+        a = Detection(5, 6, 20, 20, 1.0)
+        b = Detection(5, 6, 20, 20, 2.0)
         merged = merge_detections([a, b], min_neighbors=2, overlap=0.5)
         assert len(merged) == 1
         assert (merged[0].x, merged[0].y, merged[0].w, merged[0].h) == (5, 6, 20, 20)
         assert merged[0].score == 2.0
 
     def test_min_neighbors_drops_small_groups(self):
-        a = Detection(0, 0, 10, 10, 1.0, 1.0)
-        b = Detection(50, 50, 10, 10, 1.0, 1.0)
+        a = Detection(0, 0, 10, 10, 1.0)
+        b = Detection(50, 50, 10, 10, 1.0)
         assert merge_detections([a, b], min_neighbors=2, overlap=0.5) == []
 
     def test_grouping_matches_graph_components_oracle(self):
@@ -538,7 +531,6 @@ class TestMergeDetections:
                         s,
                         s,
                         float(rng.normal()),
-                        1.0,
                     )
                 )
             overlap = float(rng.uniform(0.15, 0.6))
@@ -571,33 +563,16 @@ class TestMergeDetections:
         # box p overlaps only boxes p - 1 and p + 1, and the chain's boxes
         # come in random order: labels need many propagation rounds
         rng = np.random.default_rng(n)
-        dets = [Detection(4 * int(p), 3, 10, 10, float(rng.normal()), 1.0) for p in rng.permutation(n)]
-        dets += [Detection(4 * n + 20, 3, 10, 10, 0.0, 1.0)]  # a group of its own
+        dets = [Detection(4 * int(p), 3, 10, 10, float(rng.normal())) for p in rng.permutation(n)]
+        dets += [Detection(4 * n + 20, 3, 10, 10, 0.0)]  # a group of its own
         for min_neighbors in (1, 2, n):
             got = merge_detections(dets, min_neighbors, overlap=0.3)
             assert got == merge_oracle(dets, min_neighbors, overlap=0.3)
         assert len(merge_detections(dets, 1, overlap=0.3)) == 2
 
-    def test_large_groups_keep_the_pairwise_scale_mean(self):
-        # 11 scales whose numpy mean (pairwise sum) differs from a
-        # left-to-right sum divided by 11
-        scales = np.random.default_rng(7).uniform(0.5, 3.0, size=11).tolist()
-        assert sum(scales) / 11 != np.mean(scales)
-        rng = np.random.default_rng(41)
-        dets = []
-        for x0 in (0, 100):  # two groups of 11, interleaved in index order
-            dets += [
-                Detection(x0 + int(dx), int(dy), 20 + int(dw), 20, float(rng.normal()), s)
-                for (dx, dy, dw), s in zip(rng.integers(0, 4, size=(11, 3)), scales)
-            ]
-        dets = [dets[i] for i in np.argsort(np.arange(22) % 11, kind="stable")]
-        got = merge_detections(dets, min_neighbors=9, overlap=0.3)
-        assert got == merge_oracle(dets, min_neighbors=9, overlap=0.3)
-        assert [d.scale for d in got] == [float(np.mean(scales))] * 2
-
     def test_iou_equal_to_overlap_joins(self):
-        a = Detection(0, 0, 10, 10, 1.0, 1.0)
-        b = Detection(5, 0, 10, 10, 2.0, 1.0)
+        a = Detection(0, 0, 10, 10, 1.0)
+        b = Detection(5, 0, 10, 10, 2.0)
         assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == 1 / 3
         merged = merge_detections([a, b], min_neighbors=2, overlap=1 / 3)
         assert merged == merge_oracle([a, b], 2, 1 / 3)

@@ -18,7 +18,7 @@ from facedet.evaluate import (
 
 
 def det(x, y, w, h, score=1.0):
-    return Detection(x, y, w, h, score, 1.0)
+    return Detection(x, y, w, h, score)
 
 
 class TestManifest:

@@ -39,7 +39,7 @@ SEEDS = {
     "ppm": b"P6 4 2 230\n" + RASTER,
     "manifest": b"a.pgm 1 2 3 10 12\n# no faces\nb.pgm 0\nc.ppm 2 0 0 5 5 7 8 4 4\n",
     "mask_manifest": b"a.ppm a_mask.pgm\n# comment\nb.ppm b_mask.pgm\n",
-    "config": b"stages = 3\nequalize = yes\nscale_factor = 1.5\nblock_weights = 1,2,1,2,4,2,1,2,1\nsvm_threshold = -0.25\n",
+    "config": b"stages = 3\nmedian_radius = 1\nequalize = yes\nscale_factor = 1.5\nblock_weights = 1,2,1,2,4,2,1,2,1\nsvm_threshold = -0.25\n",
 }
 EDGE_TOKENS = [b"0", b"-1", b"1", b"2", b"nan", b"inf", b"-inf", b"1e309", b"1e-320", b"99999999999999999999", b"+1", b"-0", b"0x10", b"", b"#", b"=", b","]
 

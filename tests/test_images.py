@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,6 +135,24 @@ class TestMedianFilter:
         for radius in (1, 2):
             img = rng.integers(0, 256, size=(9, 8), dtype=np.uint8)
             assert np.array_equal(median_filter(img, radius), brute_median(img, radius))
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))), st.integers(1, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sort_and_pick_oracle_property(self, img, radius):
+        # radii beyond the image replicate the edge pixels on every side
+        assert np.array_equal(median_filter(img, radius), brute_median(img, radius))
+
+    def test_memory_does_not_grow_with_the_window(self):
+        # one (2r + 1)^2 copy per pixel would be 64 * 64 * 61 * 61 bytes
+        # (15 MB) and more for the median's sort
+        img = np.random.default_rng(12).integers(0, 256, size=(64, 64), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            median_filter(img, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @given(gray_images)
     @settings(max_examples=30, deadline=None)

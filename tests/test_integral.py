@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from facedet.integral import _tilted_grids, _tilted_scatter, integral_image, integral_set
-from oracles import rect_sum
+from facedet.integral import _tilted_scatter, integral_set, upright_table, window_sigma
+from oracles import rect_sum, tilted_rect_sum
+from oracles import window_sigma as window_sigma_oracle
 
 small_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))
 
@@ -30,6 +31,18 @@ def tilted_grids_oracle(img):
         np.cumsum(g, axis=1, out=g)
         grids.append(g)
     return grids[0], grids[1], voff
+
+
+def assert_planes_match_oracle(planes, voff, img):
+    """Parity p's table is the leading block of plane p; the even one fills
+    its plane."""
+    want_even, want_odd, want_voff = tilted_grids_oracle(img)
+    assert voff == want_voff
+    assert planes.shape[-2:] == want_even.shape
+    for plane, want in zip(planes, (want_even, want_odd)):
+        got = plane[: want.shape[0], : want.shape[1]]
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def brute_prefix(img, x, y):
@@ -69,54 +82,54 @@ def random_tilted_rect(rng, shape):
 
 class TestUpright:
     def test_two_by_two_interior_corner(self):
-        ii = integral_image(np.array([[1, 2], [3, 4]], dtype=np.uint8))
+        ii = integral_set(np.array([[1, 2], [3, 4]], dtype=np.uint8))
         assert ii.grid[2, 2] == 10
 
     def test_zero_image_all_zero(self):
-        ii = integral_image(np.zeros((5, 5), dtype=np.uint8))
+        ii = integral_set(np.zeros((5, 5), dtype=np.uint8))
         assert np.all(ii.grid == 0)
 
     def test_every_entry_matches_double_loop(self):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        ii = integral_image(img)
+        ii = integral_set(img)
         for y in range(9):
             for x in range(9):
                 assert ii.grid[y, x] == brute_prefix(img, x, y)
 
     def test_zero_row_and_column(self):
         rng = np.random.default_rng(6)
-        ii = integral_image(rng.integers(0, 256, size=(4, 7), dtype=np.uint8))
+        ii = integral_set(rng.integers(0, 256, size=(4, 7), dtype=np.uint8))
         assert np.all(ii.grid[0, :] == 0)
         assert np.all(ii.grid[:, 0] == 0)
 
     def test_monotone_along_rows_and_columns(self):
         rng = np.random.default_rng(7)
-        ii = integral_image(rng.integers(0, 256, size=(6, 6), dtype=np.uint8))
+        ii = integral_set(rng.integers(0, 256, size=(6, 6), dtype=np.uint8))
         assert np.all(np.diff(ii.grid, axis=0) >= 0)
         assert np.all(np.diff(ii.grid, axis=1) >= 0)
 
     def test_squared_companion(self):
         rng = np.random.default_rng(8)
         img = rng.integers(0, 256, size=(5, 5), dtype=np.uint8)
-        ii = integral_image(img, with_squares=True)
+        ii = integral_set(img)
         assert ii.sq[5, 5] == int((img.astype(np.int64) ** 2).sum())
 
 
 class TestRectSum:
     def test_full_image(self):
-        ii = integral_image(np.array([[1, 2], [3, 4]], dtype=np.uint8))
+        ii = integral_set(np.array([[1, 2], [3, 4]], dtype=np.uint8))
         assert rect_sum(ii, (0, 0, 2, 2)) == 10
 
     def test_zero_area(self):
-        ii = integral_image(np.full((4, 4), 9, dtype=np.uint8))
+        ii = integral_set(np.full((4, 4), 9, dtype=np.uint8))
         assert rect_sum(ii, (1, 1, 0, 3)) == 0
         assert rect_sum(ii, (1, 1, 3, 0)) == 0
 
     def test_random_rects_match_pixel_loop(self):
         rng = np.random.default_rng(9)
         img = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        ii = integral_image(img)
+        ii = integral_set(img)
         for _ in range(200):
             w = int(rng.integers(0, 17))
             h = int(rng.integers(0, 17))
@@ -125,7 +138,7 @@ class TestRectSum:
             assert rect_sum(ii, (x, y, w, h)) == brute_upright(img, (x, y, w, h))
 
     def test_out_of_bounds_rejected(self):
-        ii = integral_image(np.zeros((4, 4), dtype=np.uint8))
+        ii = integral_set(np.zeros((4, 4), dtype=np.uint8))
         for rect in [(-1, 0, 2, 2), (0, 0, 5, 1), (3, 3, 2, 2)]:
             with pytest.raises(ValueError):
                 rect_sum(ii, rect)
@@ -135,40 +148,36 @@ class TestTilted:
     def test_single_pixels(self):
         rng = np.random.default_rng(10)
         img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-        ti = integral_image(img, "tilted")
+        ti = integral_set(img)
         for y in range(5):
             for x in range(7):
-                assert rect_sum(ti, (x, y, 1, 1)) == img[y, x]
+                assert tilted_rect_sum(ti, (x, y, 1, 1)) == img[y, x]
 
     def test_diamond_matches_pixel_loop(self):
         rng = np.random.default_rng(11)
         img = rng.integers(0, 256, size=(12, 12), dtype=np.uint8)
-        ti = integral_image(img, "tilted")
+        ti = integral_set(img)
         for _ in range(300):
             rect = random_tilted_rect(rng, img.shape)
-            assert rect_sum(ti, rect) == brute_tilted(img, rect)
+            assert tilted_rect_sum(ti, rect) == brute_tilted(img, rect)
 
     def test_out_of_bounds_rejected(self):
-        ti = integral_image(np.zeros((4, 4), dtype=np.uint8), "tilted")
+        ti = integral_set(np.zeros((4, 4), dtype=np.uint8))
         for rect in [(0, 0, 1, 2), (3, 0, 2, 1), (0, 3, 2, 2)]:
             with pytest.raises(ValueError):
-                rect_sum(ti, rect)
+                tilted_rect_sum(ti, rect)
 
     def test_zero_area(self):
-        ti = integral_image(np.full((4, 4), 9, dtype=np.uint8), "tilted")
-        assert rect_sum(ti, (2, 1, 0, 1)) == 0
+        ti = integral_set(np.full((4, 4), 9, dtype=np.uint8))
+        assert tilted_rect_sum(ti, (2, 1, 0, 1)) == 0
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 9), (1, 10), (9, 1), (10, 1), (7, 12), (12, 7), (24, 24), (240, 320)]
     )
     def test_grids_match_two_pass_oracle(self, shape):
         img = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(0, 256, size=shape, dtype=np.uint8)
-        even, odd, voff = _tilted_grids(img)
-        want_even, want_odd, want_voff = tilted_grids_oracle(img)
-        assert voff == want_voff
-        for got, want in ((even, want_even), (odd, want_odd)):
-            assert got.dtype == want.dtype == np.int64
-            assert np.array_equal(got, want)
+        iset = integral_set(img)
+        assert_planes_match_oracle(iset.planes, iset.voff, img)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 12), (240, 320)])
     def test_cached_scatter_equals_uncached_build(self, shape):
@@ -179,19 +188,75 @@ class TestTilted:
         assert np.array_equal(cached[0], index) and not cached[0].flags.writeable
         stack = np.random.default_rng(shape[0] + shape[1]).integers(0, 256, size=(3, *shape), dtype=np.uint8)
         for _ in range(2):  # a fresh and a cached scatter index
-            even, odd, voff = _tilted_grids(stack)
+            iset = integral_set(stack)
             for i, img in enumerate(stack):
-                want_even, want_odd, want_voff = tilted_grids_oracle(img)
-                assert voff == want_voff
-                assert np.array_equal(even[i], want_even) and np.array_equal(odd[i], want_odd)
+                assert_planes_match_oracle(iset.planes[i], iset.voff, img)
 
     @given(small_images)
     @settings(max_examples=60, deadline=None)
     def test_grids_match_two_pass_oracle_property(self, img):
-        got = _tilted_grids(img)
-        want = tilted_grids_oracle(img)
-        assert got[2] == want[2]
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        iset = integral_set(img)
+        assert_planes_match_oracle(iset.planes, iset.voff, img)
+
+
+class TestStacks:
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)).flatmap(lambda shape: arrays(np.uint8, shape)),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_its_slices_property(self, stack, with_tilted):
+        got = integral_set(stack, with_tilted)
+        for i, img in enumerate(stack):
+            want = integral_set(img, with_tilted)
+            assert np.array_equal(got.grid[i], want.grid) and np.array_equal(got.sq[i], want.sq)
+            assert got.voff == want.voff
+            assert (got.planes is None) == (want.planes is None) == (not with_tilted)
+            assert got.planes is None or np.array_equal(got.planes[i], want.planes)
+
+    @pytest.mark.parametrize("base", [1, 8, 24])
+    def test_window_sigma_of_a_stack_equals_the_per_sample_oracle(self, base):
+        rng = np.random.default_rng(base)
+        stack = rng.integers(0, 256, size=(5, base, base), dtype=np.uint8)
+        stack[0] = 7  # a flat sample: sigma is floored at 1
+        got = window_sigma(integral_set(stack), base, 1)
+        assert got.shape == (5, 1, 1)
+        for i, img in enumerate(stack):
+            assert got[i, 0, 0] == window_sigma_oracle(integral_set(img), 0, 0, base)
+
+    @pytest.mark.parametrize("size, step", [(1, 1), (3, 2), (5, 3), (9, 4)])
+    def test_window_sigma_of_a_lattice_equals_the_oracle(self, size, step):
+        img = np.random.default_rng(size).integers(0, 256, size=(17, 23), dtype=np.uint8)
+        iset = integral_set(img)
+        got = window_sigma(iset, size, step)
+        for j, y in enumerate(range(0, 17 - size + 1, step)):
+            for i, x in enumerate(range(0, 23 - size + 1, step)):
+                assert got[j, i] == window_sigma_oracle(iset, x, y, size)
+
+    def test_upright_table_is_the_set_grid(self):
+        mask = np.random.default_rng(3).integers(0, 2, size=(9, 13)) > 0
+        table = upright_table(mask)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, integral_set(mask.astype(np.uint8), with_tilted=False).grid)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 1 << 30))
+@settings(max_examples=80, deadline=None)
+def test_origins_match_the_parity_cell_formula_property(h, w, seed):
+    rng = np.random.default_rng(seed)
+    iset = integral_set(np.zeros((h, w), dtype=np.uint8))
+    n = int(rng.integers(1, 30))
+    xs = rng.integers(0, w, size=n)
+    ys = rng.integers(0, h, size=n)
+    (up, up_mask), *tilted = iset.origins(xs, ys)
+    assert up_mask is None and np.array_equal(up, ys * (w + 1) + xs)
+    cols = iset.planes.shape[-1]
+    for q, (cells, mask) in enumerate(tilted):
+        assert np.array_equal(mask, (xs + ys) % 2 == q)
+        for x, y, cell in zip(xs[mask], ys[mask], cells[mask]):
+            # the oracle's cell of an apex of parity q, in plane 0's numbering
+            assert cell == ((x + y - q) // 2) * cols + (y - x + iset.voff - q) // 2
+    assert len(integral_set(np.zeros((h, w), dtype=np.uint8), with_tilted=False).origins(xs, ys)) == 1
 
 
 @given(small_images, st.integers(0, 1 << 30))
@@ -204,6 +269,6 @@ def test_rect_sum_equals_brute_force_property(img, seed):
     rh = int(rng.integers(0, h + 1))
     rx = int(rng.integers(0, w - rw + 1))
     ry = int(rng.integers(0, h - rh + 1))
-    assert rect_sum(iset.upright, (rx, ry, rw, rh)) == brute_upright(img, (rx, ry, rw, rh))
+    assert rect_sum(iset, (rx, ry, rw, rh)) == brute_upright(img, (rx, ry, rw, rh))
     trect = random_tilted_rect(rng, img.shape)
-    assert rect_sum(iset.tilted, trect) == brute_tilted(img, trect)
+    assert tilted_rect_sum(iset, trect) == brute_tilted(img, trect)

@@ -166,7 +166,7 @@ class TestValidateDetections:
         model, _, _ = (None, None, None)
         model, pos, neg = train_texture_model(rng, n=20)
         img = rng.integers(0, 256, size=(60, 60), dtype=np.uint8)
-        dets = [Detection(x, y, 24, 24, 1.0, 1.0) for x, y in [(0, 0), (20, 20), (36, 30)]]
+        dets = [Detection(x, y, 24, 24, 1.0) for x, y in [(0, 0), (20, 20), (36, 30)]]
         # decision values are bounded: |w.x| <= |w|_inf * |x|_1 <= max|w| * (1 + max weight)
         floor = -(np.abs(model.weights).sum() + abs(model.bias) + 1.0)
         kept, rejected = validate_detections(dets, img, model, threshold=floor)
@@ -184,7 +184,7 @@ class TestValidateDetections:
         for _ in range(40):
             x = int(rng.integers(0, 80 - 24))
             y = int(rng.integers(0, 80 - 24))
-            dets.append(Detection(x, y, 24, 24, 0.0, 1.0))
+            dets.append(Detection(x, y, 24, 24, 0.0))
         for threshold in (-0.5, 0.0, 0.3):
             kept, rejected = validate_detections(dets, img, model, threshold=threshold)
             values = decision_values(dets, img, model)
@@ -196,7 +196,7 @@ class TestValidateDetections:
         model = LinearSvmModel(np.zeros(203), 0.0)
         img = np.zeros((30, 30), dtype=np.uint8)
         with pytest.raises(ValueError):
-            validate_detections([Detection(20, 20, 24, 24, 0.0, 1.0)], img, model)
+            validate_detections([Detection(20, 20, 24, 24, 0.0)], img, model)
 
     def test_separates_textures(self):
         rng = np.random.default_rng(48)
@@ -217,7 +217,7 @@ def random_candidates(seed, n=12, side=60):
     for _ in range(n):
         w = int(rng.integers(3, side + 1))
         h = int(rng.integers(3, side + 1))
-        dets.append(Detection(int(rng.integers(0, side - w + 1)), int(rng.integers(0, side - h + 1)), w, h, 0.0, 1.0))
+        dets.append(Detection(int(rng.integers(0, side - w + 1)), int(rng.integers(0, side - h + 1)), w, h, 0.0))
     model = LinearSvmModel(rng.normal(size=203), float(rng.normal()))
     weights = rng.uniform(0.1, 2.0, 9) if rng.random() < 0.5 else None
     return img, dets, model, weights
@@ -272,4 +272,4 @@ class TestBatchedValidation:
         img, _, model, _ = random_candidates(6)
         for call in (decision_values, validate_detections):
             with pytest.raises(ValueError, match="smaller than 3x3"):
-                call([Detection(0, 0, 2, 9, 0.0, 1.0)], img, model)
+                call([Detection(0, 0, 2, 9, 0.0)], img, model)
