@@ -11,7 +11,7 @@ from .boost import (
     train_stage,
 )
 from .config import PipelineConfig, load_config_file
-from .detect import Detection, ScanStats, detect_multiscale_counted, merge_detections
+from .detect import Detection, Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import (
     DatasetManifest,
     RocCurve,
@@ -32,16 +32,13 @@ from .images import (
     resize_boxes,
     rgb_to_ycbcr,
     to_grayscale,
-    ycbcr_to_rgb,
 )
 from .integral import IntegralSet, integral_set
 from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from .skin import (
     Region,
-    SegmentationMetrics,
     SkinThresholds,
     classify_skin,
-    evaluate_segmentation,
     extract_regions,
     morphology,
     refine_mask,

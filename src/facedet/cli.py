@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import pipeline
 from .boost import load_cascade, save_cascade
 from .config import _EXPECTED, PipelineConfig, _parse_value, load_config_file
-from .detect import Detection
+from .detect import Detections
 from .evaluate import (
     ManifestError,
     detection_rate,
@@ -93,7 +93,7 @@ def _build_config(args) -> PipelineConfig:
     return config.override(**overrides)
 
 
-def _write_detections(path: str, detections: list[Detection]) -> None:
+def _write_detections(path: str, detections: Detections) -> None:
     lines = [f"{d.x} {d.y} {d.w} {d.h} {d.score:.9g}" for d in detections]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -147,8 +147,7 @@ def _cmd_detect(args) -> int:
     _write_detections(args.out, detections)
     if args.annotate:
         canvas = color if color is not None else np.stack([gray] * 3, axis=-1)
-        boxes = [(d.x, d.y, d.w, d.h) for d in detections]
-        write_ppm(args.annotate, draw_boxes(canvas, boxes))
+        write_ppm(args.annotate, draw_boxes(canvas, detections.boxes))
     print(
         f"detections={len(detections)} evaluated_windows={stats.evaluated_windows} "
         f"total_windows={stats.total_windows}"
@@ -162,14 +161,12 @@ def _rescore(results, svm, config):
     for (dets, _validated, truth, _stats), entry in results:
         img = read_image(entry.path)
         gray = to_grayscale(img) if img.ndim == 3 else img
-        values = decision_values(dets, gray, svm, config.block_weights)
-        scored = [Detection(d.x, d.y, d.w, d.h, float(v)) for d, v in zip(dets, values)]
-        rescored.append((scored, truth))
+        rescored.append((replace(dets, score=decision_values(dets, gray, svm, config.block_weights)), truth))
     return rescored
 
 
 def _roc_thresholds(per_image, limit: int = 64):
-    scores = sorted({float(d.score) for dets, _ in per_image for d in dets})
+    scores = np.unique(np.concatenate([dets.score for dets, _ in per_image])).tolist()
     if not scores:
         return [0.0]
     if len(scores) > limit:

@@ -21,11 +21,12 @@ and alphas do not depend on the size, so the responses of all levels are
 divided by sigma and the votes added in stump order from 0.0 at once:
 every margin is bit-identical to a window-by-window evaluation.
 
-The merge computes pairwise IoU with numpy broadcasting, in blocks of
-``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
+Boxes travel as :class:`Detections` columns from the scan to the scoring.
+The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
+of ``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
 component of overlapping boxes with its smallest index (``np.minimum.at``
-along the pairs, and pointer jumping) and averages each group's boxes from
-exact integer sums.
+along the pairs, and pointer jumping) and averages each group from exact
+integer sums.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .boost import Cascade, Stage
 from .haar import Corners, compile_features
 from .integral import IntegralSet, integral_set, upright_table, window_sigma, window_sums
 
-__all__ = ["Detection", "ScanStats", "detect_multiscale_counted", "merge_detections", "iou"]
+__all__ = ["Detection", "Detections", "ScanStats", "detect_multiscale_counted", "merge_detections", "iou", "pairwise_iou"]
 
 
 # boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
@@ -60,6 +61,46 @@ class Detection:
     score: float  # final-stage vote margin (or validator-specific rescoring)
 
 
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Boxes as equal-length columns, int64 ``x``, ``y``, ``w``, ``h`` and
+    float64 ``score``, as OpenCV's ``detectMultiScale3`` returns them.
+    Iterating or an integer index gives :class:`Detection` rows of Python
+    numbers; a slice, index array or mask gives a Detections."""
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in zip(("x", "y", "w", "h", "score"), [np.int64] * 4 + [np.float64]):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+    @property
+    def boxes(self) -> np.ndarray:
+        """The (n, 4) int64 (x, y, w, h) rows."""
+        return np.stack([self.x, self.y, self.w, self.h], axis=1)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.x, self.y, self.w, self.h, self.score
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __iter__(self):
+        return map(Detection, *(c.tolist() for c in self._columns()))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return Detection(*(c[index].item() for c in self._columns()))
+        return Detections(*(c[index] for c in self._columns()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Detections) and all(map(np.array_equal, self._columns(), other._columns()))
+
+
 @dataclass
 class ScanStats:
     total_windows: int = 0
@@ -79,6 +120,21 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0 else 0.0
+
+
+def pairwise_iou(a, b) -> np.ndarray:
+    """The (len(a), len(b)) IoU of two lists of (x, y, w, h) boxes, with the
+    arithmetic of :func:`iou`: integer intersection and union, one float64
+    division, 0.0 where the union is not positive."""
+    ax, ay, aw, ah = np.asarray(a, dtype=np.int64).reshape(-1, 4).T[:, :, None]
+    bx, by, bw, bh = np.asarray(b, dtype=np.int64).reshape(-1, 4).T[:, None, :]
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+    union = aw * ah + bw * bh - inter
+    out = np.zeros(inter.shape)
+    np.divide(inter, union, out=out, where=union > 0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,7 +243,7 @@ def detect_multiscale_counted(
     scale_factor: float = 1.25,
     step: int = 2,
     min_skin_fraction: float = 0.25,
-) -> tuple[list[Detection], ScanStats]:
+) -> tuple[Detections, ScanStats]:
     """Scan all window placements and return accepted ones in scan order.
 
     Windows grow from the cascade base size by ``scale_factor`` per level;
@@ -236,7 +292,7 @@ def detect_multiscale_counted(
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     if not sizes:
-        return [], stats
+        return Detections([], [], [], [], []), stats
     counts = [x.size for x in xs]
     xs, ys = np.concatenate(xs), np.concatenate(ys)
     windows = _Windows(iset, programs, xs, ys, counts, np.concatenate(sigmas))
@@ -250,37 +306,19 @@ def detect_multiscale_counted(
         margins[live] = margin
         live = live[margin >= 0]
     stats.stage_windows[-1] = stats.accepted_windows = live.size
-    sides = np.repeat(sizes, counts)[live].tolist()
-    detections = [
-        Detection(x, y, side, side, margin)
-        for x, y, side, margin in zip(xs[live].tolist(), ys[live].tolist(), sides, margins[live].tolist())
-    ]
-    return detections, stats
+    sides = np.repeat(sizes, counts)[live]
+    return Detections(xs[live], ys[live], sides, sides, margins[live]), stats
 
 
 def _overlapping_pairs(boxes: np.ndarray, overlap: float) -> tuple[np.ndarray, np.ndarray]:
     """Every pair i < j of (x, y, w, h) rows with ``iou >= overlap``, as two
-    index arrays in row-major pair order.
-
-    Same arithmetic as :func:`iou`: integer intersection and union, one
-    float64 division, 0.0 where the union is not positive.
-    """
-    x0, y0 = boxes[:, 0], boxes[:, 1]
-    x1, y1 = x0 + boxes[:, 2], y0 + boxes[:, 3]
-    area = boxes[:, 2] * boxes[:, 3]
+    index arrays in row-major pair order."""
     n = boxes.shape[0]
     firsts, seconds = [], []
     for lo in range(0, n, MERGE_ROWS):
-        rows = slice(lo, lo + MERGE_ROWS)
-        cols = slice(lo, n)  # pairs j < lo were taken by earlier blocks
-        ix = np.minimum(x1[rows, None], x1[None, cols]) - np.maximum(x0[rows, None], x0[None, cols])
-        iy = np.minimum(y1[rows, None], y1[None, cols]) - np.maximum(y0[rows, None], y0[None, cols])
-        inter = np.maximum(ix, 0) * np.maximum(iy, 0)
-        union = area[rows, None] + area[None, cols] - inter
-        ratio = np.zeros(inter.shape)
-        np.divide(inter, union, out=ratio, where=union > 0)
-        # block-local (r, c) is the pair (lo + r, lo + c): keep c > r only
-        r, c = np.nonzero(np.triu(ratio >= overlap, 1))
+        # block-local (r, c) is the pair (lo + r, lo + c): keep c > r only;
+        # pairs j < lo were taken by earlier blocks
+        r, c = np.nonzero(np.triu(pairwise_iou(boxes[lo : lo + MERGE_ROWS], boxes[lo:]) >= overlap, 1))
         firsts.append(r + lo)
         seconds.append(c + lo)
     return np.concatenate(firsts), np.concatenate(seconds)
@@ -305,9 +343,7 @@ def _components(n: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         label = jumped
 
 
-def merge_detections(
-    detections: list[Detection], min_neighbors: int = 1, overlap: float = 0.3
-) -> list[Detection]:
+def merge_detections(detections: Detections, min_neighbors: int = 1, overlap: float = 0.3) -> Detections:
     """Group boxes whose pairwise IoU reaches ``overlap`` (graph components),
     drop groups smaller than ``min_neighbors``, and emit one averaged box per
     surviving group carrying the best member score (the first on ties, as
@@ -320,8 +356,8 @@ def merge_detections(
         raise ValueError("overlap must be in (0, 1)")
     n = len(detections)
     if n == 0:
-        return []
-    boxes = np.array([(d.x, d.y, d.w, d.h) for d in detections], dtype=np.int64)
+        return detections
+    boxes = detections.boxes
     label = _components(n, *_overlapping_pairs(boxes, overlap))
     # members sorted by group, in index order within each; the groups are
     # the labels that label themselves, in ascending order
@@ -330,9 +366,7 @@ def merge_detections(
     sizes = np.bincount(label)[roots]
     starts = np.cumsum(sizes) - sizes
     sums = np.add.reduceat(boxes[members], starts)
-    best = np.maximum.reduceat(np.array([d.score for d in detections])[members], starts)
+    best = np.maximum.reduceat(detections.score[members], starts)
     kept = np.flatnonzero(sizes >= min_neighbors)
     means = np.floor(sums[kept] / sizes[kept, None] + 0.5).astype(np.int64)
-    return [
-        Detection(x, y, w, h, score) for (x, y, w, h), score in zip(means.tolist(), best[kept].tolist())
-    ]
+    return Detections(*means.T, best[kept])

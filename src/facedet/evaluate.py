@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import iou
+from .detect import Detections, pairwise_iou
 
 __all__ = [
     "ManifestEntry",
@@ -58,8 +58,9 @@ def _strip_comment(line: str) -> str:
 
 
 def load_mask_manifest(path: str) -> dict[str, str]:
-    """Image-path -> mask-path mapping (paths resolved to the manifest dir).
-    An image named twice is an error that names both lines."""
+    """Image-path -> mask-path mapping (paths resolved to the manifest dir),
+    keyed by the normalized image path, so ``a.ppm`` and ``./a.ppm`` name
+    the same image. An image named twice is an error that names both lines."""
     base = os.path.dirname(os.path.abspath(path))
     mapping: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -71,12 +72,13 @@ def load_mask_manifest(path: str) -> dict[str, str]:
             tokens = text.split()
             if len(tokens) != 2:
                 raise ManifestError(f"{path}:{lineno}: expected '<image> <mask>'")
-            if tokens[0] in first_line:
+            image = os.path.normpath(tokens[0])
+            if image in first_line:
                 raise ManifestError(
-                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {first_line[tokens[0]]}"
+                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {first_line[image]}"
                 )
-            first_line[tokens[0]] = lineno
-            mapping[tokens[0]] = os.path.join(base, tokens[1])
+            first_line[image] = lineno
+            mapping[image] = os.path.join(base, tokens[1])
     return mapping
 
 
@@ -113,49 +115,42 @@ def load_manifest(path: str, mask_manifest: str | None = None) -> DatasetManifes
                     raise ManifestError(f"{path}:{lineno}: box {b} has non-positive size")
                 boxes.append((x, y, w, h))
             entries.append(
-                ManifestEntry(os.path.join(base, name), boxes, masks.get(name))
+                ManifestEntry(os.path.join(base, name), boxes, masks.get(os.path.normpath(name)))
             )
     return DatasetManifest(entries)
 
 
-def match_detections(
-    detections, truth_boxes: list[tuple[int, int, int, int]], iou_min: float = 0.5
-) -> tuple[int, int, int]:
+def _greedy_hits(detections: Detections, truth_boxes, iou_min: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy one-to-one matching by descending score.
 
-    Each detection claims the unmatched truth box with the highest IoU if
-    that IoU reaches ``iou_min``; leftover detections are false positives,
-    leftover truths are misses. Equal scores are ordered canonically by box
-    coordinates, so permuting the input never changes the result.
+    In that order, each detection claims the unmatched truth box with the
+    highest IoU (the first on ties) if that IoU reaches ``iou_min``; the
+    others are false positives. Equal scores are ordered canonically by box
+    coordinates, so permuting the input never changes the result. Returns
+    the scores in that order and whether each detection is a hit.
     """
     if not 0.0 < iou_min <= 1.0:
         raise ValueError("iou_min must be in (0, 1]")
-    order = sorted(
-        range(len(detections)),
-        key=lambda i: (-detections[i].score, detections[i].x, detections[i].y,
-                       detections[i].w, detections[i].h),
-    )
-    matched = [False] * len(truth_boxes)
-    hits = 0
-    false_positives = 0
-    for i in order:
-        det = detections[i]
-        box = (det.x, det.y, det.w, det.h)
-        best_iou = 0.0
-        best_j = -1
-        for j, truth in enumerate(truth_boxes):
-            if matched[j]:
-                continue
-            value = iou(box, truth)
-            if value > best_iou:
-                best_iou = value
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_min:
-            matched[best_j] = True
-            hits += 1
-        else:
-            false_positives += 1
-    return hits, len(truth_boxes) - hits, false_positives
+    if len(detections) == 0:  # an empty list of rows, too
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    order = np.lexsort((detections.h, detections.w, detections.y, detections.x, -detections.score))
+    ious = pairwise_iou(detections.boxes[order], truth_boxes)
+    hit = np.zeros(order.size, dtype=bool)
+    matched = np.zeros(ious.shape[1], dtype=bool)
+    # a detection below iou_min with every truth box can claim none
+    for i in np.flatnonzero((ious >= iou_min).any(axis=1)):
+        row = np.where(matched, -1.0, ious[i])
+        j = row.argmax()
+        if row[j] >= iou_min:
+            matched[j] = hit[i] = True
+    return detections.score[order], hit
+
+
+def match_detections(detections: Detections, truth_boxes, iou_min: float = 0.5) -> tuple[int, int, int]:
+    """(hits, misses, false positives) of the greedy matching by descending
+    score; leftover truths are misses."""
+    hits = int(_greedy_hits(detections, truth_boxes, iou_min)[1].sum())
+    return hits, len(truth_boxes) - hits, len(detections) - hits
 
 
 def detection_rate(hits: int, misses: int) -> float:
@@ -179,30 +174,31 @@ class RocCurve:
     points: list[tuple[float, float, float]]
 
 
-def roc_sweep(per_image: list[tuple[list, list]], thresholds) -> RocCurve:
-    """Re-threshold scored detections and re-match at every threshold.
+def roc_sweep(per_image: list[tuple[Detections, list]], thresholds) -> RocCurve:
+    """Re-threshold scored detections at every threshold.
 
     ``per_image`` pairs each image's detections with its truth boxes;
-    ``thresholds`` must be sorted ascending.
+    ``thresholds`` must be sorted ascending. Each image is matched once:
+    the matching decides each detection from those above it in its order,
+    and the detections that reach a threshold are a prefix of that order.
     """
-    thresholds = list(thresholds)
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if np.any(thresholds[1:] < thresholds[:-1]):
         raise ValueError("thresholds must be sorted ascending")
     if not per_image:
         raise ValueError("need at least one image")
     total_truth = sum(len(truth) for _, truth in per_image)
+    hits = np.zeros(thresholds.size, dtype=np.int64)
+    kept = np.zeros_like(hits)
+    for detections, truth in per_image:
+        scores, hit = _greedy_hits(detections, truth, 0.5)
+        # scores descend, so -scores ascend: k detections reach the threshold
+        k = np.searchsorted(-scores, -thresholds, side="right")
+        hits += np.concatenate([[0], np.cumsum(hit)])[k]
+        kept += k
     points: list[tuple[float, float, float]] = []
-    for threshold in thresholds:
-        hits = 0
-        false_positives = 0
-        for detections, truth in per_image:
-            surviving = [d for d in detections if d.score >= threshold]
-            h, _, f = match_detections(surviving, truth)
-            hits += h
-            false_positives += f
-        tpr = hits / total_truth if total_truth else 0.0
-        fp_per_image = false_positives / len(per_image)
-        point = (float(threshold), tpr, fp_per_image)
+    for threshold, h, k in zip(thresholds.tolist(), hits.tolist(), kept.tolist()):
+        point = (threshold, h / total_truth if total_truth else 0.0, (k - h) / len(per_image))
         if points and points[-1][1:] == point[1:]:
             continue
         points.append(point)

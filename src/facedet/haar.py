@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-__all__ = ["HaarFeature", "KINDS", "FeatureBank", "generate_feature_set", "enumerate_kind", "fits_window", "scaled_parts", "compile_features"]
+__all__ = ["HaarFeature", "KINDS", "FeatureBank", "generate_feature_set", "enumerate_kind", "fits_window", "compile_features"]
 
 # kind -> (w unit, h unit, tilted flag); units are enumeration steps and
 # divisibility constraints (arms for the tilted kinds)
@@ -190,17 +190,6 @@ def _scaled_boxes(kind: str, x, y, w, h, window, size: int):
     x = np.minimum(np.maximum(_round(x * s), h - 1), size - w)
     y = np.minimum(np.maximum(_round(y * s), 0), size - (w + h - 1))
     return x, y, w, h
-
-
-def scaled_parts(feature: HaarFeature, size: int) -> list[Part]:
-    """Rectangle decomposition of a feature scaled to a size-px window.
-
-    Dimensions are rounded in units of the kind's divisor (so the weighted
-    areas still cancel) and the geometry is clamped back inside the window.
-    At size == feature.window this is exactly the base decomposition.
-    """
-    box = _scaled_boxes(feature.kind, *np.array([[feature.x], [feature.y], [feature.w], [feature.h]]), feature.window, size)
-    return _parts(feature.kind, *(int(v[0]) for v in box))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from scipy import ndimage
 __all__ = [
     "to_grayscale",
     "rgb_to_ycbcr",
-    "ycbcr_to_rgb",
     "downscale",
     "median_filter",
     "histogram_equalization",
@@ -60,18 +59,6 @@ def rgb_to_ycbcr(img: np.ndarray) -> np.ndarray:
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     return np.stack([_round_u8(y), _round_u8(cb), _round_u8(cr)], axis=-1)
-
-
-def ycbcr_to_rgb(img: np.ndarray) -> np.ndarray:
-    """Inverse full-range BT.601 transform (round-trip accurate to +-2)."""
-    img = _require_color(img)
-    y, cb, cr = (img[..., c].astype(np.float64) for c in range(3))
-    cb = cb - 128.0
-    cr = cr - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    return np.stack([_round_u8(r), _round_u8(g), _round_u8(b)], axis=-1)
 
 
 def downscale(img: np.ndarray, factor: int) -> np.ndarray:

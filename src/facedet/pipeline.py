@@ -14,7 +14,7 @@ import numpy as np
 
 from .boost import Cascade, train_cascade
 from .config import PipelineConfig
-from .detect import Detection, ScanStats, detect_multiscale_counted, iou, merge_detections
+from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import DatasetManifest, match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import validation_feature
@@ -88,7 +88,7 @@ def detect_faces(
     config: PipelineConfig,
     skin: np.ndarray | None = None,
     svm: LinearSvmModel | None = None,
-) -> tuple[list[Detection], ScanStats]:
+) -> tuple[Detections, ScanStats]:
     """Preprocess, scan, merge, and (with a model) validate.
 
     ``gray`` and ``skin`` are full-resolution; preprocessing (including any
@@ -113,16 +113,10 @@ def detect_faces(
     # scaled back can overhang the input by up to factor - 1 pixels, and a
     # merged box rounds its mean position and size separately
     height, width = gray.shape
-    merged = [
-        Detection(
-            d.x * factor,
-            d.y * factor,
-            min(d.w * factor, width - d.x * factor),
-            min(d.h * factor, height - d.y * factor),
-            d.score,
-        )
-        for d in merged
-    ]
+    x, y = merged.x * factor, merged.y * factor
+    merged = Detections(
+        x, y, np.minimum(merged.w * factor, width - x), np.minimum(merged.h * factor, height - y), merged.score
+    )
     if svm is not None:
         kept, _ = validate_detections(
             merged, gray, svm, config.svm_threshold, config.block_weights
@@ -208,13 +202,9 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
     for scene in scenes:
         dets, _ = detect_faces(scene.gray, cascade, config)
         pos_crops.extend(crop_square(scene.gray, box, config.base_window) for box in scene.faces)
-        for det in dets:
-            box = (det.x, det.y, det.w, det.h)
-            crop = crop_square(scene.gray, box, det.w)
-            if all(iou(box, t) < 0.5 for t in scene.faces):
-                fp_crops.append(crop)
-            else:
-                matched_crops.append(crop)
+        matched = (pairwise_iou(dets.boxes, scene.faces) >= 0.5).any(axis=1)
+        for box, hit in zip(dets.boxes.tolist(), matched.tolist()):
+            (matched_crops if hit else fp_crops).append(crop_square(scene.gray, box, box[2]))
     rows = _describe(pos_crops + matched_crops + fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
     n_pos = len(pos_crops) + len(matched_crops)
     svm = _train_validator(rows, n_pos, config)
@@ -230,7 +220,7 @@ def evaluate_image(
     skin: np.ndarray | None = None,
 ):
     """(cascade detections, validated detections, truth, stats) of one image,
-    the record ``summarize`` reads; without a model both lists are equal."""
+    the record ``summarize`` reads; without a model both are equal."""
     dets, stats = detect_faces(gray, cascade, config, skin=skin)
     validated = dets
     if svm is not None:

@@ -4,9 +4,7 @@ Classifies skin pixels by Cb/Cr interval tests, sharpens blob boundaries
 with Sobel edges, cleans the mask with 3x3 morphology, and extracts
 candidate regions. Sobel and the 3x3 square structuring element are both
 separable, so each runs as a row pass then a column pass over shifted slices
-(exact int64 sums for Sobel, elementwise max/min for dilation/erosion). Also
-provides the pixel-wise segmentation scorer and the fixed published RGB/HSV
-rules used as comparison baselines.
+(exact int64 sums for Sobel, elementwise max/min for dilation/erosion).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from scipy import ndimage
 
 __all__ = [
     "SkinThresholds",
-    "SegmentationMetrics",
     "Region",
     "classify_skin",
     "sobel_edges",
@@ -26,10 +23,6 @@ __all__ = [
     "refine_mask",
     "skin_ratio",
     "extract_regions",
-    "evaluate_segmentation",
-    "segmentation_report",
-    "classify_skin_rgb",
-    "classify_skin_hsv",
 ]
 
 @dataclass(frozen=True)
@@ -44,18 +37,6 @@ class SkinThresholds:
     def __post_init__(self) -> None:
         if self.cb_min > self.cb_max or self.cr_min > self.cr_max:
             raise ValueError("skin threshold intervals must be non-empty")
-
-
-@dataclass(frozen=True)
-class SegmentationMetrics:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    recall: float
-    precision: float
-    specificity: float
-    accuracy: float
 
 
 @dataclass(frozen=True)
@@ -170,82 +151,3 @@ def extract_regions(mask: np.ndarray, min_area: int = 1) -> list[Region]:
             regions.append(Region(x, y, w, h, area, area / (w * h)))
     regions.sort(key=lambda r: (-r.area, r.y, r.x))
     return regions
-
-
-def _safe_pct(num: int, den: int) -> float:
-    return 100.0 * num / den if den else 0.0
-
-
-def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray) -> SegmentationMetrics:
-    """Pixel-wise confusion counts plus the four derived percentages."""
-    pred = np.asarray(pred).astype(bool)
-    truth = np.asarray(truth).astype(bool)
-    if pred.shape != truth.shape:
-        raise ValueError(f"mask shapes differ: {pred.shape} vs {truth.shape}")
-    tp = int(np.count_nonzero(pred & truth))
-    tn = int(np.count_nonzero(~pred & ~truth))
-    fp = int(np.count_nonzero(pred & ~truth))
-    fn = int(np.count_nonzero(~pred & truth))
-    return SegmentationMetrics(
-        tp=tp,
-        tn=tn,
-        fp=fp,
-        fn=fn,
-        recall=_safe_pct(tp, tp + fn),
-        precision=_safe_pct(tp, tp + fp),
-        specificity=_safe_pct(tn, tn + fp),
-        accuracy=_safe_pct(tp + tn, tp + tn + fp + fn),
-    )
-
-
-def segmentation_report(rows: list[tuple[str, SegmentationMetrics]]) -> str:
-    """Aligned Method / Recall / Precision / Specificity / Accuracy table."""
-    header = ["Method", "Recall", "Precision", "Specificity", "Accuracy"]
-    table = [header]
-    for name, m in rows:
-        table.append(
-            [name] + [f"{v:.2f}%" for v in (m.recall, m.precision, m.specificity, m.accuracy)]
-        )
-    widths = [max(len(row[c]) for row in table) for c in range(5)]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in table]
-    return "\n".join(lines)
-
-
-def classify_skin_rgb(rgb: np.ndarray) -> np.ndarray:
-    """Fixed published daylight RGB rule, used only as an eval baseline."""
-    rgb = np.asarray(rgb)
-    r = rgb[..., 0].astype(np.int64)
-    g = rgb[..., 1].astype(np.int64)
-    b = rgb[..., 2].astype(np.int64)
-    mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    mask = (
-        (r > 95)
-        & (g > 40)
-        & (b > 20)
-        & (mx - mn > 15)
-        & (np.abs(r - g) > 15)
-        & (r > g)
-        & (r > b)
-    )
-    return mask.astype(np.uint8)
-
-
-def classify_skin_hsv(rgb: np.ndarray) -> np.ndarray:
-    """Fixed published HSV rule (H in [0, 50] deg, S in [0.23, 0.68])."""
-    rgb = np.asarray(rgb).astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    delta = mx - mn
-    hue = np.zeros_like(mx)
-    nz = delta > 0
-    rm = nz & (mx == r)
-    gm = nz & (mx == g) & ~rm
-    bm = nz & ~rm & ~gm
-    hue[rm] = 60.0 * (((g - b)[rm] / delta[rm]) % 6.0)
-    hue[gm] = 60.0 * ((b - r)[gm] / delta[gm] + 2.0)
-    hue[bm] = 60.0 * ((r - g)[bm] / delta[bm] + 4.0)
-    sat = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
-    mask = (hue >= 0.0) & (hue <= 50.0) & (sat >= 0.23) & (sat <= 0.68)
-    return mask.astype(np.uint8)

@@ -12,39 +12,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detect import Detection
+from .detect import Detections
 from .lbp import UNIT_BLOCK_WEIGHTS, descriptors
 from .svm import LinearSvmModel
 
 __all__ = ["validate_detections", "decision_values"]
 
 
-def _decisions(detections: list[Detection], img: np.ndarray, model: LinearSvmModel, block_weights) -> list[float]:
-    boxes = [(d.x, d.y, d.w, d.h) for d in detections]
-    return [float(model.decision(row)) for row in descriptors(img, boxes, block_weights)]
+def _decisions(detections: Detections, img: np.ndarray, model: LinearSvmModel, block_weights) -> np.ndarray:
+    rows = descriptors(img, detections.boxes, block_weights)
+    return np.array([float(model.decision(row)) for row in rows], dtype=np.float64)
 
 
 def validate_detections(
-    detections: list[Detection],
+    detections: Detections,
     img: np.ndarray,
     model: LinearSvmModel,
     threshold: float = 0.0,
     block_weights=UNIT_BLOCK_WEIGHTS,
-) -> tuple[list[Detection], int]:
+) -> tuple[Detections, int]:
     """Keep detections whose decision value reaches the threshold.
 
     Returns (kept detections in input order, rejected count).
     """
-    values = _decisions(detections, img, model, block_weights)
-    kept = [d for d, value in zip(detections, values) if value >= threshold]
+    kept = detections[_decisions(detections, img, model, block_weights) >= threshold]
     return kept, len(detections) - len(kept)
 
 
 def decision_values(
-    detections: list[Detection],
+    detections: Detections,
     img: np.ndarray,
     model: LinearSvmModel,
     block_weights=UNIT_BLOCK_WEIGHTS,
 ) -> np.ndarray:
     """Decision value per detection, for ROC sweeps."""
-    return np.array(_decisions(detections, img, model, block_weights), dtype=np.float64)
+    return _decisions(detections, img, model, block_weights)

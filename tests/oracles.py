@@ -8,14 +8,28 @@ here do the same arithmetic one window, one crop, one feature or one
 rectangle at a time, as the package first did. The package's stump search
 sorts and sweeps in tasks of a few feature rows, in forked workers that
 each own a range of the rows; :class:`WholeMatrixStumpSearch` does both
-over the whole matrix at once, in one process.
+over the whole matrix at once, in one process. The package matches and
+sweeps boxes as :class:`facedet.detect.Detections` columns through one
+array IoU; :func:`match_detections_oracle` and :func:`roc_sweep_oracle`
+take lists of :class:`facedet.detect.Detection` rows and call the scalar
+:func:`facedet.detect.iou` per pair, once per threshold.
+
+The last section holds code that only tests call, moved out of the
+package: the pixel-wise segmentation scorer and its table, the fixed
+published RGB and HSV skin rules (comparison baselines), the inverse
+colour transform and :func:`scaled_parts`, one feature's rectangles at a
+window size (the package compiles whole feature lists).
 """
+
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from facedet.boost import Cascade, Stage, _StumpSearch
-from facedet.haar import KIND_SPECS, HaarFeature, _parts, scaled_parts
-from facedet.images import _round_u8
+from facedet.detect import Detections, iou
+from facedet.evaluate import RocCurve
+from facedet.haar import KIND_SPECS, HaarFeature, _parts, _scaled_boxes
+from facedet.images import _require_color, _round_u8
 from facedet.integral import IntegralSet, integral_set
 from facedet.lbp import FINE_BLOCK_OFFSETS, lbp_label_image, uniform_pattern_table
 
@@ -353,3 +367,186 @@ def validation_feature_oracle(window, block_weights=None):
     if block_weights is not None:
         fine = fine * np.repeat(np.asarray(block_weights, dtype=np.float64), 16)
     return np.concatenate([coarse, fine])
+
+
+def as_detections(rows) -> Detections:
+    """The columns of a list of Detection rows."""
+    return Detections(*(list(zip(*map(astuple, rows))) or [()] * 5))
+
+
+def match_detections_oracle(detections, truth_boxes, iou_min=0.5):
+    """Greedy one-to-one matching of Detection rows by descending score,
+    the scalar loop: each detection claims the unmatched truth box with the
+    highest IoU if that IoU reaches ``iou_min``; equal scores are ordered
+    by box coordinates. Returns (hits, misses, false positives)."""
+    if not 0.0 < iou_min <= 1.0:
+        raise ValueError("iou_min must be in (0, 1]")
+    order = sorted(
+        range(len(detections)),
+        key=lambda i: (-detections[i].score, detections[i].x, detections[i].y,
+                       detections[i].w, detections[i].h),
+    )
+    matched = [False] * len(truth_boxes)
+    hits = 0
+    false_positives = 0
+    for i in order:
+        det = detections[i]
+        box = (det.x, det.y, det.w, det.h)
+        best_iou = 0.0
+        best_j = -1
+        for j, truth in enumerate(truth_boxes):
+            if matched[j]:
+                continue
+            value = iou(box, truth)
+            if value > best_iou:
+                best_iou = value
+                best_j = j
+        if best_j >= 0 and best_iou >= iou_min:
+            matched[best_j] = True
+            hits += 1
+        else:
+            false_positives += 1
+    return hits, len(truth_boxes) - hits, false_positives
+
+
+def roc_sweep_oracle(per_image, thresholds):
+    """The ROC sweep that filters each image's Detection rows and matches
+    them again at every threshold."""
+    thresholds = list(thresholds)
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be sorted ascending")
+    if not per_image:
+        raise ValueError("need at least one image")
+    total_truth = sum(len(truth) for _, truth in per_image)
+    points = []
+    for threshold in thresholds:
+        hits = 0
+        false_positives = 0
+        for detections, truth in per_image:
+            surviving = [d for d in detections if d.score >= threshold]
+            h, _, f = match_detections_oracle(surviving, truth)
+            hits += h
+            false_positives += f
+        tpr = hits / total_truth if total_truth else 0.0
+        point = (float(threshold), tpr, false_positives / len(per_image))
+        if points and points[-1][1:] == point[1:]:
+            continue
+        points.append(point)
+    return RocCurve(points)
+
+
+# -- test-only code moved out of the package ---------------------------------
+
+
+@dataclass(frozen=True)
+class SegmentationMetrics:
+    tp: int
+    tn: int
+    fp: int
+    fn: int
+    recall: float
+    precision: float
+    specificity: float
+    accuracy: float
+
+
+def _safe_pct(num: int, den: int) -> float:
+    return 100.0 * num / den if den else 0.0
+
+
+def evaluate_segmentation(pred: np.ndarray, truth: np.ndarray) -> SegmentationMetrics:
+    """Pixel-wise confusion counts plus the four derived percentages."""
+    pred = np.asarray(pred).astype(bool)
+    truth = np.asarray(truth).astype(bool)
+    if pred.shape != truth.shape:
+        raise ValueError(f"mask shapes differ: {pred.shape} vs {truth.shape}")
+    tp = int(np.count_nonzero(pred & truth))
+    tn = int(np.count_nonzero(~pred & ~truth))
+    fp = int(np.count_nonzero(pred & ~truth))
+    fn = int(np.count_nonzero(~pred & truth))
+    return SegmentationMetrics(
+        tp=tp,
+        tn=tn,
+        fp=fp,
+        fn=fn,
+        recall=_safe_pct(tp, tp + fn),
+        precision=_safe_pct(tp, tp + fp),
+        specificity=_safe_pct(tn, tn + fp),
+        accuracy=_safe_pct(tp + tn, tp + tn + fp + fn),
+    )
+
+
+def segmentation_report(rows: list[tuple[str, SegmentationMetrics]]) -> str:
+    """Aligned Method / Recall / Precision / Specificity / Accuracy table."""
+    header = ["Method", "Recall", "Precision", "Specificity", "Accuracy"]
+    table = [header]
+    for name, m in rows:
+        table.append(
+            [name] + [f"{v:.2f}%" for v in (m.recall, m.precision, m.specificity, m.accuracy)]
+        )
+    widths = [max(len(row[c]) for row in table) for c in range(5)]
+    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in table]
+    return "\n".join(lines)
+
+
+def classify_skin_rgb(rgb: np.ndarray) -> np.ndarray:
+    """Fixed published daylight RGB rule, used only as an eval baseline."""
+    rgb = np.asarray(rgb)
+    r = rgb[..., 0].astype(np.int64)
+    g = rgb[..., 1].astype(np.int64)
+    b = rgb[..., 2].astype(np.int64)
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    mask = (
+        (r > 95)
+        & (g > 40)
+        & (b > 20)
+        & (mx - mn > 15)
+        & (np.abs(r - g) > 15)
+        & (r > g)
+        & (r > b)
+    )
+    return mask.astype(np.uint8)
+
+
+def classify_skin_hsv(rgb: np.ndarray) -> np.ndarray:
+    """Fixed published HSV rule (H in [0, 50] deg, S in [0.23, 0.68])."""
+    rgb = np.asarray(rgb).astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    delta = mx - mn
+    hue = np.zeros_like(mx)
+    nz = delta > 0
+    rm = nz & (mx == r)
+    gm = nz & (mx == g) & ~rm
+    bm = nz & ~rm & ~gm
+    hue[rm] = 60.0 * (((g - b)[rm] / delta[rm]) % 6.0)
+    hue[gm] = 60.0 * ((b - r)[gm] / delta[gm] + 2.0)
+    hue[bm] = 60.0 * ((r - g)[bm] / delta[bm] + 4.0)
+    sat = np.where(mx > 0, delta / np.where(mx > 0, mx, 1.0), 0.0)
+    mask = (hue >= 0.0) & (hue <= 50.0) & (sat >= 0.23) & (sat <= 0.68)
+    return mask.astype(np.uint8)
+
+
+def ycbcr_to_rgb(img: np.ndarray) -> np.ndarray:
+    """Inverse full-range BT.601 transform (round-trip accurate to +-2)."""
+    img = _require_color(img)
+    y, cb, cr = (img[..., c].astype(np.float64) for c in range(3))
+    cb = cb - 128.0
+    cr = cr - 128.0
+    r = y + 1.402 * cr
+    g = y - 0.344136 * cb - 0.714136 * cr
+    b = y + 1.772 * cb
+    return np.stack([_round_u8(r), _round_u8(g), _round_u8(b)], axis=-1)
+
+
+def scaled_parts(feature: HaarFeature, size: int):
+    """Rectangle decomposition of a feature scaled to a size-px window.
+
+    Dimensions are rounded in units of the kind's divisor (so the weighted
+    areas still cancel) and the geometry is clamped back inside the window.
+    At size == feature.window this is exactly the base decomposition.
+    """
+    box = _scaled_boxes(feature.kind, *np.array([[feature.x], [feature.y], [feature.w], [feature.h]]), feature.window, size)
+    return _parts(feature.kind, *(int(v[0]) for v in box))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedet import boost
+from facedet import boost, detect
 from facedet.boost import (
     SWEEP_ROWS,
     TASK_ROWS,
@@ -521,6 +521,14 @@ class TestMining:
         pool[0][:12] = 220  # a bright band: many accepted windows in one image
         available = sum(len(detect_multiscale_counted(cascade, img, step=3)[0]) for img in pool)
         return cascade, pool, available
+
+    @pytest.mark.parametrize("share", [0.05, 0.5])
+    def test_builds_at_most_needed_rows(self, setup, share):
+        cascade, pool, available = setup
+        needed = max(1, int(share * available))
+        with mock.patch.object(detect, "Detection", wraps=detect.Detection) as rows:
+            assert len(_mine_false_positives(cascade, pool, needed)) == needed
+        assert rows.call_count == needed
 
     @pytest.mark.parametrize("share", [0.05, 0.5, 2.0])
     def test_lazy_matches_eager(self, setup, share):

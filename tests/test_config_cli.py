@@ -450,6 +450,18 @@ class TestTrainDetectEval:
             f"facedet: error: {mask}: skin mask is 40x30, but image {workspace['img']} is 90x70\n"
         )
 
+    def test_eval_finds_a_mask_named_by_another_spelling_of_the_path(self, workspace, capsys):
+        # an all-zero mask gates every window away: no windows, no false-alarm rates
+        write_pgm(workspace["root"] / "zero_mask.pgm", np.zeros((70, 90), dtype=np.uint8))
+        masks = workspace["root"] / "masks_dot.txt"
+        masks.write_text("./scene.pgm zero_mask.pgm\n")
+        flags = ["--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]), "--csv"]
+        assert main(["eval", *flags]) == 0
+        assert "false_alarm_rate[" in capsys.readouterr().out
+        assert main(["eval", *flags, "--mask-manifest", str(masks)]) == 0
+        out = capsys.readouterr().out
+        assert "false_alarm_rate[" not in out and out.splitlines()[1] == "Adaboost Cascade,0,1,0,0"
+
     def test_roc_subcommand(self, workspace):
         out = workspace["root"] / "roc2.csv"
         code = main(["roc", "--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]),

@@ -16,10 +16,11 @@ from facedet.detect import (
     detect_multiscale_counted,
     iou,
     merge_detections,
+    pairwise_iou,
 )
-from facedet.haar import KINDS, enumerate_kind, scaled_parts
+from facedet.haar import KINDS, enumerate_kind
 from facedet.integral import integral_set
-from oracles import _tilted_sums, _upright_sums, classify_window, eval_feature
+from oracles import _tilted_sums, _upright_sums, as_detections, classify_window, eval_feature, scaled_parts
 
 
 def scan_count_oracle(shape, base, scale_factor, step):
@@ -102,7 +103,7 @@ def scan_oracle(
             stats.stage_windows[-1] += int(alive.sum())
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
-    return detections, stats
+    return as_detections(detections), stats
 
 
 _BANKS = {}
@@ -190,7 +191,7 @@ class TestDetectMultiscale:
         img, _ = toy_scene(rng)
         skin = np.zeros_like(img)
         dets, stats = detect_multiscale_counted(toy_cascade, img, skin=skin, min_skin_fraction=0.1)
-        assert dets == []
+        assert list(dets) == []
         assert stats.evaluated_windows == 0
         assert stats.total_windows > 0
 
@@ -503,12 +504,12 @@ def random_detections(rng, n, field=200):
 class TestMergeDetections:
     def test_single_detection_unchanged(self):
         det = Detection(5, 6, 20, 20, 1.5)
-        assert merge_detections([det], min_neighbors=1, overlap=0.5) == [det]
+        assert list(merge_detections(as_detections([det]), min_neighbors=1, overlap=0.5)) == [det]
 
     def test_two_identical_boxes_merge_to_one(self):
         a = Detection(5, 6, 20, 20, 1.0)
         b = Detection(5, 6, 20, 20, 2.0)
-        merged = merge_detections([a, b], min_neighbors=2, overlap=0.5)
+        merged = merge_detections(as_detections([a, b]), min_neighbors=2, overlap=0.5)
         assert len(merged) == 1
         assert (merged[0].x, merged[0].y, merged[0].w, merged[0].h) == (5, 6, 20, 20)
         assert merged[0].score == 2.0
@@ -516,7 +517,7 @@ class TestMergeDetections:
     def test_min_neighbors_drops_small_groups(self):
         a = Detection(0, 0, 10, 10, 1.0)
         b = Detection(50, 50, 10, 10, 1.0)
-        assert merge_detections([a, b], min_neighbors=2, overlap=0.5) == []
+        assert list(merge_detections(as_detections([a, b]), min_neighbors=2, overlap=0.5)) == []
 
     def test_grouping_matches_graph_components_oracle(self):
         rng = np.random.default_rng(27)
@@ -534,7 +535,7 @@ class TestMergeDetections:
                     )
                 )
             overlap = float(rng.uniform(0.15, 0.6))
-            merged = merge_detections(dets, min_neighbors=1, overlap=overlap)
+            merged = merge_detections(as_detections(dets), min_neighbors=1, overlap=overlap)
             assert len(merged) == len(graph_components_oracle(dets, overlap))
 
     @given(
@@ -549,14 +550,14 @@ class TestMergeDetections:
         for det in data.draw(st.lists(st.sampled_from(dets), max_size=5), label="duplicates"):
             dets.insert(data.draw(st.integers(0, len(dets)), label="at"), det)
         with mock.patch.object(detect, "MERGE_ROWS", block):
-            got = merge_detections(dets, min_neighbors, overlap)
-        assert got == merge_oracle(dets, min_neighbors, overlap)
+            got = merge_detections(as_detections(dets), min_neighbors, overlap)
+        assert list(got) == merge_oracle(dets, min_neighbors, overlap)
 
     @pytest.mark.parametrize("n", [MERGE_ROWS - 1, MERGE_ROWS, 2 * MERGE_ROWS + 7])
     def test_matches_oracle_around_the_row_block(self, n):
         dets = random_detections(np.random.default_rng(n), n)
         for min_neighbors in (1, 3):
-            assert merge_detections(dets, min_neighbors) == merge_oracle(dets, min_neighbors)
+            assert list(merge_detections(as_detections(dets), min_neighbors)) == merge_oracle(dets, min_neighbors)
 
     @pytest.mark.parametrize("n", [10, 50, 200])
     def test_long_chains_in_scrambled_order(self, n):
@@ -566,21 +567,25 @@ class TestMergeDetections:
         dets = [Detection(4 * int(p), 3, 10, 10, float(rng.normal())) for p in rng.permutation(n)]
         dets += [Detection(4 * n + 20, 3, 10, 10, 0.0)]  # a group of its own
         for min_neighbors in (1, 2, n):
-            got = merge_detections(dets, min_neighbors, overlap=0.3)
-            assert got == merge_oracle(dets, min_neighbors, overlap=0.3)
-        assert len(merge_detections(dets, 1, overlap=0.3)) == 2
+            got = merge_detections(as_detections(dets), min_neighbors, overlap=0.3)
+            assert list(got) == merge_oracle(dets, min_neighbors, overlap=0.3)
+        assert len(merge_detections(as_detections(dets), 1, overlap=0.3)) == 2
 
     def test_iou_equal_to_overlap_joins(self):
         a = Detection(0, 0, 10, 10, 1.0)
         b = Detection(5, 0, 10, 10, 2.0)
         assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == 1 / 3
-        merged = merge_detections([a, b], min_neighbors=2, overlap=1 / 3)
-        assert merged == merge_oracle([a, b], 2, 1 / 3)
+        merged = merge_detections(as_detections([a, b]), min_neighbors=2, overlap=1 / 3)
+        assert list(merged) == merge_oracle([a, b], 2, 1 / 3)
         assert len(merged) == 1
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):
-            merge_detections([], min_neighbors=1, overlap=1.5)
+            merge_detections(as_detections([]), min_neighbors=1, overlap=1.5)
+
+
+# (x, y, w, h) tuples, zero sides included: pairs with a zero union
+corner_boxes = st.tuples(st.integers(-5, 30), st.integers(-5, 30), st.integers(0, 20), st.integers(0, 20))
 
 
 class TestIou:
@@ -596,3 +601,13 @@ class TestIou:
             assert iou(a, a) == 1.0
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
+
+    @given(st.lists(corner_boxes, max_size=8), st.lists(corner_boxes, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_iou_equals_iou_elementwise_property(self, a, b):
+        # each box of a also meets an identical, a nested and two touching boxes
+        for x, y, w, h in a:
+            b += [(x, y, w, h), (x + 1, y + 1, max(w - 2, 0), max(h - 2, 0)), (x + w, y, w, h), (x, y + h, w, h)]
+        got = pairwise_iou(a, b)
+        assert got.shape == (len(a), len(b)) and got.dtype == np.float64
+        assert got.tolist() == [[iou(p, q) for q in b] for p in a]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from facedet.detect import Detection
@@ -15,10 +15,32 @@ from facedet.evaluate import (
     match_detections,
     roc_sweep,
 )
+from oracles import as_detections, match_detections_oracle, roc_sweep_oracle
 
 
 def det(x, y, w, h, score=1.0):
     return Detection(x, y, w, h, score)
+
+
+# boxes on a coarse lattice and scores from a short list: equal scores,
+# identical boxes and truth boxes that several detections reach are common
+lattice_rows = st.builds(
+    Detection,
+    st.integers(0, 3).map(lambda v: 4 * v),
+    st.integers(0, 3).map(lambda v: 4 * v),
+    st.sampled_from([8, 10, 12]),
+    st.sampled_from([8, 10, 12]),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+)
+truth_lists = st.lists(
+    st.tuples(
+        st.integers(0, 3).map(lambda v: 4 * v),
+        st.integers(0, 12),
+        st.sampled_from([8, 10, 12]),
+        st.sampled_from([8, 10, 12]),
+    ),
+    max_size=4,
+)
 
 
 class TestManifest:
@@ -75,6 +97,18 @@ class TestManifest:
         assert "a.pgm" in load_mask_manifest(masks)
 
 
+    def test_mask_manifest_matches_normalized_image_paths(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("scene.ppm 0\n./sub/b.ppm 0\n")
+        masks = tmp_path / "masks.txt"
+        masks.write_text("./scene.ppm scene_mask.pgm\nsub/../sub/b.ppm b_mask.pgm\n")
+        loaded = load_manifest(manifest, masks)
+        assert [e.mask_path for e in loaded.entries] == [str(tmp_path / "scene_mask.pgm"), str(tmp_path / "b_mask.pgm")]
+        masks.write_text("a.ppm a_mask.pgm\n./a.ppm other.pgm\n")
+        with pytest.raises(ManifestError) as err:
+            load_mask_manifest(masks)
+        assert str(err.value) == f"{masks}:2: image './a.ppm' already has a mask on line 1"
+
     def test_mask_manifest_rejects_a_repeated_image(self, tmp_path):
         masks = tmp_path / "masks.txt"
         masks.write_text("a.pgm a_mask.pgm\nb.pgm b_mask.pgm\n\na.pgm other.pgm\n")
@@ -87,23 +121,23 @@ class TestManifest:
 
 class TestMatchDetections:
     def test_identical_box_is_a_hit(self):
-        assert match_detections([det(10, 10, 20, 20)], [(10, 10, 20, 20)]) == (1, 0, 0)
+        assert match_detections(as_detections([det(10, 10, 20, 20)]), [(10, 10, 20, 20)]) == (1, 0, 0)
 
     def test_disjoint_boxes(self):
-        assert match_detections([det(0, 0, 10, 10)], [(40, 40, 10, 10)]) == (0, 1, 1)
+        assert match_detections(as_detections([det(0, 0, 10, 10)]), [(40, 40, 10, 10)]) == (0, 1, 1)
 
     def test_two_detections_one_truth(self):
         truth = [(10, 10, 20, 20)]
         a = det(10, 10, 20, 20, score=2.0)
         b = det(12, 12, 20, 20, score=1.0)
-        assert match_detections([a, b], truth) == (1, 0, 1)
-        assert match_detections([b, a], truth) == (1, 0, 1)
+        assert match_detections(as_detections([a, b]), truth) == (1, 0, 1)
+        assert match_detections(as_detections([b, a]), truth) == (1, 0, 1)
 
     def test_iou_threshold_respected(self):
         truth = [(0, 0, 10, 10)]
-        shifted = det(6, 0, 10, 10)  # IoU = 40/160 = 0.25
-        assert match_detections([shifted], truth, iou_min=0.5) == (0, 1, 1)
-        assert match_detections([shifted], truth, iou_min=0.2) == (1, 0, 0)
+        shifted = as_detections([det(6, 0, 10, 10)])  # IoU = 40/160 = 0.25
+        assert match_detections(shifted, truth, iou_min=0.5) == (0, 1, 1)
+        assert match_detections(shifted, truth, iou_min=0.2) == (1, 0, 0)
 
     def test_hits_plus_misses_equals_truth_count(self):
         rng = np.random.default_rng(50)
@@ -116,7 +150,7 @@ class TestMatchDetections:
                 (int(rng.integers(0, 40)), int(rng.integers(0, 40)), 10, 10)
                 for _ in range(int(rng.integers(0, 5)))
             ]
-            hits, misses, fps = match_detections(dets, truth)
+            hits, misses, fps = match_detections(as_detections(dets), truth)
             assert hits + misses == len(truth)
             assert hits + fps == len(dets)
 
@@ -131,14 +165,23 @@ class TestMatchDetections:
         truth = [
             (int(rng.integers(0, 30)), int(rng.integers(0, 30)), 12, 12) for _ in range(3)
         ]
-        reference = match_detections(dets, truth)
+        reference = match_detections(as_detections(dets), truth)
         for _ in range(5):
             rng.shuffle(dets)
-            assert match_detections(dets, truth) == reference
+            assert match_detections(as_detections(dets), truth) == reference
+
+    @given(st.lists(lattice_rows, max_size=12), truth_lists, st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    # the first detection has IoU 1/3 with both truth boxes and takes the
+    # first: the second detection then finds none left at 0.3
+    @example([det(4, 0, 8, 8, 2.0), det(0, 0, 8, 8, 1.0)], [(0, 0, 8, 8), (8, 0, 8, 8)], 0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_oracle_property(self, rows, truth, iou_min):
+        got = match_detections(as_detections(rows), truth, iou_min)
+        assert got == match_detections_oracle(rows, truth, iou_min)
 
     def test_invalid_iou_min(self):
         with pytest.raises(ValueError):
-            match_detections([], [], iou_min=0.0)
+            match_detections(as_detections([]), [], iou_min=0.0)
 
 
 class TestRates:
@@ -175,7 +218,7 @@ class TestRocSweep:
                     det(int(rng.integers(0, 40)), int(rng.integers(0, 40)), 12, 12,
                         float(rng.normal(0.0)))
                 )
-            out.append((dets, truth))
+            out.append((as_detections(dets), truth))
         return out
 
     def test_single_threshold_equals_direct_run(self):
@@ -185,7 +228,7 @@ class TestRocSweep:
         curve = roc_sweep(per_image, [threshold])
         hits = fps = total = 0
         for dets, truth in per_image:
-            h, _, f = match_detections([d for d in dets if d.score >= threshold], truth)
+            h, _, f = match_detections(dets[dets.score >= threshold], truth)
             hits += h
             fps += f
             total += len(truth)
@@ -223,13 +266,23 @@ class TestRocSweep:
         assert all(a >= b for a, b in zip(fpis, fpis[1:]))
 
     def test_deduplicates_identical_operating_points(self):
-        per_image = [([det(0, 0, 10, 10, 5.0)], [(0, 0, 10, 10)])]
+        per_image = [(as_detections([det(0, 0, 10, 10, 5.0)]), [(0, 0, 10, 10)])]
         curve = roc_sweep(per_image, [0.0, 1.0, 2.0])
         assert len(curve.points) == 1
 
+    @given(
+        st.lists(st.tuples(st.lists(lattice_rows, max_size=8), truth_lists), min_size=1, max_size=4),
+        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0]), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_threshold_oracle_property(self, images, thresholds):
+        thresholds.sort()
+        got = roc_sweep([(as_detections(rows), truth) for rows, truth in images], thresholds)
+        assert got == roc_sweep_oracle(images, thresholds)
+
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            roc_sweep([([], [])], [1.0, 0.5])
+            roc_sweep([(as_detections([]), [])], [1.0, 0.5])
 
 
 class TestReports:

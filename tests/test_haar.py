@@ -12,10 +12,9 @@ from facedet.haar import (
     enumerate_kind,
     fits_window,
     generate_feature_set,
-    scaled_parts,
 )
 from facedet.integral import integral_set
-from oracles import enumerate_kind_oracle, eval_feature, scaled_parts_oracle, window_sigma
+from oracles import enumerate_kind_oracle, eval_feature, scaled_parts, scaled_parts_oracle, window_sigma
 
 
 def brute_parts_value(img, x0, y0, parts, tilted):

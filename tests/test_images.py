@@ -14,9 +14,8 @@ from facedet.images import (
     resize_boxes,
     rgb_to_ycbcr,
     to_grayscale,
-    ycbcr_to_rgb,
 )
-from oracles import resize_bilinear_oracle
+from oracles import resize_bilinear_oracle, ycbcr_to_rgb
 
 rgb_images = arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)))
 gray_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))

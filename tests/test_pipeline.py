@@ -6,11 +6,13 @@ from pathlib import Path
 
 from unittest import mock
 
+import inspect
+
 import numpy as np
 import pytest
 
 import facedet
-from facedet import pipeline
+from facedet import boost, detect, pipeline, validate
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
@@ -128,6 +130,55 @@ class TestDetectFaces:
         plain, _ = detect_faces(scene.gray, cascade, config)
         validated, _ = detect_faces(scene.gray, cascade, config, svm=svm)
         assert set(validated) <= set(plain)
+
+
+class TestBenchmarkContract:
+    """What perfbench/workloads.py reads of the detections and the parameter
+    names its hooks bind: a change to any of them breaks the benchmark."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, experiment):
+        config = experiment["config"]
+        for scene in experiment["corpus"].test:
+            dets, _ = pipeline.detect_faces(scene.gray, experiment["cascade"], config)
+            kept, rejected = validate.validate_detections(
+                dets, scene.gray, experiment["svm"], config.svm_threshold, config.block_weights
+            )
+            if rejected and len(kept):
+                return dets, kept
+        pytest.fail("no test scene where validation keeps some detections and rejects others")
+
+    def test_detections_read_as_rows(self, outputs):
+        for dets in outputs:
+            rows = list(dets)
+            assert len(dets) == len(rows) > 0
+            assert all(type(row) is Detection for row in rows)
+            assert all(type(v) is int for row in rows for v in (row.x, row.y, row.w, row.h))
+            assert all(type(row.score) is float for row in rows)
+
+    def test_equality_is_a_plain_bool_and_rows_are_members(self, outputs):
+        dets, kept = outputs
+        assert (dets == dets) is True and (dets == kept) is False and (kept == dets[:]) is False
+        assert ((dets, kept) == (dets[:], kept[:])) is True
+        assert all(row in dets for row in kept) and not all(row in kept for row in dets)
+
+    def test_hooked_parameter_names(self):
+        def params(fn):
+            return inspect.signature(fn).parameters
+
+        assert "detections" in params(detect.merge_detections)
+        assert "detections" in params(validate.validate_detections)
+        assert "needed" in params(boost._mine_false_positives)
+        assert {"features", "samples"} <= params(boost.feature_value_matrix).keys()
+
+    def test_detect_validate_match_build_no_rows(self, experiment):
+        config = experiment["config"]
+        scene = experiment["corpus"].test[0]
+        with mock.patch.object(detect, "Detection", wraps=Detection) as rows:
+            dets, _ = pipeline.detect_faces(scene.gray, experiment["cascade"], config)
+            kept, _ = validate.validate_detections(dets, scene.gray, experiment["svm"], config.svm_threshold)
+            match_detections(kept, scene.faces)
+        assert len(dets) > 0 and rows.call_count == 0
 
 
 class TestEvaluateImages:

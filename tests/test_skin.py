@@ -10,16 +10,13 @@ from facedet.skin import (
     _erode3,
     SkinThresholds,
     classify_skin,
-    classify_skin_hsv,
-    classify_skin_rgb,
-    evaluate_segmentation,
     extract_regions,
     morphology,
     refine_mask,
-    segmentation_report,
     skin_ratio,
     sobel_edges,
 )
+from oracles import classify_skin_hsv, classify_skin_rgb, evaluate_segmentation, segmentation_report
 
 masks = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=st.integers(0, 1))
 

@@ -9,7 +9,7 @@ from facedet.detect import Detection
 from facedet.lbp import validation_feature
 from facedet.svm import LinearSvmModel, load_svm, save_svm, svm_objective, train_svm
 from facedet.validate import decision_values, validate_detections
-from oracles import validation_feature_oracle
+from oracles import as_detections, validation_feature_oracle
 
 
 def toy_features(rng, n=40, dim=8, margin=1.0):
@@ -158,15 +158,15 @@ def train_texture_model(rng, n=60):
 class TestValidateDetections:
     def test_empty_input(self):
         model = LinearSvmModel(np.zeros(203), 0.0)
-        kept, rejected = validate_detections([], np.zeros((30, 30), dtype=np.uint8), model)
-        assert kept == [] and rejected == 0
+        kept, rejected = validate_detections(as_detections([]), np.zeros((30, 30), dtype=np.uint8), model)
+        assert list(kept) == [] and rejected == 0
 
     def test_threshold_below_minimum_keeps_all(self):
         rng = np.random.default_rng(46)
         model, _, _ = (None, None, None)
         model, pos, neg = train_texture_model(rng, n=20)
         img = rng.integers(0, 256, size=(60, 60), dtype=np.uint8)
-        dets = [Detection(x, y, 24, 24, 1.0) for x, y in [(0, 0), (20, 20), (36, 30)]]
+        dets = as_detections(Detection(x, y, 24, 24, 1.0) for x, y in [(0, 0), (20, 20), (36, 30)])
         # decision values are bounded: |w.x| <= |w|_inf * |x|_1 <= max|w| * (1 + max weight)
         floor = -(np.abs(model.weights).sum() + abs(model.bias) + 1.0)
         kept, rejected = validate_detections(dets, img, model, threshold=floor)
@@ -185,18 +185,19 @@ class TestValidateDetections:
             x = int(rng.integers(0, 80 - 24))
             y = int(rng.integers(0, 80 - 24))
             dets.append(Detection(x, y, 24, 24, 0.0))
+        dets = as_detections(dets)
         for threshold in (-0.5, 0.0, 0.3):
             kept, rejected = validate_detections(dets, img, model, threshold=threshold)
             values = decision_values(dets, img, model)
             expected = [d for d, v in zip(dets, values) if v >= threshold]
-            assert kept == expected
+            assert list(kept) == expected
             assert rejected == len(dets) - len(expected)
 
     def test_rejects_out_of_bounds_detection(self):
         model = LinearSvmModel(np.zeros(203), 0.0)
         img = np.zeros((30, 30), dtype=np.uint8)
         with pytest.raises(ValueError):
-            validate_detections([Detection(20, 20, 24, 24, 0.0)], img, model)
+            validate_detections(as_detections([Detection(20, 20, 24, 24, 0.0)]), img, model)
 
     def test_separates_textures(self):
         rng = np.random.default_rng(48)
@@ -220,7 +221,7 @@ def random_candidates(seed, n=12, side=60):
         dets.append(Detection(int(rng.integers(0, side - w + 1)), int(rng.integers(0, side - h + 1)), w, h, 0.0))
     model = LinearSvmModel(rng.normal(size=203), float(rng.normal()))
     weights = rng.uniform(0.1, 2.0, 9) if rng.random() < 0.5 else None
-    return img, dets, model, weights
+    return img, as_detections(dets), model, weights
 
 
 def weight_args(weights):
@@ -257,7 +258,7 @@ class TestBatchedValidation:
         )
         kept, rejected = validate_detections(dets, img, model, threshold, **weight_args(weights))
         expected = [d for d, v in zip(dets, values) if v >= threshold]
-        assert kept == expected
+        assert list(kept) == expected
         assert rejected == len(dets) - len(expected)
 
     @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10)])
@@ -272,4 +273,4 @@ class TestBatchedValidation:
         img, _, model, _ = random_candidates(6)
         for call in (decision_values, validate_detections):
             with pytest.raises(ValueError, match="smaller than 3x3"):
-                call([Detection(0, 0, 2, 9, 0.0)], img, model)
+                call(as_detections([Detection(0, 0, 2, 9, 0.0)]), img, model)
