@@ -38,6 +38,12 @@ class ManifestError(ValueError):
     pass
 
 
+# box fields stay below this magnitude, so every area is below 2^52 and
+# every union below 2^53: pairwise_iou's int64 products cannot overflow and
+# its float64 conversions are exact, so its one division equals iou's
+BOX_LIMIT = 1 << 26
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
@@ -57,13 +63,11 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def load_mask_manifest(path: str) -> dict[str, str]:
-    """Image-path -> mask-path mapping (paths resolved to the manifest dir),
-    keyed by the normalized image path, so ``a.ppm`` and ``./a.ppm`` name
-    the same image. An image named twice is an error that names both lines."""
+def _mask_lines(path: str) -> dict[str, tuple[str, int]]:
+    """Normalized image path -> (mask path, line number); an image named
+    twice is an error that names both lines."""
     base = os.path.dirname(os.path.abspath(path))
-    mapping: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+    lines: dict[str, tuple[str, int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = _strip_comment(raw)
@@ -73,20 +77,28 @@ def load_mask_manifest(path: str) -> dict[str, str]:
             if len(tokens) != 2:
                 raise ManifestError(f"{path}:{lineno}: expected '<image> <mask>'")
             image = os.path.normpath(tokens[0])
-            if image in first_line:
+            if image in lines:
                 raise ManifestError(
-                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {first_line[image]}"
+                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {lines[image][1]}"
                 )
-            first_line[image] = lineno
-            mapping[image] = os.path.join(base, tokens[1])
-    return mapping
+            lines[image] = (os.path.join(base, tokens[1]), lineno)
+    return lines
+
+
+def load_mask_manifest(path: str) -> dict[str, str]:
+    """Image-path -> mask-path mapping (paths resolved to the manifest dir),
+    keyed by the normalized image path, so ``a.ppm`` and ``./a.ppm`` name
+    the same image. An image named twice is an error that names both lines."""
+    return {image: mask for image, (mask, _) in _mask_lines(path).items()}
 
 
 def load_manifest(path: str, mask_manifest: str | None = None) -> DatasetManifest:
-    """Parse entries in file order; parse errors name the offending line."""
-    masks = load_mask_manifest(mask_manifest) if mask_manifest else {}
+    """Parse entries in file order; parse errors name the offending line.
+    A mask-manifest line whose image is in no entry is an error."""
+    masks = _mask_lines(mask_manifest) if mask_manifest else {}
     base = os.path.dirname(os.path.abspath(path))
     entries: list[ManifestEntry] = []
+    named: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = _strip_comment(raw)
@@ -113,10 +125,15 @@ def load_manifest(path: str, mask_manifest: str | None = None) -> DatasetManifes
                     raise ManifestError(f"{path}:{lineno}: non-integer box field") from None
                 if w <= 0 or h <= 0:
                     raise ManifestError(f"{path}:{lineno}: box {b} has non-positive size")
+                if max(abs(x), abs(y), w, h) >= BOX_LIMIT:
+                    raise ManifestError(f"{path}:{lineno}: box {b} has a field of magnitude {BOX_LIMIT} or more")
                 boxes.append((x, y, w, h))
-            entries.append(
-                ManifestEntry(os.path.join(base, name), boxes, masks.get(os.path.normpath(name)))
-            )
+            image = os.path.normpath(name)
+            named.add(image)
+            entries.append(ManifestEntry(os.path.join(base, name), boxes, masks[image][0] if image in masks else None))
+    for image, (_, lineno) in masks.items():
+        if image not in named:
+            raise ManifestError(f"{mask_manifest}:{lineno}: image {image!r} is not in {path}")
     return DatasetManifest(entries)
 
 

@@ -202,8 +202,9 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
     for scene in scenes:
         dets, _ = detect_faces(scene.gray, cascade, config)
         pos_crops.extend(crop_square(scene.gray, box, config.base_window) for box in scene.faces)
-        matched = (pairwise_iou(dets.boxes, scene.faces) >= 0.5).any(axis=1)
-        for box, hit in zip(dets.boxes.tolist(), matched.tolist()):
+        boxes = dets.boxes
+        matched = (pairwise_iou(boxes, scene.faces) >= 0.5).any(axis=1)
+        for box, hit in zip(boxes.tolist(), matched.tolist()):
             (matched_crops if hit else fp_crops).append(crop_square(scene.gray, box, box[2]))
     rows = _describe(pos_crops + matched_crops + fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
     n_pos = len(pos_crops) + len(matched_crops)

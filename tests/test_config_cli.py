@@ -462,6 +462,26 @@ class TestTrainDetectEval:
         out = capsys.readouterr().out
         assert "false_alarm_rate[" not in out and out.splitlines()[1] == "Adaboost Cascade,0,1,0,0"
 
+    def test_eval_mask_line_naming_no_manifest_image_exits_2_with_one_line(self, workspace, capsys):
+        masks = workspace["root"] / "masks_stray.txt"
+        masks.write_text("scene.pgm mask.pgm\n/elsewhere/scene.pgm mask.pgm\n")
+        code = main(["eval", "--cascade", str(workspace["model"]), "--manifest", str(workspace["manifest"]),
+                     "--mask-manifest", str(masks)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"facedet: error: {masks}:2: image '/elsewhere/scene.pgm' is not in {workspace['manifest']}\n"
+        )
+
+    def test_eval_box_field_out_of_range_exits_2_with_one_line(self, workspace, capsys):
+        manifest = workspace["root"] / "huge_box.txt"
+        manifest.write_text("# one face\nscene.pgm 1 4 2 99999999999999999999 24\n")
+        for command in (["eval"], ["roc", "--out", str(workspace["root"] / "huge_roc.csv")]):
+            code = main([*command, "--cascade", str(workspace["model"]), "--manifest", str(manifest)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"facedet: error: {manifest}:2: box 0 has a field of magnitude 67108864 or more\n"
+            )
+
     def test_roc_subcommand(self, workspace):
         out = workspace["root"] / "roc2.csv"
         code = main(["roc", "--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from facedet.detect import Detection
+from facedet.detect import Detection, iou, pairwise_iou
 from facedet.evaluate import (
     ManifestError,
     detection_rate,
@@ -70,6 +70,10 @@ class TestManifest:
             ("img.pgm 2 1 2 3 4", ":1"),
             ("img.pgm 1 1 2 3", ":1"),
             ("img.pgm 1 0 0 0 4", ":1"),
+            ("img.pgm 1 67108864 0 1 1", ":1"),
+            ("img.pgm 1 0 -67108864 1 1", ":1"),
+            ("img.pgm 1 0 0 1 67108864", ":1"),
+            ("img.pgm 1 0 0 99999999999999999999 1", ":1"),
         ],
     )
     def test_malformed_lines_name_the_line(self, tmp_path, line, fragment):
@@ -108,6 +112,26 @@ class TestManifest:
         with pytest.raises(ManifestError) as err:
             load_mask_manifest(masks)
         assert str(err.value) == f"{masks}:2: image './a.ppm' already has a mask on line 1"
+
+    def test_mask_manifest_line_naming_no_image_is_an_error(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("a.ppm 0\nb.ppm 0\na.ppm 0\n")
+        masks = tmp_path / "masks.txt"
+        masks.write_text("a.ppm a_mask.pgm\n# typo\nc.ppm c_mask.pgm\n")
+        with pytest.raises(ManifestError) as err:
+            load_manifest(manifest, masks)
+        assert str(err.value) == f"{masks}:3: image 'c.ppm' is not in {manifest}"
+        masks.write_text("a.ppm a_mask.pgm\n")
+        loaded = load_manifest(manifest, masks)
+        assert [e.mask_path for e in loaded.entries] == [str(tmp_path / "a_mask.pgm"), None, str(tmp_path / "a_mask.pgm")]
+
+    def test_boxes_below_the_field_limit_keep_an_exact_iou(self, tmp_path):
+        # below 2^26 every area and union is exact in float64: pairwise_iou equals iou
+        path = tmp_path / "m.txt"
+        limit = 1 << 26
+        path.write_text(f"a.pgm 2 {1 - limit} {1 - limit} {limit - 1} {limit - 1} 0 0 {limit - 1} 1\n")
+        (entry,) = load_manifest(path).entries
+        assert pairwise_iou(entry.boxes, entry.boxes).tolist() == [[iou(a, b) for b in entry.boxes] for a in entry.boxes]
 
     def test_mask_manifest_rejects_a_repeated_image(self, tmp_path):
         masks = tmp_path / "masks.txt"
