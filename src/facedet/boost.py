@@ -464,16 +464,16 @@ def _mine_false_positives(
 
     base = cascade.base_window
     scanned = [
-        (img, detect_multiscale_counted(cascade, img, step=scan_step)[0][:needed])
+        (img, detect_multiscale_counted(cascade, img, step=scan_step)[0].boxes[:needed])
         for img in pool
         if min(img.shape) >= base
     ]
-    longest = max((len(dets) for _, dets in scanned), default=0)
+    longest = max((len(boxes) for _, boxes in scanned), default=0)
     picks = itertools.islice(
-        ((img, dets[rank]) for rank in range(longest) for img, dets in scanned if rank < len(dets)),
+        ((img, boxes[rank]) for rank in range(longest) for img, boxes in scanned if rank < len(boxes)),
         needed,
     )
-    return [crop_square(img, (det.x, det.y, det.w, det.h), base) for img, det in picks]
+    return [crop_square(img, box, base) for img, box in picks]
 
 
 def train_cascade(

@@ -21,7 +21,7 @@ and alphas do not depend on the size, so the responses of all levels are
 divided by sigma and the votes added in stump order from 0.0 at once:
 every margin is bit-identical to a window-by-window evaluation.
 
-Boxes travel as :class:`Detections` columns from the scan to the scoring.
+Boxes travel as the (n, 4) ``Detections.boxes`` from the scan to the scoring.
 The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
 of ``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
 component of overlapping boxes with its smallest index (``np.minimum.at``
@@ -63,42 +63,37 @@ class Detection:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """Boxes as equal-length columns, int64 ``x``, ``y``, ``w``, ``h`` and
-    float64 ``score``, as OpenCV's ``detectMultiScale3`` returns them.
-    Iterating or an integer index gives :class:`Detection` rows of Python
-    numbers; a slice, index array or mask gives a Detections."""
+    """Boxes as one (n, 4) int64 array of (x, y, w, h) rows, ``boxes``, and
+    their (n,) float64 ``score``, as OpenCV's ``detectMultiScale3`` returns
+    them. Iterating gives :class:`Detection` rows of Python numbers; a
+    slice, index array or mask gives a Detections."""
 
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
+    boxes: np.ndarray
     score: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in zip(("x", "y", "w", "h", "score"), [np.int64] * 4 + [np.float64]):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-
-    @property
-    def boxes(self) -> np.ndarray:
-        """The (n, 4) int64 (x, y, w, h) rows."""
-        return np.stack([self.x, self.y, self.w, self.h], axis=1)
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.x, self.y, self.w, self.h, self.score
+        boxes = np.asarray(self.boxes, dtype=np.int64)
+        score = np.asarray(self.score, dtype=np.float64)
+        if boxes.ndim != 2 or boxes.shape[1] != 4 or score.shape != boxes.shape[:1]:
+            raise ValueError(f"expected (n, 4) boxes and (n,) scores, got shapes {boxes.shape} and {score.shape}")
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "score", score)
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.score)
 
     def __iter__(self):
-        return map(Detection, *(c.tolist() for c in self._columns()))
+        return map(Detection, *self.boxes.T.tolist(), self.score.tolist())
 
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return Detection(*(c[index].item() for c in self._columns()))
-        return Detections(*(c[index] for c in self._columns()))
+    def __getitem__(self, index) -> Detections:
+        return Detections(self.boxes[index], self.score[index])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Detections) and all(map(np.array_equal, self._columns(), other._columns()))
+        return (
+            isinstance(other, Detections)
+            and np.array_equal(self.boxes, other.boxes)
+            and np.array_equal(self.score, other.score)
+        )
 
 
 @dataclass
@@ -292,7 +287,7 @@ def detect_multiscale_counted(
         level += 1
         size = max(size + 1, round(base * scale_factor**level))
     if not sizes:
-        return Detections([], [], [], [], []), stats
+        return Detections(np.empty((0, 4)), []), stats
     counts = [x.size for x in xs]
     xs, ys = np.concatenate(xs), np.concatenate(ys)
     windows = _Windows(iset, programs, xs, ys, counts, np.concatenate(sigmas))
@@ -307,7 +302,7 @@ def detect_multiscale_counted(
         live = live[margin >= 0]
     stats.stage_windows[-1] = stats.accepted_windows = live.size
     sides = np.repeat(sizes, counts)[live]
-    return Detections(xs[live], ys[live], sides, sides, margins[live]), stats
+    return Detections(np.stack([xs[live], ys[live], sides, sides], axis=1), margins[live]), stats
 
 
 def _overlapping_pairs(boxes: np.ndarray, overlap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -369,4 +364,4 @@ def merge_detections(detections: Detections, min_neighbors: int = 1, overlap: fl
     best = np.maximum.reduceat(detections.score[members], starts)
     kept = np.flatnonzero(sizes >= min_neighbors)
     means = np.floor(sums[kept] / sizes[kept, None] + 0.5).astype(np.int64)
-    return Detections(*means.T, best[kept])
+    return Detections(means, best[kept])

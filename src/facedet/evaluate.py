@@ -150,7 +150,8 @@ def _greedy_hits(detections: Detections, truth_boxes, iou_min: float) -> tuple[n
         raise ValueError("iou_min must be in (0, 1]")
     if len(detections) == 0:  # an empty list of rows, too
         return np.zeros(0), np.zeros(0, dtype=bool)
-    order = np.lexsort((detections.h, detections.w, detections.y, detections.x, -detections.score))
+    x, y, w, h = detections.boxes.T
+    order = np.lexsort((h, w, y, x, -detections.score))
     ious = pairwise_iou(detections.boxes[order], truth_boxes)
     hit = np.zeros(order.size, dtype=bool)
     matched = np.zeros(ious.shape[1], dtype=bool)

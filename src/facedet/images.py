@@ -20,6 +20,7 @@ __all__ = [
     "histogram_equalization",
     "resize_bilinear",
     "resize_boxes",
+    "checked_boxes",
     "crop_square",
     "draw_boxes",
 ]
@@ -130,6 +131,25 @@ def _samples(side: int, out: int) -> tuple[np.ndarray, np.ndarray]:
     return first, frac
 
 
+def checked_boxes(boxes, shape: tuple[int, int], min_side: int, outside: str, small: str) -> np.ndarray:
+    """(x, y, w, h) boxes as an (n, 4) int64 array, each inside an image of
+    ``shape`` (H, W) with both sides at least ``min_side``. The first bad
+    box raises ``outside`` or ``small``, formatted with the ``box`` as a
+    tuple and the image ``width`` and ``height``."""
+    rows = np.asarray(boxes, dtype=np.int64)
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != 4):
+        raise ValueError(f"expected (x, y, w, h) box rows, got shape {rows.shape}")
+    rows = rows.reshape(-1, 4)
+    height, width = shape
+    x, y, w, h = rows.T
+    out = (x < 0) | (y < 0) | (x + w > width) | (y + h > height)
+    bad = np.flatnonzero(out | (w < min_side) | (h < min_side))
+    if bad.size:
+        message = outside if out[bad[0]] else small
+        raise ValueError(message.format(box=tuple(rows[bad[0]].tolist()), width=width, height=height))
+    return rows
+
+
 def resize_boxes(img: np.ndarray, boxes, out_h: int, out_w: int) -> np.ndarray:
     """(n, out_h, out_w) bilinear resamples of the (x, y, w, h) boxes of a
     grayscale image in one gather; box i equals
@@ -141,21 +161,17 @@ def resize_boxes(img: np.ndarray, boxes, out_h: int, out_w: int) -> np.ndarray:
     every box, so batching does not change a single value.
     """
     img = _require_gray(img)
-    boxes = [tuple(map(int, box)) for box in boxes]
-    height, width = img.shape
-    for x, y, w, h in boxes:
-        if w < 2 or h < 2:
-            raise ValueError("bilinear resize needs at least a 2x2 source")
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ValueError(f"resize box {(x, y, w, h)} outside the {width}x{height} image")
+    outside = "resize box {box} outside the {width}x{height} image"
+    boxes = checked_boxes(boxes, img.shape, 2, outside, "bilinear resize needs at least a 2x2 source")
+    width = img.shape[1]
+    xs, ys, ws, hs = boxes.T
     if out_h < 1 or out_w < 1:
         raise ValueError("output dimensions must be positive")
-    if not boxes:
+    if not len(boxes):
         return np.zeros((0, out_h, out_w), dtype=np.uint8)
-    xs, ys, ws, hs = zip(*boxes)
-    row, fy = (np.stack(a)[:, :, None] for a in zip(*(_samples(h, out_h) for h in hs)))
-    col, fx = (np.stack(a)[:, None, :] for a in zip(*(_samples(w, out_w) for w in ws)))
-    corner = (row + np.array(ys)[:, None, None]) * width + (col + np.array(xs)[:, None, None])
+    row, fy = (np.stack(a)[:, :, None] for a in zip(*(_samples(h, out_h) for h in hs.tolist())))
+    col, fx = (np.stack(a)[:, None, :] for a in zip(*(_samples(w, out_w) for w in ws.tolist())))
+    corner = (row + ys[:, None, None]) * width + (col + xs[:, None, None])
     flat = img.ravel()
     tl, tr, bl, br = (flat[corner + shift].astype(np.float64) for shift in (0, 1, width, width + 1))
     top = tl + (tr - tl) * fx

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .images import resize_boxes
+from .images import checked_boxes, resize_boxes
 
 __all__ = [
     "lbp_label_image",
@@ -97,20 +97,14 @@ def uniform_pattern_table() -> np.ndarray:
     return _uniform_table
 
 
-def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-    """The image as (H, W) and the boxes as (x, y, w, h) int tuples, each
-    box inside the image and at least 3x3."""
+def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """The image as (H, W) and the boxes as (n, 4) int64 (x, y, w, h) rows,
+    each inside the image and at least 3x3; the first bad box is named."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"expected an (H, W) grayscale image, got shape {img.shape}")
-    boxes = [tuple(map(int, box)) for box in boxes]
-    height, width = img.shape
-    for x, y, w, h in boxes:
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ValueError(f"box {(x, y, w, h)} outside {width}x{height} image")
-        if w < 3 or h < 3:
-            raise ValueError(f"box {(x, y, w, h)} smaller than 3x3")
-    return img, boxes
+    outside = "box {box} outside {width}x{height} image"
+    return img, checked_boxes(boxes, img.shape, 3, outside, "box {box} smaller than 3x3")
 
 
 def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
@@ -118,16 +112,14 @@ def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
     from one labelling of their bounding box."""
     img, boxes = _gray_and_boxes(img, boxes)
     out = np.empty((len(boxes), 59))
-    if not boxes:
+    if not len(boxes):
         return out
-    x0 = min(x for x, _, _, _ in boxes)
-    y0 = min(y for _, y, _, _ in boxes)
-    x1 = max(x + w for x, _, w, _ in boxes)
-    y1 = max(y + h for _, y, _, h in boxes)
+    x0, y0 = boxes[:, :2].min(axis=0)
+    x1, y1 = (boxes[:, :2] + boxes[:, 2:]).max(axis=0)
     bins = uniform_pattern_table()[lbp_label_image(img[y0:y1, x0:x1])]
-    for row, (x, y, w, h) in zip(out, boxes):
-        row[:] = np.bincount(bins[y - y0 : y - y0 + h - 2, x - x0 : x - x0 + w - 2].ravel(), minlength=59)
-    out /= np.array([(w - 2) * (h - 2) for _, _, w, h in boxes], dtype=np.float64)[:, None]
+    for row, (x, y, w, h) in zip(out, (boxes - (x0, y0, 0, 0)).tolist()):
+        row[:] = np.bincount(bins[y : y + h - 2, x : x + w - 2].ravel(), minlength=59)
+    out /= ((boxes[:, 2] - 2) * (boxes[:, 3] - 2))[:, None]
     return out
 
 

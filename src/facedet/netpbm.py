@@ -72,13 +72,21 @@ def _raster(data: bytes, path: str, off: int, shape: tuple[int, ...], maxval: in
     return raster
 
 
-def read_pgm(path: str) -> np.ndarray:
+def _read(path: str, expected: bytes | None) -> np.ndarray:
+    """The file, read once and parsed by its magic: (H, W) for P5, (H, W, 3)
+    for P6; ``expected`` is the one magic accepted, or None for either."""
     with open(path, "rb") as fh:
         data = fh.read()
+    if expected is None and data[:2] not in (b"P5", b"P6"):
+        raise NetpbmError(f"{path}: unsupported magic {data[:2]!r}")
     magic, w, h, maxval, off = _parse_header(data, str(path))
-    if magic != b"P5":
-        raise NetpbmError(f"{path}: expected P5, got {magic!r}")
-    return _raster(data, path, off, (h, w), maxval)
+    if expected is not None and magic != expected:
+        raise NetpbmError(f"{path}: expected {expected.decode()}, got {magic!r}")
+    return _raster(data, path, off, (h, w) if magic == b"P5" else (h, w, 3), maxval)
+
+
+def read_pgm(path: str) -> np.ndarray:
+    return _read(path, b"P5")
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
@@ -92,12 +100,7 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, w, h, maxval, off = _parse_header(data, str(path))
-    if magic != b"P6":
-        raise NetpbmError(f"{path}: expected P6, got {magic!r}")
-    return _raster(data, path, off, (h, w, 3), maxval)
+    return _read(path, b"P6")
 
 
 def write_ppm(path: str, img: np.ndarray) -> None:
@@ -112,13 +115,7 @@ def write_ppm(path: str, img: np.ndarray) -> None:
 
 def read_image(path: str) -> np.ndarray:
     """Read either format by magic; (H, W) for PGM, (H, W, 3) for PPM."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    if magic == b"P6":
-        return read_ppm(path)
-    raise NetpbmError(f"{path}: unsupported magic {magic!r}")
+    return _read(path, None)
 
 
 def read_mask(path: str) -> np.ndarray:

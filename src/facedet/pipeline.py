@@ -17,7 +17,7 @@ from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import DatasetManifest, match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
-from .lbp import validation_feature
+from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
 from .skin import Region, SkinThresholds, classify_skin, extract_regions, refine_mask, skin_ratio, sobel_edges
 from .svm import LinearSvmModel, train_svm
@@ -113,15 +113,11 @@ def detect_faces(
     # scaled back can overhang the input by up to factor - 1 pixels, and a
     # merged box rounds its mean position and size separately
     height, width = gray.shape
-    x, y = merged.x * factor, merged.y * factor
-    merged = Detections(
-        x, y, np.minimum(merged.w * factor, width - x), np.minimum(merged.h * factor, height - y), merged.score
-    )
+    boxes = merged.boxes * factor
+    np.minimum(boxes[:, 2:], (width, height) - boxes[:, :2], out=boxes[:, 2:])
+    merged = Detections(boxes, merged.score)
     if svm is not None:
-        kept, _ = validate_detections(
-            merged, gray, svm, config.svm_threshold, config.block_weights
-        )
-        merged = kept
+        merged, _ = validate_detections(merged, gray, svm, config.svm_threshold, config.block_weights)
     return merged, stats
 
 
@@ -155,7 +151,7 @@ def train_cascade_from_config(
 
 
 def _describe(crops: list[np.ndarray], config: PipelineConfig) -> np.ndarray:
-    return np.array([validation_feature(c, config.block_weights) for c in crops])
+    return np.array([validation_feature(c, config.block_weights) for c in crops]).reshape(-1, DESCRIPTOR_LENGTH)
 
 
 def _train_validator(rows: np.ndarray, n_pos: int, config: PipelineConfig) -> LinearSvmModel:
@@ -195,21 +191,22 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
 
     Positives are the ground-truth crops plus the detections that match a
     face (IoU >= 0.5); negatives are the first ``MAX_BOOTSTRAP_NEGATIVES``
-    false alarms. The threshold passes 99% of the matched detections. Every
-    crop is described once: the threshold ranks the matched crops' rows.
+    false alarms. The threshold passes 99% of the matched detections. A
+    detection's row is the one ``validate_detections`` scores for its box.
     """
-    pos_crops, matched_crops, fp_crops = [], [], []
+    pos_crops, matched, false_alarms = [], [], []
     for scene in scenes:
         dets, _ = detect_faces(scene.gray, cascade, config)
         pos_crops.extend(crop_square(scene.gray, box, config.base_window) for box in scene.faces)
-        boxes = dets.boxes
-        matched = (pairwise_iou(boxes, scene.faces) >= 0.5).any(axis=1)
-        for box, hit in zip(boxes.tolist(), matched.tolist()):
-            (matched_crops if hit else fp_crops).append(crop_square(scene.gray, box, box[2]))
-    rows = _describe(pos_crops + matched_crops + fp_crops[:MAX_BOOTSTRAP_NEGATIVES], config)
-    n_pos = len(pos_crops) + len(matched_crops)
-    svm = _train_validator(rows, n_pos, config)
-    return svm, _keep_threshold(svm, rows[len(pos_crops) : n_pos], 0.99)
+        rows = descriptors(scene.gray, dets.boxes, config.block_weights)
+        hit = (pairwise_iou(dets.boxes, scene.faces) >= 0.5).any(axis=1)
+        matched.append(rows[hit])
+        false_alarms.append(rows[~hit])
+    matched = np.concatenate(matched)
+    negatives = np.concatenate(false_alarms)[:MAX_BOOTSTRAP_NEGATIVES]
+    n_pos = len(pos_crops) + len(matched)
+    svm = _train_validator(np.concatenate([_describe(pos_crops, config), matched, negatives]), n_pos, config)
+    return svm, _keep_threshold(svm, matched, 0.99)
 
 
 def evaluate_image(

@@ -370,8 +370,9 @@ def validation_feature_oracle(window, block_weights=None):
 
 
 def as_detections(rows) -> Detections:
-    """The columns of a list of Detection rows."""
-    return Detections(*(list(zip(*map(astuple, rows))) or [()] * 5))
+    """The box array and scores of a list of Detection rows."""
+    rows = [astuple(row) for row in rows]
+    return Detections(np.array([row[:4] for row in rows]).reshape(-1, 4), [row[4] for row in rows])
 
 
 def match_detections_oracle(detections, truth_boxes, iou_min=0.5):

@@ -12,6 +12,7 @@ from facedet.detect import (
     MERGE_ROWS,
     SCAN_ROWS,
     Detection,
+    Detections,
     ScanStats,
     detect_multiscale_counted,
     iou,
@@ -501,6 +502,30 @@ def random_detections(rng, n, field=200):
     ]
 
 
+class TestDetections:
+    @pytest.mark.parametrize(
+        "boxes, score",
+        [
+            ([[1, 2, 3, 4], [2, 3, 4, 5]], [0.5]),  # fewer scores than boxes
+            ([[1, 2, 3, 4]], [0.5, 0.6]),  # more scores than boxes
+            ([[[1, 2, 3, 4]]], [0.5]),  # boxes of rank 3
+            ([[1, 2, 3]], [0.5]),  # three box fields
+            ([1, 2, 3, 4], [0.5]),  # a box, not a row of boxes
+            ([[1, 2, 3, 4]], [[0.5]]),  # scores of rank 2
+        ],
+    )
+    def test_rejects_boxes_and_scores_of_other_shapes(self, boxes, score):
+        with pytest.raises(ValueError, match=r"expected \(n, 4\) boxes and \(n,\) scores"):
+            Detections(boxes, score)
+
+    def test_rows_slices_and_masks(self):
+        dets = Detections([[1, 2, 3, 4], [5, 6, 7, 8]], [0.5, 1.5])
+        assert dets.boxes.dtype == np.int64 and dets.score.dtype == np.float64
+        assert list(dets) == [Detection(1, 2, 3, 4, 0.5), Detection(5, 6, 7, 8, 1.5)]
+        assert dets[1:] == dets[dets.score > 1.0] == Detections([[5, 6, 7, 8]], [1.5])
+        assert len(Detections(np.empty((0, 4)), [])) == 0 == len(dets[:0])
+
+
 class TestMergeDetections:
     def test_single_detection_unchanged(self):
         det = Detection(5, 6, 20, 20, 1.5)
@@ -510,9 +535,7 @@ class TestMergeDetections:
         a = Detection(5, 6, 20, 20, 1.0)
         b = Detection(5, 6, 20, 20, 2.0)
         merged = merge_detections(as_detections([a, b]), min_neighbors=2, overlap=0.5)
-        assert len(merged) == 1
-        assert (merged[0].x, merged[0].y, merged[0].w, merged[0].h) == (5, 6, 20, 20)
-        assert merged[0].score == 2.0
+        assert list(merged) == [Detection(5, 6, 20, 20, 2.0)]
 
     def test_min_neighbors_drops_small_groups(self):
         a = Detection(0, 0, 10, 10, 1.0)

@@ -239,5 +239,12 @@ class TestResizeBoxes:
          ((0, -1, 3, 3), "outside")],
     )
     def test_rejects_bad_boxes(self, box, message):
-        with pytest.raises(ValueError, match=message):
-            resize_boxes(np.zeros((5, 6), dtype=np.uint8), [box], 4, 4)
+        # as tuples and as the int64 rows of Detections.boxes
+        for boxes in ([box], np.array([box])):
+            with pytest.raises(ValueError, match=message):
+                resize_boxes(np.zeros((5, 6), dtype=np.uint8), boxes, 4, 4)
+
+    @pytest.mark.parametrize("boxes", [[(0, 0, 3)], np.zeros((2, 5), dtype=np.int64), np.zeros((1, 1, 4))])
+    def test_rejects_rows_that_are_not_boxes(self, boxes):
+        with pytest.raises(ValueError, match=r"expected \(x, y, w, h\) box rows, got shape"):
+            resize_boxes(np.zeros((5, 6), dtype=np.uint8), boxes, 4, 4)

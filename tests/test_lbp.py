@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from facedet.images import crop_square
 from facedet.lbp import (
     DESCRIPTOR_LENGTH,
     FINE_BLOCK_OFFSETS,
+    UNIT_BLOCK_WEIGHTS,
     coarse_parts,
     descriptors,
     fine_parts,
@@ -256,6 +258,18 @@ class TestBatchedDescriptor:
         assert np.array_equal(coarse_parts(img, boxes), got[:, :59])
         assert np.array_equal(fine_parts(img, boxes, **kw), got[:, 59:])
 
+    @given(scenes_with_boxes(), st.booleans(), st.integers(0, 1 << 30))
+    @settings(max_examples=100, deadline=None)
+    def test_square_boxes_equal_their_square_crops(self, scene, weighted, seed):
+        # the validator bootstrap describes its detections by box; for a
+        # square box inside the image that is the row of its crop
+        img, boxes = scene
+        square = np.array([(x, y, min(w, h), min(w, h)) for x, y, w, h in boxes]).reshape(-1, 4)
+        weights = np.random.default_rng(seed).uniform(0.0, 3.0, 9) if weighted else UNIT_BLOCK_WEIGHTS
+        got = descriptors(img, square, weights)
+        for row, box in zip(got, square.tolist()):
+            assert np.array_equal(row, validation_feature(crop_square(img, box, box[2]), weights))
+
     @given(arrays(np.uint8, st.tuples(st.integers(3, 30), st.integers(3, 30))), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_validation_feature_is_the_one_box_call(self, window, weighted):
@@ -286,9 +300,11 @@ class TestBatchedDescriptor:
     )
     def test_rejects_bad_boxes(self, box, message):
         img = np.zeros((10, 20), dtype=np.uint8)
-        for call in (descriptors, coarse_parts, fine_parts):
-            with pytest.raises(ValueError, match=message):
-                call(img, [(0, 0, 5, 5), box])
+        # as tuples and as the int64 rows of Detections.boxes
+        for boxes in ([(0, 0, 5, 5), box], np.array([(0, 0, 5, 5), box])):
+            for call in (descriptors, coarse_parts, fine_parts):
+                with pytest.raises(ValueError, match=message):
+                    call(img, boxes)
 
     @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10), np.ones((3, 3))])
     def test_rejects_block_weights_of_wrong_shape(self, weights):

@@ -16,10 +16,10 @@ from facedet import boost, detect, pipeline, validate
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
-from facedet.detect import Detection
+from facedet.detect import Detection, iou
 from facedet.evaluate import match_detections
-from facedet.images import downscale, histogram_equalization, median_filter
-from facedet.lbp import DESCRIPTOR_LENGTH
+from facedet.images import crop_square, downscale, histogram_equalization, median_filter
+from facedet.lbp import DESCRIPTOR_LENGTH, descriptors
 from facedet.pipeline import (
     detect_faces,
     evaluate_images,
@@ -215,6 +215,36 @@ class TestEvaluateImages:
         cold = Cascade(warm.base_window, warm.stages, warm.metadata)
         assert evaluate_images(entries, cold, config) == evaluate_images(entries, warm, config)
         assert cold.programs
+
+
+class TestBootstrapValidator:
+    def test_trains_on_the_rows_validation_scores(self, experiment):
+        # a detection's training row is the row validate_detections scores
+        # for its box; only the ground-truth faces are cropped
+        cascade, config, svm = experiment["cascade"], experiment["config"], experiment["svm"]
+        scenes = experiment["corpus"].train[:40]
+        with mock.patch.object(pipeline, "_train_validator", wraps=pipeline._train_validator) as trained, \
+                mock.patch.object(pipeline, "crop_square", wraps=pipeline.crop_square) as crops:
+            pipeline.bootstrap_validator(scenes, cascade, config)
+        faces = [(scene.gray, box) for scene in scenes for box in scene.faces]
+        assert crops.call_count == len(faces)
+        scored, hits = [], []
+
+        def described(*args):
+            scored.append(descriptors(*args))
+            return scored[-1]
+
+        for scene in scenes:
+            dets, _ = detect_faces(scene.gray, cascade, config)
+            with mock.patch.object(validate, "descriptors", described):
+                validate.validate_detections(dets, scene.gray, svm, config.svm_threshold, config.block_weights)
+            hits += [any(iou((d.x, d.y, d.w, d.h), face) >= 0.5 for face in scene.faces) for d in dets]
+        scored, hits = np.concatenate(scored), np.array(hits, dtype=bool)
+        assert hits.any() and (~hits).any()
+        rows, n_pos, _ = trained.call_args.args
+        face_rows = pipeline._describe([crop_square(gray, box, config.base_window) for gray, box in faces], config)
+        expected = np.concatenate([face_rows, scored[hits], scored[~hits][: pipeline.MAX_BOOTSTRAP_NEGATIVES]])
+        assert n_pos == len(faces) + hits.sum() and np.array_equal(rows, expected)
 
 
 class TestPickSvmThreshold:
