@@ -116,9 +116,10 @@ class Cascade:
     # per-stage (detection_rate, false_positive_rate) on the data each stage
     # was trained on; NaN pairs for models loaded from disk
     metadata: list[tuple[float, float]]
-    # compiled scan programs by window size, filled by facedet.detect; they
-    # are derived from ``stages``, which therefore must not change in place
+    # filled by facedet.detect from ``stages`` (never change them in place): the
+    # corners by window size, and one scan plan (16-32 bytes a window), the last shape's
     programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.stages) != len(self.metadata):
@@ -440,7 +441,7 @@ def feature_value_matrix(
         n = len(iset.grid)
         tables = (iset.grid, iset.planes)
         # every window origin is (0, 0), of parity 0
-        cells = [int(cell[0]) for cell, _ in iset.origins(origin, origin)]
+        cells = [int(cell[0]) for cell in iset.origins(origin, origin)[:2]]
         reads = [
             tables[c.table].reshape(n, -1)[:, cells[c.table] + c.offsets(tables[c.table])] for c in program.corners
         ]

@@ -1,25 +1,26 @@
 """Skin-gated multi-scale sliding-window detection and box merging.
 
-The cascade scan is compiled. For each window size, every stage's stumps
-become a program (:func:`facedet.haar.compile_features`), built once per
-cascade and size and cached on the cascade: the summed-area-table corners
-read, as offsets from a window origin, and a float64 (corners, stumps)
-matrix of integer weights that carry each stump's polarity, per table and,
-for tilted stumps, per origin parity.
+The scan runs from a plan built per image shape, ``scale_factor`` and
+``step``; the cascade keeps the last one. It holds every level's window
+lattice in scan order as flat origins in the upright table and each
+window's level (16 bytes per window; 32 with the tilted cells and parities
+of tilted cascades), and per stage the flat corner offsets of each stump
+compiled alone (:func:`facedet.haar.compile_features`) at every level and
+parity. A lone stump reads its corners in the same order with the same
+weights at every size and parity (checked), so one float64 (corners,
+stumps) matrix of integer weights times the polarities serves all levels.
 
-A pyramid level lays its window origins on a regular lattice, so the skin
-fraction and the pixel sigma of every window come from four strided slices
-of the summed-area tables; the windows that pass the gate are kept, all
-levels in scan order. Each stage then runs once per image: per level, it
-gathers ``flat[origin[:, None] + offsets]`` from float64 copies of the
-tables at the live windows, in blocks of ``SCAN_ROWS``, and multiplies by
-that size's weight matrix (a BLAS product). All operands are integers, and
-no partial sum exceeds the largest table value (at most the pixel sum)
-times the largest column L1 norm of the weights; each image checks that
-this bound is below 2**53, so every sum is exact in any order. Thresholds
-and alphas do not depend on the size, so the responses of all levels are
-divided by sigma and the votes added in stump order from 0.0 at once:
-every margin is bit-identical to a window-by-window evaluation.
+Per image and level, the skin fraction and pixel sigma of every window come
+from four strided slices of the summed-area tables; the windows that pass
+the gate are kept. Each stage then makes, per table kind, one gather
+``flat[origin[:, None] + offsets[level]]`` from float64 tables over the
+live windows of all levels, in blocks of ``SCAN_ROWS``, and one BLAS
+product with the weights. All operands are integers, and no partial sum
+exceeds the largest table value (at most the pixel sum) times the largest
+column L1 norm of the weights; each image checks that this is below 2**53,
+so every sum is exact in any order. Dividing by sigma and adding the votes
+in stump order from 0.0 makes every margin bit-identical to a
+window-by-window evaluation.
 
 Boxes travel as the (n, 4) ``Detections.boxes`` from the scan to the scoring.
 The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
@@ -31,7 +32,7 @@ integer sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -133,102 +134,110 @@ def pairwise_iou(a, b) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _StageProgram:
-    # the stumps' corners per table, each with its dense float64
-    # (corners, stumps) weights times each stump's polarity
-    gathers: list[tuple[Corners, np.ndarray]]
-    signed_threshold: np.ndarray  # (stumps,) polarity * threshold
-    alpha: tuple[float, ...]
-    threshold: float
-    # largest L1 norm of a stump's weights over all its tables: no response
-    # or partial sum exceeds it times the largest table value
-    weight_l1: int
-    # each gather's flat corner offsets, by upright table shape: they depend
-    # on the tables' widths, so the scan computes them once per image shape
-    offsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class _ScanPlan:
+    """What a scan needs of the cascade, the image shape, ``scale_factor``
+    and ``step``: the levels, their window lattices and each stage's reads."""
+
+    sizes: np.ndarray  # (levels,) window side
+    steps: list[int]  # per level, the lattice step
+    starts: list[int]  # per level, its first window; then the window count
+    # per table kind (upright; tilted, if any stump is), each window's origin
+    # cell and its offsets row: its level, or 2 * level + origin parity
+    bases: list[tuple[np.ndarray, np.ndarray]]
+    # per stage and table kind read: the kind, the flat corner offsets by offsets
+    # row, and the float64 (corners, stumps) weights times the polarities
+    stages: list[list[tuple[int, np.ndarray, np.ndarray]]]
+    weight_l1: int  # largest L1 norm of a stump's weight column
 
 
-def _compile_stage(stage: Stage, size: int) -> _StageProgram:
-    # the polarity goes into the weights: an exact response negates
-    # exactly, and so does its division by sigma
-    polarity = np.array([wc.polarity for wc, _ in stage.stumps], dtype=np.int64)
-    coefs = [(c, c.coef() * polarity) for c in compile_features([wc.feature for wc, _ in stage.stumps], size)]
-    return _StageProgram(
-        [(c, coef.astype(np.float64)) for c, coef in coefs],
-        np.array([wc.polarity * wc.threshold for wc, _ in stage.stumps], dtype=np.float64),
-        tuple(float(alpha) for _, alpha in stage.stumps),
-        stage.threshold,
-        int(sum((np.abs(coef).sum(axis=0) for _, coef in coefs), np.zeros_like(polarity)).max(initial=0)),
-    )
+def _compiled(cascade: Cascade, size: int) -> dict[int, Corners]:
+    """By table, the corners the cascade's stumps read at a size-px window,
+    stump after stump, each as ``compile_features([feature], size)`` reads it
+    alone; once per cascade and size. Raises unless every stump has its
+    base-size weights in the same corner order, in both tilted parities."""
+    compiled = cascade.programs.get(size)
+    if compiled is None:
+        compiled = {}
+        for c in compile_features([wc.feature for stage in cascade.stages for wc, _ in stage.stumps], size):
+            order = np.lexsort((c.corner, c.feature))
+            corner = c.corner[order]
+            compiled[c.table] = replace(
+                c, plane=c.plane[corner], row=c.row[corner], col=c.col[corner], corner=np.arange(order.size),
+                feature=c.feature[order], weight=c.weight[order],
+            )
+        base = compiled if size == cascade.base_window else _compiled(cascade, cascade.base_window)
+        # per table (upright, tilted parity 0, parity 1): stumps and weights
+        got, want = ([None if c is None else (c.feature.tobytes(), c.weight.tobytes()) for c in map(at.get, range(3))]
+                     for at in (compiled, base))
+        if got != want or got[1] != got[2]:
+            raise ValueError(f"stump weights at {size} px differ from the base size's or between tilted parities")
+        cascade.programs[size] = compiled
+    return compiled
 
 
-def _programs(cascade: Cascade, size: int) -> list[_StageProgram]:
-    """The cascade's stage programs for one window size, compiled once."""
-    programs = cascade.programs.get(size)
-    if programs is None:
-        programs = [_compile_stage(stage, size) for stage in cascade.stages]
-        cascade.programs[size] = programs
-    return programs
+def _scan_plan(cascade: Cascade, iset: IntegralSet, scale_factor: float, step: int) -> _ScanPlan:
+    """The cascade's plan for the image of ``iset``, built on the first scan
+    of a new shape, ``scale_factor`` or ``step``, which it replaces."""
+    rows, cols = iset.grid.shape
+    key = ((rows - 1, cols - 1), scale_factor, step)
+    if key in cascade.plan:
+        return cascade.plan[key]
+    base = cascade.base_window
+    sizes, steps, cells = [], [], []
+    size = base
+    while size < min(rows, cols):
+        step_k = max(1, round(step * size / base))
+        # the level's (rows, cols) lattice of origins, broadcast
+        cells.append(iset.origins(np.arange(0, cols - size, step_k), np.arange(0, rows - size, step_k)[:, None]))
+        sizes.append(size)
+        steps.append(step_k)
+        size = max(size + 1, round(base * scale_factor ** len(sizes)))
+    counts = [level[0].size for level in cells]
+    level = np.repeat(np.arange(len(sizes)), counts)
+    # each origins() part over the lattice, flat; empty if the window exceeds the image
+    origin, *tilted = [
+        np.concatenate([np.empty(0, dtype=np.int64)] + [c[p].ravel() for c in cells]) for p in range(3 if iset.planes is not None else 1)
+    ]
+    bases = [(origin, level)] + ([(tilted[0], 2 * level + tilted[1])] if tilted else [])
+    # stage k reads stumps first[k]:first[k + 1], which are corners cut[k]:cut[k + 1] of a kind
+    first = np.cumsum([0] + [len(stage.stumps) for stage in cascade.stages])
+    polarity = np.array([wc.polarity for stage in cascade.stages for wc, _ in stage.stumps], dtype=np.int64)
+    stages = [[] for _ in cascade.stages]
+    for kind, (ids, table) in enumerate(zip([(0,), (1, 2)], [iset.grid, iset.planes])):
+        corners = _compiled(cascade, base).get(ids[0])
+        if corners is None:
+            continue
+        offsets = np.array([_compiled(cascade, size)[t].offsets(table) for size in sizes for t in ids], dtype=np.int64)
+        offsets, coef = offsets.reshape(-1, corners.row.size), corners.coef() * polarity
+        cut = np.searchsorted(corners.feature, first)
+        for k, (lo, hi) in enumerate(zip(cut, cut[1:])):
+            if lo < hi:
+                stages[k].append((kind, offsets[:, lo:hi].copy(), coef[lo:hi, first[k] : first[k + 1]].astype(np.float64)))
+    weight_l1 = max((int(np.abs(coef).sum(axis=0).max()) for reads in stages for _, _, coef in reads), default=0)
+    cascade.plan.clear()
+    plan = cascade.plan[key] = _ScanPlan(np.array(sizes), steps, np.cumsum([0, *counts]).tolist(), bases, stages, weight_l1)
+    return plan
 
 
-class _Windows:
-    """An image's gated windows over all pyramid levels, in scan order;
-    level l holds windows cuts[l]:cuts[l + 1] and its size's programs."""
-
-    def __init__(self, iset: IntegralSet, programs: list, xs: np.ndarray, ys: np.ndarray, counts, sigma):
-        """``iset`` holds the image's tables and ``sigma`` the windows' sigma."""
-        self.programs = programs
-        self.cuts = np.cumsum([0, *counts])
-        self.sigma = sigma
-        # float64 copies of the tables, made once per image: every table
-        # value is a sum of pixels, exact below 2**53
-        self.tables = [iset.grid.astype(np.float64)]
-        if iset.planes is not None:
-            planes = iset.planes.astype(np.float64)
-            self.tables += [planes, planes]
-        # both indexed by Corners.table: the tables, and (flat table,
-        # origins, mask of the windows it serves)
-        self.reads = [
-            (table.ravel(), cells, mask) for table, (cells, mask) in zip(self.tables, iset.origins(xs, ys))
-        ]
-
-    def stage_margins(self, k: int, live: np.ndarray) -> np.ndarray:
-        """Vote margins of stage ``k`` at the windows ``live`` (sorted, not
-        empty). Each level's slice of ``live`` is gathered and multiplied by
-        its size's weights, in blocks of SCAN_ROWS windows; the thresholds
-        do not depend on the size, so the stump tests and votes run once."""
-        first = self.programs[0][k]
-        responses = np.zeros((live.size, len(first.alpha)))
-        bounds = np.searchsorted(live, self.cuts).tolist()
-        for programs, lo, hi in zip(self.programs, bounds[:-1], bounds[1:]):
-            program = programs[k]
-            offsets = program.offsets.get(self.tables[0].shape)
-            if offsets is None:
-                offsets = [corners.offsets(self.tables[corners.table]) for corners, _ in program.gathers]
-                program.offsets[self.tables[0].shape] = offsets
-            for b in range(lo, hi, SCAN_ROWS):
-                rows = live[b : min(b + SCAN_ROWS, hi)]
-                block = responses[b : b + rows.size]
-                for (corners, coef), offs in zip(program.gathers, offsets):
-                    flat, origins, mask = self.reads[corners.table]
-                    sel = slice(None) if mask is None else mask[rows]
-                    block[sel] += flat[origins[rows[sel]][:, None] + offs] @ coef
-        responses /= self.sigma[live, None]
-        hits = responses < first.signed_threshold
-        votes = np.zeros(live.size)
-        for alpha, hit in zip(first.alpha, hits.T):
-            votes += alpha * hit
-        return votes - first.threshold
-
-
-def _check_exact(programs: list[_StageProgram], pixel_sum: int) -> None:
-    """Raise unless every float64 stage product on this image is exact."""
-    weight_l1 = max((p.weight_l1 for p in programs), default=0)
-    if pixel_sum * weight_l1 >= EXACT_LIMIT:
-        raise ValueError(
-            f"image pixel sum {pixel_sum} times stump weight norm {weight_l1} "
-            "reaches 2**53: float64 stage products would not be exact"
-        )
+def _stage_margins(plan: _ScanPlan, k: int, stage: Stage, tables: list, win: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Margins of ``stage``, the cascade's stage ``k``, at the plan's windows
+    ``win`` (not empty) of pixel sigma ``sigma``, from the image's flat
+    float64 ``tables`` by kind: per kind, one gather over the windows of
+    every level and one product, in blocks of SCAN_ROWS windows."""
+    reads = [(tables[kind], *(a[win] for a in plan.bases[kind]), offsets, coef) for kind, offsets, coef in plan.stages[k]]
+    responses = np.zeros((win.size, len(stage.stumps)))
+    for lo in range(0, win.size, SCAN_ROWS):
+        block = responses[lo : lo + SCAN_ROWS]
+        for flat, origin, row, offsets, coef in reads:
+            index = offsets.take(row[lo : lo + SCAN_ROWS], axis=0)
+            index += origin[lo : lo + SCAN_ROWS, None]
+            block += flat.take(index) @ coef
+    responses /= sigma[:, None]
+    votes = np.zeros(win.size)
+    for (wc, alpha), response in zip(stage.stumps, responses.T):
+        # the polarity is in the weights
+        votes += alpha * (response < wc.polarity * wc.threshold)
+    return votes - stage.threshold
 
 
 def detect_multiscale_counted(
@@ -250,8 +259,6 @@ def detect_multiscale_counted(
     if step < 1:
         raise ValueError("step must be >= 1")
     img = np.asarray(img)
-    h, w = img.shape
-    base = cascade.base_window
     tilted = any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps)
     iset = integral_set(img, with_tilted=tilted)
     skin_table = None
@@ -260,49 +267,41 @@ def detect_multiscale_counted(
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
         skin_table = upright_table(skin > 0)
-    pixel_sum = int(iset.grid[-1, -1])
-    stats = ScanStats(stage_windows=[0] * (len(cascade.stages) + 1))
-    # the gated windows of every level, in level order
-    sizes, programs, xs, ys, sigmas = [], [], [], [], []
-    level = 0
-    size = base
-    while size <= min(w, h):
-        step_k = max(1, round(step * size / base))
-        xs0 = np.arange(0, w - size + 1, step_k, dtype=np.int64)
-        ys0 = np.arange(0, h - size + 1, step_k, dtype=np.int64)
-        stats.total_windows += xs0.size * ys0.size
+    plan = _scan_plan(cascade, iset, scale_factor, step)
+    stats = ScanStats(plan.starts[-1], stage_windows=[0] * (len(cascade.stages) + 1))
+    # the gated windows of every level, in scan order, and their sigma
+    win, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for size, step_k, start, end in zip(plan.sizes.tolist(), plan.steps, plan.starts, plan.starts[1:]):
         if skin_table is None:
-            keep = np.arange(xs0.size * ys0.size)
+            keep = np.arange(end - start)
         else:
-            frac = window_sums(skin_table, size, step_k) / (size * size)
-            keep = np.flatnonzero(frac >= min_skin_fraction)
-        stats.evaluated_windows += keep.size
+            keep = np.flatnonzero(window_sums(skin_table, size, step_k) / (size * size) >= min_skin_fraction)
         if keep.size:
-            programs.append(_programs(cascade, size))
-            _check_exact(programs[-1], pixel_sum)
-            sizes.append(size)
-            xs.append(xs0[keep % xs0.size])
-            ys.append(ys0[keep // xs0.size])
-            sigmas.append(window_sigma(iset, size, step_k).ravel()[keep])
-        level += 1
-        size = max(size + 1, round(base * scale_factor**level))
-    if not sizes:
-        return Detections(np.empty((0, 4)), []), stats
-    counts = [x.size for x in xs]
-    xs, ys = np.concatenate(xs), np.concatenate(ys)
-    windows = _Windows(iset, programs, xs, ys, counts, np.concatenate(sigmas))
-    margins = np.zeros(xs.size)
-    live = np.arange(xs.size)
-    for k in range(len(cascade.stages)):
-        stats.stage_windows[k] = live.size
-        if live.size == 0:
+            win.append(start + keep)
+            sigma.append(window_sigma(iset, size, step_k).ravel()[keep])
+    win, sigma = np.concatenate(win), np.concatenate(sigma)
+    stats.evaluated_windows = win.size
+    pixel_sum = int(iset.grid[-1, -1])
+    if win.size and pixel_sum * plan.weight_l1 >= EXACT_LIMIT:
+        raise ValueError(
+            f"image pixel sum {pixel_sum} times stump weight norm {plan.weight_l1} "
+            "reaches 2**53: float64 stage products would not be exact"
+        )
+    # every table value is a sum of pixels, exact in float64 below 2**53
+    tables = [t.astype(np.float64).ravel() for t in (iset.grid, iset.planes) if t is not None]
+    score = np.zeros(win.size)
+    for k, stage in enumerate(cascade.stages):
+        stats.stage_windows[k] = win.size
+        if win.size == 0:
             break
-        margin = windows.stage_margins(k, live)
-        margins[live] = margin
-        live = live[margin >= 0]
-    stats.stage_windows[-1] = stats.accepted_windows = live.size
-    sides = np.repeat(sizes, counts)[live]
-    return Detections(np.stack([xs[live], ys[live], sides, sides], axis=1), margins[live]), stats
+        score = _stage_margins(plan, k, stage, tables, win, sigma)
+        passed = score >= 0
+        win, sigma, score = win[passed], sigma[passed], score[passed]
+    stats.stage_windows[-1] = stats.accepted_windows = win.size
+    (origin, level), *_ = plan.bases
+    y, x = np.divmod(origin[win], iset.grid.shape[1])
+    sides = plan.sizes[level[win]]
+    return Detections(np.stack([x, y, sides, sides], axis=1), score), stats
 
 
 def _overlapping_pairs(boxes: np.ndarray, overlap: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Integral images for O(1) axis-aligned and 45-degree-rotated rectangle sums.
 
-This module is the only one that knows the tables' layout; the cascade scan
-and the training feature matrix read them through :class:`IntegralSet`.
+This module is the only one that knows the tables' layout (the scan only
+inverts a row-major upright cell); readers go through :class:`IntegralSet`.
 
 The upright table is the classic summed-area table with a zero top row and
 left column: ``grid[y, x]`` holds the sum of all pixels in [0, x) x [0, y).
@@ -41,18 +41,15 @@ class IntegralSet:
     planes: np.ndarray | None  # (..., 2, U, V) tilted planes, if built
     voff: int  # even shift making y - x + voff non-negative; 0 without planes
 
-    def origins(self, xs: np.ndarray, ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Per ``Corners.table`` (upright, tilted parity 0, tilted parity 1;
-        only the first without planes): the flat cell of each window origin
-        (xs, ys) in one image's table, and the mask of the windows that
-        table serves, None for all."""
-        out = [(ys * self.grid.shape[-1] + xs, None)]
+    def origins(self, xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+        """The flat cell of each window origin (xs, ys) in one image's upright
+        table; with planes, also its cell in the tilted planes and its parity
+        q, whose tilted table (``Corners.table`` 1 + q) serves the origin."""
+        out = [ys * self.grid.shape[-1] + xs]
         if self.planes is not None:
             # both parities' origins lie in plane 0's numbering; a corner's
             # offset adds its plane and its shift within the parity lattice
-            cells = ((xs + ys) >> 1) * self.planes.shape[-1] + ((ys - xs + self.voff) >> 1)
-            parity = (xs + ys) & 1
-            out += [(cells, parity == q) for q in (0, 1)]
+            out += [((xs + ys) >> 1) * self.planes.shape[-1] + ((ys - xs + self.voff) >> 1), (xs + ys) & 1]
         return out
 
 

@@ -195,15 +195,18 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
     detection's row is the one ``validate_detections`` scores for its box.
     """
     pos_crops, matched, false_alarms = [], [], []
+    budget = MAX_BOOTSTRAP_NEGATIVES  # false alarms still wanted; no other is described
     for scene in scenes:
         dets, _ = detect_faces(scene.gray, cascade, config)
         pos_crops.extend(crop_square(scene.gray, box, config.base_window) for box in scene.faces)
-        rows = descriptors(scene.gray, dets.boxes, config.block_weights)
         hit = (pairwise_iou(dets.boxes, scene.faces) >= 0.5).any(axis=1)
+        kept = hit | (np.cumsum(~hit) <= budget)
+        rows, hit = descriptors(scene.gray, dets.boxes[kept], config.block_weights), hit[kept]
+        budget -= int((~hit).sum())
         matched.append(rows[hit])
         false_alarms.append(rows[~hit])
     matched = np.concatenate(matched)
-    negatives = np.concatenate(false_alarms)[:MAX_BOOTSTRAP_NEGATIVES]
+    negatives = np.concatenate(false_alarms)
     n_pos = len(pos_crops) + len(matched)
     svm = _train_validator(np.concatenate([_describe(pos_crops, config), matched, negatives]), n_pos, config)
     return svm, _keep_threshold(svm, matched, 0.99)

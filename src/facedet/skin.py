@@ -72,9 +72,9 @@ def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
         raise ValueError("Sobel needs an image of at least 3x3")
-    src = gray.astype(np.int64)
     # Sobel = [1, 2, 1] smoothing along one axis times [-1, 0, 1] difference
-    # along the other
+    # along the other; 8-bit pixels give gx^2 + gy^2 <= 2 * 1020^2 < 2^31
+    src = gray.astype(np.int32 if gray.dtype.itemsize == 1 else np.int64)
     smooth_y = src[:-2] + 2 * src[1:-1] + src[2:]
     gx = smooth_y[:, 2:] - smooth_y[:, :-2]
     smooth_x = src[:, :-2] + 2 * src[:, 1:-1] + src[:, 2:]

@@ -19,7 +19,7 @@ from facedet.detect import (
     merge_detections,
     pairwise_iou,
 )
-from facedet.haar import KINDS, enumerate_kind
+from facedet.haar import KINDS, compile_features, enumerate_kind
 from facedet.integral import integral_set
 from oracles import _tilted_sums, _upright_sums, as_detections, classify_window, eval_feature, scaled_parts
 
@@ -149,15 +149,25 @@ def edge_skin(h, w):
 
 def stage_margin_calls(cascade, *args, **kwargs):
     """detect_multiscale_counted, and the stage of every stage evaluation."""
-    original = detect._Windows.stage_margins
+    original = detect._stage_margins
     calls = []
 
-    def spy(self, k, live):
+    def spy(plan, k, *rest):
         calls.append(k)
-        return original(self, k, live)
+        return original(plan, k, *rest)
 
-    with mock.patch.object(detect._Windows, "stage_margins", spy):
+    with mock.patch.object(detect, "_stage_margins", spy):
         return detect_multiscale_counted(cascade, *args, **kwargs), calls
+
+
+def mixed_cascade():
+    """Three stages of base 10 over two tilted stumps and an upright one."""
+    features = [bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3]]
+    stages = [
+        Stage([(WeakClassifier(f, t, p), a) for f, t, p, a in zip(features, thresholds, (1, -1, 1), (0.5, 1.0, 0.7))], share)
+        for thresholds, share in (((0.0, 0.0, 0.0), 0.5), ((0.5, -0.5, 1.0), 0.9), ((-0.5, 0.0, 0.5), 1.0))
+    ]
+    return Cascade(10, stages, [(1.0, 0.5)] * 3)
 
 
 @pytest.fixture(scope="module")
@@ -297,12 +307,7 @@ class TestCompiledScan:
             level += 1
             size = max(size + 1, round(10 * 1.1**level))
         assert pattern == "1000110101001"
-        features = [bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3]]
-        stages = [
-            Stage([(WeakClassifier(f, t, p), a) for f, t, p, a in zip(features, thresholds, (1, -1, 1), (0.5, 1.0, 0.7))], share)
-            for thresholds, share in (((0.0, 0.0, 0.0), 0.5), ((0.5, -0.5, 1.0), 0.9), ((-0.5, 0.0, 0.5), 1.0))
-        ]
-        cascade = Cascade(10, stages, [(1.0, 0.5)] * 3)
+        cascade = mixed_cascade()
         img = np.random.default_rng(37).integers(0, 256, size=(h, w)).astype(np.uint8)
         skin, min_skin = edge_skin(h, w)
         with mock.patch.object(detect, "SCAN_ROWS", block):
@@ -360,12 +365,99 @@ class TestCompiledScan:
         build.assert_called_once_with(img, with_tilted=False)
 
 
+def pyramid_sizes(base, limit, scale_factor=1.25):
+    """The window sides of a scan's levels, up to ``limit``."""
+    sizes = [base]
+    while (size := max(sizes[-1] + 1, round(base * scale_factor ** len(sizes)))) <= limit:
+        sizes.append(size)
+    return sizes
+
+
+class TestScanPlan:
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_one_plan_replaced_on_each_new_shape_and_parameters(self, toy_cascade, tilted):
+        model = mixed_cascade() if tilted else toy_cascade
+        cascade = Cascade(model.base_window, model.stages, model.metadata)
+        rng = np.random.default_rng(40)
+        wide, narrow = (rng.integers(0, 256, size=shape).astype(np.uint8) for shape in ((31, 47), (36, 29)))
+        runs = [(wide, 1.25, 2), (narrow, 1.25, 2), (wide, 1.25, 2), (wide, 1.5, 1), (wide, 1.5, 1), (narrow, 1.5, 1),
+                (narrow, 1.25, 2), (wide, 1.25, 1), (wide, 1.5, 2), (wide, 1.25, 2)]
+        previous = None
+        for img, scale_factor, step in runs:
+            got = detect_multiscale_counted(cascade, img, None, scale_factor, step)
+            assert got == scan_oracle(cascade, img, None, scale_factor, step)
+            # exactly one plan, for this call's key; a repeated key reuses it
+            ((key, plan),) = cascade.plan.items()
+            assert key == (img.shape, scale_factor, step)
+            if previous is not None:
+                assert (plan is previous[1]) == (key == previous[0])
+            previous = key, plan
+
+    def test_lone_stump_corners_and_shared_weights(self):
+        # the plan reads each stump as compile_features([feature], size) does,
+        # stump after stump, and each stage's one weight matrix is the weights
+        # times the polarities at every level and parity
+        cascade = mixed_cascade()
+        img = np.random.default_rng(41).integers(0, 256, size=(30, 40)).astype(np.uint8)
+        iset = integral_set(img)
+        plan = detect._scan_plan(cascade, iset, 1.25, 2)
+        stumps = [wc for stage in cascade.stages for wc, _ in stage.stumps]
+        for size in plan.sizes.tolist():
+            alone = [compile_features([wc.feature], size) for wc in stumps]
+            for table, corners in detect._compiled(cascade, size).items():
+                want = [(c.plane, c.row, c.col, c.weight) for one in alone for c in one if c.table == table]
+                got = corners.plane, corners.row, corners.col, corners.weight
+                assert all(np.array_equal(g, np.concatenate(w)) for g, w in zip(got, zip(*want)))
+        for stage, reads in zip(cascade.stages, plan.stages):
+            for kind, offsets, coef in reads:
+                assert offsets.shape[0] == len(plan.sizes) * (1 + kind)
+                assert coef.dtype == np.float64 and coef.shape[1] == len(stage.stumps)
+
+    def test_every_bank_stump_keeps_its_weights_at_every_level_and_parity(self):
+        # the whole 24-px bank, kind by kind, at the pyramid sizes up to 8x
+        # the base: each feature reads its corners in one order with one
+        # weight column, so the plan build never refuses a bank feature
+        for kind in KINDS:
+            features = bank(kind, 24)
+            cascade = Cascade(24, [Stage([(WeakClassifier(f, 0.0, 1), 1.0) for f in features], 0.0)], [(0.0, 0.0)])
+            base = detect._compiled(cascade, 24)
+            tables = {0} if not features[0].tilted else {1, 2}
+            assert set(base) == tables
+            for size in pyramid_sizes(24, 8 * 24):
+                compiled = detect._compiled(cascade, size)
+                assert set(compiled) == tables
+                for table, corners in compiled.items():
+                    want = base[min(table, 1)]
+                    assert np.array_equal(corners.feature, want.feature) and np.array_equal(corners.weight, want.weight)
+                if size != 24:
+                    del cascade.programs[size]  # memory stays one size's compile
+
+    @pytest.mark.parametrize("changed", ["size", "parity"])
+    def test_plan_build_refuses_weights_that_vary(self, changed):
+        cascade = mixed_cascade()
+        original = detect.compile_features
+
+        def varied(features, size):
+            out = original(features, size)
+            if changed == "parity":
+                return [replace(c, weight=-c.weight) if c.table == 2 else c for c in out]
+            return [replace(c, weight=2 * c.weight) if size > 10 else c for c in out]
+
+        img = np.random.default_rng(42).integers(0, 256, size=(24, 24)).astype(np.uint8)
+        with mock.patch.object(detect, "compile_features", varied):
+            with pytest.raises(ValueError, match="stump weights"):
+                detect_multiscale_counted(cascade, img)
+        assert not cascade.plan
+
+
 class TestExactProducts:
     @staticmethod
-    def with_programs(cascade, size, edit):
-        """A copy of the cascade whose size-px programs are edited."""
+    def with_plan(cascade, img, edit, step=4):
+        """A copy of the cascade whose plan for ``img`` is edited."""
         copy = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
-        copy.programs[size] = [edit(p) for p in detect._programs(cascade, size)]
+        plan = detect._scan_plan(copy, integral_set(img, with_tilted=False), 1.25, step)
+        (key,) = copy.plan
+        copy.plan[key] = edit(plan)
         return copy
 
     def test_weight_norm_bounds_every_response(self, toy_cascade):
@@ -373,32 +465,39 @@ class TestExactProducts:
         img = rng.integers(0, 256, size=(30, 30)).astype(np.uint8)
         pixel_sum = int(img.astype(np.int64).sum())
         iset = integral_set(img)
-        for stage, program in zip(toy_cascade.stages, detect._programs(toy_cascade, 12)):
-            assert program.weight_l1 > 0
-            for wc, _ in stage.stumps:
+        plan = detect._scan_plan(toy_cascade, integral_set(img, with_tilted=False), 1.25, 6)
+        norms = []
+        for stage, reads in zip(toy_cascade.stages, plan.stages):
+            # each stump's column L1 norm, summed over the table kinds
+            norms.append(sum(np.abs(coef).sum(axis=0) for _, _, coef in reads))
+            for wc, norm in zip([wc for wc, _ in stage.stumps], norms[-1]):
+                assert norm > 0
                 for y in range(0, 19, 6):
                     for x in range(0, 19, 6):
                         response = eval_feature(wc.feature, iset, x, y, 12, variance_norm=False)
-                        assert abs(response) <= pixel_sum * program.weight_l1
+                        assert abs(response) <= pixel_sum * norm
+        assert plan.weight_l1 == max(np.concatenate(norms))
 
     def test_products_reaching_2_53_raise(self, toy_cascade):
         img = np.full((16, 32), 128, dtype=np.uint8)  # pixel sum 2**16
         limit = detect.EXACT_LIMIT // 2**16  # pixel sum * limit == 2**53
-        below = self.with_programs(toy_cascade, 12, lambda p: replace(p, weight_l1=limit - 1))
+        below = self.with_plan(toy_cascade, img, lambda p: replace(p, weight_l1=limit - 1))
         assert detect_multiscale_counted(below, img, step=4) == detect_multiscale_counted(toy_cascade, img, step=4)
-        at = self.with_programs(toy_cascade, 12, lambda p: replace(p, weight_l1=limit))
+        at = self.with_plan(toy_cascade, img, lambda p: replace(p, weight_l1=limit))
         with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
             detect_multiscale_counted(at, img, step=4)
 
     def test_huge_weights_are_refused_not_rounded(self, toy_cascade):
-        def scaled(program):
-            factor = 2**44
-            gathers = [(corners, coef * factor) for corners, coef in program.gathers]
-            return replace(program, gathers=gathers, weight_l1=program.weight_l1 * factor)
+        factor = 2**44
 
-        huge = self.with_programs(toy_cascade, 12, scaled)
+        def scaled(plan):
+            stages = [[(t, offsets, coef * factor) for t, offsets, coef in reads] for reads in plan.stages]
+            return replace(plan, stages=stages, weight_l1=plan.weight_l1 * factor)
+
+        img = np.full((12, 30), 200, dtype=np.uint8)
+        huge = self.with_plan(toy_cascade, img, scaled, step=2)
         with pytest.raises(ValueError, match="would not be exact"):
-            detect_multiscale_counted(huge, np.full((12, 30), 200, dtype=np.uint8))
+            detect_multiscale_counted(huge, img)
 
 
 class TestStageAttrition:

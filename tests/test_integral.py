@@ -248,14 +248,13 @@ def test_origins_match_the_parity_cell_formula_property(h, w, seed):
     n = int(rng.integers(1, 30))
     xs = rng.integers(0, w, size=n)
     ys = rng.integers(0, h, size=n)
-    (up, up_mask), *tilted = iset.origins(xs, ys)
-    assert up_mask is None and np.array_equal(up, ys * (w + 1) + xs)
+    up, cells, parity = iset.origins(xs, ys)
+    assert np.array_equal(up, ys * (w + 1) + xs)
     cols = iset.planes.shape[-1]
-    for q, (cells, mask) in enumerate(tilted):
-        assert np.array_equal(mask, (xs + ys) % 2 == q)
-        for x, y, cell in zip(xs[mask], ys[mask], cells[mask]):
-            # the oracle's cell of an apex of parity q, in plane 0's numbering
-            assert cell == ((x + y - q) // 2) * cols + (y - x + iset.voff - q) // 2
+    assert np.array_equal(parity, (xs + ys) % 2)
+    for x, y, q, cell in zip(xs, ys, parity, cells):
+        # the oracle's cell of an apex of parity q, in plane 0's numbering
+        assert cell == ((x + y - q) // 2) * cols + (y - x + iset.voff - q) // 2
     assert len(integral_set(np.zeros((h, w), dtype=np.uint8), with_tilted=False).origins(xs, ys)) == 1
 
 

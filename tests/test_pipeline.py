@@ -208,13 +208,13 @@ class TestEvaluateImages:
         )
 
     def test_cold_cascade_matches_a_warm_one(self, tmp_path, experiment):
-        # the scan compiles stage programs into the cascade on first use
+        # the scan compiles its corners and its plan into the cascade on first use
         entries = self._entries(tmp_path, experiment, count=8)
         warm = experiment["cascade"]
         config = experiment["config"]
         cold = Cascade(warm.base_window, warm.stages, warm.metadata)
         assert evaluate_images(entries, cold, config) == evaluate_images(entries, warm, config)
-        assert cold.programs
+        assert cold.programs and cold.plan
 
 
 class TestBootstrapValidator:
@@ -245,6 +245,30 @@ class TestBootstrapValidator:
         face_rows = pipeline._describe([crop_square(gray, box, config.base_window) for gray, box in faces], config)
         expected = np.concatenate([face_rows, scored[hits], scored[~hits][: pipeline.MAX_BOOTSTRAP_NEGATIVES]])
         assert n_pos == len(faces) + hits.sum() and np.array_equal(rows, expected)
+
+    def test_describes_only_the_rows_it_trains_on(self, experiment):
+        # on the seed-7 train split the cascade yields 2,424 detections, 530
+        # of them faces; only the first MAX_BOOTSTRAP_NEGATIVES false alarms
+        # train the SVM, so the others are never described
+        cascade, config = experiment["cascade"], experiment["config"]
+        original = pipeline.detect_faces
+        detected, described = [], []
+
+        def detect_spy(*args, **kwargs):
+            detected.append(original(*args, **kwargs))
+            return detected[-1]
+
+        def describe_spy(gray, boxes, *args):
+            described.append(len(boxes))
+            return descriptors(gray, boxes, *args)
+
+        with mock.patch.object(pipeline, "detect_faces", detect_spy), \
+                mock.patch.object(pipeline, "descriptors", describe_spy):
+            svm, threshold = pipeline.bootstrap_validator(experiment["corpus"].train, cascade, config)
+        assert sum(len(dets) for dets, _ in detected) == 2424
+        assert pipeline.MAX_BOOTSTRAP_NEGATIVES == 900 and sum(described) == 530 + 900
+        assert np.array_equal(svm.weights, experiment["svm"].weights) and svm.bias == experiment["svm"].bias
+        assert threshold == config.svm_threshold
 
 
 class TestPickSvmThreshold:

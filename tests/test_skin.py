@@ -114,6 +114,34 @@ class TestSobel:
         assert out.dtype == np.uint8
         assert np.array_equal(out, sobel_oracle(img, threshold))
 
+    @given(
+        st.data(),
+        st.integers(3, 24),
+        st.integers(3, 24),
+        st.sampled_from(["random", "extremes", "steps", "checkerboard"]),
+        st.one_of(st.floats(0.0, 1500.0, allow_nan=False), st.sampled_from([0.0, 1020.0, 1140.0, 1442.0])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_int32_magnitude_equals_int64_property(self, data, h, w, pattern, threshold):
+        # 8-bit pixels run in int32: |gx|, |gy| <= 1020, so gx^2 + gy^2 stays
+        # below 2**31 even where 0 meets 255, and the mask is the int64 one's
+        if pattern == "random":
+            img = data.draw(arrays(np.uint8, (h, w)), label="image")
+        elif pattern == "extremes":
+            img = data.draw(arrays(np.uint8, (h, w), elements=st.sampled_from([0, 255])), label="image")
+        elif pattern == "steps":
+            # 255 beyond a vertical, horizontal or diagonal edge
+            y, x = np.mgrid[:h, :w]
+            a, b = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1)]), label="normal")
+            cut = data.draw(st.integers(-w - h, w + h), label="cut")
+            img = np.where(a * x + b * y >= cut, 255, 0).astype(np.uint8)
+        else:
+            period = data.draw(st.integers(1, 3), label="period")
+            y, x = np.mgrid[:h, :w]
+            img = np.where((x // period + y // period) % 2 == data.draw(st.integers(0, 1), label="phase"), 255, 0)
+            img = img.astype(np.uint8)
+        assert np.array_equal(sobel_edges(img, threshold), sobel_oracle(img, threshold))
+
     def test_rejects_tiny_images(self):
         with pytest.raises(ValueError):
             sobel_edges(np.zeros((2, 5), dtype=np.uint8), 10)
