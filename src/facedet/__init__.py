@@ -13,7 +13,6 @@ from .boost import (
 from .config import PipelineConfig, load_config_file
 from .detect import Detection, Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import (
-    DatasetManifest,
     RocCurve,
     detection_rate,
     emit_report,

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import pipeline
 from .boost import load_cascade, save_cascade
-from .config import _EXPECTED, PipelineConfig, _parse_value, load_config_file
-from .detect import Detections
+from .config import _EXPECTED, FIELD_TYPES, PipelineConfig, _parse_value, load_config_file
 from .evaluate import (
     ManifestError,
     detection_rate,
@@ -26,7 +25,7 @@ from .evaluate import (
     load_manifest,
     roc_sweep,
 )
-from .images import draw_boxes, to_grayscale
+from .images import draw_boxes
 from .netpbm import NetpbmError, read_image, write_mask, write_ppm
 from .svm import load_svm, save_svm
 from .validate import decision_values
@@ -44,34 +43,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags() -> argparse.ArgumentParser:
+    """``--config`` and one flag per ``PipelineConfig`` field, typed by the
+    field's default, with its help phrase and that default."""
     common = argparse.ArgumentParser(add_help=False)
     grp = common.add_argument_group("pipeline configuration")
     grp.add_argument("--config", help="key = value config file")
-    grp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    grp.add_argument("--downscale", type=int, help="keep every n-th row/column (default 1)")
-    grp.add_argument("--median-radius", type=int, dest="median_radius", help="median filter radius, 0 = off, at most 15 (default 0)")
-    grp.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=None, help="histogram equalization (default off)")
-    grp.add_argument("--cb-min", type=int, dest="cb_min", help="skin Cb lower bound (default 77)")
-    grp.add_argument("--cb-max", type=int, dest="cb_max", help="skin Cb upper bound (default 127)")
-    grp.add_argument("--cr-min", type=int, dest="cr_min", help="skin Cr lower bound (default 133)")
-    grp.add_argument("--cr-max", type=int, dest="cr_max", help="skin Cr upper bound (default 173)")
-    grp.add_argument("--sobel-threshold", type=float, dest="sobel_threshold", help="edge magnitude threshold (default 100)")
-    grp.add_argument("--min-area", type=int, dest="min_area", help="minimum region pixels, 0 = 0.1%% of image (default 0)")
-    grp.add_argument("--stages", type=int, help="cascade stages to train (default 15)")
-    grp.add_argument("--target-dr", type=float, dest="target_dr", help="per-stage detection-rate target (default 0.99)")
-    grp.add_argument("--max-fpr", type=float, dest="max_fpr", help="per-stage false-positive ceiling (default 0.5)")
-    grp.add_argument("--max-stumps", type=int, dest="max_stumps", help="stump cap per stage (default 20)")
-    grp.add_argument("--base-window", type=int, dest="base_window", help="training window side (default 24)")
-    grp.add_argument("--feature-subsample", type=int, dest="feature_subsample", help="features kept from the bank, 0 = all (default 0)")
-    grp.add_argument("--scale-factor", type=float, dest="scale_factor", help="window growth per level (default 1.25)")
-    grp.add_argument("--step", type=int, help="scan step at base scale (default 2)")
-    grp.add_argument("--min-skin-fraction", type=float, dest="min_skin_fraction", help="skin gating fraction (default 0.25)")
-    grp.add_argument("--min-neighbors", type=int, dest="min_neighbors", help="merge group minimum (default 2)")
-    grp.add_argument("--overlap", type=float, help="merge IoU threshold (default 0.3)")
-    grp.add_argument("--svm-threshold", type=float, dest="svm_threshold", help="validation decision threshold (default 0)")
-    grp.add_argument("--svm-reg", type=float, dest="svm_reg", help="SVM regularization (default 1e-3)")
-    grp.add_argument("--svm-epochs", type=int, dest="svm_epochs", help="SVM training epochs (default 30)")
-    grp.add_argument("--block-weights", dest="block_weights", help="9 comma-separated fine-block weights")
+    for f in fields(PipelineConfig):
+        kind = FIELD_TYPES[f.name]
+        flag = "--" + f.name.replace("_", "-")
+        default = ",".join(map(str, f.default)) if kind is tuple else f.default
+        text = f"{f.metadata['help']} (default {default})"
+        if kind is bool:
+            grp.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+        else:  # _build_config parses the tuple's text
+            grp.add_argument(flag, type=None if kind is tuple else kind, help=text)
     return common
 
 
@@ -80,21 +65,20 @@ def _build_config(args) -> PipelineConfig:
     if args.config:
         config = load_config_file(args.config, config)
     overrides = {}
-    for key in (f.name for f in fields(PipelineConfig)):
+    for key, kind in FIELD_TYPES.items():
         value = getattr(args, key, None)
         if value is None:
             continue
-        if key == "block_weights" and isinstance(value, str):
+        if kind is tuple and isinstance(value, str):
             try:
                 value = _parse_value(value, tuple)
             except ValueError:
-                raise ValueError(f"--block-weights: expected {_EXPECTED[tuple]}, got {value!r}") from None
+                raise ValueError(f"--{key.replace('_', '-')}: expected {_EXPECTED[tuple]}, got {value!r}") from None
         overrides[key] = value
     return config.override(**overrides)
 
 
-def _write_detections(path: str, detections: Detections) -> None:
-    lines = [f"{d.x} {d.y} {d.w} {d.h} {d.score:.9g}" for d in detections]
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
 
@@ -129,9 +113,7 @@ def _cmd_detect(args) -> int:
     config = _build_config(args)
     cascade = load_cascade(args.cascade)
     svm = load_svm(args.svm) if args.svm and not args.no_validate else None
-    img = read_image(args.image)
-    color = img if img.ndim == 3 else None
-    gray = to_grayscale(img) if img.ndim == 3 else img
+    img, gray, skin = pipeline.read_scene(args.image, config, gate=not args.no_gate)
     # images.downscale keeps ceil(side / factor) pixels per side
     work_h = -(-gray.shape[0] // config.downscale)
     work_w = -(-gray.shape[1] // config.downscale)
@@ -140,13 +122,10 @@ def _cmd_detect(args) -> int:
             f"{args.image}: preprocessed image {work_w}x{work_h} is smaller than "
             f"the {cascade.base_window}px model window"
         )
-    skin = None
-    if color is not None and not args.no_gate:
-        skin = pipeline.segment_image(color, config).mask
     detections, stats = pipeline.detect_faces(gray, cascade, config, skin=skin, svm=svm)
-    _write_detections(args.out, detections)
+    _write_lines(args.out, [f"{d.x} {d.y} {d.w} {d.h} {d.score:.9g}" for d in detections])
     if args.annotate:
-        canvas = color if color is not None else np.stack([gray] * 3, axis=-1)
+        canvas = img if img.ndim == 3 else np.stack([gray] * 3, axis=-1)
         write_ppm(args.annotate, draw_boxes(canvas, detections.boxes))
     print(
         f"detections={len(detections)} evaluated_windows={stats.evaluated_windows} "
@@ -159,8 +138,7 @@ def _rescore(results, svm, config):
     """Replace detection scores with validator decision values."""
     rescored = []
     for (dets, _validated, truth, _stats), entry in results:
-        img = read_image(entry.path)
-        gray = to_grayscale(img) if img.ndim == 3 else img
+        _img, gray, _skin = pipeline.read_scene(entry.path, config, gate=False)
         rescored.append((replace(dets, score=decision_values(dets, gray, svm, config.block_weights)), truth))
     return rescored
 
@@ -175,20 +153,14 @@ def _roc_thresholds(per_image, limit: int = 64):
     return scores + [scores[-1] + 1.0]
 
 
-def _write_roc(path: str, curve) -> None:
-    lines = [f"{t:.9g},{tpr:.9g},{fpi:.9g}" for t, tpr, fpi in curve.points]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
 def _cmd_eval(args) -> int:
     config = _build_config(args)
     cascade = load_cascade(args.cascade)
     svm = load_svm(args.svm) if args.svm else None
-    manifest = load_manifest(args.manifest, args.mask_manifest)
-    if not manifest.entries:
+    entries = load_manifest(args.manifest, args.mask_manifest)
+    if not entries:
         raise ValueError(f"{args.manifest}: empty manifest")
-    results = pipeline.evaluate_images(manifest, cascade, config, svm=svm)
+    results = pipeline.evaluate_images(entries, cascade, config, svm=svm)
     summary = pipeline.summarize(results)
     rows = []
     for name, key in [("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")][: 1 + (svm is not None)]:
@@ -202,11 +174,11 @@ def _cmd_eval(args) -> int:
             print(f"false_alarm_rate[{name}]={false_alarm_rate(fps, windows):.9g}")
     if args.roc:
         if svm is not None:
-            per_image = _rescore(list(zip(results, manifest.entries)), svm, config)
+            per_image = _rescore(list(zip(results, entries)), svm, config)
         else:
             per_image = [(dets, truth) for dets, _v, truth, _s in results]
         curve = roc_sweep(per_image, _roc_thresholds(per_image))
-        _write_roc(args.roc, curve)
+        _write_lines(args.roc, [f"{t:.9g},{tpr:.9g},{fpi:.9g}" for t, tpr, fpi in curve.points])
     return 0
 
 
@@ -232,29 +204,26 @@ def main(argv=None) -> int:
     p_train.add_argument("--out", required=True, help="output cascade model path")
     p_train.add_argument("--svm-out", dest="svm_out", help="also train and write a validator model")
 
-    p_det = sub.add_parser("detect", parents=[common], help="detect faces in one image")
-    p_det.add_argument("--cascade", required=True, help="cascade model path")
-    p_det.add_argument("--svm", help="validator model path")
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--cascade", required=True, help="cascade model path")
+    models.add_argument("--svm", help="validator model path")
+    scoring = argparse.ArgumentParser(add_help=False, parents=[common, models])
+    scoring.add_argument("--manifest", required=True, help="'<image> <n> <x y w h>*n' lines")
+    scoring.add_argument("--mask-manifest", help="'<image> <mask>' lines; a colour image without one is segmented")
+
+    p_det = sub.add_parser("detect", parents=[common, models], help="detect faces in one image")
     p_det.add_argument("--image", required=True, help="input PGM/PPM image")
     p_det.add_argument("--out", required=True, help="output detections ('x y w h score' lines)")
     p_det.add_argument("--annotate", help="write a PPM copy with boxes drawn")
     p_det.add_argument("--no-validate", dest="no_validate", action="store_true", help="skip validation even with --svm")
     p_det.add_argument("--no-gate", dest="no_gate", action="store_true", help="disable skin gating")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate over a manifest")
-    p_eval.add_argument("--cascade", required=True)
-    p_eval.add_argument("--svm")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--mask-manifest", dest="mask_manifest", help="optional image->skin-mask manifest")
+    p_eval = sub.add_parser("eval", parents=[scoring], help="evaluate over a manifest")
     p_eval.add_argument("--roc", help="write a 'threshold,tpr,fp_per_image' curve file")
     p_eval.add_argument("--csv", action="store_true", help="machine-readable report")
 
-    p_roc = sub.add_parser("roc", parents=[common], help="write an ROC curve for a manifest")
-    p_roc.add_argument("--cascade", required=True)
-    p_roc.add_argument("--svm")
-    p_roc.add_argument("--manifest", required=True)
-    p_roc.add_argument("--mask-manifest", dest="mask_manifest")
-    p_roc.add_argument("--out", required=True)
+    p_roc = sub.add_parser("roc", parents=[scoring], help="write an ROC curve for a manifest")
+    p_roc.add_argument("--out", required=True, help="output 'threshold,tpr,fp_per_image' lines")
 
     try:
         args = parser.parse_args(argv)

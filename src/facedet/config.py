@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["PipelineConfig", "load_config_file"]
 
@@ -11,44 +11,50 @@ __all__ = ["PipelineConfig", "load_config_file"]
 MAX_MEDIAN_RADIUS = 15
 
 
+def _setting(default, phrase: str):
+    """A config field; ``phrase`` is its help text, the CLI adds the default."""
+    return field(default=default, metadata={"help": phrase})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     # preprocessing
-    downscale: int = 1
-    median_radius: int = 0  # 0 disables the filter; at most MAX_MEDIAN_RADIUS
-    equalize: bool = False
+    downscale: int = _setting(1, "keep every n-th row/column")
+    median_radius: int = _setting(0, f"median filter radius, 0 = off, at most {MAX_MEDIAN_RADIUS}")
+    equalize: bool = _setting(False, "histogram equalization")
     # skin segmentation
-    cb_min: int = 77
-    cb_max: int = 127
-    cr_min: int = 133
-    cr_max: int = 173
-    sobel_threshold: float = 100.0
-    min_area: int = 0  # 0 means 0.1% of the image pixels
+    cb_min: int = _setting(77, "skin Cb lower bound")
+    cb_max: int = _setting(127, "skin Cb upper bound")
+    cr_min: int = _setting(133, "skin Cr lower bound")
+    cr_max: int = _setting(173, "skin Cr upper bound")
+    sobel_threshold: float = _setting(100.0, "edge magnitude threshold")
+    min_area: int = _setting(0, "minimum region pixels, 0 = a thousandth of the image")
     # cascade training
-    stages: int = 15
-    target_dr: float = 0.99
-    max_fpr: float = 0.5
-    max_stumps: int = 20
-    base_window: int = 24
-    feature_subsample: int = 0  # 0 means the full feature bank
-    seed: int = 0
+    stages: int = _setting(15, "cascade stages to train")
+    target_dr: float = _setting(0.99, "per-stage detection-rate target")
+    max_fpr: float = _setting(0.5, "per-stage false-positive ceiling")
+    max_stumps: int = _setting(20, "stump cap per stage")
+    base_window: int = _setting(24, "training window side")
+    feature_subsample: int = _setting(0, "features kept from the bank, 0 = all")
+    seed: int = _setting(0, "RNG seed")
     # detection
-    scale_factor: float = 1.25
-    step: int = 2
-    min_skin_fraction: float = 0.25
-    min_neighbors: int = 2
-    overlap: float = 0.3
+    scale_factor: float = _setting(1.25, "window growth per level")
+    step: int = _setting(2, "scan step at base scale")
+    min_skin_fraction: float = _setting(0.25, "skin gating fraction")
+    min_neighbors: int = _setting(2, "merge group minimum")
+    overlap: float = _setting(0.3, "merge IoU threshold")
     # validation
-    svm_threshold: float = 0.0
-    svm_reg: float = 1e-3
-    svm_epochs: int = 30
-    block_weights: tuple[float, ...] = (1.0,) * 9
+    svm_threshold: float = _setting(0.0, "validation decision threshold")
+    svm_reg: float = _setting(1e-3, "SVM regularization")
+    svm_epochs: int = _setting(30, "SVM training epochs")
+    block_weights: tuple[float, ...] = _setting((1.0,) * 9, "9 comma-separated fine-block weights")
 
     def __post_init__(self) -> None:
         # first, so that a NaN cannot slip through a comparison below
         for f in fields(self):
             value = getattr(self, f.name)
-            if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            # a comparison, not math.isfinite, which cannot take a huge int
+            if not all(-math.inf < v < math.inf for v in (value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         checks = [
             (self.downscale >= 1, "downscale must be >= 1"),
@@ -81,6 +87,8 @@ class PipelineConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
+# each setting's type is its default's: the flag type and the file parser
+FIELD_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", tuple: "comma-separated numbers"}
 
 
@@ -103,7 +111,6 @@ def _parse_value(text: str, kind: type):
 def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineConfig:
     """Read 'key = value' lines; unknown and repeated keys are rejected."""
     base = base or PipelineConfig()
-    field_types = {f.name: type(getattr(base, f.name)) for f in fields(base)}
     overrides = {}
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -115,17 +122,17 @@ def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineC
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in field_types:
+            if key not in FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in first_line:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
             first_line[key] = lineno
             value = value.strip()
             try:
-                overrides[key] = _parse_value(value, field_types[key])
+                overrides[key] = _parse_value(value, FIELD_TYPES[key])
             except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: {key}: expected {_EXPECTED[field_types[key]]}, got {value!r}"
+                    f"{path}:{lineno}: {key}: expected {_EXPECTED[FIELD_TYPES[key]]}, got {value!r}"
                 ) from None
     try:
         return base.override(**overrides)

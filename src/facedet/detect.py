@@ -185,13 +185,17 @@ def _scan_plan(cascade: Cascade, iset: IntegralSet, scale_factor: float, step: i
     base = cascade.base_window
     sizes, steps, cells = [], [], []
     size = base
+    step = min(step, max(rows, cols))  # one window per level, as any longer step
     while size < min(rows, cols):
         step_k = max(1, round(step * size / base))
         # the level's (rows, cols) lattice of origins, broadcast
         cells.append(iset.origins(np.arange(0, cols - size, step_k), np.arange(0, rows - size, step_k)[:, None]))
         sizes.append(size)
         steps.append(step_k)
-        size = max(size + 1, round(base * scale_factor ** len(sizes)))
+        grown = base * scale_factor ** len(sizes)
+        if grown >= min(rows, cols):  # the last level, before round() can meet an inf
+            break
+        size = max(size + 1, round(grown))
     counts = [level[0].size for level in cells]
     level = np.repeat(np.arange(len(sizes)), counts)
     # each origins() part over the lattice, flat; empty if the window exceeds the image

@@ -12,7 +12,7 @@ Relative paths resolve against the manifest file's directory.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .detect import Detections, pairwise_iou
 
 __all__ = [
     "ManifestEntry",
-    "DatasetManifest",
     "ManifestError",
     "load_manifest",
     "load_mask_manifest",
@@ -49,14 +48,6 @@ class ManifestEntry:
     path: str
     boxes: list[tuple[int, int, int, int]]
     mask_path: str | None = None
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def _strip_comment(line: str) -> str:
@@ -92,7 +83,7 @@ def load_mask_manifest(path: str) -> dict[str, str]:
     return {image: mask for image, (mask, _) in _mask_lines(path).items()}
 
 
-def load_manifest(path: str, mask_manifest: str | None = None) -> DatasetManifest:
+def load_manifest(path: str, mask_manifest: str | None = None) -> list[ManifestEntry]:
     """Parse entries in file order; parse errors name the offending line.
     A mask-manifest line whose image is in no entry is an error."""
     masks = _mask_lines(mask_manifest) if mask_manifest else {}
@@ -134,7 +125,7 @@ def load_manifest(path: str, mask_manifest: str | None = None) -> DatasetManifes
     for image, (_, lineno) in masks.items():
         if image not in named:
             raise ManifestError(f"{mask_manifest}:{lineno}: image {image!r} is not in {path}")
-    return DatasetManifest(entries)
+    return entries
 
 
 def _greedy_hits(detections: Detections, truth_boxes, iou_min: float) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import numpy as np
 from .boost import Cascade, train_cascade
 from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
-from .evaluate import DatasetManifest, match_detections
+from .evaluate import match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
@@ -27,6 +27,7 @@ __all__ = [
     "preprocess_gray",
     "SegmentResult",
     "segment_image",
+    "read_scene",
     "detect_faces",
     "load_sample_dir",
     "train_cascade_from_config",
@@ -55,10 +56,12 @@ def preprocess_gray(gray: np.ndarray, config: PipelineConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SegmentResult:
-    """A refined skin mask; its regions and skin ratio are computed on
-    first access, since detection reads only the mask."""
+    """A refined skin mask and the image's gray (Y) plane, equal to
+    ``to_grayscale`` of it (the same expression and rounding); regions and
+    skin ratio are computed on first access, as detection reads only the mask."""
 
     mask: np.ndarray
+    gray: np.ndarray
     min_area: int  # smallest region kept, in pixels
 
     @cached_property
@@ -76,10 +79,33 @@ def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
     thresholds = SkinThresholds(config.cb_min, config.cb_max, config.cr_min, config.cr_max)
     ycbcr = rgb_to_ycbcr(rgb)
     skin = classify_skin(ycbcr, thresholds)
-    # the Y plane is to_grayscale(rgb): the same expression and rounding
-    edges = sobel_edges(ycbcr[..., 0], config.sobel_threshold)
-    mask = refine_mask(skin, edges)
-    return SegmentResult(mask, config.min_area or max(1, round(mask.size * 0.001)))
+    gray = ycbcr[..., 0]
+    mask = refine_mask(skin, sobel_edges(gray, config.sobel_threshold))
+    return SegmentResult(mask, gray, config.min_area or max(1, round(mask.size * 0.001)))
+
+
+def read_scene(path: str, config: PipelineConfig, mask_path: str | None = None, gate: bool = True):
+    """(image, gray plane, skin gate) of the PGM or PPM at ``path``.
+
+    The gate is the mask file at ``mask_path``, which must match the image
+    size; without one, the segmentation of a colour image when ``gate`` is
+    true; otherwise None. A colour image's gray plane is its segmentation's
+    Y plane, or ``to_grayscale`` of it when nothing segments it.
+    """
+    img = read_image(path)
+    if img.ndim == 2:
+        gray, skin = img, None
+    elif gate and mask_path is None:
+        segmented = segment_image(img, config)
+        gray, skin = segmented.gray, segmented.mask
+    else:
+        gray, skin = to_grayscale(img), None
+    if mask_path is not None:
+        skin = read_mask(mask_path)
+        if skin.shape != gray.shape:
+            (h, w), (mask_h, mask_w) = gray.shape, skin.shape
+            raise ValueError(f"{mask_path}: skin mask is {mask_w}x{mask_h}, but image {path} is {w}x{h}")
+    return img, gray, skin
 
 
 def detect_faces(
@@ -235,16 +261,12 @@ def evaluate_images(
     config: PipelineConfig,
     svm: LinearSvmModel | None = None,
 ):
-    """``evaluate_image`` of every manifest entry, read from disk, in
+    """``evaluate_image`` of every manifest entry, read by ``read_scene``
+    (so a colour image without a mask is gated by its segmentation), in
     manifest order."""
     results = []
-    for entry in entries.entries if isinstance(entries, DatasetManifest) else entries:
-        img = read_image(entry.path)
-        gray = to_grayscale(img) if img.ndim == 3 else img
-        skin = read_mask(entry.mask_path) if entry.mask_path else None
-        if skin is not None and skin.shape != gray.shape:
-            (h, w), (mask_h, mask_w) = gray.shape, skin.shape
-            raise ValueError(f"{entry.mask_path}: skin mask is {mask_w}x{mask_h}, but image {entry.path} is {w}x{h}")
+    for entry in entries:
+        _img, gray, skin = read_scene(entry.path, config, entry.mask_path)
         results.append(evaluate_image(gray, entry.boxes, cascade, config, svm, skin))
     return results
 

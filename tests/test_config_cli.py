@@ -1,14 +1,19 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from facedet import pipeline
-from facedet.cli import main
+from facedet.cli import _common_flags, main
 from facedet.config import PipelineConfig, load_config_file
+from facedet.images import to_grayscale
 from facedet.netpbm import read_pgm, write_pgm, write_ppm
-from facedet.synthetic import SKIN_MIX, face_patch
+from facedet.synthetic import SKIN_MIX, face_patch, render_color_scene
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 class TestConfig:
@@ -68,6 +73,22 @@ class TestConfig:
         path.write_text("stages = 3\n# more\nstages = 4\n")
         with pytest.raises(ValueError, match=r"run\.cfg:3: config key 'stages' already set on line 1"):
             load_config_file(path)
+
+    @pytest.mark.parametrize(
+        "base, line, expected",
+        [
+            ({"svm_threshold": np.float64(0.5)}, "svm_threshold = 1.5", 1.5),
+            ({"stages": np.int64(4)}, "stages = 3", 3),
+            ({"sobel_threshold": 50}, "sobel_threshold = 50.5", 50.5),
+        ],
+        ids=["numpy-float-base", "numpy-int-base", "int-base-of-a-float-field"],
+    )
+    def test_file_values_take_the_field_type_not_the_base_value_type(self, tmp_path, base, line, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        (name, value), = base.items()
+        loaded = getattr(load_config_file(path, PipelineConfig(**base)), name)
+        assert loaded == expected and type(loaded) is type(getattr(PipelineConfig(), name))
 
     def test_block_weights_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -362,6 +383,21 @@ class TestTrainDetectEval:
         else:
             assert "total_windows=1" in out and err == ""
 
+    @pytest.mark.parametrize(
+        "flag, huge", [("--scale-factor", "1e308"), ("--step", "99999999999999999999"), ("--step", "1" + "0" * 400)],
+        ids=["scale-1e308", "step-1e20", "step-1e400"],
+    )
+    def test_huge_scale_factor_or_step_scans_as_the_image_side(self, workspace, capsys, flag, huge):
+        # the 90 x 70 scene: a factor of 91 stops the pyramid after one level,
+        # and a step of 91 places one window per level, as any larger one does
+        runs = []
+        for value in (huge, "91"):
+            out = workspace["root"] / f"huge_{len(runs)}.txt"
+            assert main(["detect", "--cascade", str(workspace["model"]), "--image", str(workspace["img"]),
+                         flag, value, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_bad_cascade_file_exits_2_with_one_line(self, workspace, capsys):
         bad = workspace["root"] / "bad.txt"
         lines = workspace["model"].read_text().splitlines()
@@ -490,12 +526,82 @@ class TestTrainDetectEval:
         assert out.exists()
 
 
+@pytest.fixture(scope="module")
+def color_set(tmp_path_factory):
+    """Four colour scenes with faces on a skin-toned half, their manifest, an
+    all-ones mask manifest, gray copies with theirs, and the reference models."""
+    root = tmp_path_factory.mktemp("color")
+    rng = np.random.default_rng(7)
+    lines = []
+    for i in range(4):
+        rgb, scene = render_color_scene(rng, 160, 120, n_faces=2)
+        write_ppm(root / f"c{i}.ppm", rgb)
+        write_pgm(root / f"c{i}.pgm", to_grayscale(rgb))
+        lines.append(f"c{i}.ppm {len(scene.faces)} " + " ".join(f"{x} {y} {w} {h}" for x, y, w, h in scene.faces))
+    write_pgm(root / "ones.pgm", np.full((120, 160), 255, dtype=np.uint8))
+    (root / "color.txt").write_text("\n".join(lines) + "\n")
+    (root / "gray.txt").write_text("\n".join(line.replace(".ppm", ".pgm", 1) for line in lines) + "\n")
+    (root / "ones.txt").write_text("".join(f"c{i}.ppm ones.pgm\n" for i in range(4)))
+    return root, ["--cascade", str(REFERENCE / "cascade.txt"), "--svm", str(REFERENCE / "svm.txt")]
+
+
+class TestColorEval:
+    def test_eval_scans_each_colour_image_as_detect_does(self, color_set, capsys):
+        root, models = color_set
+        with mock.patch.object(pipeline, "summarize", wraps=pipeline.summarize) as summarize:
+            assert main(["eval", *models, "--manifest", str(root / "color.txt")]) == 0
+        (results,) = summarize.call_args.args
+        assert sum(len(dets) for dets, *_ in results) > 0
+        for i, (dets, validated, _truth, stats) in enumerate(results):
+            assert 0 < stats.evaluated_windows < stats.total_windows  # gated by the segmentation
+            for flags, want in ((["--no-validate"], dets), ([], validated)):
+                out = root / f"d{i}.txt"
+                assert main(["detect", *models, *flags, "--image", str(root / f"c{i}.ppm"), "--out", str(out)]) == 0
+                assert np.array_equal(np.loadtxt(out, ndmin=2).reshape(-1, 5)[:, :4], want.boxes)
+        capsys.readouterr()
+
+    def test_all_ones_masks_give_the_ungated_scan(self, color_set, capsys):
+        root, models = color_set
+        runs = []
+        for manifest in (["color.txt", "--mask-manifest", str(root / "ones.txt")], ["gray.txt"], ["color.txt"]):
+            roc = root / "roc.csv"
+            assert main(["eval", *models, "--manifest", str(root / manifest[0]), *manifest[1:], "--roc", str(roc)]) == 0
+            runs.append((capsys.readouterr().out, roc.read_text()))
+        assert runs[0] == runs[1] != runs[2]
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["detect", "--bogus"]) == 1
 
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
+
+    def test_flags_are_those_of_the_hand_written_list(self):
+        # every flag takes its name, type and default (None: unset) from its
+        # field; the list is the one written by hand before the flags were
+        # built from PipelineConfig
+        ints = ["seed", "downscale", "median_radius", "cb_min", "cb_max", "cr_min", "cr_max", "min_area", "stages",
+                "max_stumps", "base_window", "feature_subsample", "step", "min_neighbors", "svm_epochs"]
+        floats = ["sobel_threshold", "target_dr", "max_fpr", "scale_factor", "min_skin_fraction", "overlap",
+                  "svm_threshold", "svm_reg"]
+        expected = {("--" + name.replace("_", "-"),): (name, kind, "_StoreAction")
+                    for names, kind in ((ints, int), (floats, float)) for name in names}
+        expected[("--config",)] = ("config", None, "_StoreAction")
+        expected[("--block-weights",)] = ("block_weights", None, "_StoreAction")
+        expected[("--equalize", "--no-equalize")] = ("equalize", None, "BooleanOptionalAction")
+        actions = _common_flags()._actions
+        assert {tuple(a.option_strings): (a.dest, a.type, type(a).__name__) for a in actions} == expected
+        assert all(a.default is None and not a.required for a in actions)
+
+    def test_help_shows_every_field_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        text = " ".join(capsys.readouterr().out.split()).split("pipeline configuration:")[1]
+        for f in fields(PipelineConfig):
+            shown = re.search(r"--" + f.name.replace("_", "-") + r"\b.*?\(default ([^)]*)\)", text).group(1)
+            default = getattr(PipelineConfig(), f.name)
+            assert shown == (",".join(map(str, default)) if isinstance(default, tuple) else str(default))
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -357,6 +357,23 @@ class TestCompiledScan:
         assert (dets, stats) == scan_oracle(toy_cascade, img)
         assert stats == ScanStats(stage_windows=[0] * (len(toy_cascade.stages) + 1))
 
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize(
+        "scale_factor, step",
+        [(1e308, 2), (1.25, 10**20), (1e308, 10**400), (81.0, 80), (1.25, 81)],
+        ids=["scale-1e308", "step-1e20", "both-huge", "near-the-side", "step-past-the-side"],
+    )
+    def test_huge_scale_factor_or_step_scans_as_the_image_side(self, toy_cascade, scale_factor, step, gated):
+        # a second level wider than the image ends the pyramid, and a step of
+        # the image side or more places one window per level: any larger
+        # value scans as the side itself, without overflowing on the way
+        img, _ = toy_scene(np.random.default_rng(39))
+        skin = edge_skin(*img.shape)[0] if gated else None
+        side = max(img.shape) + 1
+        want = scan_oracle(toy_cascade, img, skin, min(scale_factor, side), min(step, side))
+        assert detect_multiscale_counted(toy_cascade, img, skin, scale_factor, step) == want
+        assert want[1].total_windows < scan_oracle(toy_cascade, img, skin)[1].total_windows
+
     def test_upright_cascade_builds_no_tilted_tables(self, toy_cascade):
         assert not any(wc.feature.tilted for s in toy_cascade.stages for wc, _ in s.stumps)
         img = toy_scene(np.random.default_rng(34))[0]

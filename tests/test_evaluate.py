@@ -47,14 +47,12 @@ class TestManifest:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("")
-        assert load_manifest(path).entries == []
+        assert load_manifest(path) == []
 
     def test_two_box_line(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("img.pgm 2 10 10 24 24 50 50 30 30\n")
-        manifest = load_manifest(path)
-        assert len(manifest) == 1
-        entry = manifest.entries[0]
+        (entry,) = load_manifest(path)
         assert entry.path.endswith("img.pgm")
         assert entry.boxes == [(10, 10, 24, 24), (50, 50, 30, 30)]
 
@@ -96,8 +94,8 @@ class TestManifest:
         masks = tmp_path / "masks.txt"
         masks.write_text("a.pgm a_mask.pgm\n")
         loaded = load_manifest(manifest, masks)
-        assert loaded.entries[0].mask_path.endswith("a_mask.pgm")
-        assert loaded.entries[1].mask_path is None
+        assert loaded[0].mask_path.endswith("a_mask.pgm")
+        assert loaded[1].mask_path is None
         assert "a.pgm" in load_mask_manifest(masks)
 
 
@@ -107,7 +105,7 @@ class TestManifest:
         masks = tmp_path / "masks.txt"
         masks.write_text("./scene.ppm scene_mask.pgm\nsub/../sub/b.ppm b_mask.pgm\n")
         loaded = load_manifest(manifest, masks)
-        assert [e.mask_path for e in loaded.entries] == [str(tmp_path / "scene_mask.pgm"), str(tmp_path / "b_mask.pgm")]
+        assert [e.mask_path for e in loaded] == [str(tmp_path / "scene_mask.pgm"), str(tmp_path / "b_mask.pgm")]
         masks.write_text("a.ppm a_mask.pgm\n./a.ppm other.pgm\n")
         with pytest.raises(ManifestError) as err:
             load_mask_manifest(masks)
@@ -123,14 +121,14 @@ class TestManifest:
         assert str(err.value) == f"{masks}:3: image 'c.ppm' is not in {manifest}"
         masks.write_text("a.ppm a_mask.pgm\n")
         loaded = load_manifest(manifest, masks)
-        assert [e.mask_path for e in loaded.entries] == [str(tmp_path / "a_mask.pgm"), None, str(tmp_path / "a_mask.pgm")]
+        assert [e.mask_path for e in loaded] == [str(tmp_path / "a_mask.pgm"), None, str(tmp_path / "a_mask.pgm")]
 
     def test_boxes_below_the_field_limit_keep_an_exact_iou(self, tmp_path):
         # below 2^26 every area and union is exact in float64: pairwise_iou equals iou
         path = tmp_path / "m.txt"
         limit = 1 << 26
         path.write_text(f"a.pgm 2 {1 - limit} {1 - limit} {limit - 1} {limit - 1} 0 0 {limit - 1} 1\n")
-        (entry,) = load_manifest(path).entries
+        (entry,) = load_manifest(path)
         assert pairwise_iou(entry.boxes, entry.boxes).tolist() == [[iou(a, b) for b in entry.boxes] for a in entry.boxes]
 
     def test_mask_manifest_rejects_a_repeated_image(self, tmp_path):

@@ -5,12 +5,14 @@ Arbitrary bytes, byte-level edits of a valid file and token-level edits
 Each input must give a valid object or a ValueError subclass (a bad
 encoding raises UnicodeDecodeError, which is one). A mutated model that
 still loads must run through ``detect_faces`` or raise ValueError. The
-same mutations of every file ``facedet detect`` and ``facedet eval`` read
-must end in exit 0, 1 or 2, with exactly one error line on exit 2.
+same mutations of every file ``facedet detect`` and ``facedet eval`` read,
+and every setting flag at each edge value, must end in exit 0, 1 or 2, with
+exactly one error line on exit 2.
 """
 
 import contextlib
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from facedet.boost import Cascade, load_cascade
 from facedet.cli import main
 from facedet.config import PipelineConfig, load_config_file
-from facedet.evaluate import DatasetManifest, load_manifest, load_mask_manifest
+from facedet.evaluate import ManifestEntry, load_manifest, load_mask_manifest
 from facedet.lbp import DESCRIPTOR_LENGTH
 from facedet.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from facedet.pipeline import detect_faces
@@ -54,7 +56,9 @@ def is_valid(name, obj):
         channels = () if name == "pgm" else (3,)
         return obj.dtype == np.uint8 and obj.ndim == 2 + len(channels) and obj.shape[2:] == channels and obj.size > 0
     if name == "manifest":
-        return isinstance(obj, DatasetManifest) and all(w > 0 and h > 0 for e in obj.entries for _, _, w, h in e.boxes)
+        return isinstance(obj, list) and all(
+            isinstance(e, ManifestEntry) and all(w > 0 and h > 0 for _, _, w, h in e.boxes) for e in obj
+        )
     if name == "mask_manifest":
         return isinstance(obj, dict)
     return isinstance(obj, PipelineConfig)
@@ -195,15 +199,27 @@ def cli_argv(root, kind):
     return ["detect", *models, "--image", image, "--out", str(root / "dets.txt")]
 
 
+def assert_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("facedet: error: ")
+
+
 @pytest.mark.parametrize("kind", list(SEEDS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cli_exits_0_1_or_2_on_mutated_inputs(kind, data, cli_dir):
     (cli_dir / "mutated").write_bytes(data.draw(fuzzed((cli_dir / kind).read_bytes()), label="file"))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(cli_argv(cli_dir, kind))
-    assert code in (0, 1, 2)
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("facedet: error: ")
+    assert_exits_0_1_or_2(cli_argv(cli_dir, kind))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+def test_cli_exits_0_1_or_2_on_every_setting_flag_at_edge_values(name, cli_dir):
+    command = ["detect", "--cascade", str(cli_dir / "cascade"), "--svm", str(cli_dir / "svm"),
+               "--image", str(cli_dir / "ppm"), "--out", str(cli_dir / "dets.txt")]
+    for token in [*EDGE_TOKENS, b"1e308"]:
+        assert_exits_0_1_or_2([*command, "--" + name.replace("_", "-"), token.decode()])

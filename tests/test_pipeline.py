@@ -10,6 +10,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import facedet
 from facedet import boost, detect, pipeline, validate
@@ -18,13 +20,15 @@ from facedet.boost import Cascade
 from facedet.config import PipelineConfig
 from facedet.detect import Detection, iou
 from facedet.evaluate import match_detections
-from facedet.images import crop_square, downscale, histogram_equalization, median_filter
+from facedet.images import crop_square, downscale, histogram_equalization, median_filter, to_grayscale
 from facedet.lbp import DESCRIPTOR_LENGTH, descriptors
+from facedet.netpbm import write_pgm, write_ppm
 from facedet.pipeline import (
     detect_faces,
     evaluate_images,
     pick_svm_threshold,
     preprocess_gray,
+    read_scene,
     segment_image,
     summarize,
 )
@@ -82,6 +86,56 @@ class TestSegmentImage:
         assert first[0] == extract_regions(result.mask, min_area or max(1, round(result.mask.size * 0.001)))
         assert sorted(r.area for r in first[0]) == areas
         assert first[1] == skin_ratio(result.mask)
+
+
+@pytest.fixture(scope="module")
+def scene_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenes")
+
+
+class TestReadScene:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 1 << 30), st.booleans())
+    def test_colour_gray_plane_is_to_grayscale(self, scene_dir, h, w, seed, gate):
+        rgb = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        write_ppm(scene_dir / "s.ppm", rgb)
+        # gated, the Y plane of the segmentation serves: no second conversion
+        with mock.patch.object(pipeline, "to_grayscale", wraps=to_grayscale) as converted:
+            img, gray, skin = read_scene(str(scene_dir / "s.ppm"), PipelineConfig(), gate=gate)
+        assert converted.call_count == (not gate)
+        want = to_grayscale(rgb)
+        assert np.array_equal(img, rgb) and gray.dtype == want.dtype and np.array_equal(gray, want)
+        if gate:
+            assert np.array_equal(skin, segment_image(rgb, PipelineConfig()).mask)
+        else:
+            assert skin is None
+
+    def test_gate_is_the_mask_file_else_the_segmentation_of_colour(self, scene_dir):
+        rgb = np.zeros((30, 40, 3), dtype=np.uint8)
+        for c, mix in enumerate(SKIN_MIX):
+            rgb[5:25, 5:20, c] = int(190.0 * mix)
+        write_ppm(scene_dir / "c.ppm", rgb)
+        write_pgm(scene_dir / "g.pgm", to_grayscale(rgb))
+        mask = np.zeros((30, 40), dtype=np.uint8)
+        mask[:, 30:] = 1
+        write_pgm(scene_dir / "m.pgm", mask * 255)
+        segmented = segment_image(rgb, PipelineConfig()).mask
+        config = PipelineConfig()
+        for path, mask_path, gate, want in [
+            ("c.ppm", None, True, segmented),
+            ("c.ppm", "m.pgm", True, mask),
+            ("c.ppm", "m.pgm", False, mask),
+            ("c.ppm", None, False, None),
+            ("g.pgm", None, True, None),
+            ("g.pgm", "m.pgm", True, mask),
+        ]:
+            mask_path = None if mask_path is None else str(scene_dir / mask_path)
+            _img, gray, skin = read_scene(str(scene_dir / path), config, mask_path, gate)
+            assert np.array_equal(gray, to_grayscale(rgb))
+            assert (skin is None) if want is None else np.array_equal(skin, want)
+        write_pgm(scene_dir / "small.pgm", mask[:20])
+        with pytest.raises(ValueError, match=r"small\.pgm: skin mask is 40x20, but image .*c\.ppm is 40x30"):
+            read_scene(str(scene_dir / "c.ppm"), config, str(scene_dir / "small.pgm"))
 
 
 class TestDetectFaces:
