@@ -36,7 +36,6 @@ from .integral import IntegralSet, integral_set
 from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from .skin import (
     Region,
-    SkinThresholds,
     classify_skin,
     extract_regions,
     morphology,

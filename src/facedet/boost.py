@@ -64,6 +64,7 @@ __all__ = [
     "Stage",
     "StageResult",
     "Cascade",
+    "keep_threshold",
     "train_stage",
     "train_cascade",
     "feature_value_matrix",
@@ -298,6 +299,16 @@ def _stump_workers(values: np.ndarray, labels: np.ndarray):
             proc.join()
 
 
+def keep_threshold(values, keep: float) -> float:
+    """The stage-threshold rule of Viola & Jones (IJCV 2004): the k-th lowest
+    of ``values``, k = max(1, ceil((1 - keep) * n)), so fewer than k fall
+    below it."""
+    values = np.sort(values)
+    if len(values) == 0:
+        raise ValueError("no values to pick a threshold from")
+    return float(values[max(1, math.ceil((1.0 - keep) * len(values))) - 1])
+
+
 def train_stage(
     values: np.ndarray,
     labels: np.ndarray,
@@ -336,7 +347,6 @@ def train_stage(
         scores = np.zeros(labels.shape[0])
         stage_threshold = 0.0
         dr = fpr = 0.0
-        k_fail = max(1, math.ceil((1.0 - target_dr) * n_pos))
         for rnd in range(max_stumps):
             err_f, thr_f, pol_f = best(weights)
             f_idx = int(np.argmin(err_f))
@@ -354,8 +364,7 @@ def train_stage(
             pred = np.where(pol * values[f_idx] < pol * thr, 1, -1)
             scores = scores + alpha * (pred > 0)
             total_alpha = sum(a for _, a in stumps)
-            pos_sorted = np.sort(scores[pos])
-            stage_threshold = min(total_alpha / 2.0, float(pos_sorted[k_fail - 1]))
+            stage_threshold = min(total_alpha / 2.0, keep_threshold(scores[pos], target_dr))
             dr = float(np.mean(scores[pos] >= stage_threshold))
             fpr = float(np.mean(scores[neg] >= stage_threshold))
             mis = pred != labels

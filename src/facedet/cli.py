@@ -25,7 +25,7 @@ from .evaluate import (
     load_manifest,
     roc_sweep,
 )
-from .images import draw_boxes
+from .images import downscale, draw_boxes
 from .netpbm import NetpbmError, read_image, write_mask, write_ppm
 from .svm import load_svm, save_svm
 from .validate import decision_values
@@ -114,9 +114,7 @@ def _cmd_detect(args) -> int:
     cascade = load_cascade(args.cascade)
     svm = load_svm(args.svm) if args.svm and not args.no_validate else None
     img, gray, skin = pipeline.read_scene(args.image, config, gate=not args.no_gate)
-    # images.downscale keeps ceil(side / factor) pixels per side
-    work_h = -(-gray.shape[0] // config.downscale)
-    work_w = -(-gray.shape[1] // config.downscale)
+    work_h, work_w = downscale(gray, config.downscale).shape
     if min(work_h, work_w) < cascade.base_window:
         raise ValueError(
             f"{args.image}: preprocessed image {work_w}x{work_h} is smaller than "

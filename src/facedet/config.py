@@ -108,32 +108,38 @@ def _parse_value(text: str, kind: type):
     return tuple(float(v) for v in text.split(","))
 
 
+def content_lines(path: str):
+    """(line number, text) of each line of a config or manifest file that
+    holds more than a '#' comment, without the comment and outer whitespace."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                yield lineno, text
+
+
 def load_config_file(path: str, base: PipelineConfig | None = None) -> PipelineConfig:
     """Read 'key = value' lines; unknown and repeated keys are rejected."""
     base = base or PipelineConfig()
     overrides = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
-            first_line[key] = lineno
-            value = value.strip()
-            try:
-                overrides[key] = _parse_value(value, FIELD_TYPES[key])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key}: expected {_EXPECTED[FIELD_TYPES[key]]}, got {value!r}"
-                ) from None
+    for lineno, text in content_lines(path):
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in FIELD_TYPES:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        value = value.strip()
+        try:
+            overrides[key] = _parse_value(value, FIELD_TYPES[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: {key}: expected {_EXPECTED[FIELD_TYPES[key]]}, got {value!r}"
+            ) from None
     try:
         return base.override(**overrides)
     except ValueError as exc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import content_lines
 from .detect import Detections, pairwise_iou
 
 __all__ = [
@@ -50,29 +51,21 @@ class ManifestEntry:
     mask_path: str | None = None
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def _mask_lines(path: str) -> dict[str, tuple[str, int]]:
     """Normalized image path -> (mask path, line number); an image named
     twice is an error that names both lines."""
     base = os.path.dirname(os.path.abspath(path))
     lines: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = _strip_comment(raw)
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) != 2:
-                raise ManifestError(f"{path}:{lineno}: expected '<image> <mask>'")
-            image = os.path.normpath(tokens[0])
-            if image in lines:
-                raise ManifestError(
-                    f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {lines[image][1]}"
-                )
-            lines[image] = (os.path.join(base, tokens[1]), lineno)
+    for lineno, text in content_lines(path):
+        tokens = text.split()
+        if len(tokens) != 2:
+            raise ManifestError(f"{path}:{lineno}: expected '<image> <mask>'")
+        image = os.path.normpath(tokens[0])
+        if image in lines:
+            raise ManifestError(
+                f"{path}:{lineno}: image {tokens[0]!r} already has a mask on line {lines[image][1]}"
+            )
+        lines[image] = (os.path.join(base, tokens[1]), lineno)
     return lines
 
 
@@ -90,38 +83,34 @@ def load_manifest(path: str, mask_manifest: str | None = None) -> list[ManifestE
     base = os.path.dirname(os.path.abspath(path))
     entries: list[ManifestEntry] = []
     named: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = _strip_comment(raw)
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) < 2:
-                raise ManifestError(f"{path}:{lineno}: expected '<path> <n> ...'")
-            name = tokens[0]
+    for lineno, text in content_lines(path):
+        tokens = text.split()
+        if len(tokens) < 2:
+            raise ManifestError(f"{path}:{lineno}: expected '<path> <n> ...'")
+        name = tokens[0]
+        try:
+            count = int(tokens[1])
+        except ValueError:
+            raise ManifestError(f"{path}:{lineno}: bad box count {tokens[1]!r}") from None
+        if count < 0 or len(tokens) != 2 + 4 * count:
+            raise ManifestError(
+                f"{path}:{lineno}: expected {4 * max(count, 0)} box values, "
+                f"got {len(tokens) - 2}"
+            )
+        boxes: list[tuple[int, int, int, int]] = []
+        for b in range(count):
             try:
-                count = int(tokens[1])
+                x, y, w, h = (int(v) for v in tokens[2 + 4 * b : 6 + 4 * b])
             except ValueError:
-                raise ManifestError(f"{path}:{lineno}: bad box count {tokens[1]!r}") from None
-            if count < 0 or len(tokens) != 2 + 4 * count:
-                raise ManifestError(
-                    f"{path}:{lineno}: expected {4 * max(count, 0)} box values, "
-                    f"got {len(tokens) - 2}"
-                )
-            boxes: list[tuple[int, int, int, int]] = []
-            for b in range(count):
-                try:
-                    x, y, w, h = (int(v) for v in tokens[2 + 4 * b : 6 + 4 * b])
-                except ValueError:
-                    raise ManifestError(f"{path}:{lineno}: non-integer box field") from None
-                if w <= 0 or h <= 0:
-                    raise ManifestError(f"{path}:{lineno}: box {b} has non-positive size")
-                if max(abs(x), abs(y), w, h) >= BOX_LIMIT:
-                    raise ManifestError(f"{path}:{lineno}: box {b} has a field of magnitude {BOX_LIMIT} or more")
-                boxes.append((x, y, w, h))
-            image = os.path.normpath(name)
-            named.add(image)
-            entries.append(ManifestEntry(os.path.join(base, name), boxes, masks[image][0] if image in masks else None))
+                raise ManifestError(f"{path}:{lineno}: non-integer box field") from None
+            if w <= 0 or h <= 0:
+                raise ManifestError(f"{path}:{lineno}: box {b} has non-positive size")
+            if max(abs(x), abs(y), w, h) >= BOX_LIMIT:
+                raise ManifestError(f"{path}:{lineno}: box {b} has a field of magnitude {BOX_LIMIT} or more")
+            boxes.append((x, y, w, h))
+        image = os.path.normpath(name)
+        named.add(image)
+        entries.append(ManifestEntry(os.path.join(base, name), boxes, masks[image][0] if image in masks else None))
     for image, (_, lineno) in masks.items():
         if image not in named:
             raise ManifestError(f"{mask_manifest}:{lineno}: image {image!r} is not in {path}")

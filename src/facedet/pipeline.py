@@ -12,14 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .boost import Cascade, train_cascade
+from .boost import Cascade, keep_threshold, train_cascade
 from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
-from .skin import Region, SkinThresholds, classify_skin, extract_regions, refine_mask, skin_ratio, sobel_edges
+from .skin import Region, classify_skin, extract_regions, refine_mask, skin_ratio, sobel_edges
 from .svm import LinearSvmModel, train_svm
 from .validate import validate_detections
 
@@ -76,9 +76,8 @@ class SegmentResult:
 
 def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
     """Skin classification and Sobel-edge refinement; regions on demand."""
-    thresholds = SkinThresholds(config.cb_min, config.cb_max, config.cr_min, config.cr_max)
     ycbcr = rgb_to_ycbcr(rgb)
-    skin = classify_skin(ycbcr, thresholds)
+    skin = classify_skin(ycbcr, config)
     gray = ycbcr[..., 0]
     mask = refine_mask(skin, sobel_edges(gray, config.sobel_threshold))
     return SegmentResult(mask, gray, config.min_area or max(1, round(mask.size * 0.001)))
@@ -122,7 +121,9 @@ def detect_faces(
     clipped to the input image.
     """
     work = preprocess_gray(gray, config)
-    factor = config.downscale
+    # every factor from the longest side up keeps one pixel per axis; capping
+    # it there keeps the int64 box scaling below from overflowing
+    factor = min(config.downscale, max(gray.shape))
     gate = skin
     if gate is not None and factor > 1:
         gate = downscale(gate, factor)
@@ -198,18 +199,11 @@ def pick_svm_threshold(
     config: PipelineConfig,
     keep_fraction: float = 0.99,
 ) -> float:
-    """Decision threshold passing at least ``keep_fraction`` of the crops."""
-    return _keep_threshold(model, _describe(pos_crops, config), keep_fraction)
-
-
-def _keep_threshold(model: LinearSvmModel, rows: np.ndarray, keep_fraction: float) -> float:
-    """The stage-threshold rule: the k-th lowest decision value of the rows,
-    k = ceil((1 - keep) * n), so fewer than k fail."""
-    if len(rows) == 0:
+    """Decision threshold passing at least ``keep_fraction`` of the crops:
+    ``boost.keep_threshold`` of their decision values."""
+    if not pos_crops:
         raise ValueError("no positive crops to pick the validator threshold from")
-    values = np.sort([float(model.decision(row)) for row in rows])
-    k = max(1, int(np.ceil((1.0 - keep_fraction) * len(values))))
-    return float(values[k - 1])
+    return keep_threshold(model.decision(_describe(pos_crops, config)), keep_fraction)
 
 
 def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tuple[LinearSvmModel, float]:
@@ -235,7 +229,7 @@ def bootstrap_validator(scenes, cascade: Cascade, config: PipelineConfig) -> tup
     negatives = np.concatenate(false_alarms)
     n_pos = len(pos_crops) + len(matched)
     svm = _train_validator(np.concatenate([_describe(pos_crops, config), matched, negatives]), n_pos, config)
-    return svm, _keep_threshold(svm, matched, 0.99)
+    return svm, keep_threshold(svm.decision(matched), 0.99)
 
 
 def evaluate_image(

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .config import PipelineConfig
+
 __all__ = [
-    "SkinThresholds",
     "Region",
     "classify_skin",
     "sobel_edges",
@@ -24,20 +25,6 @@ __all__ = [
     "skin_ratio",
     "extract_regions",
 ]
-
-@dataclass(frozen=True)
-class SkinThresholds:
-    """Inclusive Cb/Cr channel bounds for the skin test."""
-
-    cb_min: int = 77
-    cb_max: int = 127
-    cr_min: int = 133
-    cr_max: int = 173
-
-    def __post_init__(self) -> None:
-        if self.cb_min > self.cb_max or self.cr_min > self.cr_max:
-            raise ValueError("skin threshold intervals must be non-empty")
-
 
 @dataclass(frozen=True)
 class Region:
@@ -51,18 +38,19 @@ class Region:
     skin_fraction: float  # area / (w * h)
 
 
-def classify_skin(ycbcr: np.ndarray, thresholds: SkinThresholds = SkinThresholds()) -> np.ndarray:
-    """Mask of pixels whose Cb and Cr both fall inside the skin intervals."""
+def classify_skin(ycbcr: np.ndarray, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+    """Mask of pixels whose Cb and Cr both fall inside the config's inclusive
+    skin intervals (``cb_min``..``cb_max``, ``cr_min``..``cr_max``)."""
     ycbcr = np.asarray(ycbcr)
     if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
         raise ValueError("expected an (H, W, 3) YCbCr image")
     cb = ycbcr[..., 1]
     cr = ycbcr[..., 2]
     mask = (
-        (cb >= thresholds.cb_min)
-        & (cb <= thresholds.cb_max)
-        & (cr >= thresholds.cr_min)
-        & (cr <= thresholds.cr_max)
+        (cb >= config.cb_min)
+        & (cb <= config.cb_max)
+        & (cr >= config.cr_min)
+        & (cr <= config.cr_max)
     )
     return mask.astype(np.uint8)
 

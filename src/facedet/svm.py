@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import _field
+from .boost import _field, _fmt
 from .lbp import DESCRIPTOR_LENGTH
 
 __all__ = ["LinearSvmModel", "train_svm", "svm_objective", "save_svm", "load_svm"]
@@ -21,8 +21,16 @@ class LinearSvmModel:
     seed: int = 0
 
     def decision(self, features: np.ndarray):
-        """w . x + b for one feature vector or a stack of them."""
-        return np.asarray(features, dtype=np.float64) @ self.weights + self.bias
+        """w . x + b for one feature vector, or for each row of an (n, d) stack.
+
+        Each row is its own 1-D dot product: a matrix-vector product over the
+        stack may sum in another order and differ in the last bit, so a row's
+        value would depend on the rows beside it.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim == 1:
+            return features @ self.weights + self.bias
+        return np.array([row @ self.weights for row in features], dtype=np.float64) + self.bias
 
 
 def svm_objective(weights: np.ndarray, bias: float, features: np.ndarray, labels: np.ndarray, reg: float) -> float:
@@ -74,10 +82,6 @@ def train_svm(
             best_obj = obj
             best_w = w.copy()
     return LinearSvmModel(best_w[:dim].copy(), float(best_w[dim]), reg=reg, epochs=epochs, seed=seed)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 def save_svm(model: LinearSvmModel, path: str) -> None:

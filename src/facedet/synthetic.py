@@ -25,7 +25,7 @@ import numpy as np
 from .boost import Cascade
 from .config import PipelineConfig
 from .detect import iou
-from .images import crop_square, to_grayscale
+from .images import _round_u8, crop_square, to_grayscale
 from .netpbm import write_pgm
 from .pipeline import bootstrap_validator, evaluate_image, train_cascade_from_config
 from .svm import LinearSvmModel
@@ -48,10 +48,6 @@ __all__ = [
 CHECKER_AMP = 12
 
 
-def _clamp_u8(img: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(img + 0.5), 0, 255).astype(np.uint8)
-
-
 def face_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
     """One jittered instance of the fixed face texture."""
     ys, xs = np.indices((size, size), dtype=np.float64)
@@ -70,7 +66,7 @@ def face_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
     gain = rng.uniform(0.85, 1.15)
     offset = rng.uniform(-18.0, 18.0)
     noise = rng.normal(0.0, 5.0, (size, size))
-    return _clamp_u8(img * gain + offset + noise)
+    return _round_u8(img * gain + offset + noise)
 
 
 def textured_face_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
@@ -78,7 +74,7 @@ def textured_face_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
     base = face_patch(rng, size).astype(np.float64)
     ys, xs = np.indices((size, size))
     checker = np.where((xs + ys) % 2 == 0, CHECKER_AMP, -CHECKER_AMP)
-    return _clamp_u8(base + checker)
+    return _round_u8(base + checker)
 
 
 def ring_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
@@ -90,7 +86,7 @@ def ring_patch(rng: np.random.Generator, size: int = 24) -> np.ndarray:
     img = np.full((size, size), 40.0)
     img[(r2 <= 1.0) & (r2 >= 0.62)] = 205.0
     noise = rng.normal(0.0, 5.0, (size, size))
-    return _clamp_u8(img + noise)
+    return _round_u8(img + noise)
 
 
 def clutter_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
@@ -106,7 +102,7 @@ def clutter_background(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
         rx = int(rng.integers(0, w - rw))
         ry = int(rng.integers(0, h - rh))
         img[ry : ry + rh, rx : rx + rw] = rng.uniform(25.0, 225.0)
-    return _clamp_u8(img + rng.normal(0.0, 6.0, (h, w)))
+    return _round_u8(img + rng.normal(0.0, 6.0, (h, w)))
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ def render_color_scene(
     for c in range(3):
         rgb[:, :half, c] = v[:, :half] * SKIN_MIX[c]
         rgb[:, half:, c] = v[:, half:] * NONSKIN_MIX[c]
-    rgb = _clamp_u8(rgb)
+    rgb = _round_u8(rgb)
     return rgb, Scene(to_grayscale(rgb), faces, [])
 
 

@@ -2,10 +2,8 @@
 
 A candidate is kept when its decision value reaches the threshold; the ROC
 sweeps the same values. The descriptors of all of a scene's candidates are
-built in one batched call (:func:`facedet.lbp.descriptors`). Each decision
-value is one 1-D dot product, as :meth:`LinearSvmModel.decision` computes
-it: a matrix-vector product over all candidates may sum in another order
-and differ in the last bit.
+built in one batched call (:func:`facedet.lbp.descriptors`) and scored by
+:meth:`LinearSvmModel.decision`, which owns the per-row rule.
 """
 
 from __future__ import annotations
@@ -19,11 +17,6 @@ from .svm import LinearSvmModel
 __all__ = ["validate_detections", "decision_values"]
 
 
-def _decisions(detections: Detections, img: np.ndarray, model: LinearSvmModel, block_weights) -> np.ndarray:
-    rows = descriptors(img, detections.boxes, block_weights)
-    return np.array([float(model.decision(row)) for row in rows], dtype=np.float64)
-
-
 def validate_detections(
     detections: Detections,
     img: np.ndarray,
@@ -35,7 +28,7 @@ def validate_detections(
 
     Returns (kept detections in input order, rejected count).
     """
-    kept = detections[_decisions(detections, img, model, block_weights) >= threshold]
+    kept = detections[model.decision(descriptors(img, detections.boxes, block_weights)) >= threshold]
     return kept, len(detections) - len(kept)
 
 
@@ -46,4 +39,4 @@ def decision_values(
     block_weights=UNIT_BLOCK_WEIGHTS,
 ) -> np.ndarray:
     """Decision value per detection, for ROC sweeps."""
-    return _decisions(detections, img, model, block_weights)
+    return model.decision(descriptors(img, detections.boxes, block_weights))

@@ -20,6 +20,7 @@ from facedet.boost import (
     _StumpSearch,
     _stump_workers,
     feature_value_matrix,
+    keep_threshold,
     load_cascade,
     save_cascade,
     train_cascade,
@@ -296,6 +297,24 @@ class TestTrainStage:
                 train_stage(values, labels)
         assert message in str(exc.value) and "\n" not in str(exc.value)
         assert spy.call_count == 0
+
+
+class TestKeepThreshold:
+    @given(
+        st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False)), min_size=1, max_size=60),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sort_and_index_oracle(self, values, keep):
+        n = len(values)
+        k = next(j for j in range(1, n + 1) if j >= (1.0 - keep) * n)  # max(1, ceil((1 - keep) * n))
+        t = keep_threshold(values, keep)
+        assert t == sorted(values)[k - 1]
+        assert sum(v < t for v in values) < k <= sum(v <= t for v in values)
+
+    def test_empty_values_is_a_one_line_error(self):
+        with pytest.raises(ValueError, match="^no values to pick a threshold from$"):
+            keep_threshold([], 0.99)
 
 
 class TestStumpTasks:

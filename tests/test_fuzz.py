@@ -219,7 +219,13 @@ def test_cli_exits_0_1_or_2_on_mutated_inputs(kind, data, cli_dir):
 
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_cli_exits_0_1_or_2_on_every_setting_flag_at_edge_values(name, cli_dir):
-    command = ["detect", "--cascade", str(cli_dir / "cascade"), "--svm", str(cli_dir / "svm"),
-               "--image", str(cli_dir / "ppm"), "--out", str(cli_dir / "dets.txt")]
-    for token in [*EDGE_TOKENS, b"1e308"]:
-        assert_exits_0_1_or_2([*command, "--" + name.replace("_", "-"), token.decode()])
+    # detect checks the work-image size before it scans; eval scans every
+    # manifest image at any setting that parses
+    models = ["--cascade", str(cli_dir / "cascade"), "--svm", str(cli_dir / "svm")]
+    commands = [
+        ["detect", *models, "--image", str(cli_dir / "ppm"), "--out", str(cli_dir / "dets.txt")],
+        ["eval", *models, "--manifest", str(cli_dir / "manifest"), "--roc", str(cli_dir / "roc.csv")],
+    ]
+    for command in commands:
+        for token in [*EDGE_TOKENS, b"1e308"]:
+            assert_exits_0_1_or_2([*command, "--" + name.replace("_", "-"), token.decode()])

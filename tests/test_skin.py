@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from facedet.config import PipelineConfig
 from facedet.skin import (
     Region,
     _dilate3,
     _erode3,
-    SkinThresholds,
     classify_skin,
     extract_regions,
     morphology,
@@ -58,7 +58,7 @@ class TestClassifySkin:
     def test_matches_per_pixel_interval_oracle(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, size=(9, 11, 3), dtype=np.uint8)
-        t = SkinThresholds()
+        t = PipelineConfig()
         mask = classify_skin(img, t)
         for y in range(9):
             for x in range(11):
@@ -70,19 +70,19 @@ class TestClassifySkin:
            st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_thresholds(self, img, widen_cb, widen_cr):
-        narrow = classify_skin(img, SkinThresholds())
+        narrow = classify_skin(img, PipelineConfig())
         wide = classify_skin(
             img,
-            SkinThresholds(
-                max(0, 77 - widen_cb), min(255, 127 + widen_cb),
-                max(0, 133 - widen_cr), min(255, 173 + widen_cr),
+            PipelineConfig(
+                cb_min=max(0, 77 - widen_cb), cb_max=min(255, 127 + widen_cb),
+                cr_min=max(0, 133 - widen_cr), cr_max=min(255, 173 + widen_cr),
             ),
         )
         assert np.all(wide >= narrow)
 
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            SkinThresholds(cb_min=130, cb_max=120)
+            PipelineConfig(cb_min=130, cb_max=120)
 
 
 class TestSobel:

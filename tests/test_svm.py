@@ -75,6 +75,20 @@ class TestTrainSvm:
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+class TestDecision:
+    @given(st.integers(0, 1 << 30), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_each_row_bit_for_bit(self, seed, n):
+        # magnitudes over six decades, so that a sum in another order shows
+        rng = np.random.default_rng(seed)
+        model = LinearSvmModel(rng.normal(size=203) * 10.0 ** rng.uniform(-3, 3, 203), float(rng.normal()))
+        stack = rng.normal(size=(n, 203)) * 10.0 ** rng.uniform(-3, 3, (n, 203))
+        got = model.decision(stack)
+        expected = np.array([model.decision(row) for row in stack], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestModelFile:
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(45)
