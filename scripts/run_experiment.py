@@ -3,7 +3,7 @@
 
 Trains a 5-stage cascade on the synthetic corpus, bootstraps the texture
 validator from the detector's own training-split output, and reports
-cascade-only vs validated accuracy on the test split:
+cascade-only vs validated accuracy on the test split as ``facedet eval`` does:
 
     python3 scripts/run_experiment.py --seed 7 [--models out/]
 """
@@ -13,8 +13,7 @@ import os
 import time
 
 from facedet.boost import save_cascade
-from facedet.evaluate import detection_rate, emit_report, false_alarm_rate
-from facedet.pipeline import summarize
+from facedet.pipeline import report, summarize
 from facedet.svm import save_svm
 from facedet.synthetic import run_experiment
 
@@ -39,15 +38,8 @@ def main() -> int:
     print(f"validator threshold {threshold:.4f}")
 
     counts = summarize(run.results)
-    windows = counts["evaluated_windows"]
-    rows = []
-    for name, key in (("Adaboost Cascade", "cascade"), ("Proposed method", "validated")):
-        h, m, f = counts[key]
-        rows.append((name, h, m, f, detection_rate(h, m)))
     print()
-    print(emit_report(rows))
-    for name, _h, _m, f, _r in rows:
-        print(f"false_alarm_rate[{name}] = {false_alarm_rate(f, windows):.3e}")
+    print(report(counts, validated=True))
     reduction = 100.0 * (counts["cascade"][2] - counts["validated"][2]) / max(counts["cascade"][2], 1)
     print(f"false-positive reduction: {reduction:.1f}%")
     print(f"elapsed: {time.monotonic() - started:.1f}s")

@@ -460,21 +460,19 @@ def feature_value_matrix(
     return out
 
 
-def _mine_false_positives(
-    cascade: Cascade, pool: list[np.ndarray], needed: int, scan_step: int = 3
-) -> list[np.ndarray]:
+def _mine_false_positives(cascade: Cascade, pool: list[np.ndarray], needed: int) -> list[np.ndarray]:
     """Crop windows from pool images that the current cascade accepts,
     drawing evenly across the pool so one image cannot fill the quota.
 
-    Each image contributes its first ``needed`` detections in scan order;
-    picks go round-robin by rank in pool order, and only the picks are
-    cropped and resized.
+    Each image contributes its first ``needed`` detections of a scan at
+    step 3; picks go round-robin by rank in pool order, and only the picks
+    are cropped and resized.
     """
     from .detect import detect_multiscale_counted
 
     base = cascade.base_window
     scanned = [
-        (img, detect_multiscale_counted(cascade, img, step=scan_step)[0].boxes[:needed])
+        (img, detect_multiscale_counted(cascade, img, step=3)[0].boxes[:needed])
         for img in pool
         if min(img.shape) >= base
     ]

@@ -16,15 +16,7 @@ import numpy as np
 from . import pipeline
 from .boost import load_cascade, save_cascade
 from .config import _EXPECTED, FIELD_TYPES, PipelineConfig, _parse_value, load_config_file
-from .evaluate import (
-    ManifestError,
-    detection_rate,
-    emit_report,
-    emit_report_csv,
-    false_alarm_rate,
-    load_manifest,
-    roc_sweep,
-)
+from .evaluate import ManifestError, load_manifest, roc_sweep
 from .images import downscale, draw_boxes
 from .netpbm import NetpbmError, read_image, write_mask, write_ppm
 from .svm import load_svm, save_svm
@@ -141,12 +133,12 @@ def _rescore(results, svm, config):
     return rescored
 
 
-def _roc_thresholds(per_image, limit: int = 64):
+def _roc_thresholds(per_image):
     scores = np.unique(np.concatenate([dets.score for dets, _ in per_image])).tolist()
     if not scores:
         return [0.0]
-    if len(scores) > limit:
-        idx = np.linspace(0, len(scores) - 1, limit).astype(int)
+    if len(scores) > 64:
+        idx = np.linspace(0, len(scores) - 1, 64).astype(int)
         scores = [scores[i] for i in idx]
     return scores + [scores[-1] + 1.0]
 
@@ -159,17 +151,7 @@ def _cmd_eval(args) -> int:
     if not entries:
         raise ValueError(f"{args.manifest}: empty manifest")
     results = pipeline.evaluate_images(entries, cascade, config, svm=svm)
-    summary = pipeline.summarize(results)
-    rows = []
-    for name, key in [("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")][: 1 + (svm is not None)]:
-        hits, misses, fps = summary[key]
-        # a background-only manifest counts false alarms; its rate is n/a
-        rows.append((name, hits, misses, fps, detection_rate(hits, misses) if hits + misses else float("nan")))
-    print(emit_report_csv(rows) if args.csv else emit_report(rows))
-    windows = summary["evaluated_windows"]
-    if windows:
-        for (name, _h, _m, fps, _r) in rows:
-            print(f"false_alarm_rate[{name}]={false_alarm_rate(fps, windows):.9g}")
+    print(pipeline.report(pipeline.summarize(results), svm is not None, args.csv))
     if args.roc:
         if svm is not None:
             per_image = _rescore(list(zip(results, entries)), svm, config)
@@ -200,7 +182,8 @@ def main(argv=None) -> int:
     p_train.add_argument("--neg", required=True, help="directory of negative PGM tiles")
     p_train.add_argument("--pool", help="directory of background images for mining")
     p_train.add_argument("--out", required=True, help="output cascade model path")
-    p_train.add_argument("--svm-out", dest="svm_out", help="also train and write a validator model")
+    p_train.add_argument("--svm-out", dest="svm_out", help="also train and write a validator on the tiles; it is uncalibrated "
+                         "and can reject every face at --svm-threshold 0 (scripts/run_experiment.py --models is calibrated)")
 
     models = argparse.ArgumentParser(add_help=False)
     models.add_argument("--cascade", required=True, help="cascade model path")

@@ -45,18 +45,21 @@ def _require_gray(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def to_grayscale(img: np.ndarray) -> np.ndarray:
-    """Full-range BT.601 luma: round(0.299 R + 0.587 G + 0.114 B)."""
+def _luma(img: np.ndarray):
+    """R, G, B as float64 and the unrounded BT.601 luma 0.299 R + 0.587 G + 0.114 B."""
     img = _require_color(img)
     r, g, b = (img[..., c].astype(np.float64) for c in range(3))
-    return _round_u8(0.299 * r + 0.587 * g + 0.114 * b)
+    return r, g, b, 0.299 * r + 0.587 * g + 0.114 * b
+
+
+def to_grayscale(img: np.ndarray) -> np.ndarray:
+    """Full-range BT.601 luma, rounded: the Y plane of ``rgb_to_ycbcr``."""
+    return _round_u8(_luma(img)[3])
 
 
 def rgb_to_ycbcr(img: np.ndarray) -> np.ndarray:
     """Full-range BT.601 RGB -> YCbCr, rounded and clamped per channel."""
-    img = _require_color(img)
-    r, g, b = (img[..., c].astype(np.float64) for c in range(3))
-    y = 0.299 * r + 0.587 * g + 0.114 * b
+    r, g, b, y = _luma(img)
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     return np.stack([_round_u8(y), _round_u8(cb), _round_u8(cr)], axis=-1)

@@ -15,7 +15,7 @@ import numpy as np
 from .boost import Cascade, keep_threshold, train_cascade
 from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
-from .evaluate import match_detections
+from .evaluate import detection_rate, emit_report, emit_report_csv, false_alarm_rate, match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
@@ -37,6 +37,8 @@ __all__ = [
     "bootstrap_validator",
     "evaluate_image",
     "evaluate_images",
+    "summarize",
+    "report",
 ]
 
 # false-alarm crops kept as validator negatives by ``bootstrap_validator``
@@ -265,8 +267,8 @@ def evaluate_images(
     return results
 
 
-def summarize(results, iou_min: float = 0.5) -> dict:
-    """Aggregate hits/misses/false positives for cascade-only and validated."""
+def summarize(results) -> dict:
+    """Aggregate hits/misses/false positives at IoU >= 0.5, cascade-only and validated."""
     agg = {
         "cascade": [0, 0, 0],
         "validated": [0, 0, 0],
@@ -276,10 +278,25 @@ def summarize(results, iou_min: float = 0.5) -> dict:
     }
     for dets, validated, truth, stats in results:
         for key, dd in (("cascade", dets), ("validated", validated)):
-            h, m, f = match_detections(dd, truth, iou_min)
+            h, m, f = match_detections(dd, truth)
             agg[key][0] += h
             agg[key][1] += m
             agg[key][2] += f
         agg["total_windows"] += stats.total_windows
         agg["evaluated_windows"] += stats.evaluated_windows
     return agg
+
+
+def report(summary: dict, validated: bool, csv: bool = False) -> str:
+    """The results table of a ``summarize`` dict: the cascade row, and the
+    validated row when a validator ran; then, when some window was
+    evaluated, each row's false-alarm rate. Without faces the rate is n/a."""
+    rows = []
+    for name, key in [("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")][: 1 + validated]:
+        hits, misses, fps = summary[key]
+        rows.append((name, hits, misses, fps, detection_rate(hits, misses) if hits + misses else float("nan")))
+    lines = [emit_report_csv(rows) if csv else emit_report(rows)]
+    windows = summary["evaluated_windows"]
+    if windows:
+        lines += [f"false_alarm_rate[{name}]={false_alarm_rate(fps, windows):.9g}" for name, _h, _m, fps, _r in rows]
+    return "\n".join(lines)

@@ -16,9 +16,6 @@ __all__ = ["LinearSvmModel", "train_svm", "svm_objective", "save_svm", "load_svm
 class LinearSvmModel:
     weights: np.ndarray
     bias: float
-    reg: float = float("nan")  # hyperparameters as trained; NaN/0 when loaded
-    epochs: int = 0
-    seed: int = 0
 
     def decision(self, features: np.ndarray):
         """w . x + b for one feature vector, or for each row of an (n, d) stack.
@@ -81,7 +78,7 @@ def train_svm(
         if obj < best_obj:
             best_obj = obj
             best_w = w.copy()
-    return LinearSvmModel(best_w[:dim].copy(), float(best_w[dim]), reg=reg, epochs=epochs, seed=seed)
+    return LinearSvmModel(best_w[:dim].copy(), float(best_w[dim]))
 
 
 def save_svm(model: LinearSvmModel, path: str) -> None:

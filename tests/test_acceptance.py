@@ -347,27 +347,44 @@ def test_fixture_cascade_is_the_benchmark_reference(experiment, tmp_path):
     assert experiment["config"].svm_threshold == reference["threshold"]
 
 
-def test_run_experiment_script_reports_the_experiment(experiment, tmp_path, capsys):
-    # the script prints and saves what run_experiment returns; the session
-    # experiment stands in for a second training
+def run_experiment_script(experiment, argv, **replaced):
+    """(exit code, mocked run_experiment) of scripts/run_experiment.py's main
+    on ``argv``; the session experiment, with ``replaced`` fields, stands in
+    for a second training."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
     spec = importlib.util.spec_from_file_location("run_experiment_script", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    run = Experiment(**{f.name: experiment[f.name] for f in fields(Experiment)})
-    argv = ["run_experiment.py", "--seed", "7", "--models", str(tmp_path)]
+    run = Experiment(**{f.name: replaced.get(f.name, experiment[f.name]) for f in fields(Experiment)})
     with mock.patch.object(script, "run_experiment", return_value=run) as runner, \
-            mock.patch.object(sys, "argv", argv):
-        assert script.main() == 0
+            mock.patch.object(sys, "argv", ["run_experiment.py", *argv]):
+        return script.main(), runner
+
+
+def test_run_experiment_script_reports_the_experiment(experiment, tmp_path, capsys):
+    # the script prints and saves what run_experiment returns
+    code, runner = run_experiment_script(experiment, ["--seed", "7", "--models", str(tmp_path)])
+    assert code == 0
     runner.assert_called_once_with(seed=7, n_train=300, n_test=100)
     lines = capsys.readouterr().out.splitlines()
     counts = summarize(experiment["results"])
-    for name, key in (("Adaboost Cascade", "cascade"), ("Proposed method", "validated")):
+    for name, key in (("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")):
         row = next(line for line in lines if line.startswith(name + " "))
         assert row.split()[-4:-1] == [str(n) for n in counts[key]]  # hits, misses, FPs
     reference = json.loads(REFERENCE.read_text(encoding="ascii"))
     assert sha256_file(tmp_path / "cascade.txt") == reference["cascade_sha256"]
     assert sha256_file(tmp_path / "svm.txt") == reference["svm_sha256"]
+
+
+def test_run_experiment_script_without_test_scenes_reports_na(experiment, capsys):
+    # --test 0 scores no scene: no faces, so both rates are n/a, not a crash
+    code, runner = run_experiment_script(experiment, ["--test", "0"], results=[])
+    assert code == 0
+    runner.assert_called_once_with(seed=7, n_train=300, n_test=0)
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("Adaboost Cascade", "Cascade + validation"):
+        row = next(line for line in lines if line.startswith(name + " "))
+        assert row.split()[-4:] == ["0", "0", "0", "n/a"]
 
 
 def test_training_compiles_its_feature_set_once(experiment):

@@ -54,12 +54,6 @@ class TestTrainSvm:
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
-    def test_records_hyperparameters(self):
-        rng = np.random.default_rng(43)
-        x, y = toy_features(rng)
-        model = train_svm(x, y, reg=0.005, epochs=7, seed=11)
-        assert (model.reg, model.epochs, model.seed) == (0.005, 7, 11)
-
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             train_svm(np.zeros((4, 3)), np.ones(4))
