@@ -112,13 +112,22 @@ class StageResult:
 
 @dataclass(frozen=True)
 class Cascade:
+    """Stages of boosted stumps over ``base_window``-pixel windows.
+
+    A Cascade scans one image at a time: its scan plan holds the workspace
+    that each scan refills (see :mod:`facedet.detect`), so two threads must
+    not scan with the same Cascade at once. Scan in parallel from forked
+    processes, each with its own copy.
+    """
+
     base_window: int
     stages: list[Stage]
     # per-stage (detection_rate, false_positive_rate) on the data each stage
     # was trained on; NaN pairs for models loaded from disk
     metadata: list[tuple[float, float]]
     # filled by facedet.detect from ``stages`` (never change them in place): the
-    # corners by window size, and one scan plan (16-32 bytes a window), the last shape's
+    # corners by window size, and one scan plan (16-32 bytes a window, and the
+    # shape's workspace), the last shape's
     programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

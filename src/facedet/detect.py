@@ -10,17 +10,27 @@ parity. A lone stump reads its corners in the same order with the same
 weights at every size and parity (checked), so one float64 (corners,
 stumps) matrix of integer weights times the polarities serves all levels.
 
+The plan also owns the shape's workspace, which every scan refills instead
+of mapping fresh memory: the summed-area tables (``integral_set(...,
+out=)``), their float64 copies, the skin table (in the memory of the
+upright float64 copy, which is filled after the gate has read it), and one
+int64 index block and one float64 gather block of ``SCAN_ROWS`` windows
+times the widest stage read, shared by every stage and table kind. Memory
+stays bounded because the plan is replaced with the shape; and because a
+plan is part of its cascade, a :class:`facedet.boost.Cascade` scans one
+image at a time (scan in parallel from forked processes, not from threads).
+
 Per image and level, the skin fraction and pixel sigma of every window come
 from four strided slices of the summed-area tables; the windows that pass
-the gate are kept. Each stage then makes, per table kind, one gather
-``flat[origin[:, None] + offsets[level]]`` from float64 tables over the
-live windows of all levels, in blocks of ``SCAN_ROWS``, and one BLAS
-product with the weights. All operands are integers, and no partial sum
-exceeds the largest table value (at most the pixel sum) times the largest
-column L1 norm of the weights; each image checks that this is below 2**53,
-so every sum is exact in any order. Dividing by sigma and adding the votes
-in stump order from 0.0 makes every margin bit-identical to a
-window-by-window evaluation.
+the gate are kept. Each stage then makes, per block of ``SCAN_ROWS`` live
+windows of all levels and per table kind, one gather
+``flat[origin[:, None] + offsets[level]]`` from the float64 tables into the
+workspace blocks, and one BLAS product with the weights. All operands are
+integers, and no partial sum exceeds the largest table value (at most the
+pixel sum) times the largest column L1 norm of the weights; each image
+checks that this is below 2**53, so every sum is exact in any order.
+Dividing by sigma and adding the votes in stump order from 0.0 makes every
+margin bit-identical to a window-by-window evaluation.
 
 Boxes travel as the (n, 4) ``Detections.boxes`` from the scan to the scoring.
 The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
@@ -46,9 +56,11 @@ __all__ = ["Detection", "Detections", "ScanStats", "detect_multiscale_counted", 
 # boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
 # small however many raw windows a scene yields
 MERGE_ROWS = 256
-# window origins per block of a stage's gather: the (rows, corners)
-# temporaries stay in cache however large the image
-SCAN_ROWS = 4096
+# window origins per block of a stage's gather: the plan's (rows, corners)
+# index and gather blocks stay small however large the image (448 KB each
+# for 28 corners; 4096 rows scanned 320x240 scenes 2-4 % faster on a 2-core
+# Xeon but held 0.9 MB more)
+SCAN_ROWS = 2048
 # float64 sums of integers are exact below this
 EXACT_LIMIT = 2**53
 
@@ -136,7 +148,8 @@ def pairwise_iou(a, b) -> np.ndarray:
 @dataclass(frozen=True)
 class _ScanPlan:
     """What a scan needs of the cascade, the image shape, ``scale_factor``
-    and ``step``: the levels, their window lattices and each stage's reads."""
+    and ``step``: the levels, their window lattices and each stage's reads;
+    and the workspace that every scan with the plan refills."""
 
     sizes: np.ndarray  # (levels,) window side
     steps: list[int]  # per level, the lattice step
@@ -148,6 +161,16 @@ class _ScanPlan:
     # row, and the float64 (corners, stumps) weights times the polarities
     stages: list[list[tuple[int, np.ndarray, np.ndarray]]]
     weight_l1: int  # largest L1 norm of a stump's weight column
+    # the workspace: the image's tables (refilled by integral_set), the skin
+    # table (in the memory of the first float64 table), the float64 copies of
+    # the tables by kind, and the index and gather blocks of block_rows
+    # windows times the widest stage read
+    tables: IntegralSet
+    skin: np.ndarray
+    flats: list[np.ndarray]
+    block_rows: int
+    index: np.ndarray
+    gather: np.ndarray
 
 
 def _compiled(cascade: Cascade, size: int) -> dict[int, Corners]:
@@ -177,7 +200,8 @@ def _compiled(cascade: Cascade, size: int) -> dict[int, Corners]:
 
 def _scan_plan(cascade: Cascade, iset: IntegralSet, scale_factor: float, step: int) -> _ScanPlan:
     """The cascade's plan for the image of ``iset``, built on the first scan
-    of a new shape, ``scale_factor`` or ``step``, which it replaces."""
+    of a new shape, ``scale_factor`` or ``step``, which it replaces; a new
+    plan keeps ``iset`` as its tables."""
     rows, cols = iset.grid.shape
     key = ((rows - 1, cols - 1), scale_factor, step)
     if key in cascade.plan:
@@ -218,24 +242,36 @@ def _scan_plan(cascade: Cascade, iset: IntegralSet, scale_factor: float, step: i
             if lo < hi:
                 stages[k].append((kind, offsets[:, lo:hi].copy(), coef[lo:hi, first[k] : first[k + 1]].astype(np.float64)))
     weight_l1 = max((int(np.abs(coef).sum(axis=0).max()) for reads in stages for _, _, coef in reads), default=0)
+    widest = max((offsets.shape[1] for reads in stages for _, offsets, _ in reads), default=0)
+    flats = [np.empty(t.size) for t in (iset.grid, iset.planes) if t is not None]
+    # the gate reads the skin table before the upright float64 table is
+    # filled, so the skin table lives in that table's memory
+    skin = flats[0].view(np.int64).reshape(iset.grid.shape)
     cascade.plan.clear()
-    plan = cascade.plan[key] = _ScanPlan(np.array(sizes), steps, np.cumsum([0, *counts]).tolist(), bases, stages, weight_l1)
+    plan = cascade.plan[key] = _ScanPlan(
+        np.array(sizes), steps, np.cumsum([0, *counts]).tolist(), bases, stages, weight_l1,
+        iset, skin, flats, SCAN_ROWS, np.empty(SCAN_ROWS * widest, dtype=np.int64), np.empty(SCAN_ROWS * widest),
+    )
     return plan
 
 
-def _stage_margins(plan: _ScanPlan, k: int, stage: Stage, tables: list, win: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _stage_margins(plan: _ScanPlan, k: int, stage: Stage, win: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Margins of ``stage``, the cascade's stage ``k``, at the plan's windows
-    ``win`` (not empty) of pixel sigma ``sigma``, from the image's flat
-    float64 ``tables`` by kind: per kind, one gather over the windows of
-    every level and one product, in blocks of SCAN_ROWS windows."""
-    reads = [(tables[kind], *(a[win] for a in plan.bases[kind]), offsets, coef) for kind, offsets, coef in plan.stages[k]]
+    ``win`` (not empty) of pixel sigma ``sigma``, from the plan's flat
+    float64 tables: per block of ``plan.block_rows`` windows and table kind,
+    one gather through the plan's index and gather blocks and one product."""
+    reads = [(plan.flats[kind], *(a[win] for a in plan.bases[kind]), offsets, coef) for kind, offsets, coef in plan.stages[k]]
     responses = np.zeros((win.size, len(stage.stumps)))
-    for lo in range(0, win.size, SCAN_ROWS):
-        block = responses[lo : lo + SCAN_ROWS]
+    for lo in range(0, win.size, plan.block_rows):
+        block = responses[lo : lo + plan.block_rows]
         for flat, origin, row, offsets, coef in reads:
-            index = offsets.take(row[lo : lo + SCAN_ROWS], axis=0)
-            index += origin[lo : lo + SCAN_ROWS, None]
-            block += flat.take(index) @ coef
+            shape = (len(block), offsets.shape[1])
+            index = plan.index[: shape[0] * shape[1]].reshape(shape)
+            # mode="clip" writes straight into out (every index is in range);
+            # the default mode would buffer it
+            offsets.take(row[lo : lo + plan.block_rows], axis=0, out=index, mode="clip")
+            index += origin[lo : lo + plan.block_rows, None]
+            block += flat.take(index, out=plan.gather[: index.size].reshape(shape), mode="clip") @ coef
     responses /= sigma[:, None]
     votes = np.zeros(win.size)
     for (wc, alpha), response in zip(stage.stumps, responses.T):
@@ -264,14 +300,15 @@ def detect_multiscale_counted(
         raise ValueError("step must be >= 1")
     img = np.asarray(img)
     tilted = any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps)
-    iset = integral_set(img, with_tilted=tilted)
-    skin_table = None
+    # a plan for this shape and these parameters has the tables to refill
+    plan = cascade.plan.get((img.shape, scale_factor, step))
+    iset = integral_set(img, with_tilted=tilted, out=None if plan is None else plan.tables)
     if skin is not None:
         skin = np.asarray(skin)
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
-        skin_table = upright_table(skin > 0)
     plan = _scan_plan(cascade, iset, scale_factor, step)
+    skin_table = None if skin is None else upright_table(skin > 0, out=plan.skin)
     stats = ScanStats(plan.starts[-1], stage_windows=[0] * (len(cascade.stages) + 1))
     # the gated windows of every level, in scan order, and their sigma
     win, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
@@ -292,13 +329,14 @@ def detect_multiscale_counted(
             "reaches 2**53: float64 stage products would not be exact"
         )
     # every table value is a sum of pixels, exact in float64 below 2**53
-    tables = [t.astype(np.float64).ravel() for t in (iset.grid, iset.planes) if t is not None]
+    for flat, table in zip(plan.flats, (iset.grid, iset.planes)):
+        flat.reshape(table.shape)[...] = table
     score = np.zeros(win.size)
     for k, stage in enumerate(cascade.stages):
         stats.stage_windows[k] = win.size
         if win.size == 0:
             break
-        score = _stage_margins(plan, k, stage, tables, win, sigma)
+        score = _stage_margins(plan, k, stage, win, sigma)
         passed = score >= 0
         win, sigma, score = win[passed], sigma[passed], score[passed]
     stats.stage_windows[-1] = stats.accepted_windows = win.size

@@ -3,6 +3,12 @@
 Arrays are indexed [row, col]. Grayscale images are (H, W) uint8, RGB and
 YCbCr images are (H, W, 3) uint8, binary masks are (H, W) uint8 with values
 in {0, 1}. All functions are pure; inputs are never modified in place.
+
+The colour conversions work in row bands of ``BAND_PIXELS`` pixels (16
+rows of a 320-pixel image, at least one row): each band's float64 planes
+are 40 KB, small enough that the allocator serves them from memory it
+already holds, and only the 8-bit output is image-sized. Both conversions
+are elementwise, so a band's values are those of the whole image.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ __all__ = [
     "draw_boxes",
 ]
 
+# pixels per row band of the colour conversions and of skin.sobel_edges
+BAND_PIXELS = 16 * 320
+
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
     # half-up rounding, then clamp into the 8-bit range
@@ -45,24 +54,39 @@ def _require_gray(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def row_bands(height: int, width: int):
+    """(first, stop) rows of the bands that cover ``height`` rows of
+    ``width`` pixels, ``BAND_PIXELS // width`` rows each (at least one)."""
+    rows = max(1, BAND_PIXELS // max(width, 1))
+    return ((lo, min(lo + rows, height)) for lo in range(0, height, rows))
+
+
 def _luma(img: np.ndarray):
     """R, G, B as float64 and the unrounded BT.601 luma 0.299 R + 0.587 G + 0.114 B."""
-    img = _require_color(img)
     r, g, b = (img[..., c].astype(np.float64) for c in range(3))
     return r, g, b, 0.299 * r + 0.587 * g + 0.114 * b
 
 
 def to_grayscale(img: np.ndarray) -> np.ndarray:
     """Full-range BT.601 luma, rounded: the Y plane of ``rgb_to_ycbcr``."""
-    return _round_u8(_luma(img)[3])
+    img = _require_color(img)
+    out = np.empty(img.shape[:2], dtype=np.uint8)
+    for lo, hi in row_bands(*out.shape):
+        out[lo:hi] = _round_u8(_luma(img[lo:hi])[3])
+    return out
 
 
 def rgb_to_ycbcr(img: np.ndarray) -> np.ndarray:
     """Full-range BT.601 RGB -> YCbCr, rounded and clamped per channel."""
-    r, g, b, y = _luma(img)
-    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-    return np.stack([_round_u8(y), _round_u8(cb), _round_u8(cr)], axis=-1)
+    img = _require_color(img)
+    out = np.empty(img.shape, dtype=np.uint8)
+    for lo, hi in row_bands(*img.shape[:2]):
+        r, g, b, y = _luma(img[lo:hi])
+        cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+        cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+        for c, plane in enumerate((y, cb, cr)):
+            out[lo:hi, :, c] = _round_u8(plane)
+    return out
 
 
 def downscale(img: np.ndarray, factor: int) -> np.ndarray:

@@ -16,10 +16,15 @@ an axis-aligned box on one colour of the checkerboard lattice, so there is
 one summed-area table per pixel parity p, the leading block of plane p of
 one (2, U, V) buffer; a tilted sum is then again four table lookups.
 Accumulators are int64 throughout: squared 8-bit sums overflow 32 bits
-already on megapixel images.
+already on megapixel images. The tables are built from the image's own
+pixels, cast into the tables' interiors (and squared there), never from an
+int64 copy of the image; :func:`integral_set` can refill an earlier set of
+the same shape in place, which the scan does with the tables its per-shape
+plan keeps.
 
 Every table may carry leading sample axes: the functions here take an
-(H, W) image or an (..., H, W) stack of equal-sized images alike.
+(H, W) image or an (..., H, W) stack of equal-sized images alike, on one
+code path.
 """
 
 from __future__ import annotations
@@ -53,13 +58,33 @@ class IntegralSet:
         return out
 
 
-def upright_table(img: np.ndarray) -> np.ndarray:
-    """int64 summed-area table of an (H, W) image, or of a stack (..., H, W)."""
-    h, w = img.shape[-2:]
-    grid = np.zeros(img.shape[:-2] + (h + 1, w + 1), dtype=np.int64)
-    np.cumsum(img, axis=-2, dtype=np.int64, out=grid[..., 1:, 1:])
-    np.cumsum(grid[..., 1:, 1:], axis=-1, out=grid[..., 1:, 1:])
-    return grid
+def _prefix_sums(table: np.ndarray) -> None:
+    """Summed-area sums of the last two axes of an int64 array, in place."""
+    np.cumsum(table, axis=-2, out=table)
+    np.cumsum(table, axis=-1, out=table)
+
+
+def _fill(table: np.ndarray, img: np.ndarray, square: bool = False) -> np.ndarray:
+    """Write the summed-area table of ``img`` (of its squares if ``square``)
+    into the int64 ``table`` of one more row and column: the pixels are cast
+    into its interior as ``astype(np.int64)`` casts them, and squared there,
+    so no int64 copy of the image is made."""
+    table[..., 0, :] = 0
+    table[..., :, 0] = 0
+    inner = table[..., 1:, 1:]
+    inner[...] = img
+    if square:
+        np.multiply(table, table, out=table)  # the zero row and column stay zero
+    _prefix_sums(inner)
+    return table
+
+
+def upright_table(img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """int64 summed-area table of an (H, W) image, or of a stack (..., H, W);
+    written into ``out`` of shape (..., H + 1, W + 1) when given."""
+    if out is None:
+        out = np.empty(img.shape[:-2] + (img.shape[-2] + 1, img.shape[-1] + 1), dtype=np.int64)
+    return _fill(out, img)
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,27 +110,34 @@ def _tilted_scatter(h: int, w: int) -> tuple[np.ndarray, tuple[int, int, int], i
     return index, shape, voff
 
 
-def _tilted_planes(img: np.ndarray) -> tuple[np.ndarray, int]:
-    """The (..., 2, U, V) tilted planes of an image or stack, with one
-    scatter for the whole stack, and voff."""
-    index, shape, voff = _tilted_scatter(*img.shape[-2:])
-    lead = img.shape[:-2]
-    g = np.zeros(lead + shape, dtype=np.int64)
-    g.reshape(lead + (-1,))[..., index] = img.reshape(lead + (-1,))
-    np.cumsum(g, axis=-2, out=g)
-    np.cumsum(g, axis=-1, out=g)
-    return g, voff
-
-
-def integral_set(img: np.ndarray, with_tilted: bool = True) -> IntegralSet:
+def integral_set(img: np.ndarray, with_tilted: bool = True, out: IntegralSet | None = None) -> IntegralSet:
     """The upright tables, with squares, and optionally the tilted planes of
-    an (H, W) image or an (..., H, W) stack."""
+    an (H, W) image or an (..., H, W) stack, built from the image's own
+    pixels without an int64 copy of them.
+
+    With ``out``, an earlier result for an image of the same shape and
+    ``with_tilted``, the tables are refilled in place and ``out`` is
+    returned; otherwise the arrays are new.
+    """
     img = np.asarray(img)
     if img.ndim < 2 or img.size == 0:
         raise ValueError("expected a non-empty (H, W) image or (..., H, W) stack")
-    vals = img.astype(np.int64)
-    planes, voff = _tilted_planes(vals) if with_tilted else (None, 0)
-    return IntegralSet(upright_table(vals), upright_table(vals * vals), planes, voff)
+    lead, (h, w) = img.shape[:-2], img.shape[-2:]
+    index, shape, voff = _tilted_scatter(h, w) if with_tilted else (None, None, 0)
+    if out is None:
+        grid = lead + (h + 1, w + 1)
+        planes = np.empty(lead + shape, dtype=np.int64) if with_tilted else None
+        out = IntegralSet(np.empty(grid, dtype=np.int64), np.empty(grid, dtype=np.int64), planes, voff)
+    elif out.grid.shape != lead + (h + 1, w + 1) or (out.planes is not None) != with_tilted:
+        raise ValueError("the tables to refill were built for another image shape or without the same planes")
+    _fill(out.grid, img)
+    _fill(out.sq, img, square=True)
+    if with_tilted:
+        # one scatter for the whole stack, into zeroed planes
+        out.planes.fill(0)
+        out.planes.reshape(lead + (-1,))[..., index] = img.reshape(lead + (-1,))
+        _prefix_sums(out.planes)
+    return out
 
 
 def window_sums(grid: np.ndarray, size: int, step: int) -> np.ndarray:

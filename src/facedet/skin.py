@@ -4,7 +4,10 @@ Classifies skin pixels by Cb/Cr interval tests, sharpens blob boundaries
 with Sobel edges, cleans the mask with 3x3 morphology, and extracts
 candidate regions. Sobel and the 3x3 square structuring element are both
 separable, so each runs as a row pass then a column pass over shifted slices
-(exact int64 sums for Sobel, elementwise max/min for dilation/erosion).
+(exact integer sums for Sobel, elementwise max/min for dilation/erosion).
+Sobel runs in the row bands of :func:`facedet.images.row_bands`, each band
+reading one halo row above and one below, so its integer planes stay a few
+tens of KB at any image height.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import PipelineConfig
+from .images import row_bands
 
 __all__ = [
     "Region",
@@ -60,16 +64,20 @@ def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
         raise ValueError("Sobel needs an image of at least 3x3")
-    # Sobel = [1, 2, 1] smoothing along one axis times [-1, 0, 1] difference
-    # along the other; 8-bit pixels give gx^2 + gy^2 <= 2 * 1020^2 < 2^31
-    src = gray.astype(np.int32 if gray.dtype.itemsize == 1 else np.int64)
-    smooth_y = src[:-2] + 2 * src[1:-1] + src[2:]
-    gx = smooth_y[:, 2:] - smooth_y[:, :-2]
-    smooth_x = src[:, :-2] + 2 * src[:, 1:-1] + src[:, 2:]
-    gy = smooth_x[2:] - smooth_x[:-2]
-    mag2 = gx * gx + gy * gy
+    # 8-bit pixels give gx^2 + gy^2 <= 2 * 1020^2 < 2^31
+    dtype = np.int32 if gray.dtype.itemsize == 1 else np.int64
+    h, w = gray.shape
     out = np.zeros(gray.shape, dtype=np.uint8)
-    out[1:-1, 1:-1] = (mag2 > threshold * threshold).astype(np.uint8)
+    # output rows lo + 1 .. hi, from input rows lo .. hi + 1 (a halo row each side)
+    for lo, hi in row_bands(h - 2, w):
+        src = gray[lo : hi + 2].astype(dtype)
+        # Sobel = [1, 2, 1] smoothing along one axis times [-1, 0, 1]
+        # difference along the other
+        smooth_y = src[:-2] + 2 * src[1:-1] + src[2:]
+        gx = smooth_y[:, 2:] - smooth_y[:, :-2]
+        smooth_x = src[:, :-2] + 2 * src[:, 1:-1] + src[:, 2:]
+        gy = smooth_x[2:] - smooth_x[:-2]
+        out[lo + 1 : hi + 1, 1:-1] = gx * gx + gy * gy > threshold * threshold
     return out
 
 

@@ -12,7 +12,9 @@ over the whole matrix at once, in one process. The package matches and
 sweeps boxes as :class:`facedet.detect.Detections` columns through one
 array IoU; :func:`match_detections_oracle` and :func:`roc_sweep_oracle`
 take lists of :class:`facedet.detect.Detection` rows and call the scalar
-:func:`facedet.detect.iou` per pair, once per threshold.
+:func:`facedet.detect.iou` per pair, once per threshold. The package
+converts colours in row bands; :func:`to_grayscale_oracle` and
+:func:`rgb_to_ycbcr_oracle` convert the whole image at once.
 
 The last section holds code that only tests call, moved out of the
 package: the pixel-wise segmentation scorer and its table, the fixed
@@ -327,6 +329,28 @@ def resize_bilinear_oracle(img, out_h, out_w):
     top = tl + (tr - tl) * fx
     bot = bl + (br - bl) * fx
     return _round_u8(top + (bot - top) * fy)
+
+
+def _rgb_planes(img):
+    """R, G, B of a whole colour image as float64 planes."""
+    img = _require_color(img)
+    return (img[..., c].astype(np.float64) for c in range(3))
+
+
+def to_grayscale_oracle(img):
+    """Full-range BT.601 luma of the whole image in one expression, rounded."""
+    r, g, b = _rgb_planes(img)
+    return _round_u8(0.299 * r + 0.587 * g + 0.114 * b)
+
+
+def rgb_to_ycbcr_oracle(img):
+    """Full-range BT.601 RGB -> YCbCr of the whole image, one expression per
+    channel, rounded and clamped, stacked."""
+    r, g, b = _rgb_planes(img)
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
+    cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
+    return np.stack([_round_u8(y), _round_u8(cb), _round_u8(cr)], axis=-1)
 
 
 def coarse_histogram(labels):

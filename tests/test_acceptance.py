@@ -14,18 +14,18 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from facedet.boost import Cascade, save_cascade, train_stage
+from facedet.boost import Cascade, load_cascade, save_cascade, train_stage
 from facedet.detect import detect_multiscale_counted, iou
 from facedet.evaluate import match_detections, roc_sweep
 from facedet.haar import KINDS, enumerate_kind
 from facedet.images import resize_bilinear, rgb_to_ycbcr
 from facedet.integral import integral_set
 from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
-from facedet.netpbm import write_pgm
-from facedet.pipeline import summarize
+from facedet.netpbm import write_pgm, write_ppm
+from facedet.pipeline import detect_faces, read_scene, summarize
 from facedet.skin import classify_skin
-from facedet.svm import save_svm
-from facedet.synthetic import Experiment, _place, render_color_scene, render_scene
+from facedet.svm import load_svm, save_svm
+from facedet.synthetic import Experiment, _place, experiment_config, render_color_scene, render_scene
 from facedet.validate import decision_values, validate_detections
 from facedet.cli import main as cli_main
 from oracles import (
@@ -345,6 +345,30 @@ def test_fixture_cascade_is_the_benchmark_reference(experiment, tmp_path):
     assert sha256_file(tmp_path / "cascade.txt") == reference["cascade_sha256"]
     assert sha256_file(tmp_path / "svm.txt") == reference["svm_sha256"]
     assert experiment["config"].svm_threshold == reference["threshold"]
+
+
+# sha256 of "scene x y w h score" lines, score as repr(float), of the validated
+# detections on the first 10 seed-7 colour scenes with the reference models
+COLOUR_PATH_SHA256 = "e036a69ca600c09c296a4c1d3862faa5ec06d4ae9e7eb9e8fa820cce74ae1e6d"
+
+
+def test_colour_path_detections_are_pinned(tmp_path):
+    # what facedet detect does to a colour image: read, segment (skin gate
+    # and gray plane), gated scan, merge, validation
+    reference = json.loads(REFERENCE.read_text(encoding="ascii"))
+    cascade = load_cascade(REFERENCE.parent / "cascade.txt")
+    svm = load_svm(REFERENCE.parent / "svm.txt")
+    config = experiment_config(reference["seed"]).override(svm_threshold=reference["threshold"])
+    rng = np.random.default_rng(reference["seed"])
+    lines = []
+    for i in range(10):
+        rgb, _ = render_color_scene(rng, 320, 240, n_faces=3)
+        write_ppm(tmp_path / f"scene_{i}.ppm", rgb)
+        _img, gray, skin = read_scene(str(tmp_path / f"scene_{i}.ppm"), config)
+        dets, _ = detect_faces(gray, cascade, config, skin=skin, svm=svm)
+        lines += [f"{i} {d.x} {d.y} {d.w} {d.h} {d.score!r}\n" for d in dets]
+    assert len(lines) == 82
+    assert hashlib.sha256("".join(lines).encode("ascii")).hexdigest() == COLOUR_PATH_SHA256
 
 
 def run_experiment_script(experiment, argv, **replaced):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facedet import detect
-from facedet.boost import Cascade, Stage, WeakClassifier, train_cascade
+from facedet.boost import Cascade, Stage, WeakClassifier, load_cascade, train_cascade
 from facedet.detect import (
     MERGE_ROWS,
     SCAN_ROWS,
@@ -21,6 +22,7 @@ from facedet.detect import (
 )
 from facedet.haar import KINDS, compile_features, enumerate_kind
 from facedet.integral import integral_set
+from facedet.synthetic import render_scene
 from oracles import _tilted_sums, _upright_sums, as_detections, classify_window, eval_feature, scaled_parts
 
 
@@ -379,7 +381,11 @@ class TestCompiledScan:
         img = toy_scene(np.random.default_rng(34))[0]
         with mock.patch.object(detect, "integral_set", wraps=detect.integral_set) as build:
             detect_multiscale_counted(toy_cascade, img)
-        build.assert_called_once_with(img, with_tilted=False)
+        # one build per scan, into the plan's tables when the shape was scanned before
+        build.assert_called_once()
+        assert build.call_args.args[0] is img and build.call_args.kwargs["with_tilted"] is False
+        ((_, plan),) = toy_cascade.plan.items()
+        assert plan.tables.planes is None and len(plan.flats) == 1
 
 
 def pyramid_sizes(base, limit, scale_factor=1.25):
@@ -515,6 +521,62 @@ class TestExactProducts:
         huge = self.with_plan(toy_cascade, img, scaled, step=2)
         with pytest.raises(ValueError, match="would not be exact"):
             detect_multiscale_counted(huge, img)
+
+
+REFERENCE_CASCADE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cascade.txt"
+
+
+class TestWorkspace:
+    """The plan's workspace (tables, skin table, float64 tables, index and
+    gather blocks) carries nothing from one scan to the next: every scan
+    equals the scan of a fresh copy of the cascade, whose plan is empty."""
+
+    @pytest.fixture(params=["reference", "tilted toy"])
+    def model(self, request):
+        """A cascade, two images of one shape and one of another, and two skin masks."""
+        rng = np.random.default_rng(41)
+        if request.param == "reference":
+            cascade = load_cascade(REFERENCE_CASCADE)
+            a, b = (render_scene(rng, n_faces=2).gray for _ in range(2))
+        else:
+            cascade = mixed_cascade()
+            a, b = (rng.integers(0, 256, size=(31, 47)).astype(np.uint8) for _ in range(2))
+        other = b[:, : b.shape[1] - 9]  # another shape, and a strided view
+        # random skin that most windows pass, and skin on the left half only
+        skin = (rng.random(a.shape) < 0.7).astype(np.uint8)
+        skin_b = np.zeros_like(skin)
+        skin_b[:, : a.shape[1] // 2] = 1
+        return cascade, a, b, other, (skin, skin_b)
+
+    @staticmethod
+    def assert_scans_equal_fresh_ones(cascade, scans):
+        """Each (image, skin) scan of ``cascade``, in order, equals that of a fresh copy."""
+        for img, skin in scans:
+            got = detect_multiscale_counted(cascade, img, skin)
+            fresh = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
+            want = detect_multiscale_counted(fresh, img, skin)
+            assert got == want
+            assert want[1].evaluated_windows > 0
+
+    def test_same_shape_a_b_a(self, model):
+        cascade, a, b, _, (skin, skin_b) = model
+        self.assert_scans_equal_fresh_ones(cascade, [(a, skin), (b, skin_b), (a, skin)])
+        assert detect_multiscale_counted(cascade, a)[1].accepted_windows > 0
+
+    def test_gated_ungated_gated(self, model):
+        cascade, a, _, _, (skin, _) = model
+        self.assert_scans_equal_fresh_ones(cascade, [(a, skin), (a, None), (a, skin)])
+
+    def test_first_scan_after_a_shape_change(self, model):
+        cascade, a, _, other, (skin, _) = model
+        self.assert_scans_equal_fresh_ones(cascade, [(a, skin), (other, None), (a, None), (a, skin)])
+
+    def test_first_scan_after_an_inexact_image_is_refused(self, model):
+        cascade, a, _, _, (skin, skin_b) = model
+        self.assert_scans_equal_fresh_ones(cascade, [(a, skin)])
+        with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
+            detect_multiscale_counted(cascade, a.astype(np.int64) << 40, skin_b)
+        self.assert_scans_equal_fresh_ones(cascade, [(a, skin), (a, None)])
 
 
 class TestStageAttrition:

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from facedet.images import (
+    BAND_PIXELS,
     downscale,
     histogram_equalization,
     median_filter,
     resize_bilinear,
     resize_boxes,
     rgb_to_ycbcr,
+    row_bands,
     to_grayscale,
 )
-from oracles import resize_bilinear_oracle, ycbcr_to_rgb
+from oracles import resize_bilinear_oracle, rgb_to_ycbcr_oracle, to_grayscale_oracle, ycbcr_to_rgb
 
 rgb_images = arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12), st.just(3)))
 gray_images = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)))
@@ -74,6 +76,37 @@ class TestYCbCr:
     def test_y_plane_is_grayscale(self, img):
         # segment_image feeds Sobel from the Y plane in place of to_grayscale
         assert np.array_equal(rgb_to_ycbcr(img)[..., 0], to_grayscale(img))
+
+
+class TestRowBands:
+    def test_bands_cover_every_row_once(self):
+        for height, width in [(1, 1), (240, 320), (17, 641), (5, BAND_PIXELS + 1), (0, 3)]:
+            bands = list(row_bands(height, width))
+            stops = [0] + [hi for _, hi in bands]
+            assert [lo for lo, _ in bands] == stops[:-1] and stops[-1] == height
+            assert all(0 < (hi - lo) * width <= max(BAND_PIXELS, width) for lo, hi in bands)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 33, 320, 641, BAND_PIXELS + 1])
+    @given(
+        # height = bands * band + rows: 1, band - 1, band, band + 1, 2 * band + 3
+        st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]),
+        st.sampled_from(["contiguous", "rows reversed", "every other column"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_banded_conversions_equal_the_whole_image_property(self, width, height_in_bands, layout, extremes, seed):
+        _, band = next(row_bands(2**31, width))  # rows per band at this width
+        bands, rows = height_in_bands
+        height = max(1, bands * band + rows)
+        rng = np.random.default_rng(seed)
+        shape = (height, 2 * width if layout == "every other column" else width, 3)
+        img = rng.choice(np.array([0, 255], dtype=np.uint8), shape) if extremes else rng.integers(0, 256, shape, np.uint8)
+        img = {"contiguous": img, "rows reversed": img[::-1], "every other column": img[:, ::2]}[layout]
+        assert img.shape == (height, width, 3)
+        for got, want in [(to_grayscale(img), to_grayscale_oracle(img)), (rgb_to_ycbcr(img), rgb_to_ycbcr_oracle(img))]:
+            assert got.dtype == want.dtype == np.uint8
+            assert np.array_equal(got, want)
 
 
 class TestDownscale:

@@ -45,6 +45,36 @@ def assert_planes_match_oracle(planes, voff, img):
         assert np.array_equal(got, want)
 
 
+def int64_copy_oracle(img, with_tilted):
+    """The tables as first built: from an int64 copy of the image and an
+    int64 array of its squares, each into fresh zeroed arrays."""
+    vals = np.asarray(img).astype(np.int64)
+    lead, (h, w) = vals.shape[:-2], vals.shape[-2:]
+
+    def table(v):
+        grid = np.zeros(lead + (h + 1, w + 1), dtype=np.int64)
+        np.cumsum(v, axis=-2, out=grid[..., 1:, 1:])
+        np.cumsum(grid[..., 1:, 1:], axis=-1, out=grid[..., 1:, 1:])
+        return grid
+
+    planes, voff = None, 0
+    if with_tilted:
+        index, shape, voff = _tilted_scatter(h, w)
+        planes = np.zeros(lead + shape, dtype=np.int64)
+        planes.reshape(lead + (-1,))[..., index] = vals.reshape(lead + (-1,))
+        np.cumsum(planes, axis=-2, out=planes)
+        np.cumsum(planes, axis=-1, out=planes)
+    return table(vals), table(vals * vals), planes, voff
+
+
+def assert_sets_equal(got, want):
+    grid, sq, planes, voff = want
+    assert got.grid.dtype == got.sq.dtype == np.int64
+    assert np.array_equal(got.grid, grid) and np.array_equal(got.sq, sq) and got.voff == voff
+    assert (got.planes is None) == (planes is None)
+    assert got.planes is None or (got.planes.dtype == np.int64 and np.array_equal(got.planes, planes))
+
+
 def brute_prefix(img, x, y):
     return int(img[:y, :x].sum())
 
@@ -232,6 +262,45 @@ class TestStacks:
         for j, y in enumerate(range(0, 17 - size + 1, step)):
             for i, x in enumerate(range(0, 23 - size + 1, step)):
                 assert got[j, i] == window_sigma_oracle(iset, x, y, size)
+
+    @given(
+        st.sampled_from([np.uint8, np.bool_, np.uint16, np.int64]),
+        st.sampled_from([(), (3,)]),
+        st.integers(1, 13),
+        st.integers(1, 13),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_built_from_any_integer_pixels_equals_the_int64_copy_oracle(self, dtype, lead, h, w, with_tilted, seed):
+        rng = np.random.default_rng(seed)
+        top = {np.uint8: 256, np.bool_: 2, np.uint16: 2**16, np.int64: 2**24}[dtype]
+        img = rng.integers(0, top, size=lead + (h, w)).astype(dtype)
+        assert_sets_equal(integral_set(img, with_tilted), int64_copy_oracle(img, with_tilted))
+        # a non-contiguous view of the pixels
+        view = np.repeat(img, 2, axis=-1)[..., ::2]
+        assert_sets_equal(integral_set(view, with_tilted), int64_copy_oracle(img, with_tilted))
+
+    @given(st.sampled_from([(), (2,)]), st.integers(1, 12), st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_a_refill_equals_a_fresh_build(self, lead, h, w, with_tilted, seed):
+        rng = np.random.default_rng(seed)
+        first, second = (rng.integers(0, 256, size=lead + (h, w), dtype=np.uint8) for _ in range(2))
+        tables = integral_set(first, with_tilted)
+        arrays_before = [a for a in (tables.grid, tables.sq, tables.planes) if a is not None]
+        refilled = integral_set(second, with_tilted, out=tables)
+        assert refilled is tables
+        assert all(a is b for a, b in zip(arrays_before, (tables.grid, tables.sq, tables.planes)))
+        assert_sets_equal(refilled, int64_copy_oracle(second, with_tilted))
+        # without out, every build has arrays of its own
+        again = integral_set(first, with_tilted)
+        assert not any(np.shares_memory(a, b) for a, b in zip((again.grid, again.sq), (tables.grid, tables.sq)))
+
+    def test_refill_of_another_shape_or_table_set_is_refused(self):
+        tables = integral_set(np.zeros((4, 5), dtype=np.uint8), with_tilted=False)
+        for img, with_tilted in [(np.zeros((5, 4)), False), (np.zeros((2, 4, 5)), False), (np.zeros((4, 5)), True)]:
+            with pytest.raises(ValueError, match="refill"):
+                integral_set(img, with_tilted, out=tables)
 
     def test_upright_table_is_the_set_grid(self):
         mask = np.random.default_rng(3).integers(0, 2, size=(9, 13)) > 0

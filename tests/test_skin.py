@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from facedet.config import PipelineConfig
+from facedet.images import BAND_PIXELS, row_bands
 from facedet.skin import (
     Region,
     _dilate3,
@@ -116,8 +117,10 @@ class TestSobel:
 
     @given(
         st.data(),
-        st.integers(3, 24),
-        st.integers(3, 24),
+        st.integers(3, 40),
+        # narrow images are one band; at 320, 641 and BAND_PIXELS // 2 + 1
+        # pixels a band is 16, 7 and 1 rows, so taller images cross two and more
+        st.one_of(st.integers(3, 24), st.sampled_from([320, 641, BAND_PIXELS // 2 + 1])),
         st.sampled_from(["random", "extremes", "steps", "checkerboard"]),
         st.one_of(st.floats(0.0, 1500.0, allow_nan=False), st.sampled_from([0.0, 1020.0, 1140.0, 1442.0])),
     )
@@ -145,6 +148,21 @@ class TestSobel:
     def test_rejects_tiny_images(self):
         with pytest.raises(ValueError):
             sobel_edges(np.zeros((2, 5), dtype=np.uint8), 10)
+
+    @pytest.mark.parametrize("width", [3, 320, 641])
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_band_seams_match_the_oracle(self, width, extra, dtype):
+        # band + 1, + 2 and + 3 rows: the last output row of the first band,
+        # the first of the second, and a second band of two rows; each band
+        # reads one halo row above and below, and wider pixels take int64
+        _, band = next(row_bands(2**31, width))
+        rng = np.random.default_rng(band + extra)
+        scale = 1 if dtype == np.uint8 else 1000
+        img = (rng.choice([0, 255], size=(band + extra, width)) * scale).astype(dtype)
+        img[rng.random(img.shape) < 0.5] = rng.integers(0, 256) * scale
+        for threshold in (0.0, 100.0, 1020.0 * scale):
+            assert np.array_equal(sobel_edges(img, threshold), sobel_oracle(img, threshold))
 
 
 class TestMorphology:
