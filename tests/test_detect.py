@@ -298,7 +298,8 @@ class TestCompiledScan:
         if binary:
             assert got == scan_oracle(cascade, img, *args, variance_norm=False)
 
-    @pytest.mark.parametrize("block", [1, 3, SCAN_ROWS])
+    # the default block, and 4096: a block larger than the default and than every level
+    @pytest.mark.parametrize("block", sorted({1, 3, SCAN_ROWS, 4096}))
     def test_tilted_cascade_over_gated_levels_with_gaps(self, block):
         # base 10, step 3, scale 1.1 on 31 x 31: the size-k windows reach the
         # last row and column iff (31 - k) % step_k == 0
