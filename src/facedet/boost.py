@@ -7,9 +7,15 @@ vote reaches the stage threshold (default: half the total alpha, lowered
 after every boosting round until the detection-rate target is met on the
 training positives).
 
-The (F, N) value matrix of a stage is one compiled program
+The (F, N) value matrix of a set of samples is one compiled program
 (:func:`facedet.haar.compile_features`) applied to the stacked integral
 tables of all samples: one sparse product, divided by the samples' sigma.
+A training holds one (F, P + N) float64 matrix, N the negative target (58
+MB for the experiment's 2,500 features and 2,911 tiles). Each sample's
+column is computed once, into it: the positives' first, then the
+negatives'. After each stage the surviving negatives' columns move up,
+in order, behind the positives', the mined negatives' columns follow them,
+and the next stage trains on the leading P + n columns, a view.
 
 Stump search is a single sorted sweep per feature over the value matrix,
 whose sort order is computed once per stage. The order is numpy's default
@@ -40,7 +46,10 @@ which is exact for finite weights.
 
 Hard-negative mining scans the background pool with the cascade trained so
 far, picks accepted windows round-robin across the images, and crops and
-resizes only the picks. It runs only when another stage follows.
+resizes only the picks. It runs only when another stage follows. Each pool
+image keeps one :class:`facedet.detect.LiveWindows` record for the whole
+training, so each mining runs only the newest stage over the windows that
+passed the earlier ones: a window an earlier stage rejected stays rejected.
 """
 
 from __future__ import annotations
@@ -429,15 +438,20 @@ def feature_value_matrix(
     features: Sequence[HaarFeature],
     samples: list[np.ndarray],
     program: _MatrixProgram | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(F, N) responses of every feature on every base-window sample.
+    """(F, N) responses of every feature on every base-window sample, in
+    ``out`` if given (any float64 array of that shape, such as a column
+    slice of a wider matrix), which is returned.
 
     The features are compiled into one program at the base size, or
     ``program`` is their program from an earlier call, and the responses are
     one sparse product of its weights with the table corners it reads, per
     block of MATRIX_ROWS samples whose tables are built as one stack. The
     product runs in float64 on integers: every partial sum is an integer far
-    below 2**53 for 8-bit samples, so it equals the int64 sum exactly.
+    below 2**53 for 8-bit samples, so it equals the int64 sum exactly. Each
+    column depends on its own sample only, so it is the same bits in any
+    call.
     """
     if not samples:
         raise ValueError("no samples")
@@ -445,12 +459,18 @@ def feature_value_matrix(
     for i, sample in enumerate(samples):
         if sample.shape != (base, base):
             raise ValueError(f"sample {i} is {sample.shape}, expected {(base, base)}")
+    shape = (len(features), len(samples))
+    if out is None:
+        out = np.empty(shape)
+    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {got}")
     if program is None:
         program = _compile_matrix(features, base)
     elif program.size != base:
         raise ValueError(f"features compiled for {program.size} px samples, given {base} px ones")
-    out = np.zeros((len(features), len(samples)))
     if program.coef is None:
+        out[...] = 0.0
         return out
     tilted = any(c.table == 1 for c in program.corners)
     origin = np.zeros(1, dtype=np.int64)
@@ -469,20 +489,25 @@ def feature_value_matrix(
     return out
 
 
-def _mine_false_positives(cascade: Cascade, pool: list[np.ndarray], needed: int) -> list[np.ndarray]:
+def _mine_false_positives(
+    cascade: Cascade, pool: list[np.ndarray], needed: int, live: list | None = None
+) -> list[np.ndarray]:
     """Crop windows from pool images that the current cascade accepts,
     drawing evenly across the pool so one image cannot fill the quota.
 
     Each image contributes its first ``needed`` detections of a scan at
     step 3; picks go round-robin by rank in pool order, and only the picks
-    are cropped and resized.
+    are cropped and resized. ``live``, one
+    :class:`facedet.detect.LiveWindows` per pool image, carries each image's
+    scan from call to call, so a cascade that extends the last call's runs
+    only its new stages.
     """
     from .detect import detect_multiscale_counted
 
     base = cascade.base_window
     scanned = [
-        (img, detect_multiscale_counted(cascade, img, step=3)[0].boxes[:needed])
-        for img in pool
+        (img, detect_multiscale_counted(cascade, img, step=3, live=record)[0].boxes[:needed])
+        for img, record in zip(pool, live or [None] * len(pool))
         if min(img.shape) >= base
     ]
     longest = max((len(boxes) for _, boxes in scanned), default=0)
@@ -511,8 +536,11 @@ def train_cascade(
     After each stage the negatives it correctly rejects are dropped; when a
     background pool is supplied and another stage follows, they are replaced
     by windows the cascade still accepts there. Training halts early once no
-    negatives remain.
+    negatives remain. Every stage trains on columns of one value matrix, and
+    each sample's column is computed once (see the module docstring).
     """
+    from .detect import LiveWindows
+
     if not pos_samples or not neg_samples:
         raise ValueError("need non-empty positive and negative sample sets")
     features = generate_feature_set(base_window)
@@ -522,21 +550,22 @@ def train_cascade(
         features = [features[i] for i in chosen]
     # compiled once: every stage's matrix reads the same features
     program = _compile_matrix(features, base_window)
-    v_pos = feature_value_matrix(features, pos_samples, program=program)
-    negatives = list(neg_samples)
-    neg_target = len(negatives)
+    n_pos, neg_target = len(pos_samples), len(neg_samples)
+    # one (F, P + N) matrix: the positives' columns, then the live negatives'
+    matrix = np.empty((len(features), n_pos + neg_target))
+    feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos])
+    feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:])
+    labels = np.concatenate([np.ones(n_pos), -np.ones(neg_target)])
+    n_neg = neg_target
+    live = None if pool is None else [LiveWindows() for _ in pool]
     stages: list[Stage] = []
     metadata: list[tuple[float, float]] = []
-    labels_pos = np.ones(len(pos_samples))
     for _ in range(n_stages):
-        if not negatives:
+        if not n_neg:
             break
-        v_neg = feature_value_matrix(features, negatives, program=program)
-        values = np.concatenate([v_pos, v_neg], axis=1)
-        labels = np.concatenate([labels_pos, -np.ones(len(negatives))])
         result = train_stage(
-            values,
-            labels,
+            matrix[:, : n_pos + n_neg],
+            labels[: n_pos + n_neg],
             target_dr=target_dr,
             max_fpr=max_fpr,
             max_stumps=max_stumps,
@@ -544,12 +573,20 @@ def train_cascade(
         )
         stages.append(result.stage)
         metadata.append((result.detection_rate, result.false_positive_rate))
-        neg_scores = result.scores[len(pos_samples) :]
-        survivors = [s for s, sc in zip(negatives, neg_scores) if sc >= result.stage.threshold]
-        negatives = survivors
-        if pool is not None and len(negatives) < neg_target and len(stages) < n_stages:
+        # the survivors' columns move up, in order, behind the positives';
+        # by blocks of rows, so the gather's copy stays small
+        kept = n_pos + np.flatnonzero(result.scores[n_pos:] >= result.stage.threshold)
+        n_neg = kept.size
+        for lo in range(0, len(features), TASK_ROWS):
+            rows = matrix[lo : lo + TASK_ROWS]
+            rows[:, n_pos : n_pos + n_neg] = rows[:, kept]
+        if pool is not None and n_neg < neg_target and len(stages) < n_stages:
             current = Cascade(base_window, list(stages), list(metadata))
-            negatives.extend(_mine_false_positives(current, pool, neg_target - len(negatives)))
+            mined = _mine_false_positives(current, pool, neg_target - n_neg, live)
+            if mined:
+                end = n_pos + n_neg + len(mined)
+                feature_value_matrix(features, mined, program=program, out=matrix[:, n_pos + n_neg : end])
+                n_neg += len(mined)
     return Cascade(base_window, stages, metadata)
 
 

@@ -32,6 +32,16 @@ checks that this is below 2**53, so every sum is exact in any order.
 Dividing by sigma and adding the votes in stump order from 0.0 makes every
 margin bit-identical to a window-by-window evaluation.
 
+A :class:`LiveWindows` record carries one image's scan from call to call:
+the windows that passed the stages run so far, as plan indices (the same
+for every cascade of one base window at one shape, ``scale_factor`` and
+``step``), their sigma and last margins, and the stats. A scan by a
+cascade whose stages begin with the record's, of the same image,
+parameters and gate, runs only the further stages; any other record, or
+none, starts with the gate. Either way the stage loop is the same and the
+result is the full scan's. Training's hard-negative mining keeps one per
+pool image.
+
 Boxes travel as the (n, 4) ``Detections.boxes`` from the scan to the scoring.
 The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
 of ``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
@@ -50,7 +60,16 @@ from .boost import Cascade, Stage
 from .haar import Corners, compile_features
 from .integral import IntegralSet, integral_set, upright_table, window_sigma, window_sums
 
-__all__ = ["Detection", "Detections", "ScanStats", "detect_multiscale_counted", "merge_detections", "iou", "pairwise_iou"]
+__all__ = [
+    "Detection",
+    "Detections",
+    "LiveWindows",
+    "ScanStats",
+    "detect_multiscale_counted",
+    "merge_detections",
+    "iou",
+    "pairwise_iou",
+]
 
 
 # boxes per block of the pairwise IoU: a block's (rows, n) temporaries stay
@@ -280,6 +299,27 @@ def _stage_margins(plan: _ScanPlan, k: int, stage: Stage, win: np.ndarray, sigma
     return votes - stage.threshold
 
 
+@dataclass(eq=False)
+class LiveWindows:
+    """One image's scan by a cascade prefix, which a scan by a longer cascade
+    continues (see :func:`detect_multiscale_counted`).
+
+    It holds the plan indices of the windows that passed every stage in
+    ``stages``, in scan order, with their pixel sigma and the margins of the
+    last of those stages, and the ``ScanStats`` of a full scan by that
+    prefix. ``key`` names what the lattice and the gate were made from: the
+    image's shape and pixels, ``scale_factor``, ``step``, the base window and
+    the skin gate. A new record is empty: ``key`` is None.
+    """
+
+    key: tuple | None = None
+    stages: list[Stage] = field(default_factory=list)
+    win: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    sigma: np.ndarray = field(default_factory=lambda: np.empty(0))
+    score: np.ndarray = field(default_factory=lambda: np.empty(0))
+    stats: ScanStats = field(default_factory=ScanStats)
+
+
 def detect_multiscale_counted(
     cascade: Cascade,
     img: np.ndarray,
@@ -287,12 +327,20 @@ def detect_multiscale_counted(
     scale_factor: float = 1.25,
     step: int = 2,
     min_skin_fraction: float = 0.25,
+    live: LiveWindows | None = None,
 ) -> tuple[Detections, ScanStats]:
     """Scan all window placements and return accepted ones in scan order.
 
     Windows grow from the cascade base size by ``scale_factor`` per level;
     the pixel step grows proportionally. With a skin mask, a window is only
     evaluated when its skin fraction reaches ``min_skin_fraction``.
+
+    ``live`` carries the scan from call to call: a record of this image,
+    these parameters and gate, and stages that begin the cascade's, is
+    continued with the cascade's further stages only; any other record is
+    emptied and filled by a full scan, of which a scan without a record is
+    the case. Either way the record then holds this scan, and the result is
+    the full scan's.
     """
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must be > 1")
@@ -308,22 +356,30 @@ def detect_multiscale_counted(
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
     plan = _scan_plan(cascade, iset, scale_factor, step)
-    skin_table = None if skin is None else upright_table(skin > 0, out=plan.skin)
-    stats = ScanStats(plan.starts[-1], stage_windows=[0] * (len(cascade.stages) + 1))
-    # the gated windows of every level, in scan order, and their sigma
-    win, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for size, step_k, start, end in zip(plan.sizes.tolist(), plan.steps, plan.starts, plan.starts[1:]):
-        if skin_table is None:
-            keep = np.arange(end - start)
-        else:
-            keep = np.flatnonzero(window_sums(skin_table, size, step_k) / (size * size) >= min_skin_fraction)
-        if keep.size:
-            win.append(start + keep)
-            sigma.append(window_sigma(iset, size, step_k).ravel()[keep])
-    win, sigma = np.concatenate(win), np.concatenate(sigma)
-    stats.evaluated_windows = win.size
+    record = LiveWindows() if live is None else live
+    key = None
+    if live is not None:
+        gate = None if skin is None else ((skin > 0).tobytes(), min_skin_fraction)
+        key = (img.shape, img.dtype.str, img.tobytes(), scale_factor, step, cascade.base_window, gate)
+    if live is None or live.key != key or live.stages != cascade.stages[: len(live.stages)]:
+        skin_table = None if skin is None else upright_table(skin > 0, out=plan.skin)
+        # the gated windows of every level, in scan order, and their sigma
+        win, sigma = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+        for size, step_k, start, end in zip(plan.sizes.tolist(), plan.steps, plan.starts, plan.starts[1:]):
+            if skin_table is None:
+                keep = np.arange(end - start)
+            else:
+                keep = np.flatnonzero(window_sums(skin_table, size, step_k) / (size * size) >= min_skin_fraction)
+            if keep.size:
+                win.append(start + keep)
+                sigma.append(window_sigma(iset, size, step_k).ravel()[keep])
+        win = np.concatenate(win)
+        record.key, record.stages, record.win, record.sigma = key, [], win, np.concatenate(sigma)
+        record.score = np.zeros(win.size)
+        record.stats = ScanStats(plan.starts[-1], win.size, win.size, [win.size])
+    stats = record.stats
     pixel_sum = int(iset.grid[-1, -1])
-    if win.size and pixel_sum * plan.weight_l1 >= EXACT_LIMIT:
+    if stats.evaluated_windows and pixel_sum * plan.weight_l1 >= EXACT_LIMIT:
         raise ValueError(
             f"image pixel sum {pixel_sum} times stump weight norm {plan.weight_l1} "
             "reaches 2**53: float64 stage products would not be exact"
@@ -331,19 +387,22 @@ def detect_multiscale_counted(
     # every table value is a sum of pixels, exact in float64 below 2**53
     for flat, table in zip(plan.flats, (iset.grid, iset.planes)):
         flat.reshape(table.shape)[...] = table
-    score = np.zeros(win.size)
-    for k, stage in enumerate(cascade.stages):
-        stats.stage_windows[k] = win.size
-        if win.size == 0:
-            break
-        score = _stage_margins(plan, k, stage, win, sigma)
-        passed = score >= 0
-        win, sigma, score = win[passed], sigma[passed], score[passed]
-    stats.stage_windows[-1] = stats.accepted_windows = win.size
+    # stats.stage_windows[-1] holds the windows entering the next stage
+    for k in range(len(record.stages), len(cascade.stages)):
+        stage = cascade.stages[k]
+        if record.win.size:
+            score = _stage_margins(plan, k, stage, record.win, record.sigma)
+            passed = score >= 0
+            record.win, record.sigma, record.score = record.win[passed], record.sigma[passed], score[passed]
+        record.stages.append(stage)
+        stats.stage_windows.append(record.win.size)
+    stats.accepted_windows = record.win.size
+    win = record.win
     (origin, level), *_ = plan.bases
     y, x = np.divmod(origin[win], iset.grid.shape[1])
     sides = plan.sizes[level[win]]
-    return Detections(np.stack([x, y, sides, sides], axis=1), score), stats
+    detections = Detections(np.stack([x, y, sides, sides], axis=1), record.score)
+    return detections, replace(stats, stage_windows=list(stats.stage_windows))
 
 
 def _overlapping_pairs(boxes: np.ndarray, overlap: float) -> tuple[np.ndarray, np.ndarray]:

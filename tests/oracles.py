@@ -13,6 +13,11 @@ sweeps boxes as :class:`facedet.detect.Detections` columns through one
 array IoU; :func:`match_detections_oracle` and :func:`roc_sweep_oracle`
 take lists of :class:`facedet.detect.Detection` rows and call the scalar
 :func:`facedet.detect.iou` per pair, once per threshold. The package
+trains the cascade in one value matrix, computing each sample's column
+once, and mines by continuing each pool image's scan from stage to stage;
+:func:`train_cascade_oracle` builds every stage's matrix anew from the
+samples and :func:`mine_oracle` scans the pool from the first stage on
+every call. The package
 converts colours in row bands; :func:`to_grayscale_oracle` and
 :func:`rgb_to_ycbcr_oracle` convert the whole image at once.
 
@@ -27,8 +32,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from facedet.boost import Cascade, Stage, _StumpSearch
-from facedet.detect import Detections, iou
+import itertools
+
+from facedet.boost import Cascade, Stage, _compile_matrix, _StumpSearch, feature_value_matrix, train_stage
+from facedet.detect import Detections, detect_multiscale_counted, iou
+from facedet.haar import generate_feature_set
+from facedet.images import crop_square
 from facedet.evaluate import RocCurve
 from facedet.haar import KIND_SPECS, HaarFeature, _parts, _scaled_boxes
 from facedet.images import _require_color, _round_u8
@@ -260,6 +269,61 @@ def feature_matrix_oracle(features, samples, variance_norm=True):
     if variance_norm:
         out /= sigma[None, :]
     return out
+
+
+def mine_oracle(cascade, pool, needed):
+    """Mining that scans every pool image from the first stage: each image's
+    first ``needed`` detections at step 3, picked round-robin by rank in pool
+    order, only the picks cropped and resized."""
+    base = cascade.base_window
+    scanned = [
+        (img, detect_multiscale_counted(cascade, img, step=3)[0].boxes[:needed])
+        for img in pool
+        if min(img.shape) >= base
+    ]
+    longest = max((len(boxes) for _, boxes in scanned), default=0)
+    picks = itertools.islice(
+        ((img, boxes[rank]) for rank in range(longest) for img, boxes in scanned if rank < len(boxes)),
+        needed,
+    )
+    return [crop_square(img, box, base) for img, box in picks]
+
+
+def train_cascade_oracle(
+    pos_samples, neg_samples, *, n_stages=15, target_dr=0.99, max_fpr=0.5, max_stumps=20, base_window=24,
+    pool=None, feature_subsample=0, seed=0,
+):
+    """Cascade training that computes every stage's value matrix anew: the
+    positives' matrix once, the negatives' per stage, joined by
+    ``np.concatenate``; the survivors are kept as samples and the pool is
+    mined by :func:`mine_oracle`."""
+    features = generate_feature_set(base_window)
+    if feature_subsample and feature_subsample < len(features):
+        rng = np.random.default_rng(seed)
+        chosen = np.sort(rng.choice(len(features), size=feature_subsample, replace=False))
+        features = [features[i] for i in chosen]
+    program = _compile_matrix(features, base_window)
+    v_pos = feature_value_matrix(features, pos_samples, program=program)
+    negatives = list(neg_samples)
+    neg_target = len(negatives)
+    stages, metadata = [], []
+    for _ in range(n_stages):
+        if not negatives:
+            break
+        v_neg = feature_value_matrix(features, negatives, program=program)
+        values = np.concatenate([v_pos, v_neg], axis=1)
+        labels = np.concatenate([np.ones(len(pos_samples)), -np.ones(len(negatives))])
+        result = train_stage(
+            values, labels, target_dr=target_dr, max_fpr=max_fpr, max_stumps=max_stumps, features=features
+        )
+        stages.append(result.stage)
+        metadata.append((result.detection_rate, result.false_positive_rate))
+        neg_scores = result.scores[len(pos_samples) :]
+        negatives = [s for s, sc in zip(negatives, neg_scores) if sc >= result.stage.threshold]
+        if pool is not None and len(negatives) < neg_target and len(stages) < n_stages:
+            current = Cascade(base_window, list(stages), list(metadata))
+            negatives.extend(mine_oracle(current, pool, neg_target - len(negatives)))
+    return Cascade(base_window, stages, metadata)
 
 
 def scaled_parts_oracle(feature, size):

@@ -3,6 +3,7 @@ import functools
 import math
 import multiprocessing
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from facedet.boost import (
     train_cascade,
     train_stage,
 )
-from facedet.detect import detect_multiscale_counted
+from facedet.detect import LiveWindows, detect_multiscale_counted
 from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
@@ -35,7 +36,9 @@ from oracles import (
     classify_window,
     eval_feature,
     feature_matrix_oracle,
+    mine_oracle,
     stage_score,
+    train_cascade_oracle,
     train_stump,
 )
 
@@ -402,6 +405,143 @@ def make_noisy_tiles(rng, n, bright, base=12):
     return tiles
 
 
+def make_diagonal_tiles(rng, n, bright, base=8):
+    """Noise, and in positives (and every fifth negative) a bright
+    anti-diagonal band between two dark ones: tilted features respond."""
+    distance = np.abs(np.add.outer(np.arange(base), np.arange(base)) - (base - 1))
+    tiles = []
+    for i in range(n):
+        img = rng.integers(0, 200, size=(base, base))
+        if bright or i % 5 == 0:
+            img[distance <= 1] = 250
+            img[distance == 2] = 0
+        tiles.append(img.astype(np.uint8))
+    return tiles
+
+
+def random_pool(rng, sizes, bright_rows=0):
+    """Noise images of ``sizes``; the top ``bright_rows`` rows of every
+    other one look like the positives' bright half."""
+    pool = [rng.integers(0, 200, size=size).astype(np.uint8) for size in sizes]
+    for img in pool[::2]:
+        img[:bright_rows] = np.clip(rng.normal(165, 55, size=img[:bright_rows].shape), 0, 255)
+    return pool
+
+
+def spied_training(pos, neg, **args):
+    """train_cascade, the shape of every stage's value matrix, and the crop
+    count of every mining."""
+    shapes, mined = [], []
+
+    def stage(values, labels, **kwargs):
+        shapes.append(values.shape)
+        return train_stage(values, labels, **kwargs)
+
+    def mine(*mine_args):
+        crops = _mine_false_positives(*mine_args)
+        mined.append(len(crops))
+        return crops
+
+    with mock.patch.object(boost, "train_stage", stage), mock.patch.object(boost, "_mine_false_positives", mine):
+        cascade = train_cascade(pos, neg, **args)
+    return cascade, shapes, mined
+
+
+# name -> (tiles, base, feature_subsample, pool sizes or None, seed) of the
+# trainings checked against the per-stage matrix oracle
+ORACLE_TRAININGS = {
+    "no pool": (make_noisy_tiles, 12, 300, None, 1),
+    "pool": (make_noisy_tiles, 12, 300, [(30, 36), (10, 40), (36, 30), (24, 24)], 2),
+    # one image of 4 windows at step 3, one smaller than the window: the
+    # pool cannot refill, so later stages train on a column slice
+    "pool too small": (make_noisy_tiles, 12, 300, [(15, 15), (11, 30)], 3),
+    # the first stage rejects every negative: training stops
+    "all rejected": (make_tiles, 12, 300, None, 4),
+    # ... or continues on the pool's windows alone
+    "all rejected, refilled": (make_tiles, 12, 300, [(30, 36), (36, 30)], 4),
+    "whole bank": (make_noisy_tiles, 8, 0, [(20, 24), (24, 20)], 5),
+    "tilted stumps": (make_diagonal_tiles, 8, 400, [(20, 24), (24, 20), (7, 30)], 15),
+}
+
+
+class TestOneValueMatrix:
+    @pytest.mark.parametrize("name", ORACLE_TRAININGS)
+    def test_equals_the_per_stage_matrix_oracle(self, name):
+        tiles, base, subsample, sizes, seed = ORACLE_TRAININGS[name]
+        rng = np.random.default_rng(40 + seed)
+        pos = tiles(rng, 30, bright=True, base=base)
+        neg = tiles(rng, 60, bright=False, base=base)
+        pool = None if sizes is None else random_pool(rng, sizes, bright_rows=base // 2)
+        args = dict(n_stages=3, base_window=base, pool=pool, feature_subsample=subsample, max_stumps=4, seed=seed)
+        cascade, shapes, mined = spied_training(pos, neg, **args)
+        assert cascade == train_cascade_oracle(pos, neg, **args)
+        columns = [n for _, n in shapes]
+        # each training reaches the case it is named for
+        rejected_all = [fpr == 0.0 for _, fpr in cascade.metadata]
+        reached = {
+            "no pool": lambda: len(cascade.stages) == 3 and not mined,
+            "pool": lambda: len(mined) == 2 and min(mined) > 0,
+            "pool too small": lambda: len(cascade.stages) == 3 and min(columns[1:]) < columns[0],
+            "all rejected": lambda: rejected_all[0] and len(cascade.stages) == 1,
+            "all rejected, refilled": lambda: rejected_all[0] and len(cascade.stages) > 1,
+            "whole bank": lambda: shapes[0][0] == 2196,
+            "tilted stumps": lambda: any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps),
+        }
+        assert reached[name]()
+
+    @given(
+        tiles=st.sampled_from([make_tiles, make_noisy_tiles, make_diagonal_tiles]),
+        base=st.sampled_from([8, 10]),
+        subsample=st.sampled_from([0, 150, 400]),
+        sizes=st.sampled_from([None, [(9, 30)], [(14, 14), (7, 20)], [(24, 30), (30, 24), (20, 20)]]),
+        n_stages=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_oracle_on_random_trainings(self, tiles, base, subsample, sizes, n_stages, seed):
+        rng = np.random.default_rng(seed)
+        pos = tiles(rng, 20, bright=True, base=base)
+        neg = tiles(rng, 40, bright=False, base=base)
+        pool = None if sizes is None else random_pool(rng, sizes, bright_rows=base // 2)
+        args = dict(
+            n_stages=n_stages, base_window=base, pool=pool, feature_subsample=subsample, max_stumps=3, seed=seed
+        )
+        assert train_cascade(pos, neg, **args) == train_cascade_oracle(pos, neg, **args)
+
+    def test_each_sample_column_is_computed_once(self):
+        rng = np.random.default_rng(30)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        pool = random_pool(rng, [(36, 36)] * 6, bright_rows=18)
+        args = dict(n_stages=4, base_window=12, pool=pool, feature_subsample=250, max_fpr=0.45, max_stumps=4, seed=6)
+        with mock.patch.object(boost, "feature_value_matrix", wraps=boost.feature_value_matrix) as matrix:
+            cascade, _, mined = spied_training(pos, neg, **args)
+        assert len(cascade.stages) == 4 and len(mined) == 3 and min(mined) > 0
+        samples = sum(len(call.args[1]) for call in matrix.call_args_list)
+        assert samples == len(pos) + len(neg) + sum(mined)
+
+    def test_traced_peak_stays_below_three_matrices(self):
+        # few positives and a pool that refills every stage: building each
+        # stage's matrix anew (train_cascade_oracle) peaks at 3.3 matrices
+        # here, one matrix at 1.6
+        rng = np.random.default_rng(32)
+        pos = make_noisy_tiles(rng, 100, bright=True)
+        neg = make_noisy_tiles(rng, 1831, bright=False)
+        pool = random_pool(rng, [(80, 80)] * 8, bright_rows=40)
+        features = 1000
+        matrix_bytes = features * (len(pos) + len(neg)) * 8
+        tracemalloc.start()
+        try:
+            cascade = train_cascade(
+                pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cascade.stages) == 3
+        assert peak < 3 * matrix_bytes, f"traced peak {peak / matrix_bytes:.2f} value matrices"
+
+
 class TestTrainCascade:
     def test_metadata_and_structure_on_separable_data(self):
         rng = np.random.default_rng(4)
@@ -450,7 +590,7 @@ class TestTrainCascade:
         assert compile_spy.call_count == 1
         # compiling on every call instead trains the same cascade
         original = boost.feature_value_matrix
-        with mock.patch.object(boost, "feature_value_matrix", lambda f, s, program: original(f, s)):
+        with mock.patch.object(boost, "feature_value_matrix", lambda f, s, program, out=None: original(f, s, out=out)):
             assert train_cascade(pos, neg, **args) == cascade
 
     def test_same_cascade_on_one_and_two_cpus(self):
@@ -569,6 +709,26 @@ class TestMining:
         assert len(got) == 37
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("share", [0.05, 0.5, 2.0])
+    def test_records_carried_from_stage_to_stage_match_the_oracle(self, share):
+        rng = np.random.default_rng(22)
+        pos = make_noisy_tiles(rng, 40, bright=True)
+        neg = make_noisy_tiles(rng, 80, bright=False)
+        cascade = train_cascade(pos, neg, n_stages=3, base_window=12, feature_subsample=250, max_stumps=3, seed=5)
+        assert len(cascade.stages) == 3
+        # two images smaller than the window, one with a bright band
+        pool = random_pool(rng, [(30, 40), (10, 40), (16, 16), (40, 24), (26, 33), (11, 11)], bright_rows=12)
+        live = [LiveWindows() for _ in pool]
+        for k in range(1, 4):
+            current = Cascade(12, cascade.stages[:k], cascade.metadata[:k])
+            available = sum(len(detect_multiscale_counted(current, img, step=3)[0]) for img in pool)
+            needed = max(1, int(share * available))
+            got = _mine_false_positives(current, pool, needed, live)
+            want = mine_oracle(current, pool, needed)
+            assert available > 0 and len(got) == len(want) == min(needed, available)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(record.stages == cascade.stages[:k] for img, record in zip(pool, live) if min(img.shape) >= 12)
+
     def test_mines_only_when_another_stage_follows(self, monkeypatch):
         rng = np.random.default_rng(21)
         pos = make_noisy_tiles(rng, 40, bright=True)
@@ -665,6 +825,30 @@ class TestFeatureValueMatrix:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if low_contrast:
             assert np.array_equal(got.view(np.int64), feature_matrix_oracle(features, samples, False).view(np.int64))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_out_column_slice_equals_the_returned_matrix(self, rows):
+        rng = np.random.default_rng(12)
+        features = [enumerate_kind(kind, 12)[17] for kind in KINDS]
+        samples = [rng.integers(0, 256, size=(12, 12)).astype(np.uint8) for _ in range(7)]
+        wide = np.full((len(features), 12), np.nan)
+        with mock.patch.object(boost, "MATRIX_ROWS", rows):
+            want = feature_value_matrix(features, samples)
+            got = feature_value_matrix(features, samples, out=wide[:, 3:10])
+        assert np.shares_memory(got, wide)
+        assert np.array_equal(wide[:, 3:10].view(np.int64), want.view(np.int64))
+        assert np.isnan(wide[:, :3]).all() and np.isnan(wide[:, 10:]).all()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((3, 6)), np.empty((2, 7)), np.empty((3, 7), dtype=np.float32), np.empty(21), [[0.0] * 7] * 3],
+        ids=["columns", "rows", "float32", "flat", "list"],
+    )
+    def test_out_of_another_shape_or_dtype_is_a_one_line_error(self, out):
+        features = enumerate_kind("edge2h", 12)[:3]
+        samples = [np.zeros((12, 12), dtype=np.uint8)] * 7
+        with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(3, 7\), got [^\n]+$"):
+            feature_value_matrix(features, samples, out=out)
 
     def test_matches_scalar_eval(self):
         rng = np.random.default_rng(9)

@@ -14,6 +14,7 @@ from facedet.detect import (
     SCAN_ROWS,
     Detection,
     Detections,
+    LiveWindows,
     ScanStats,
     detect_multiscale_counted,
     iou,
@@ -578,6 +579,124 @@ class TestWorkspace:
         with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
             detect_multiscale_counted(cascade, a.astype(np.int64) << 40, skin_b)
         self.assert_scans_equal_fresh_ones(cascade, [(a, skin), (a, None)])
+
+
+def prefix(cascade, k):
+    """A new Cascade of the first ``k`` stages of ``cascade``: its plan is empty."""
+    return Cascade(cascade.base_window, cascade.stages[:k], cascade.metadata[:k])
+
+
+class TestLiveWindows:
+    """A scan that continues a record of the same image, parameters, gate and
+    leading stages runs only the new stages, and returns the full scan."""
+
+    @given(
+        st.data(),
+        st.integers(5, 40),
+        st.integers(5, 40),
+        st.integers(1, 4),
+        st.sampled_from([1.1, 1.25, 2.0]),
+        st.sampled_from([1, 3, SCAN_ROWS]),
+        st.sampled_from([None, "random", "edges"]),
+        st.integers(0, 1 << 30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_scans_with_one_record_equal_full_scans(self, data, h, w, step, scale_factor, block, gate, seed):
+        cascade = data.draw(cascades(), label="cascade")
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+        skin, min_skin = None, 0.25
+        if gate == "random":
+            skin = (rng.random((h, w)) < 0.6).astype(np.uint8)
+        elif gate == "edges":
+            skin, min_skin = edge_skin(h, w)
+        args = (skin, scale_factor, step, min_skin)
+        live = LiveWindows()
+        with mock.patch.object(detect, "SCAN_ROWS", block):
+            for k in range(len(cascade.stages) + 1):
+                got, calls = stage_margin_calls(prefix(cascade, k), img, *args, live=live)
+                assert got == detect_multiscale_counted(prefix(cascade, k), img, *args)
+                # the first scan runs stage 0 (if any, and any window is gated
+                # in), each later one its newest stage only
+                assert calls == ([k - 1] if k and got[1].stage_windows[k - 1] else [])
+                assert live.stages == cascade.stages[:k]
+
+    @pytest.mark.parametrize("block", [1, 3, SCAN_ROWS])
+    def test_tilted_cascade_stage_by_stage(self, block):
+        cascade = mixed_cascade()
+        img = np.random.default_rng(42).integers(0, 256, size=(31, 37)).astype(np.uint8)
+        live = LiveWindows()
+        with mock.patch.object(detect, "SCAN_ROWS", block):
+            for k in range(1, 4):
+                got, calls = stage_margin_calls(prefix(cascade, k), img, None, 1.1, 2, live=live)
+                assert got == scan_oracle(prefix(cascade, k), img, None, 1.1, 2)
+                assert calls == [k - 1]
+        assert got[1].stage_windows[2] > got[1].accepted_windows > 0
+
+    def test_same_stages_again_return_the_full_scans_scores(self):
+        cascade = mixed_cascade()
+        img = np.random.default_rng(43).integers(0, 256, size=(31, 37)).astype(np.uint8)
+        live = LiveWindows()
+        first = detect_multiscale_counted(cascade, img, step=1, live=live)
+        again, calls = stage_margin_calls(cascade, img, step=1, live=live)
+        assert calls == []
+        assert again == first == detect_multiscale_counted(prefix(cascade, 3), img, step=1)
+        assert np.any(again[0].score != 0.0)
+
+    @pytest.mark.parametrize(
+        "change", ["shape", "pixels", "step", "scale_factor", "gate", "min skin", "stages", "fewer stages", "base"]
+    )
+    def test_a_record_of_anything_else_restarts(self, change):
+        cascade = mixed_cascade()
+        rng = np.random.default_rng(44)
+        img = rng.integers(0, 256, size=(31, 37)).astype(np.uint8)
+        skin = (rng.random(img.shape) < 0.7).astype(np.uint8)
+        first = dict(skin=skin, scale_factor=1.25, step=2, min_skin_fraction=0.25)
+        live = LiveWindows()
+        detect_multiscale_counted(prefix(cascade, 2), img, live=live, **first)
+        then, scanned = dict(first), img
+        if change == "shape":
+            scanned, then["skin"] = img[:, :30], skin[:, :30]
+        elif change == "pixels":
+            scanned = img.copy()
+            scanned[0, 0] ^= 1
+        elif change in ("step", "scale_factor"):
+            then[change] = {"step": 3, "scale_factor": 1.5}[change]
+        elif change == "gate":
+            then["skin"] = None
+        elif change == "min skin":
+            then["min_skin_fraction"] = 0.5
+        stages = cascade.stages
+        if change == "stages":
+            stages = [stages[1], stages[0], stages[2]]
+        elif change == "fewer stages":
+            stages = stages[:1]
+        base = 11 if change == "base" else 10
+        if change == "base":
+            # the same stumps in an 11 px window
+            stages = [
+                Stage([(replace(wc, feature=replace(wc.feature, window=11)), a) for wc, a in s.stumps], s.threshold)
+                for s in stages
+            ]
+        other = Cascade(base, stages, [(1.0, 0.5)] * len(stages))
+        got, calls = stage_margin_calls(other, scanned, live=live, **then)
+        fresh = Cascade(base, stages, other.metadata)
+        assert got == detect_multiscale_counted(fresh, scanned, **then)
+        assert calls == list(range(len(stages)))
+        assert live.stages == stages
+
+    def test_a_continued_scan_still_refuses_inexact_products(self, toy_cascade):
+        img = np.full((16, 32), 128, dtype=np.uint8)  # pixel sum 2**16
+        at_limit = detect.EXACT_LIMIT // 2**16
+        live = LiveWindows()
+        first = detect_multiscale_counted(prefix(toy_cascade, 1), img, step=4, live=live)
+        for k in (1, len(toy_cascade.stages)):
+            inexact = TestExactProducts.with_plan(prefix(toy_cascade, k), img, lambda p: replace(p, weight_l1=at_limit))
+            with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
+                detect_multiscale_counted(inexact, img, step=4, live=live)
+            assert live.stages == toy_cascade.stages[:1]
+        assert first[1].evaluated_windows > 0
+        assert detect_multiscale_counted(prefix(toy_cascade, 1), img, step=4, live=live) == first
 
 
 class TestStageAttrition:
