@@ -15,8 +15,6 @@ from .detect import Detection, Detections, ScanStats, detect_multiscale_counted,
 from .evaluate import (
     RocCurve,
     detection_rate,
-    emit_report,
-    emit_report_csv,
     false_alarm_rate,
     load_manifest,
     match_detections,

@@ -7,49 +7,11 @@ vote reaches the stage threshold (default: half the total alpha, lowered
 after every boosting round until the detection-rate target is met on the
 training positives).
 
-The (F, N) value matrix of a set of samples is one compiled program
-(:func:`facedet.haar.compile_features`) applied to the stacked integral
-tables of all samples: one sparse product, divided by the samples' sigma.
-A training holds one (F, P + N) float64 matrix, N the negative target (58
-MB for the experiment's 2,500 features and 2,911 tiles). Each sample's
-column is computed once, into it: the positives' first, then the
-negatives'. After each stage the surviving negatives' columns move up,
-in order, behind the positives', the mined negatives' columns follow them,
-and the next stage trains on the leading P + n columns, a view.
-
-Stump search is a single sorted sweep per feature over the value matrix,
-whose sort order is computed once per stage. The order is numpy's default
-(SIMD, unstable) argsort, after which every run of equal values is put back
-in sample order, so it equals the stable argsort element for element: the
-order inside a run sets the summation order of the weights, and so the last
-bits of the errors. Candidate thresholds are the midpoints between
-consecutive distinct sorted values plus one sentinel below the minimum and
-one above the maximum; ties are broken towards the smaller threshold, then
-polarity +1, and across features towards the lowest feature index, which
-makes training fully deterministic.
-
-The search runs in tasks of TASK_ROWS feature rows, in forked children
-(the ``fork`` start method: Linux or macOS), one per CPU in the process's
-affinity mask. Per stage, each inherits the value matrix copy-on-write,
-owns a contiguous range of whole tasks and sorts them once; each round the
-parent sends the weights and joins the answers in row order. A task reads
-and writes only its own rows, so every result is bit-identical whatever the
-worker count. Small tasks keep the argsort and gather temporaries a few MB. Inside a task the sweep goes in
-blocks of SWEEP_ROWS rows, whose temporaries stay in cache. With cp, cn
-the positive and negative weight below a candidate and tp, tn their totals,
-the errors are computed in place as ``(tp - cp) + cn`` for polarity +1 and
-``cp - (cn - tn)`` for polarity -1. Both are exact rewrites of
-``cn + (tp - cp)`` and ``cp + (tn - cn)``: IEEE addition commutes,
-round-to-nearest gives ``fl(cn - tn) == -fl(tn - cn)``, and ``a - b`` is
-``a + (-b)``. The positive weights are the sorted weights times 0.0 or 1.0,
-which is exact for finite weights.
-
-Hard-negative mining scans the background pool with the cascade trained so
-far, picks accepted windows round-robin across the images, and crops and
-resizes only the picks. It runs only when another stage follows. Each pool
-image keeps one :class:`facedet.detect.LiveWindows` record for the whole
-training, so each mining runs only the newest stage over the windows that
-passed the earlier ones: a window an earlier stage rejected stays rejected.
+Training is fully deterministic: :func:`train_cascade` computes each
+sample's column of one (F, P + N) value matrix once
+(:func:`feature_value_matrix`), :func:`train_stage` boosts over a view of
+it with an exact stump search in forked workers, and hard-negative mining
+refills the rejected negatives between stages.
 """
 
 from __future__ import annotations
@@ -85,13 +47,12 @@ MIN_EPSILON = 1e-10
 # features per block of the stump sweep: a block's (rows, N + 1) float64
 # temporaries then stay in cache instead of streaming 2,500 x 2,912 matrices
 SWEEP_ROWS = 16
-# features per task of the stump search: a task's argsort and gather
-# temporaries stay a few MB per worker, and a 2,500-row stage still gives
-# every worker many tasks
+# features per sort chunk of the stump search: a chunk's argsort and gather
+# temporaries stay a few MB per worker
 TASK_ROWS = 128
-# samples per block of the feature matrix: a block's tables and corner reads
-# stay a few MB however many samples a stage has
-MATRIX_ROWS = 256
+# samples per block of the feature matrix: a block's tables, corner reads and
+# product take about 5 MB for 2,500 features (19.5 MB at 256 samples)
+MATRIX_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -179,7 +140,16 @@ def _allowed_cpus() -> int:
 
 class _StumpSearch:
     """Sorted-order cache over an (F, N) float64 value matrix, reusable
-    across rounds, built and swept in tasks of TASK_ROWS rows."""
+    across rounds.
+
+    Rows are sorted in chunks of TASK_ROWS with numpy's default (SIMD,
+    unstable) argsort, after which every run of equal values is put back in
+    sample order, so the order equals the stable argsort element for
+    element: the order inside a run sets the summation order of the
+    weights, and so the last bits of the errors. Candidate thresholds are
+    the midpoints between consecutive distinct sorted values plus one
+    sentinel below the minimum and one above the maximum.
+    """
 
     def __init__(self, values: np.ndarray, labels: np.ndarray):
         f, n = values.shape
@@ -189,9 +159,8 @@ class _StumpSearch:
         # is invalid where sorted values j - 1 and j are equal
         self.invalid = np.zeros((f, n + 1), dtype=bool)
         self.thresholds = np.empty((f, n + 1))
-        self.tasks = [slice(lo, min(lo + TASK_ROWS, f)) for lo in range(0, f, TASK_ROWS)]
-        for rows in self.tasks:
-            self._sort_rows(values, labels > 0, rows)
+        for lo in range(0, f, TASK_ROWS):
+            self._sort_rows(values, labels > 0, slice(lo, min(lo + TASK_ROWS, f)))
 
     def _sort_rows(self, values: np.ndarray, pos: np.ndarray, rows: slice) -> None:
         """Sort ``rows`` of ``values`` and fill their rows of the cache."""
@@ -213,19 +182,30 @@ class _StumpSearch:
         thresholds[:, n] = vs[:, -1] + 1.0
 
     def best(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-feature (error, threshold, polarity) of the optimal stump."""
+        """Per-feature (error, threshold, polarity) of the optimal stump,
+        swept in blocks of SWEEP_ROWS rows."""
         f = self.order.shape[0]
         err = np.empty(f)
         thr = np.empty(f)
         pol = np.empty(f, dtype=np.int64)
-        for rows in self.tasks:
-            for lo in range(rows.start, rows.stop, SWEEP_ROWS):
-                block = slice(lo, min(lo + SWEEP_ROWS, rows.stop))
-                err[block], thr[block], pol[block] = self._best_rows(weights, block)
+        for lo in range(0, f, SWEEP_ROWS):
+            block = slice(lo, min(lo + SWEEP_ROWS, f))
+            err[block], thr[block], pol[block] = self._best_rows(weights, block)
         return err, thr, pol
 
     def _best_rows(self, weights: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``best`` for one block of features; rows never interact."""
+        """``best`` for one block of features; rows never interact.
+
+        With cp, cn the positive and negative weight below a candidate and
+        tp, tn their totals, the errors are computed in place as
+        ``(tp - cp) + cn`` for polarity +1 and ``cp - (cn - tn)`` for
+        polarity -1. Both are exact rewrites of ``cn + (tp - cp)`` and
+        ``cp + (tn - cn)``: IEEE addition commutes, round-to-nearest gives
+        ``fl(cn - tn) == -fl(tn - cn)``, and ``a - b`` is ``a + (-b)``. The
+        positive weights are the sorted weights times 0.0 or 1.0, which is
+        exact for finite weights. Ties go to the smaller threshold, then to
+        polarity +1.
+        """
         order = self.order[rows]
         invalid = self.invalid[rows]
         thresholds = self.thresholds[rows]
@@ -261,14 +241,18 @@ class _StumpSearch:
 
 @contextlib.contextmanager
 def _stump_workers(values: np.ndarray, labels: np.ndarray):
-    """Fork the stump search of one stage and yield its ``best``: one child
-    per allowed CPU, at most one per task, each owning whole tasks, balanced
-    by count. A child's error, or its exit without a reply, raises in the
-    parent; on exit the pipes close and the children stop."""
+    """Fork the stump search of one stage and yield its ``best``.
+
+    There are k = min(allowed CPUs, F) children (the ``fork`` start method:
+    Linux or macOS). Child i inherits the value matrix copy-on-write and
+    sorts its rows F * i // k : F * (i + 1) // k once; each round the parent
+    sends the weights and joins the answers in row order. Rows never
+    interact, so every result is bit-identical whatever the worker count. A
+    child's error, or its exit without a reply, raises in the parent; on
+    exit the pipes close and the children stop.
+    """
     f = values.shape[0]
-    tasks = -(-f // TASK_ROWS)
-    k = min(_allowed_cpus(), tasks)
-    cuts = [min(f, TASK_ROWS * (tasks * i // k)) for i in range(k + 1)]
+    k = min(_allowed_cpus(), f)
     fork = multiprocessing.get_context("fork")
     conns, procs = [], []
 
@@ -303,7 +287,7 @@ def _stump_workers(values: np.ndarray, labels: np.ndarray):
         for i in range(k):
             conn, child_end = fork.Pipe()
             conns.append(conn)
-            proc = fork.Process(target=serve, args=(child_end, values[cuts[i] : cuts[i + 1]]), name=f"facedet-stumps-{i}")
+            proc = fork.Process(target=serve, args=(child_end, values[f * i // k : f * (i + 1) // k]), name=f"facedet-stumps-{i}")
             proc.start()
             procs.append(proc)
             child_end.close()
@@ -367,7 +351,7 @@ def train_stage(
         dr = fpr = 0.0
         for rnd in range(max_stumps):
             err_f, thr_f, pol_f = best(weights)
-            f_idx = int(np.argmin(err_f))
+            f_idx = int(np.argmin(err_f))  # the lowest feature index on ties
             err = float(err_f[f_idx])
             thr = float(thr_f[f_idx])
             pol = int(pol_f[f_idx])
@@ -500,7 +484,7 @@ def _mine_false_positives(
     are cropped and resized. ``live``, one
     :class:`facedet.detect.LiveWindows` per pool image, carries each image's
     scan from call to call, so a cascade that extends the last call's runs
-    only its new stages.
+    only its new stages: a window an earlier stage rejected stays rejected.
     """
     from .detect import detect_multiscale_counted
 
@@ -536,8 +520,14 @@ def train_cascade(
     After each stage the negatives it correctly rejects are dropped; when a
     background pool is supplied and another stage follows, they are replaced
     by windows the cascade still accepts there. Training halts early once no
-    negatives remain. Every stage trains on columns of one value matrix, and
-    each sample's column is computed once (see the module docstring).
+    negatives remain.
+
+    One (F, P + N) float64 matrix holds every sample's column, N the
+    negative target (58 MB for the experiment's 2,500 features and 2,911
+    tiles), computed once: the positives', then the negatives'. After each
+    stage the surviving negatives' columns move up behind the positives',
+    the mined negatives' columns follow them, and the next stage trains on
+    the leading P + n columns, a view.
     """
     from .detect import LiveWindows
 
@@ -551,7 +541,6 @@ def train_cascade(
     # compiled once: every stage's matrix reads the same features
     program = _compile_matrix(features, base_window)
     n_pos, neg_target = len(pos_samples), len(neg_samples)
-    # one (F, P + N) matrix: the positives' columns, then the live negatives'
     matrix = np.empty((len(features), n_pos + neg_target))
     feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos])
     feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:])
@@ -573,8 +562,7 @@ def train_cascade(
         )
         stages.append(result.stage)
         metadata.append((result.detection_rate, result.false_positive_rate))
-        # the survivors' columns move up, in order, behind the positives';
-        # by blocks of rows, so the gather's copy stays small
+        # the survivors' columns move up by blocks of rows, so the gather's copy stays small
         kept = n_pos + np.flatnonzero(result.scores[n_pos:] >= result.stage.threshold)
         n_neg = kept.size
         for lo in range(0, len(features), TASK_ROWS):

@@ -19,6 +19,7 @@ from .config import _EXPECTED, FIELD_TYPES, PipelineConfig, _parse_value, load_c
 from .evaluate import ManifestError, load_manifest, roc_sweep
 from .images import downscale, draw_boxes
 from .netpbm import NetpbmError, read_image, write_mask, write_ppm
+from .skin import extract_regions, skin_ratio
 from .svm import load_svm, save_svm
 from .validate import decision_values
 
@@ -80,9 +81,11 @@ def _cmd_segment(args) -> int:
     img = read_image(args.input)
     if img.ndim != 3:
         raise ValueError(f"{args.input}: segmentation needs a color (PPM) input")
-    result = pipeline.segment_image(img, config)
-    write_mask(args.output, result.mask)
-    print(f"skin_ratio={result.ratio:.9g} regions={len(result.regions)}")
+    mask = pipeline.segment_image(img, config).mask
+    write_mask(args.output, mask)
+    # min_area 0 keeps the regions of at least a thousandth of the image
+    regions = extract_regions(mask, config.min_area or max(1, round(mask.size * 0.001)))
+    print(f"skin_ratio={skin_ratio(mask):.9g} regions={len(regions)}")
     return 0
 
 

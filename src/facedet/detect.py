@@ -1,53 +1,10 @@
 """Skin-gated multi-scale sliding-window detection and box merging.
 
-The scan runs from a plan built per image shape, ``scale_factor`` and
-``step``; the cascade keeps the last one. It holds every level's window
-lattice in scan order as flat origins in the upright table and each
-window's level (16 bytes per window; 32 with the tilted cells and parities
-of tilted cascades), and per stage the flat corner offsets of each stump
-compiled alone (:func:`facedet.haar.compile_features`) at every level and
-parity. A lone stump reads its corners in the same order with the same
-weights at every size and parity (checked), so one float64 (corners,
-stumps) matrix of integer weights times the polarities serves all levels.
-
-The plan also owns the shape's workspace, which every scan refills instead
-of mapping fresh memory: the summed-area tables (``integral_set(...,
-out=)``), their float64 copies, the skin table (in the memory of the
-upright float64 copy, which is filled after the gate has read it), and one
-int64 index block and one float64 gather block of ``SCAN_ROWS`` windows
-times the widest stage read, shared by every stage and table kind. Memory
-stays bounded because the plan is replaced with the shape; and because a
-plan is part of its cascade, a :class:`facedet.boost.Cascade` scans one
-image at a time (scan in parallel from forked processes, not from threads).
-
-Per image and level, the skin fraction and pixel sigma of every window come
-from four strided slices of the summed-area tables; the windows that pass
-the gate are kept. Each stage then makes, per block of ``SCAN_ROWS`` live
-windows of all levels and per table kind, one gather
-``flat[origin[:, None] + offsets[level]]`` from the float64 tables into the
-workspace blocks, and one BLAS product with the weights. All operands are
-integers, and no partial sum exceeds the largest table value (at most the
-pixel sum) times the largest column L1 norm of the weights; each image
-checks that this is below 2**53, so every sum is exact in any order.
-Dividing by sigma and adding the votes in stump order from 0.0 makes every
-margin bit-identical to a window-by-window evaluation.
-
-A :class:`LiveWindows` record carries one image's scan from call to call:
-the windows that passed the stages run so far, as plan indices (the same
-for every cascade of one base window at one shape, ``scale_factor`` and
-``step``), their sigma and last margins, and the stats. A scan by a
-cascade whose stages begin with the record's, of the same image,
-parameters and gate, runs only the further stages; any other record, or
-none, starts with the gate. Either way the stage loop is the same and the
-result is the full scan's. Training's hard-negative mining keeps one per
-pool image.
-
-Boxes travel as the (n, 4) ``Detections.boxes`` from the scan to the scoring.
-The merge runs :func:`pairwise_iou`, the one IoU over box arrays, in blocks
-of ``MERGE_ROWS`` boxes so memory stays linear in the box count, labels each
-component of overlapping boxes with its smallest index (``np.minimum.at``
-along the pairs, and pointer jumping) and averages each group from exact
-integer sums.
+:func:`detect_multiscale_counted` scans an image with the cascade's plan
+for its shape (:func:`_scan_plan`): each stage runs once over the live
+windows of every pyramid level, and the accepted windows come back as
+:class:`Detections`. :func:`merge_detections` then groups the boxes that
+overlap.
 """
 
 from __future__ import annotations
@@ -168,13 +125,21 @@ def pairwise_iou(a, b) -> np.ndarray:
 class _ScanPlan:
     """What a scan needs of the cascade, the image shape, ``scale_factor``
     and ``step``: the levels, their window lattices and each stage's reads;
-    and the workspace that every scan with the plan refills."""
+    and the workspace that every scan with the plan refills instead of
+    mapping fresh memory.
+
+    A lone stump reads its corners in the same order with the same weights
+    at every size and parity (:func:`_compiled` checks it), so one float64
+    (corners, stumps) matrix of integer weights times the polarities serves
+    every level.
+    """
 
     sizes: np.ndarray  # (levels,) window side
     steps: list[int]  # per level, the lattice step
     starts: list[int]  # per level, its first window; then the window count
     # per table kind (upright; tilted, if any stump is), each window's origin
     # cell and its offsets row: its level, or 2 * level + origin parity
+    # (16 bytes a window; 32 with the tilted kind)
     bases: list[tuple[np.ndarray, np.ndarray]]
     # per stage and table kind read: the kind, the flat corner offsets by offsets
     # row, and the float64 (corners, stumps) weights times the polarities
@@ -217,14 +182,21 @@ def _compiled(cascade: Cascade, size: int) -> dict[int, Corners]:
     return compiled
 
 
-def _scan_plan(cascade: Cascade, iset: IntegralSet, scale_factor: float, step: int) -> _ScanPlan:
-    """The cascade's plan for the image of ``iset``, built on the first scan
-    of a new shape, ``scale_factor`` or ``step``, which it replaces; a new
-    plan keeps ``iset`` as its tables."""
+def _scan_plan(cascade: Cascade, img: np.ndarray, scale_factor: float, step: int) -> _ScanPlan:
+    """The cascade's plan for ``img``, ``scale_factor`` and ``step``, with
+    the tables of ``img`` in its workspace.
+
+    The cascade keeps one plan, the last scan's. It is refilled for an image
+    of its shape at its parameters; any other scan builds a new plan, which
+    replaces it.
+    """
+    key = (img.shape, scale_factor, step)
+    plan = cascade.plan.get(key)
+    if plan is not None:
+        integral_set(img, with_tilted=plan.tables.planes is not None, out=plan.tables)
+        return plan
+    iset = integral_set(img, with_tilted=any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps))
     rows, cols = iset.grid.shape
-    key = ((rows - 1, cols - 1), scale_factor, step)
-    if key in cascade.plan:
-        return cascade.plan[key]
     base = cascade.base_window
     sizes, steps, cells = [], [], []
     size = base
@@ -278,7 +250,14 @@ def _stage_margins(plan: _ScanPlan, k: int, stage: Stage, win: np.ndarray, sigma
     """Margins of ``stage``, the cascade's stage ``k``, at the plan's windows
     ``win`` (not empty) of pixel sigma ``sigma``, from the plan's flat
     float64 tables: per block of ``plan.block_rows`` windows and table kind,
-    one gather through the plan's index and gather blocks and one product."""
+    one gather through the plan's index and gather blocks and one product.
+
+    All operands are integers, and no partial sum exceeds the largest table
+    value (at most the pixel sum) times ``plan.weight_l1``; the scan checks
+    that this is below 2**53, so every sum is exact in any order. Dividing
+    by sigma and adding the votes in stump order from 0.0 makes every margin
+    bit-identical to a window-by-window evaluation.
+    """
     reads = [(plan.flats[kind], *(a[win] for a in plan.bases[kind]), offsets, coef) for kind, offsets, coef in plan.stages[k]]
     responses = np.zeros((win.size, len(stage.stumps)))
     for lo in range(0, win.size, plan.block_rows):
@@ -304,10 +283,11 @@ class LiveWindows:
     """One image's scan by a cascade prefix, which a scan by a longer cascade
     continues (see :func:`detect_multiscale_counted`).
 
-    It holds the plan indices of the windows that passed every stage in
-    ``stages``, in scan order, with their pixel sigma and the margins of the
-    last of those stages, and the ``ScanStats`` of a full scan by that
-    prefix. ``key`` names what the lattice and the gate were made from: the
+    It holds the plan indices (the same for every cascade of one base window
+    at one shape, ``scale_factor`` and ``step``) of the windows that passed
+    every stage in ``stages``, in scan order, with their pixel sigma and
+    the margins of the last of those stages, and the ``ScanStats`` of a
+    full scan by that prefix. ``key`` names what the lattice and the gate were made from: the
     image's shape and pixels, ``scale_factor``, ``step``, the base window and
     the skin gate. A new record is empty: ``key`` is None.
     """
@@ -340,22 +320,20 @@ def detect_multiscale_counted(
     continued with the cascade's further stages only; any other record is
     emptied and filled by a full scan, of which a scan without a record is
     the case. Either way the record then holds this scan, and the result is
-    the full scan's.
+    the full scan's. Training's hard-negative mining keeps one record per
+    pool image.
     """
     if scale_factor <= 1.0:
         raise ValueError("scale_factor must be > 1")
     if step < 1:
         raise ValueError("step must be >= 1")
     img = np.asarray(img)
-    tilted = any(wc.feature.tilted for stage in cascade.stages for wc, _ in stage.stumps)
-    # a plan for this shape and these parameters has the tables to refill
-    plan = cascade.plan.get((img.shape, scale_factor, step))
-    iset = integral_set(img, with_tilted=tilted, out=None if plan is None else plan.tables)
     if skin is not None:
         skin = np.asarray(skin)
         if skin.shape != img.shape:
             raise ValueError("skin mask dimensions must match the image")
-    plan = _scan_plan(cascade, iset, scale_factor, step)
+    plan = _scan_plan(cascade, img, scale_factor, step)
+    iset = plan.tables
     record = LiveWindows() if live is None else live
     key = None
     if live is not None:

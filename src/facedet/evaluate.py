@@ -1,12 +1,12 @@
-"""Dataset manifests, detection/ground-truth matching, rates, ROC sweeps,
-and report rendering.
+"""Dataset manifests, detection/ground-truth matching, rates and ROC sweeps.
 
 Manifest format, one image per line, whitespace-delimited, '#' comments:
 
     <image-path> <n> <x y w h> * n
 
-Skin-mask manifests pair image and mask paths: ``<image-path> <mask-path>``.
-Relative paths resolve against the manifest file's directory.
+Skin-mask manifests pair image and mask paths: ``<image-path> <mask-path>``;
+an image is named by its normalized path, so ``a.ppm`` and ``./a.ppm`` are
+one image. Relative paths resolve against the manifest file's directory.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ __all__ = [
     "ManifestEntry",
     "ManifestError",
     "load_manifest",
-    "load_mask_manifest",
     "match_detections",
     "detection_rate",
     "false_alarm_rate",
     "RocCurve",
     "roc_sweep",
-    "emit_report",
-    "emit_report_csv",
 ]
 
 
@@ -67,13 +64,6 @@ def _mask_lines(path: str) -> dict[str, tuple[str, int]]:
             )
         lines[image] = (os.path.join(base, tokens[1]), lineno)
     return lines
-
-
-def load_mask_manifest(path: str) -> dict[str, str]:
-    """Image-path -> mask-path mapping (paths resolved to the manifest dir),
-    keyed by the normalized image path, so ``a.ppm`` and ``./a.ppm`` name
-    the same image. An image named twice is an error that names both lines."""
-    return {image: mask for image, (mask, _) in _mask_lines(path).items()}
 
 
 def load_manifest(path: str, mask_manifest: str | None = None) -> list[ManifestEntry]:
@@ -201,33 +191,3 @@ def roc_sweep(per_image: list[tuple[Detections, list]], thresholds) -> RocCurve:
             continue
         points.append(point)
     return RocCurve(points)
-
-
-_REPORT_HEADER = ["Method", "Hits", "Misses", "False positives", "Detection rate (%)"]
-
-
-def emit_report(rows: list[tuple[str, int, int, int, float]]) -> str:
-    """Aligned text table; the rate column prints as a whole percent, or
-    n/a for a NaN rate (no ground-truth faces)."""
-    if not rows:
-        raise ValueError("need at least one report row")
-    table = [_REPORT_HEADER]
-    for name, hits, misses, fps, rate in rows:
-        shown = "n/a" if np.isnan(rate) else str(int(np.floor(rate + 0.5)))
-        table.append([name, str(hits), str(misses), str(fps), shown])
-    widths = [max(len(row[c]) for row in table) for c in range(5)]
-    lines = []
-    for row in table:
-        cells = [row[0].ljust(widths[0])] + [row[c].rjust(widths[c]) for c in range(1, 5)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
-
-
-def emit_report_csv(rows: list[tuple[str, int, int, int, float]]) -> str:
-    """Same numbers, comma-separated, exact rates (nan without faces)."""
-    if not rows:
-        raise ValueError("need at least one report row")
-    lines = ["method,hits,misses,false_positives,detection_rate"]
-    for name, hits, misses, fps, rate in rows:
-        lines.append(f"{name},{hits},{misses},{fps},{rate:.9g}")
-    return "\n".join(lines)

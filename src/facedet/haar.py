@@ -143,11 +143,6 @@ class FeatureBank(Sequence):
         for kind, (x, y, w, h) in zip(self._kind.tolist(), self._geometry.tolist()):
             yield HaarFeature(KINDS[kind], x, y, w, h, self.window)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureBank):
-            return NotImplemented
-        return self.window == other.window
-
 
 def generate_feature_set(base_window: int) -> FeatureBank:
     """The full ordered bank: kinds in KINDS order, placements by (y, x, h, w)."""

@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .boost import Cascade, keep_threshold, train_cascade
 from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
-from .evaluate import detection_rate, emit_report, emit_report_csv, false_alarm_rate, match_detections
+from .evaluate import detection_rate, false_alarm_rate, match_detections
 from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
 from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
-from .skin import Region, classify_skin, extract_regions, refine_mask, skin_ratio, sobel_edges
+from .skin import classify_skin, refine_mask, sobel_edges
 from .svm import LinearSvmModel, train_svm
 from .validate import validate_detections
 
@@ -59,30 +58,18 @@ def preprocess_gray(gray: np.ndarray, config: PipelineConfig) -> np.ndarray:
 @dataclass(frozen=True)
 class SegmentResult:
     """A refined skin mask and the image's gray (Y) plane, equal to
-    ``to_grayscale`` of it (the same expression and rounding); regions and
-    skin ratio are computed on first access, as detection reads only the mask."""
+    ``to_grayscale`` of it (the same expression and rounding)."""
 
     mask: np.ndarray
     gray: np.ndarray
-    min_area: int  # smallest region kept, in pixels
-
-    @cached_property
-    def regions(self) -> list[Region]:
-        return extract_regions(self.mask, self.min_area)
-
-    @cached_property
-    def ratio(self) -> float:
-        """Percentage of mask pixels marked skin."""
-        return skin_ratio(self.mask)
 
 
 def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
-    """Skin classification and Sobel-edge refinement; regions on demand."""
+    """Skin classification and Sobel-edge refinement."""
     ycbcr = rgb_to_ycbcr(rgb)
     skin = classify_skin(ycbcr, config)
     gray = ycbcr[..., 0]
-    mask = refine_mask(skin, sobel_edges(gray, config.sobel_threshold))
-    return SegmentResult(mask, gray, config.min_area or max(1, round(mask.size * 0.001)))
+    return SegmentResult(refine_mask(skin, sobel_edges(gray, config.sobel_threshold)), gray)
 
 
 def read_scene(path: str, config: PipelineConfig, mask_path: str | None = None, gate: bool = True):
@@ -290,13 +277,27 @@ def summarize(results) -> dict:
 def report(summary: dict, validated: bool, csv: bool = False) -> str:
     """The results table of a ``summarize`` dict: the cascade row, and the
     validated row when a validator ran; then, when some window was
-    evaluated, each row's false-alarm rate. Without faces the rate is n/a."""
-    rows = []
-    for name, key in [("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")][: 1 + validated]:
-        hits, misses, fps = summary[key]
-        rows.append((name, hits, misses, fps, detection_rate(hits, misses) if hits + misses else float("nan")))
-    lines = [emit_report_csv(rows) if csv else emit_report(rows)]
+    evaluated, each row's false-alarm rate.
+
+    The text table aligns its columns and rounds the detection rate to a
+    whole percent; the CSV keeps it exact. Without faces the rate is n/a
+    (nan in the CSV).
+    """
+    rows = [("Adaboost Cascade", *summary["cascade"])]
+    if validated:
+        rows.append(("Cascade + validation", *summary["validated"]))
+    rates = [detection_rate(h, m) if h + m else float("nan") for _, h, m, _ in rows]
+    if csv:
+        lines = ["method,hits,misses,false_positives,detection_rate"]
+        lines += [f"{name},{h},{m},{f},{rate:.9g}" for (name, h, m, f), rate in zip(rows, rates)]
+    else:
+        table = [["Method", "Hits", "Misses", "False positives", "Detection rate (%)"]]
+        for row, rate in zip(rows, rates):
+            table.append([*map(str, row), "n/a" if np.isnan(rate) else str(int(np.floor(rate + 0.5)))])
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])]).rstrip()
+                 for row in table]
     windows = summary["evaluated_windows"]
     if windows:
-        lines += [f"false_alarm_rate[{name}]={false_alarm_rate(fps, windows):.9g}" for name, _h, _m, fps, _r in rows]
+        lines += [f"false_alarm_rate[{name}]={false_alarm_rate(f, windows):.9g}" for name, _h, _m, f in rows]
     return "\n".join(lines)

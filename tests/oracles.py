@@ -6,7 +6,7 @@ training feature matrix. It builds the LBP descriptor only in batches, over
 an image and its boxes (:func:`facedet.lbp.descriptors`). The functions
 here do the same arithmetic one window, one crop, one feature or one
 rectangle at a time, as the package first did. The package's stump search
-sorts and sweeps in tasks of a few feature rows, in forked workers that
+sorts and sweeps in blocks of a few feature rows, in forked workers that
 each own a range of the rows; :class:`WholeMatrixStumpSearch` does both
 over the whole matrix at once, in one process. The package matches and
 sweeps boxes as :class:`facedet.detect.Detections` columns through one

@@ -28,7 +28,7 @@ from facedet.boost import (
     train_stage,
 )
 from facedet.detect import LiveWindows, detect_multiscale_counted
-from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind
+from facedet.haar import KINDS, HaarFeature, _placements, enumerate_kind, generate_feature_set
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
 from oracles import (
@@ -114,8 +114,8 @@ class TestTrainStump:
 
 @contextlib.contextmanager
 def stump_tasks(workers, task_rows=boost.TASK_ROWS):
-    """Run the stump search as if the process may use ``workers`` CPUs, in
-    tasks of ``task_rows`` rows."""
+    """Run the stump search as if the process may use ``workers`` CPUs,
+    sorting in chunks of ``task_rows`` rows."""
     with mock.patch.object(boost, "_allowed_cpus", return_value=workers), mock.patch.object(
         boost, "TASK_ROWS", task_rows
     ):
@@ -131,7 +131,7 @@ def fork_process_spy():
 
 @contextlib.contextmanager
 def task_log(path):
-    """Log every sort task and sweep block as (kind, pid, first row, row
+    """Log every sort chunk and sweep block as (kind, pid, first row, row
     stop), in whichever process runs it, to ``path``; yields a function
     that reads the log back."""
     sort = boost._StumpSearch._sort_rows
@@ -321,13 +321,13 @@ class TestKeepThreshold:
 
 
 class TestStumpTasks:
-    """The stump search runs in tasks in forked children, one per allowed
-    CPU, each owning a range of whole tasks for the stage."""
+    """The stump search runs in forked children, one per allowed CPU and at
+    most one per row, each owning an equal share of the rows for the stage."""
 
     def test_nan_in_a_later_task_rejected_and_children_joined(self):
         rng = np.random.default_rng(12)
         values = rng.normal(size=(20, 30))
-        values[17, 4] = np.nan  # the sixth of seven tasks, in the third child
+        values[17, 4] = np.nan  # in the third child's rows, 13-19
         labels = np.where(np.arange(30) % 2 == 0, 1, -1)
         with stump_tasks(3, task_rows=3), fork_process_spy() as spy, pytest.raises(ValueError, match="NaN"):
             train_stage(values, labels)
@@ -345,7 +345,7 @@ class TestStumpTasks:
         log = read()
         pids = {pid for _, pid, _, _ in log}
         assert len(pids) == 2 and os.getpid() not in pids
-        # each child owns five whole tasks of four rows, in its own row numbers
+        # each child owns 20 rows, sorted in chunks of four, in its own row numbers
         for pid in pids:
             sorts = [(lo, hi) for kind, p, lo, hi in log if kind == "sort" and p == pid]
             assert sorts == [(lo, lo + 4) for lo in range(0, 20, 4)]
@@ -361,10 +361,22 @@ class TestStumpTasks:
         pids = {pid for _, pid, _, _ in log}
         assert len(pids) == 1 and os.getpid() not in pids
         assert [(lo, hi) for kind, _, lo, hi in log if kind == "sort"] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert sum(kind == "sweep" for kind, _, _, _ in log) == 4 * len(serial.stage.stumps)
+        # the sweep goes in blocks of SWEEP_ROWS rows, whatever the sort chunks: one block a round
+        assert [(lo, hi) for kind, _, lo, hi in log if kind == "sweep"] == [(0, 10)] * len(serial.stage.stumps)
         with stump_tasks(3, task_rows=3):
             pooled = train_stage(values, labels, max_stumps=3, max_fpr=0.0)
         assert pooled.stage == serial.stage and np.array_equal(pooled.scores, serial.scores)
+
+    @pytest.mark.parametrize("workers, rows, owned", [(3, 10, [3, 3, 4]), (4, 2, [1, 1]), (2, 7, [3, 4])])
+    def test_children_own_equal_shares_of_the_rows(self, tmp_path, workers, rows, owned):
+        rng = np.random.default_rng(15)
+        values = rng.normal(size=(rows, 30))
+        labels = np.where(values[0] > 0, 1, -1)
+        with stump_tasks(workers), task_log(tmp_path / "tasks") as read, fork_process_spy() as spy:
+            train_stage(values, labels, max_stumps=1)
+        assert spy.call_count == len(owned)
+        sorts = sorted((pid, lo, hi) for kind, pid, lo, hi in read() if kind == "sort")
+        assert sorted(hi for _, _, hi in sorts) == owned and all(lo == 0 for _, lo, _ in sorts)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_dead_worker_is_an_error_not_a_hang(self, workers):
@@ -825,6 +837,23 @@ class TestFeatureValueMatrix:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if low_contrast:
             assert np.array_equal(got.view(np.int64), feature_matrix_oracle(features, samples, False).view(np.int64))
+
+    def test_traced_peak_of_one_call_stays_a_few_mb(self):
+        # 2,500 features of the 24 px bank over 256 tiles: 5.1 MB of
+        # temporaries in blocks of 64 samples, 15.3 MB in blocks of 256
+        rng = np.random.default_rng(33)
+        bank = generate_feature_set(24)
+        features = [bank[i] for i in np.sort(rng.choice(len(bank), 2500, replace=False))]
+        samples = [rng.integers(0, 256, size=(24, 24)).astype(np.uint8) for _ in range(256)]
+        program = boost._compile_matrix(features, 24)
+        out = np.empty((len(features), len(samples)))
+        tracemalloc.start()
+        try:
+            feature_value_matrix(features, samples, program=program, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_out_column_slice_equals_the_returned_matrix(self, rows):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from facedet import detect
 from facedet.boost import Cascade, Stage, WeakClassifier, load_cascade, train_cascade
@@ -163,9 +164,9 @@ def stage_margin_calls(cascade, *args, **kwargs):
         return detect_multiscale_counted(cascade, *args, **kwargs), calls
 
 
-def mixed_cascade():
-    """Three stages of base 10 over two tilted stumps and an upright one."""
-    features = [bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3]]
+def mixed_cascade(features=None):
+    """Three stages of base 10 over three stumps: by default two tilted and an upright one."""
+    features = features or [bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3]]
     stages = [
         Stage([(WeakClassifier(f, t, p), a) for f, t, p, a in zip(features, thresholds, (1, -1, 1), (0.5, 1.0, 0.7))], share)
         for thresholds, share in (((0.0, 0.0, 0.0), 0.5), ((0.5, -0.5, 1.0), 0.9), ((-0.5, 0.0, 0.5), 1.0))
@@ -424,8 +425,7 @@ class TestScanPlan:
         # times the polarities at every level and parity
         cascade = mixed_cascade()
         img = np.random.default_rng(41).integers(0, 256, size=(30, 40)).astype(np.uint8)
-        iset = integral_set(img)
-        plan = detect._scan_plan(cascade, iset, 1.25, 2)
+        plan = detect._scan_plan(cascade, img, 1.25, 2)
         stumps = [wc for stage in cascade.stages for wc, _ in stage.stumps]
         for size in plan.sizes.tolist():
             alone = [compile_features([wc.feature], size) for wc in stumps]
@@ -480,7 +480,7 @@ class TestExactProducts:
     def with_plan(cascade, img, edit, step=4):
         """A copy of the cascade whose plan for ``img`` is edited."""
         copy = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
-        plan = detect._scan_plan(copy, integral_set(img, with_tilted=False), 1.25, step)
+        plan = detect._scan_plan(copy, img, 1.25, step)
         (key,) = copy.plan
         copy.plan[key] = edit(plan)
         return copy
@@ -490,7 +490,7 @@ class TestExactProducts:
         img = rng.integers(0, 256, size=(30, 30)).astype(np.uint8)
         pixel_sum = int(img.astype(np.int64).sum())
         iset = integral_set(img)
-        plan = detect._scan_plan(toy_cascade, integral_set(img, with_tilted=False), 1.25, 6)
+        plan = detect._scan_plan(toy_cascade, img, 1.25, 6)
         norms = []
         for stage, reads in zip(toy_cascade.stages, plan.stages):
             # each stump's column L1 norm, summed over the table kinds
@@ -697,6 +697,93 @@ class TestLiveWindows:
             assert live.stages == toy_cascade.stages[:1]
         assert first[1].evaluated_windows > 0
         assert detect_multiscale_counted(prefix(toy_cascade, 1), img, step=4, live=live) == first
+
+
+class ScanCaches(RuleBasedStateMachine):
+    """Scans in random order through a cascade's caches (its compiled
+    corners, its one plan and the plan's workspace), its prefix cascades'
+    caches and one LiveWindows record, while the pixels change in place and
+    SCAN_ROWS changes: every scan equals a fresh cascade copy's scan and
+    scan_oracle's, boxes, scores and ScanStats."""
+
+    features = None  # mixed_cascade's stumps; a subclass may give others
+    # two shapes of one height, and a shape and its transpose
+    images = dict(shape=st.sampled_from([(20, 24), (20, 17), (24, 20)]),
+                  dtype=st.sampled_from(["uint8", "uint16", "int64"]), seed=st.integers(0, 2**16))
+
+    def __init__(self):
+        super().__init__()
+        cascade = mixed_cascade(self.features)
+        # cascade k has the first k stages; the last is the whole cascade
+        self.cascades = [prefix(cascade, k) for k in range(len(cascade.stages))] + [cascade]
+        self.record = LiveWindows()
+        self.recorded = None  # the gate and parameters of the last scan with the record
+
+    def teardown(self):
+        detect.SCAN_ROWS = SCAN_ROWS
+
+    @initialize(**images)
+    def first_image(self, shape, dtype, seed):
+        self.new_image(shape, dtype, seed)
+
+    @rule(**images)
+    def new_image(self, shape, dtype, seed):
+        self.img = np.random.default_rng(seed).integers(0, 256, size=shape).astype(dtype)
+
+    @rule(y=st.integers(0, 30), x=st.integers(0, 30))
+    def change_pixels(self, y, x):
+        # in place: the same array holds other pixels
+        self.img[y : y + 6, x : x + 6] = 255 - self.img[y : y + 6, x : x + 6]
+
+    @rule(block=st.sampled_from([1, 3, SCAN_ROWS]))
+    def set_scan_rows(self, block):
+        detect.SCAN_ROWS = block
+
+    @rule(
+        k=st.integers(0, 3),
+        gate=st.sampled_from([None, "left", "edges"]),
+        scale_factor=st.sampled_from([1.25, 1.5]),
+        step=st.sampled_from([1, 2]),
+        use_record=st.booleans(),
+    )
+    def scan(self, k, gate, scale_factor, step, use_record):
+        h, w = self.img.shape
+        skin, min_skin = None, 0.25
+        if gate == "left":
+            skin = np.zeros((h, w), dtype=np.uint8)
+            skin[:, : w // 2] = 1
+        elif gate == "edges":
+            skin, min_skin = edge_skin(h, w)
+        cascade = self.cascades[k]
+        args = (self.img, skin, scale_factor, step, min_skin)
+        got = detect_multiscale_counted(cascade, *args, live=self.record if use_record else None)
+        assert got == detect_multiscale_counted(Cascade(cascade.base_window, cascade.stages, cascade.metadata), *args)
+        assert got == scan_oracle(cascade, *args)
+        if use_record:
+            self.recorded = gate, scale_factor, step
+
+    @precondition(lambda self: self.recorded is not None and len(self.record.stages) < 3)
+    @rule()
+    def continue_record(self):
+        # the next stage over the record's image, gate and parameters, unless they changed since
+        self.scan(len(self.record.stages) + 1, *self.recorded, use_record=True)
+
+    @rule(k=st.integers(1, 3), use_record=st.booleans())
+    def inexact_image(self, k, use_record):
+        # 340 or more pixels of at least 2**44: over 2**52 in pixel sum, times a weight norm of 2 or more
+        huge = (self.img.astype(np.int64) + 1) << 44
+        with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
+            detect_multiscale_counted(self.cascades[k], huge, live=self.record if use_record else None)
+
+
+class UprightScanCaches(ScanCaches):
+    features = [bank("edge2h", 10)[3], bank("line3v", 10)[11], bank("center_surround", 10)[5]]
+
+
+TestScanCachesTilted = ScanCaches.TestCase
+TestScanCachesUpright = UprightScanCaches.TestCase
+for case in (TestScanCachesTilted, TestScanCachesUpright):
+    case.settings = settings(max_examples=25, stateful_step_count=25, deadline=None)
 
 
 class TestStageAttrition:

@@ -7,14 +7,12 @@ from facedet.detect import Detection, iou, pairwise_iou
 from facedet.evaluate import (
     ManifestError,
     detection_rate,
-    emit_report,
-    emit_report_csv,
     false_alarm_rate,
     load_manifest,
-    load_mask_manifest,
     match_detections,
     roc_sweep,
 )
+from facedet.pipeline import report, summarize
 from oracles import as_detections, match_detections_oracle, roc_sweep_oracle
 
 
@@ -96,7 +94,6 @@ class TestManifest:
         loaded = load_manifest(manifest, masks)
         assert loaded[0].mask_path.endswith("a_mask.pgm")
         assert loaded[1].mask_path is None
-        assert "a.pgm" in load_mask_manifest(masks)
 
 
     def test_mask_manifest_matches_normalized_image_paths(self, tmp_path):
@@ -106,10 +103,10 @@ class TestManifest:
         masks.write_text("./scene.ppm scene_mask.pgm\nsub/../sub/b.ppm b_mask.pgm\n")
         loaded = load_manifest(manifest, masks)
         assert [e.mask_path for e in loaded] == [str(tmp_path / "scene_mask.pgm"), str(tmp_path / "b_mask.pgm")]
-        masks.write_text("a.ppm a_mask.pgm\n./a.ppm other.pgm\n")
+        masks.write_text("scene.ppm a_mask.pgm\n./scene.ppm other.pgm\n")
         with pytest.raises(ManifestError) as err:
-            load_mask_manifest(masks)
-        assert str(err.value) == f"{masks}:2: image './a.ppm' already has a mask on line 1"
+            load_manifest(manifest, masks)
+        assert str(err.value) == f"{masks}:2: image './scene.ppm' already has a mask on line 1"
 
     def test_mask_manifest_line_naming_no_image_is_an_error(self, tmp_path):
         manifest = tmp_path / "m.txt"
@@ -132,11 +129,14 @@ class TestManifest:
         assert pairwise_iou(entry.boxes, entry.boxes).tolist() == [[iou(a, b) for b in entry.boxes] for a in entry.boxes]
 
     def test_mask_manifest_rejects_a_repeated_image(self, tmp_path):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("a.pgm 0\nb.pgm 0\n")
         masks = tmp_path / "masks.txt"
         masks.write_text("a.pgm a_mask.pgm\nb.pgm b_mask.pgm\n\na.pgm other.pgm\n")
         with pytest.raises(ManifestError) as err:
-            load_mask_manifest(masks)
+            load_manifest(manifest, masks)
         assert str(err.value) == f"{masks}:4: image 'a.pgm' already has a mask on line 1"
+        # the mask manifest is checked before the image manifest is read
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "unread.txt", masks)
 
@@ -307,31 +307,38 @@ class TestRocSweep:
             roc_sweep([(as_detections([]), [])], [1.0, 0.5])
 
 
+def counts(cascade, validated=(0, 0, 0)):
+    """A ``summarize`` dict of these (hits, misses, false positives) and no evaluated window."""
+    return {"cascade": list(cascade), "validated": list(validated), "total_windows": 0, "evaluated_windows": 0}
+
+
 class TestReports:
+    """``pipeline.report``, the results table of ``facedet eval`` and of the experiment script."""
+
     def test_renders_reference_rows(self):
-        rows = [
-            ("Adaboost Cascade", 474, 31, 142, 92.0),
-            ("Proposed method", 472, 33, 87, 92.0),
-        ]
-        text = emit_report(rows)
+        text = report(counts((474, 31, 142), (472, 33, 87)), validated=True)
         lines = text.splitlines()
-        assert " ".join(lines[1].split()) == "Adaboost Cascade 474 31 142 92"
-        assert " ".join(lines[2].split()) == "Proposed method 472 33 87 92"
+        assert " ".join(lines[1].split()) == "Adaboost Cascade 474 31 142 94"
+        assert " ".join(lines[2].split()) == "Cascade + validation 472 33 87 93"
         for col in ("Method", "Hits", "Misses", "False positives", "Detection rate (%)"):
             assert col in lines[0]
+        # columns align: every cell of a column ends at the same offset
+        assert len({len(line) for line in lines}) == 1
 
     def test_single_row(self):
-        text = emit_report([("Cascade", 10, 2, 5, detection_rate(10, 2))])
+        text = report(counts((10, 2, 5)), validated=False)
         assert len(text.splitlines()) == 2
-        assert " ".join(text.splitlines()[1].split()) == "Cascade 10 2 5 83"
+        assert " ".join(text.splitlines()[1].split()) == "Adaboost Cascade 10 2 5 83"
 
     def test_csv_variant_keeps_exact_rates(self):
-        rows = [("Cascade", 5046, 451, 97, detection_rate(5046, 451))]
-        csv = emit_report_csv(rows)
-        lines = csv.splitlines()
+        lines = report(counts((5046, 451, 97)), validated=False, csv=True).splitlines()
         assert lines[0] == "method,hits,misses,false_positives,detection_rate"
-        assert lines[1].startswith("Cascade,5046,451,97,91.795")
+        assert lines[1].startswith("Adaboost Cascade,5046,451,97,91.795")
 
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            emit_report([])
+    @pytest.mark.parametrize("validated", [False, True])
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_summary_of_no_images_gives_na_rows(self, validated, csv):
+        # a summary always gives one row, and a second with a validator
+        lines = report(summarize([]), validated, csv).splitlines()
+        assert len(lines) == 2 + validated
+        assert all(line.endswith(",nan" if csv else " n/a") for line in lines[1:])

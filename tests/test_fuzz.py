@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from facedet.boost import Cascade, load_cascade
 from facedet.cli import main
 from facedet.config import PipelineConfig, load_config_file
-from facedet.evaluate import ManifestEntry, load_manifest, load_mask_manifest
+from facedet.evaluate import ManifestEntry, load_manifest
 from facedet.lbp import DESCRIPTOR_LENGTH
 from facedet.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
 from facedet.pipeline import detect_faces
@@ -55,13 +55,18 @@ def is_valid(name, obj):
     if name in ("pgm", "ppm"):
         channels = () if name == "pgm" else (3,)
         return obj.dtype == np.uint8 and obj.ndim == 2 + len(channels) and obj.shape[2:] == channels and obj.size > 0
-    if name == "manifest":
+    if name in ("manifest", "mask_manifest"):
         return isinstance(obj, list) and all(
             isinstance(e, ManifestEntry) and all(w > 0 and h > 0 for _, _, w, h in e.boxes) for e in obj
         )
-    if name == "mask_manifest":
-        return isinstance(obj, dict)
     return isinstance(obj, PipelineConfig)
+
+
+def load_masks(path):
+    """A mask manifest, through ``load_manifest`` with an image manifest of its seed's images."""
+    images = Path(path).with_name("mask_images.txt")
+    images.write_text("a.ppm 0\nb.ppm 0\n")
+    return load_manifest(str(images), path)
 
 
 LOADERS = {
@@ -70,7 +75,7 @@ LOADERS = {
     "pgm": read_pgm,
     "ppm": read_ppm,
     "manifest": load_manifest,
-    "mask_manifest": load_mask_manifest,
+    "mask_manifest": load_masks,
     "config": load_config_file,
 }
 

@@ -63,7 +63,7 @@ class TestEnumeration:
         assert len(got) == len(expected)
 
     def test_deterministic_regeneration(self):
-        assert generate_feature_set(10) == generate_feature_set(10)
+        assert list(generate_feature_set(10)) == list(generate_feature_set(10))
 
     def test_canonical_order(self):
         bank = generate_feature_set(8)

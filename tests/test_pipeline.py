@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facedet
-from facedet import boost, detect, pipeline, validate
+from facedet import boost, cli, detect, pipeline, validate
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
@@ -22,7 +24,7 @@ from facedet.detect import Detection, iou
 from facedet.evaluate import match_detections
 from facedet.images import crop_square, downscale, histogram_equalization, median_filter, to_grayscale
 from facedet.lbp import DESCRIPTOR_LENGTH, descriptors
-from facedet.netpbm import write_pgm, write_ppm
+from facedet.netpbm import read_pgm, write_pgm, write_ppm
 from facedet.pipeline import (
     detect_faces,
     evaluate_images,
@@ -51,41 +53,52 @@ class TestPreprocess:
         assert np.array_equal(preprocess_gray(img, config), expected)
 
 
+def skin_squares(h, w, squares):
+    """An (h, w) blue image with skin-coloured (y, x, side) squares."""
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    rgb[..., 2] = 200
+    for y, x, side in squares:
+        for c, mix in enumerate(SKIN_MIX):
+            rgb[y : y + side, x : x + side, c] = int(190.0 * mix)
+    return rgb
+
+
+def segment_summary(tmp_path, rgb, *flags):
+    """``facedet segment``'s mask of ``rgb`` and its printed summary line."""
+    write_ppm(tmp_path / "in.ppm", rgb)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["segment", "--in", str(tmp_path / "in.ppm"), "--out", str(tmp_path / "mask.pgm"), *flags]) == 0
+    return read_pgm(tmp_path / "mask.pgm") > 0, out.getvalue()
+
+
 class TestSegmentImage:
     def test_skin_block_found(self):
-        rgb = np.zeros((40, 40, 3), dtype=np.uint8)
-        rgb[..., 2] = 200  # blue background
-        v = 190.0
-        for c, mix in enumerate(SKIN_MIX):
-            rgb[10:30, 8:28, c] = int(v * mix)
-        result = segment_image(rgb, PipelineConfig())
-        assert result.ratio > 10.0
-        assert result.regions
-        top = result.regions[0]
+        rgb = skin_squares(40, 40, [(10, 8, 20)])
+        mask = segment_image(rgb, PipelineConfig()).mask
+        assert skin_ratio(mask) > 10.0
+        (top,) = extract_regions(mask)
         assert abs(top.x - 8) <= 2 and abs(top.y - 10) <= 2
 
-    def test_min_area_defaults_to_permille(self):
-        rgb = np.zeros((40, 40, 3), dtype=np.uint8)
-        result = segment_image(rgb, PipelineConfig())
-        assert result.ratio == 0.0
-        assert result.regions == []
+    def test_min_area_defaults_to_permille(self, tmp_path):
+        # 200 x 300 pixels: a thousandth is 60, between the squares' areas
+        rgb = skin_squares(200, 300, [(5, 20, 8), (60, 100, 12), (120, 200, 22)])
+        mask, printed = segment_summary(tmp_path, rgb)
+        assert sorted(r.area for r in extract_regions(mask)) == [36, 100, 400]
+        assert printed == f"skin_ratio={skin_ratio(mask):.9g} regions=2\n"
+        assert segment_summary(tmp_path, rgb, "--min-area", "1")[1].endswith(" regions=3\n")
 
     @pytest.mark.parametrize("min_area, areas", [(0, [36, 100, 400]), (1, [36, 100, 400]), (100, [100, 400]), (300, [400])])
-    def test_lazy_regions_and_ratio_equal_eager_ones(self, min_area, areas):
-        rgb = np.zeros((60, 80, 3), dtype=np.uint8)
-        rgb[..., 2] = 200
-        for y, x, side in ((5, 20, 8), (30, 10, 22), (20, 50, 12)):
-            for c, mix in enumerate(SKIN_MIX):
-                rgb[y : y + side, x : x + side, c] = int(190.0 * mix)
-        with mock.patch.object(pipeline, "extract_regions", wraps=extract_regions) as regions, \
-                mock.patch.object(pipeline, "skin_ratio", wraps=skin_ratio) as ratio:
-            result = segment_image(rgb, PipelineConfig(min_area=min_area))
-            assert regions.call_count == ratio.call_count == 0  # detection reads only the mask
-            first = result.regions, result.ratio
-            assert result.regions is first[0] and (regions.call_count, ratio.call_count) == (1, 1)
-        assert first[0] == extract_regions(result.mask, min_area or max(1, round(result.mask.size * 0.001)))
-        assert sorted(r.area for r in first[0]) == areas
-        assert first[1] == skin_ratio(result.mask)
+    def test_lazy_regions_and_ratio_equal_eager_ones(self, tmp_path, min_area, areas):
+        # segmentation computes neither; the segment command computes each once
+        rgb = skin_squares(60, 80, [(5, 20, 8), (30, 10, 22), (20, 50, 12)])
+        with mock.patch.object(cli, "extract_regions", wraps=extract_regions) as regions, \
+                mock.patch.object(cli, "skin_ratio", wraps=skin_ratio) as ratio:
+            mask, printed = segment_summary(tmp_path, rgb, "--min-area", str(min_area))
+        assert (regions.call_count, ratio.call_count) == (1, 1)
+        assert regions.call_args.args[1] == (min_area or max(1, round(mask.size * 0.001)))
+        assert sorted(r.area for r in extract_regions(mask, regions.call_args.args[1])) == areas
+        assert printed == f"skin_ratio={skin_ratio(mask):.9g} regions={len(areas)}\n"
 
 
 @pytest.fixture(scope="module")
