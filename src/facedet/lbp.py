@@ -59,8 +59,6 @@ _FINE_CELLS = np.array(
 )
 _FINE_BASE = np.repeat(np.arange(9) * 16, 36)
 
-_uniform_table: np.ndarray | None = None
-
 
 def lbp_label_image(img: np.ndarray) -> np.ndarray:
     """(..., H-2, W-2) labels of an image, or of a stack of images along
@@ -80,20 +78,21 @@ def lbp_label_image(img: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _transitions(label: int) -> int:
-    bits = [(label >> i) & 1 for i in range(8)]
-    return sum(bits[i] != bits[(i + 1) % 8] for i in range(8))
+def _uniform_bins() -> np.ndarray:
+    """Label -> coarse bin: the uniform labels (at most two circular 0/1
+    transitions) number 0..57 in ascending order, every other label is 58."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    uniform = (bits != np.roll(bits, -1, axis=1)).sum(axis=1) <= 2
+    table = np.where(uniform, np.cumsum(uniform) - 1, 58).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+_uniform_table = _uniform_bins()
 
 
 def uniform_pattern_table() -> np.ndarray:
-    """Map label [0,255] -> coarse bin [0,58]; built once, then cached."""
-    global _uniform_table
-    if _uniform_table is None:
-        table = np.full(256, 58, dtype=np.uint8)
-        uniform = [label for label in range(256) if _transitions(label) <= 2]
-        for bin_idx, label in enumerate(uniform):
-            table[label] = bin_idx
-        _uniform_table = table
+    """Map label [0,255] -> coarse bin [0,58]; read-only, built at import."""
     return _uniform_table
 
 

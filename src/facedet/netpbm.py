@@ -77,8 +77,6 @@ def _read(path: str, expected: bytes | None) -> np.ndarray:
     for P6; ``expected`` is the one magic accepted, or None for either."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if expected is None and data[:2] not in (b"P5", b"P6"):
-        raise NetpbmError(f"{path}: unsupported magic {data[:2]!r}")
     magic, w, h, maxval, off = _parse_header(data, str(path))
     if expected is not None and magic != expected:
         raise NetpbmError(f"{path}: expected {expected.decode()}, got {magic!r}")

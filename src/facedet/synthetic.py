@@ -25,7 +25,7 @@ import numpy as np
 from .boost import Cascade
 from .config import PipelineConfig
 from .detect import iou
-from .images import _round_u8, crop_square, to_grayscale
+from .images import _round_u8, resize_boxes, to_grayscale
 from .netpbm import write_pgm
 from .pipeline import bootstrap_validator, evaluate_image, train_cascade_from_config
 from .svm import LinearSvmModel
@@ -112,26 +112,43 @@ class Scene:
     distractors: list[tuple[int, int, int, int]]  # textured twins and rings
 
 
-def _inflate(box, factor=1.5):
-    x, y, w, h = box
-    dw, dh = round(w * (factor - 1) / 2), round(h * (factor - 1) / 2)
-    return (x - dw, y - dh, w + 2 * dw, h + 2 * dh)
-
-
 def _place(rng, occupied, size, w, h, margin=3, tries=60, x_max=None):
     limit_x = (x_max if x_max is not None else w) - size - margin
     limit_y = h - size - margin
     if limit_x < margin or limit_y < margin:
         return None
+    # every box grows by a quarter of its side per axis, and the grown boxes
+    # must stay disjoint (touching is fine) so detector clusters of nearby
+    # objects cannot bridge into one merge group
+    grown = []
+    for ox, oy, ow, oh in occupied:
+        dw, dh = round(ow / 4), round(oh / 4)
+        grown.append((ox - dw, oy - dh, ox + ow + dw, oy + oh + dh))
+    d = round(size / 4)
     for _ in range(tries):
         x = int(rng.integers(margin, limit_x + 1))
         y = int(rng.integers(margin, limit_y + 1))
-        box = (x, y, size, size)
-        # inflated boxes must stay disjoint so detector clusters of nearby
-        # objects cannot bridge into one merge group
-        if all(iou(_inflate(box), _inflate(other)) == 0.0 for other in occupied):
-            return box
+        x0, y0, x1, y1 = x - d, y - d, x + size + d, y + size + d
+        if all(x1 <= ox0 or ox1 <= x0 or y1 <= oy0 or oy1 <= y0 for ox0, oy0, ox1, oy1 in grown):
+            return (x, y, size, size)
     return None
+
+
+def _paste(rng, img, occupied, count, size_hi, patch, x_max=None):
+    """Place up to ``count`` squares of side in [24, size_hi) clear of
+    ``occupied``, paste ``patch(rng, side)`` into each and return their
+    boxes; ``occupied`` grows by them, and a square with no room is skipped."""
+    placed = []
+    for _ in range(count):
+        size = int(rng.integers(24, size_hi))
+        box = _place(rng, occupied, size, img.shape[1], img.shape[0], x_max=x_max)
+        if box is None:
+            continue
+        x, y, s, _ = box
+        img[y : y + s, x : x + s] = patch(rng, s)
+        occupied.append(box)
+        placed.append(box)
+    return placed
 
 
 def render_scene(
@@ -144,25 +161,9 @@ def render_scene(
 ) -> Scene:
     img = clutter_background(rng, h, w)
     occupied: list[tuple[int, int, int, int]] = []
-    faces: list[tuple[int, int, int, int]] = []
-    distractors: list[tuple[int, int, int, int]] = []
-    for kind, count in (("face", n_faces), ("textured", n_textured), ("ring", n_rings)):
-        for _ in range(count):
-            size = int(rng.integers(24, 35))
-            box = _place(rng, occupied, size, w, h)
-            if box is None:
-                continue
-            x, y, s, _ = box
-            if kind == "face":
-                img[y : y + s, x : x + s] = face_patch(rng, s)
-                faces.append(box)
-            elif kind == "textured":
-                img[y : y + s, x : x + s] = textured_face_patch(rng, s)
-                distractors.append(box)
-            else:
-                img[y : y + s, x : x + s] = ring_patch(rng, s)
-                distractors.append(box)
-            occupied.append(box)
+    faces = _paste(rng, img, occupied, n_faces, 35, face_patch)
+    distractors = _paste(rng, img, occupied, n_textured, 35, textured_face_patch)
+    distractors += _paste(rng, img, occupied, n_rings, 35, ring_patch)
     return Scene(img, faces, distractors)
 
 
@@ -175,17 +176,7 @@ def render_color_scene(
 ) -> tuple[np.ndarray, Scene]:
     """Skin-toned left half, blue right half; faces only on the skin side."""
     img = clutter_background(rng, h, w).astype(np.float64)
-    faces = []
-    occupied = []
-    for _ in range(n_faces):
-        size = int(rng.integers(24, 33))
-        box = _place(rng, occupied, size, w, h, x_max=w // 2)
-        if box is None:
-            continue
-        x, y, s, _ = box
-        img[y : y + s, x : x + s] = face_patch(rng, s)
-        faces.append(box)
-        occupied.append(box)
+    faces = _paste(rng, img, [], n_faces, 33, face_patch, x_max=w // 2)
     v = np.clip(img, 30.0, 235.0)
     rgb = np.empty((h, w, 3), dtype=np.float64)
     half = w // 2
@@ -212,6 +203,27 @@ def build_corpus(
     n_pool: int = 100,
     base_window: int = 24,
 ) -> Corpus:
+    """Train, test and pool scenes, and the base-window tiles of the train
+    split, all from one generator seeded with ``seed``.
+
+    The draws run in this order: the train scenes, the test scenes, the
+    pool scenes (two rings on clutter, no face), then every tile, scene by
+    scene. So ``n_test`` shifts the generator under the tiles and changes
+    them. Per train scene the tiles are:
+
+    * five positives per face: the exact box and four jittered ones (offset
+      by -2..2 px, side scaled by -10..12 %), so the cascade tolerates the
+      scan grid's offset and scale quantization;
+    * one negative per size band (sides from ``base_window`` up to
+      29, 36, 47, 63, 79 and 96 px), placed clear of the faces and the
+      distractors as scene objects are, so big windows are represented too;
+    * up to three near-miss negatives per face: windows 1.7-2.5 times its
+      side with IoU < 0.2 against it, which teach the cascade to reject
+      loose placements and keep merge clusters tight around the true box.
+
+    Every tile box lies inside its scene, and each list is resized to
+    ``base_window`` in one :func:`images.resize_boxes` call per scene.
+    """
     rng = np.random.default_rng(seed)
     train = [render_scene(rng, n_faces=1, n_textured=2, n_rings=1) for _ in range(n_train)]
     test = [render_scene(rng, n_faces=1, n_textured=2, n_rings=1) for _ in range(n_test)]
@@ -223,10 +235,9 @@ def build_corpus(
     neg_tiles = []
     for scene in train:
         gh, gw = scene.gray.shape
+        pos, neg = [], []
         for (x, y, s, _) in scene.faces:
-            # exact crop plus jittered crops so the cascade tolerates the
-            # scan grid's offset and scale quantization
-            variants = [(x, y, s)]
+            pos.append((x, y, s, s))
             for _ in range(4):
                 ds = int(round(s * rng.uniform(-0.1, 0.12)))
                 js = max(8, s + ds)
@@ -234,20 +245,13 @@ def build_corpus(
                 jy = y + int(rng.integers(-2, 3))
                 jx = min(max(jx, 0), gw - js)
                 jy = min(max(jy, 0), gh - js)
-                variants.append((jx, jy, js))
-            pos_tiles.extend(crop_square(scene.gray, (vx, vy, vs, vs), base_window) for vx, vy, vs in variants)
+                pos.append((jx, jy, js, js))
         blocked = scene.faces + scene.distractors
-        # crop sizes span the whole scan range so big windows are represented
         for size_hi in (30, 37, 48, 64, 80, 97):
             size = int(rng.integers(base_window, size_hi))
             box = _place(rng, blocked, size, gw, gh, margin=0)
-            if box is None:
-                continue
-            x, y, s, _ = box
-            neg_tiles.append(crop_square(scene.gray, (x, y, s, s), base_window))
-        # near-miss negatives: windows that contain a face badly (low IoU)
-        # teach the cascade to reject loose placements, which keeps merge
-        # clusters tight around the true box
+            if box is not None:
+                neg.append(box)
         for (x, y, s, _) in scene.faces:
             for _ in range(3):
                 ns = int(round(s * rng.uniform(1.7, 2.5)))
@@ -260,7 +264,9 @@ def build_corpus(
                 cand = (nx, ny, ns, ns)
                 if iou(cand, (x, y, s, s)) >= 0.2:
                     continue
-                neg_tiles.append(crop_square(scene.gray, cand, base_window))
+                neg.append(cand)
+        pos_tiles.extend(resize_boxes(scene.gray, pos, base_window, base_window))
+        neg_tiles.extend(resize_boxes(scene.gray, neg, base_window, base_window))
     return Corpus(train, test, pool, pos_tiles, neg_tiles)
 
 

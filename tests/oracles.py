@@ -19,7 +19,9 @@ once, and mines by continuing each pool image's scan from stage to stage;
 samples and :func:`mine_oracle` scans the pool from the first stage on
 every call. The package
 converts colours in row bands; :func:`to_grayscale_oracle` and
-:func:`rgb_to_ycbcr_oracle` convert the whole image at once.
+:func:`rgb_to_ycbcr_oracle` convert the whole image at once. The package
+places scene objects by testing grown boxes for disjointness;
+:func:`place_oracle` inflates both boxes and calls :func:`facedet.detect.iou`.
 
 The last section holds code that only tests call, moved out of the
 package: the pixel-wise segmentation scorer and its table, the fixed
@@ -522,6 +524,29 @@ def roc_sweep_oracle(per_image, thresholds):
             continue
         points.append(point)
     return RocCurve(points)
+
+
+def inflate_oracle(box, factor=1.5):
+    """The box grown about its centre by ``factor``, rounded per axis."""
+    x, y, w, h = box
+    dw, dh = round(w * (factor - 1) / 2), round(h * (factor - 1) / 2)
+    return (x - dw, y - dh, w + 2 * dw, h + 2 * dh)
+
+
+def place_oracle(rng, occupied, size, w, h, margin=3, tries=60, x_max=None):
+    """Scene placement as first written: a drawn square is accepted when its
+    1.5x inflation has IoU 0 with every occupied box's."""
+    limit_x = (x_max if x_max is not None else w) - size - margin
+    limit_y = h - size - margin
+    if limit_x < margin or limit_y < margin:
+        return None
+    for _ in range(tries):
+        x = int(rng.integers(margin, limit_x + 1))
+        y = int(rng.integers(margin, limit_y + 1))
+        box = (x, y, size, size)
+        if all(iou(inflate_oracle(box), inflate_oracle(other)) == 0.0 for other in occupied):
+            return box
+    return None
 
 
 # -- test-only code moved out of the package ---------------------------------
