@@ -8,10 +8,11 @@ after every boosting round until the detection-rate target is met on the
 training positives).
 
 Training is fully deterministic: :func:`train_cascade` computes each
-sample's column of one (F, P + N) value matrix once
-(:func:`feature_value_matrix`), :func:`train_stage` boosts over a view of
-it with an exact stump search in forked workers, and hard-negative mining
-refills the rejected negatives between stages.
+sample's column of one (F, P + N) matrix of integer response numerators,
+and each sample's pixel sigma, once (:func:`feature_value_matrix`),
+:func:`train_stage` boosts over a view of it with an exact stump search in
+forked workers, and hard-negative mining refills the rejected negatives
+between stages.
 """
 
 from __future__ import annotations
@@ -106,15 +107,13 @@ class Cascade:
             raise ValueError("cascade metadata length must match stage count")
 
 
-def _restore_index_order(values: np.ndarray, order: np.ndarray, vs: np.ndarray, tied: np.ndarray) -> None:
-    """Sort every run of equal values in ``order`` by sample index, in place,
-    and gather ``vs`` there again.
+def _restore_index_order(order: np.ndarray, tied: np.ndarray) -> None:
+    """Sort every run of equal values in ``order`` by sample index, in place.
 
-    ``order`` is any argsort of the rows of ``values``, ``vs`` the values it
-    gathers and ``tied[r, j]`` whether sorted elements j and j + 1 of row r
-    are equal. Every element outside a run is already where a stable sort
-    puts it, so afterwards ``order`` equals ``np.argsort(values, axis=1,
-    kind="stable")`` and ``vs`` its gather, element for element.
+    ``order`` is any argsort of the rows of some values and ``tied[r, j]``
+    whether its sorted elements j and j + 1 of row r are equal. Every
+    element outside a run is already where a stable sort puts it, so
+    afterwards ``order`` equals the stable argsort element for element.
     """
     f, n = order.shape
     in_run = np.zeros((f, n), dtype=bool)
@@ -127,7 +126,6 @@ def _restore_index_order(values: np.ndarray, order: np.ndarray, vs: np.ndarray, 
     keys = run * n + order[r, c]
     keys.sort()
     order[r, c] = keys - run * n
-    vs[r, c] = values[r, order[r, c]]
 
 
 def _allowed_cpus() -> int:
@@ -139,117 +137,139 @@ def _allowed_cpus() -> int:
 
 
 class _StumpSearch:
-    """Sorted-order cache over an (F, N) float64 value matrix, reusable
-    across rounds.
+    """Sorted-order cache over an (F, N) value matrix, reusable across
+    rounds: the float64 responses, or integer numerators whose responses
+    are ``values / sigma`` with one float64 sigma per sample.
 
-    Rows are sorted in chunks of TASK_ROWS with numpy's default (SIMD,
-    unstable) argsort, after which every run of equal values is put back in
-    sample order, so the order equals the stable argsort element for
-    element: the order inside a run sets the summation order of the
-    weights, and so the last bits of the errors. Candidate thresholds are
-    the midpoints between consecutive distinct sorted values plus one
-    sentinel below the minimum and one above the maximum.
+    The cache holds 5 bytes a cell: ``order``, the stable argsort of every
+    row's responses (int32), and ``tied[r, j]``, whether its sorted
+    responses j and j + 1 are equal. Rows are sorted in chunks of TASK_ROWS,
+    the responses of one chunk at a time, with numpy's default (SIMD,
+    unstable) argsort, after which every run of equal responses is put back
+    in sample order: the order inside a run sets the summation order of the
+    weights, and so the last bits of the errors. Candidate j (j samples
+    strictly below the threshold) is the midpoint of sorted responses j - 1
+    and j, invalid where they are tied, plus one sentinel below the minimum
+    and one above the maximum; a threshold is computed only for the
+    candidate each row picks.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray):
+    def __init__(self, values: np.ndarray, labels: np.ndarray, sigma: np.ndarray | None = None):
         f, n = values.shape
-        self.order = np.empty((f, n), dtype=np.intp)
-        self.pos_sorted = np.empty((f, n), dtype=bool)
-        # candidate j = number of samples strictly below the threshold; it
-        # is invalid where sorted values j - 1 and j are equal
-        self.invalid = np.zeros((f, n + 1), dtype=bool)
-        self.thresholds = np.empty((f, n + 1))
+        self.values = values
+        self.sigma = sigma
+        self.pos = labels > 0
+        self.order = np.empty((f, n), dtype=np.int32 if n < 2**31 else np.intp)
+        self.tied = np.empty((f, max(n - 1, 0)), dtype=bool)
         for lo in range(0, f, TASK_ROWS):
-            self._sort_rows(values, labels > 0, slice(lo, min(lo + TASK_ROWS, f)))
+            self._sort_rows(slice(lo, min(lo + TASK_ROWS, f)))
 
-    def _sort_rows(self, values: np.ndarray, pos: np.ndarray, rows: slice) -> None:
-        """Sort ``rows`` of ``values`` and fill their rows of the cache."""
-        v = values[rows]
-        n = v.shape[1]
+    def _responses(self, rows, cols) -> np.ndarray:
+        """The float64 responses ``values[rows, cols]``; numerators are
+        divided by their samples' sigma, the same bits as dividing a float64
+        copy of them."""
+        v = self.values[rows, cols]
+        return v if self.sigma is None else v / self.sigma[cols]
+
+    def _sort_rows(self, rows: slice) -> None:
+        """Sort ``rows`` of the responses and fill their rows of the cache."""
+        v = self._responses(rows, slice(None))
         order = np.argsort(v, axis=1)
         vs = np.take_along_axis(v, order, axis=1)
         if np.isnan(vs[:, -1]).any():  # NaN sorts last
             raise ValueError("feature values must not be NaN")
-        invalid = self.invalid[rows]
-        np.greater_equal(vs[:, :-1], vs[:, 1:], out=invalid[:, 1:n])  # sorted, no NaN: >= is ==
-        _restore_index_order(v, order, vs, invalid[:, 1:n])
+        tied = self.tied[rows]
+        np.greater_equal(vs[:, :-1], vs[:, 1:], out=tied)  # sorted, no NaN: >= is ==
+        _restore_index_order(order, tied)
         self.order[rows] = order
-        self.pos_sorted[rows] = pos[order]
-        thresholds = self.thresholds[rows]
-        thresholds[:, 0] = vs[:, 0] - 1.0
-        np.add(vs[:, :-1], vs[:, 1:], out=thresholds[:, 1:n])
-        thresholds[:, 1:n] *= 0.5
-        thresholds[:, n] = vs[:, -1] + 1.0
 
     def best(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-feature (error, threshold, polarity) of the optimal stump,
-        swept in blocks of SWEEP_ROWS rows."""
+        swept in blocks of SWEEP_ROWS rows.
+
+        The weights go in as one complex128 vector: the positives' weights
+        in the real part and the negatives' in the imaginary part, 0.0 in
+        the other, so one gather through ``order`` and one complex cumsum
+        give both classes' running sums.
+        """
         f = self.order.shape[0]
+        both = np.empty(weights.shape, dtype=np.complex128)
+        both.real = np.where(self.pos, weights, 0.0)
+        both.imag = np.where(self.pos, 0.0, weights)
         err = np.empty(f)
         thr = np.empty(f)
         pol = np.empty(f, dtype=np.int64)
         for lo in range(0, f, SWEEP_ROWS):
             block = slice(lo, min(lo + SWEEP_ROWS, f))
-            err[block], thr[block], pol[block] = self._best_rows(weights, block)
+            err[block], thr[block], pol[block] = self._best_rows(both, block)
         return err, thr, pol
 
     def _best_rows(self, weights: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``best`` for one block of features; rows never interact.
 
         With cp, cn the positive and negative weight below a candidate and
-        tp, tn their totals, the errors are computed in place as
-        ``(tp - cp) + cn`` for polarity +1 and ``cp - (cn - tn)`` for
-        polarity -1. Both are exact rewrites of ``cn + (tp - cp)`` and
-        ``cp + (tn - cn)``: IEEE addition commutes, round-to-nearest gives
-        ``fl(cn - tn) == -fl(tn - cn)``, and ``a - b`` is ``a + (-b)``. The
-        positive weights are the sorted weights times 0.0 or 1.0, which is
-        exact for finite weights. Ties go to the smaller threshold, then to
-        polarity +1.
+        tp, tn their totals, the errors are ``(tp - cp) + cn`` for polarity
+        +1 and ``cp - (cn - tn)`` for polarity -1. Both are exact rewrites
+        of ``cn + (tp - cp)`` and ``cp + (tn - cn)``: IEEE addition
+        commutes, round-to-nearest gives ``fl(cn - tn) == -fl(tn - cn)``,
+        and ``a - b`` is ``a + (-b)``. A complex cumsum adds the real and
+        the imaginary parts as two independent sequential sums, so cp and
+        cn are the bits of two float cumsums. Ties go to the smaller
+        threshold, then to polarity +1.
         """
         order = self.order[rows]
-        invalid = self.invalid[rows]
-        thresholds = self.thresholds[rows]
         f, n = order.shape
-        ws = weights[order]
-        wpos = ws * self.pos_sorted[rows]
-        ws -= wpos  # the negatives' weights
-        cp = np.zeros((f, n + 1))
-        cn = np.zeros((f, n + 1))
-        np.cumsum(wpos, axis=1, out=cp[:, 1:])
-        np.cumsum(ws, axis=1, out=cn[:, 1:])
-        # polarity +1 (face iff value < threshold), then -1 in cp's place
+        sums = np.empty((f, n + 1), dtype=np.complex128)
+        sums[:, 0] = 0.0
+        np.cumsum(weights[order], axis=1, out=sums[:, 1:])
+        cp, cn = sums.real, sums.imag
+        # polarity +1 (face iff value < threshold), then -1
         err_pos = np.subtract(cp[:, -1:], cp)
         err_pos += cn
         cn -= cn[:, -1:].copy()
-        err_neg = cp
-        err_neg -= cn
-        np.copyto(err_pos, np.inf, where=invalid)
-        np.copyto(err_neg, np.inf, where=invalid)
+        err_neg = np.subtract(cp, cn)
+        np.copyto(err_pos[:, 1:n], np.inf, where=self.tied[rows])
+        np.copyto(err_neg[:, 1:n], np.inf, where=self.tied[rows])
         idx = np.arange(f)
         j_pos = np.argmin(err_pos, axis=1)  # first minimum = smallest threshold
         j_neg = np.argmin(err_neg, axis=1)
         e_pos = err_pos[idx, j_pos]
         e_neg = err_neg[idx, j_neg]
-        t_pos = thresholds[idx, j_pos]
-        t_neg = thresholds[idx, j_neg]
+        t_pos = self._thresholds(rows, order, j_pos)
+        t_neg = self._thresholds(rows, order, j_neg)
         use_neg = (e_neg < e_pos) | ((e_neg == e_pos) & (t_neg < t_pos))
         err = np.where(use_neg, e_neg, e_pos)
         thr = np.where(use_neg, t_neg, t_pos)
         pol = np.where(use_neg, -1, 1)
         return err, thr, pol
 
+    def _thresholds(self, rows: slice, order: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Candidate ``j[r]`` of each row r of the block: the midpoint
+        ``(vs[j - 1] + vs[j]) * 0.5`` of its sorted responses vs, or the
+        sentinel ``vs[0] - 1.0`` at j = 0 and ``vs[-1] + 1.0`` at j = N."""
+        f, n = order.shape
+        idx = np.arange(f)
+        below = self._responses(rows.start + idx, order[idx, np.maximum(j - 1, 0)])
+        above = self._responses(rows.start + idx, order[idx, np.minimum(j, n - 1)])
+        mid = np.add(below, above)
+        mid *= 0.5
+        return np.where(j == 0, above - 1.0, np.where(j == n, below + 1.0, mid))
+
 
 @contextlib.contextmanager
-def _stump_workers(values: np.ndarray, labels: np.ndarray):
+def _stump_workers(values: np.ndarray, labels: np.ndarray, sigma: np.ndarray | None = None):
     """Fork the stump search of one stage and yield its ``best``.
 
     There are k = min(allowed CPUs, F) children (the ``fork`` start method:
-    Linux or macOS). Child i inherits the value matrix copy-on-write and
-    sorts its rows F * i // k : F * (i + 1) // k once; each round the parent
-    sends the weights and joins the answers in row order. Rows never
-    interact, so every result is bit-identical whatever the worker count. A
-    child's error, or its exit without a reply, raises in the parent; on
-    exit the pipes close and the children stop.
+    Linux or macOS). Child i inherits the value matrix (float64 responses,
+    or integer numerators and their ``sigma``) copy-on-write, reads its rows
+    F * i // k : F * (i + 1) // k and never writes them, and keeps a
+    :class:`_StumpSearch` cache of 5 bytes a cell of those rows for the
+    stage; each round the parent sends the weights and joins the answers in
+    row order. Rows never interact, so every result is bit-identical
+    whatever the worker count. A child's error, or its exit without a
+    reply, raises in the parent; on exit the pipes close and the children
+    stop.
     """
     f = values.shape[0]
     k = min(_allowed_cpus(), f)
@@ -260,7 +280,7 @@ def _stump_workers(values: np.ndarray, labels: np.ndarray):
         for end in conns:  # the parent's ends the fork copied, so EOF arrives
             end.close()
         try:
-            search = _StumpSearch(rows, labels)
+            search = _StumpSearch(rows, labels, sigma)
             while True:
                 conn.send(search.best(conn.recv()))
         except (EOFError, BrokenPipeError):
@@ -320,8 +340,14 @@ def train_stage(
     max_stumps: int = 20,
     features: list[HaarFeature] | None = None,
     round_log: list[dict] | None = None,
+    sigma: np.ndarray | None = None,
 ) -> StageResult:
     """Boost stumps over the value matrix into one cascade stage.
+
+    ``values`` holds the float64 responses or, with ``sigma``, integer
+    numerators whose responses are ``values / sigma`` (see
+    :func:`feature_value_matrix`); the numerators are never widened as a
+    whole, only a chunk or a row at a time.
 
     Rounds add the globally best stump (alpha = ln((1-e)/e)/2, e floored at
     1e-10), reweight with the exponential-loss update, and re-adjust the
@@ -329,12 +355,14 @@ def train_stage(
     stops once the false-positive rate at that threshold reaches ``max_fpr``
     or ``max_stumps`` rounds have run.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=None if sigma is not None else np.float64)
     labels = np.asarray(labels)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError(f"expected an (F, N) value matrix with at least one feature row, got shape {values.shape}")
     if labels.shape != values.shape[1:]:
         raise ValueError(f"expected a 1-D label vector of {values.shape[1]} samples, got shape {labels.shape}")
+    if sigma is not None and np.shape(sigma) != values.shape[1:]:
+        raise ValueError(f"expected a 1-D sigma vector of {values.shape[1]} samples, got shape {np.shape(sigma)}")
     if not 0.0 < target_dr <= 1.0:
         raise ValueError("target_dr must be in (0, 1]")
     pos = labels > 0
@@ -344,7 +372,7 @@ def train_stage(
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need non-empty positive and negative sets")
     weights = np.where(pos, 0.5 / n_pos, 0.5 / n_neg)
-    with _stump_workers(values, labels) as best:
+    with _stump_workers(values, labels, sigma) as best:
         stumps: list[tuple[WeakClassifier, float]] = []
         scores = np.zeros(labels.shape[0])
         stage_threshold = 0.0
@@ -363,7 +391,8 @@ def train_stage(
             alpha = 0.5 * math.log((1.0 - eps) / eps)
             feature = features[f_idx] if features is not None else f_idx
             stumps.append((WeakClassifier(feature, thr, pol), alpha))
-            pred = np.where(pol * values[f_idx] < pol * thr, 1, -1)
+            row = values[f_idx] if sigma is None else values[f_idx] / sigma
+            pred = np.where(pol * row < pol * thr, 1, -1)
             scores = scores + alpha * (pred > 0)
             total_alpha = sum(a for _, a in stumps)
             stage_threshold = min(total_alpha / 2.0, keep_threshold(scores[pos], target_dr))
@@ -393,11 +422,13 @@ def train_stage(
 class _MatrixProgram:
     """Features compiled once for :func:`feature_value_matrix` at one sample
     size: the corners read per table, and the sparse (features, corners)
-    weights on all of them, or None when no corner is read."""
+    weights on all of them, or None when no corner is read; ``weight_l1``
+    is the largest sum of a feature's absolute corner weights."""
 
     size: int
     corners: list[Corners]
     coef: object
+    weight_l1: int
 
 
 def _compile_matrix(features: Sequence[HaarFeature], size: int) -> _MatrixProgram:
@@ -406,16 +437,29 @@ def _compile_matrix(features: Sequence[HaarFeature], size: int) -> _MatrixProgra
     # every window origin is (0, 0), of parity 0: table 2 is never read
     corners = [c for c in compile_features(features, size) if c.table < 2]
     if not corners:
-        return _MatrixProgram(size, [], None)
+        return _MatrixProgram(size, [], None, 0)
     first = np.cumsum([0] + [c.row.size for c in corners])
+    weight = np.concatenate([c.weight for c in corners])
+    feature = np.concatenate([c.feature for c in corners])
     coef = scipy.sparse.csr_array(
-        (
-            np.concatenate([c.weight for c in corners]).astype(np.float64),
-            (np.concatenate([c.feature for c in corners]), np.concatenate([k + c.corner for c, k in zip(corners, first)])),
-        ),
+        (weight.astype(np.float64), (feature, np.concatenate([k + c.corner for c, k in zip(corners, first)]))),
         shape=(len(features), first[-1]),
     )
-    return _MatrixProgram(size, corners, coef)
+    return _MatrixProgram(size, corners, coef, int(np.bincount(feature, np.abs(weight)).max()))
+
+
+def _numerator_dtype(program: _MatrixProgram, images: Sequence[np.ndarray]) -> type:
+    """int32 where no response numerator of the program can reach 2**31 on
+    ``images`` (samples, or the images they are cropped from), int64
+    otherwise. Every table corner a response reads sums pixels of one
+    sample, at most 255 * size**2 in magnitude for 8-bit pixels, so a
+    response is at most that times the program's ``weight_l1``."""
+    small = all(img.dtype.itemsize == 1 for img in images)
+    return np.int32 if small and 255 * program.size**2 * program.weight_l1 < 2**31 else np.int64
+
+
+def _describe(array) -> str:
+    return f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array).__name__
 
 
 def feature_value_matrix(
@@ -423,10 +467,16 @@ def feature_value_matrix(
     samples: list[np.ndarray],
     program: _MatrixProgram | None = None,
     out: np.ndarray | None = None,
+    sigma: np.ndarray | None = None,
 ) -> np.ndarray:
     """(F, N) responses of every feature on every base-window sample, in
     ``out`` if given (any float64 array of that shape, such as a column
     slice of a wider matrix), which is returned.
+
+    With ``sigma``, a float64 vector of N, ``out`` holds the responses'
+    integer numerators instead, int32 where :func:`_numerator_dtype` allows
+    it and int64 otherwise, and ``sigma`` each sample's pixel sigma (floored
+    at 1): ``out / sigma`` is then the float64 responses, bit for bit.
 
     The features are compiled into one program at the base size, or
     ``program`` is their program from an earlier call, and the responses are
@@ -444,31 +494,41 @@ def feature_value_matrix(
         if sample.shape != (base, base):
             raise ValueError(f"sample {i} is {sample.shape}, expected {(base, base)}")
     shape = (len(features), len(samples))
-    if out is None:
-        out = np.empty(shape)
-    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float64:
-        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
-        raise ValueError(f"out must be a float64 array of shape {shape}, got {got}")
     if program is None:
         program = _compile_matrix(features, base)
     elif program.size != base:
         raise ValueError(f"features compiled for {program.size} px samples, given {base} px ones")
-    if program.coef is None:
-        out[...] = 0.0
-        return out
+    if sigma is None:
+        dtypes = [np.float64]
+    elif not isinstance(sigma, np.ndarray) or sigma.shape != shape[1:] or sigma.dtype != np.float64:
+        raise ValueError(f"sigma must be a float64 array of shape {shape[1:]}, got {_describe(sigma)}")
+    else:
+        dtypes = [np.int32, np.int64] if _numerator_dtype(program, samples) == np.int32 else [np.int64]
+    if out is None:
+        out = np.empty(shape, dtype=dtypes[0])
+    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype not in dtypes:
+        names = " or ".join(np.dtype(d).name for d in dtypes)
+        raise ValueError(f"out must be {'an' if sigma is not None else 'a'} {names} array of shape {shape}, got {_describe(out)}")
     tilted = any(c.table == 1 for c in program.corners)
     origin = np.zeros(1, dtype=np.int64)
     for lo in range(0, len(samples), MATRIX_ROWS):
         iset = integral_set(np.stack(samples[lo : lo + MATRIX_ROWS]), with_tilted=tilted)
         n = len(iset.grid)
-        tables = (iset.grid, iset.planes)
-        # every window origin is (0, 0), of parity 0
-        cells = [int(cell[0]) for cell in iset.origins(origin, origin)[:2]]
-        reads = [
-            tables[c.table].reshape(n, -1)[:, cells[c.table] + c.offsets(tables[c.table])] for c in program.corners
-        ]
-        block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
-        block /= window_sigma(iset, base, 1).reshape(1, n)
+        if program.coef is None:
+            block = np.zeros((shape[0], n))
+        else:
+            tables = (iset.grid, iset.planes)
+            # every window origin is (0, 0), of parity 0
+            cells = [int(cell[0]) for cell in iset.origins(origin, origin)[:2]]
+            reads = [
+                tables[c.table].reshape(n, -1)[:, cells[c.table] + c.offsets(tables[c.table])] for c in program.corners
+            ]
+            block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
+        window = window_sigma(iset, base, 1).reshape(n)
+        if sigma is None:
+            block /= window
+        else:
+            sigma[lo : lo + n] = window
         out[:, lo : lo + n] = block
     return out
 
@@ -522,12 +582,16 @@ def train_cascade(
     by windows the cascade still accepts there. Training halts early once no
     negatives remain.
 
-    One (F, P + N) float64 matrix holds every sample's column, N the
-    negative target (58 MB for the experiment's 2,500 features and 2,911
-    tiles), computed once: the positives', then the negatives'. After each
-    stage the surviving negatives' columns move up behind the positives',
-    the mined negatives' columns follow them, and the next stage trains on
-    the leading P + n columns, a view.
+    One (F, P + N) matrix holds every sample's column, N the negative
+    target, computed once: the positives', then the negatives'. It holds
+    the responses' integer numerators, int32 for 8-bit samples (29 MB for
+    the experiment's 2,500 features and 2,911 tiles, against 58 MB of
+    float64 responses), and one float64 vector each sample's pixel sigma;
+    the stage divides them a chunk or a row at a time, which gives the
+    float64 responses bit for bit. After each stage the surviving
+    negatives' columns and sigmas move up behind the positives', the mined
+    negatives' follow them, and the next stage trains on the leading P + n
+    columns, a view.
     """
     from .detect import LiveWindows
 
@@ -541,9 +605,12 @@ def train_cascade(
     # compiled once: every stage's matrix reads the same features
     program = _compile_matrix(features, base_window)
     n_pos, neg_target = len(pos_samples), len(neg_samples)
-    matrix = np.empty((len(features), n_pos + neg_target))
-    feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos])
-    feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:])
+    # the pool's images are where mined samples come from
+    dtype = _numerator_dtype(program, [*pos_samples, *neg_samples, *(pool or [])])
+    matrix = np.empty((len(features), n_pos + neg_target), dtype=dtype)
+    sigma = np.empty(n_pos + neg_target)
+    feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos], sigma=sigma[:n_pos])
+    feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:], sigma=sigma[n_pos:])
     labels = np.concatenate([np.ones(n_pos), -np.ones(neg_target)])
     n_neg = neg_target
     live = None if pool is None else [LiveWindows() for _ in pool]
@@ -559,6 +626,7 @@ def train_cascade(
             max_fpr=max_fpr,
             max_stumps=max_stumps,
             features=features,
+            sigma=sigma[: n_pos + n_neg],
         )
         stages.append(result.stage)
         metadata.append((result.detection_rate, result.false_positive_rate))
@@ -568,12 +636,15 @@ def train_cascade(
         for lo in range(0, len(features), TASK_ROWS):
             rows = matrix[lo : lo + TASK_ROWS]
             rows[:, n_pos : n_pos + n_neg] = rows[:, kept]
+        sigma[n_pos : n_pos + n_neg] = sigma[kept]
         if pool is not None and n_neg < neg_target and len(stages) < n_stages:
             current = Cascade(base_window, list(stages), list(metadata))
             mined = _mine_false_positives(current, pool, neg_target - n_neg, live)
             if mined:
                 end = n_pos + n_neg + len(mined)
-                feature_value_matrix(features, mined, program=program, out=matrix[:, n_pos + n_neg : end])
+                feature_value_matrix(
+                    features, mined, program=program, out=matrix[:, n_pos + n_neg : end], sigma=sigma[n_pos + n_neg : end]
+                )
                 n_neg += len(mined)
     return Cascade(base_window, stages, metadata)
 

@@ -141,9 +141,9 @@ def task_log(path):
         with open(path, "a") as fh:
             fh.write(f"{kind} {os.getpid()} {rows.start} {rows.stop}\n")
 
-    def sort_spy(search, values, pos, rows):
+    def sort_spy(search, rows):
         record("sort", rows)
-        return sort(search, values, pos, rows)
+        return sort(search, rows)
 
     def sweep_spy(search, weights, rows):
         record("sweep", rows)
@@ -188,8 +188,8 @@ class TestBlockedSweep:
             search = _StumpSearch(values, labels)
             with _stump_workers(values, labels) as best:
                 got = best(weights)
-        for name in ("order", "thresholds", "invalid", "pos_sorted"):
-            assert np.array_equal(getattr(search, name), getattr(want, name)), name
+        assert np.array_equal(search.order, want.order)
+        assert np.array_equal(search.tied, want.invalid[:, 1:n_samples])
         for g, s, w in zip(got, search.best(weights), want.best(weights)):
             assert np.array_equal(g, w) and np.array_equal(s, w)
             assert g.dtype == w.dtype and s.dtype == w.dtype
@@ -225,10 +225,10 @@ class TestStableOrder:
         stable = np.argsort(values, axis=1, kind="stable")
         assert np.array_equal(search.order, stable)
         # the thresholds come from the stable gather, signed zeros included
-        vs = np.take_along_axis(values, stable, axis=1)
-        mid = 0.5 * (vs[:, :-1] + vs[:, 1:])
-        assert np.array_equal(search.thresholds[:, 1:n_samples].view(np.int64), mid.view(np.int64))
-        assert np.array_equal(search.pos_sorted, (labels > 0)[stable])
+        want = WholeMatrixStumpSearch(values, labels).thresholds
+        for j in np.unique(np.r_[0, 1, n_samples - 1, n_samples, rng.integers(0, n_samples + 1, 20)]):
+            got = search._thresholds(slice(0, n_features), search.order, np.full(n_features, j))
+            assert np.array_equal(got.view(np.int64), want[:, j].view(np.int64))
         # the workers' joined sweep equals the in-process one
         weights = rng.random(n_samples)
         with stump_tasks(workers, task_rows), _stump_workers(values, labels) as best:
@@ -238,6 +238,63 @@ class TestStableOrder:
     def test_nan_values_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             train_stump(np.array([0.0, np.nan, 1.0]), np.array([1, -1, 1]), np.ones(3))
+
+
+class TestNumeratorSearch:
+    """The search over integer numerators and one sigma per sample equals
+    the whole-matrix oracle over their float64 quotients, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_features=st.integers(1, 3 * SWEEP_ROWS + 5),
+        n_samples=st.integers(1, 40),
+        levels=st.integers(1, 6),
+        exact=st.booleans(),
+        equal_rows=st.integers(0, 3),
+        workers=st.sampled_from([1, 2, 3]),
+        task_rows=st.sampled_from([1, 3, TASK_ROWS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_features=4, n_samples=1, levels=3, exact=False, equal_rows=0, workers=2, task_rows=TASK_ROWS, seed=0)
+    @example(n_features=SWEEP_ROWS + 3, n_samples=30, levels=4, exact=True, equal_rows=3, workers=3, task_rows=3, seed=1)
+    def test_equals_the_whole_matrix_oracle_on_quotients(
+        self, n_features, n_samples, levels, exact, equal_rows, workers, task_rows, seed
+    ):
+        rng = np.random.default_rng(seed)
+        quotients = rng.integers(-(levels // 2), levels - levels // 2, size=(n_features, n_samples))
+        quotients[:equal_rows] = quotients[:equal_rows, :1]  # every sample of the row ties
+        if exact:  # integer sigmas: different numerators with equal quotients, ties only on the quotient
+            sigma = rng.choice([1.0, 2.0, 3.0, 5.0], size=n_samples)
+            numerators = quotients * sigma.astype(np.int64)
+        else:
+            sigma = 1.0 + 5.0 * rng.random(n_samples)
+            numerators = quotients * 7 + rng.integers(-2, 3, size=quotients.shape)
+            numerators[:equal_rows] = 0
+        numerators = numerators.astype(np.int32)
+        values = numerators / sigma
+        labels = rng.choice([-1, 1], size=n_samples)
+        weights = rng.choice([1.0, 3.0, 0.1, 1 / 3], size=n_samples) * 2.0 ** -rng.integers(0, 30, size=n_samples)
+        weights /= weights.sum()
+        want = WholeMatrixStumpSearch(values, labels)
+        with stump_tasks(workers, task_rows):
+            search = _StumpSearch(numerators, labels, sigma)
+            with _stump_workers(numerators, labels, sigma) as best:
+                got = best(weights)
+        assert np.array_equal(search.order, want.order)
+        assert np.array_equal(search.tied, want.invalid[:, 1:n_samples])
+        for g, s, w in zip(got, search.best(weights), want.best(weights)):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)) and np.array_equal(s.view(np.int64), w.view(np.int64))
+        # every candidate threshold, the sentinels at j = 0 and j = N among them
+        rows = slice(0, n_features)
+        for j in range(n_samples + 1):
+            got_j = search._thresholds(rows, search.order, np.full(n_features, j))
+            assert np.array_equal(got_j.view(np.int64), want.thresholds[:, j].view(np.int64))
+        # a row of one value has only the two sentinels: it picks j = 0
+        _, thr, _ = search.best(weights)
+        assert np.array_equal(thr[:equal_rows], values[:equal_rows, 0] - 1.0)
+        # the cache: the arrays of a row per feature that the search made itself
+        cache = [v for v in vars(search).values() if isinstance(v, np.ndarray) and v.ndim == 2 and v is not numerators]
+        assert search.order.dtype == np.int32 and sum(v.nbytes for v in cache) <= 5 * n_features * n_samples
 
 
 class TestTrainStage:
@@ -553,6 +610,50 @@ class TestOneValueMatrix:
         assert len(cascade.stages) == 3
         assert peak < 3 * matrix_bytes, f"traced peak {peak / matrix_bytes:.2f} value matrices"
 
+    def test_traced_peak_stays_below_two_and_a_half_int32_matrices(self):
+        # the training above holds int32 numerators and one sigma per
+        # sample: it peaks at 1.7 int32 matrices, and a float64 copy of the
+        # matrix anywhere in this process adds 2 more
+        rng = np.random.default_rng(32)
+        pos = make_noisy_tiles(rng, 100, bright=True)
+        neg = make_noisy_tiles(rng, 1831, bright=False)
+        pool = random_pool(rng, [(80, 80)] * 8, bright_rows=40)
+        features = 1000
+        int32_bytes = features * (len(pos) + len(neg)) * 4
+        tracemalloc.start()
+        try:
+            cascade = train_cascade(
+                pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cascade.stages) == 3
+        assert peak < 2.5 * int32_bytes, f"traced peak {peak / int32_bytes:.2f} int32 matrices"
+
+    @pytest.mark.parametrize(
+        "tiles, pool, matrix",
+        [(np.uint8, np.uint8, np.int32), (np.uint16, None, np.int64), (np.uint8, np.uint16, np.int64)],
+        ids=["8-bit", "16-bit tiles", "16-bit pool"],
+    )
+    def test_numerators_are_int32_only_for_8_bit_pixels(self, tiles, pool, matrix):
+        rng = np.random.default_rng(34)
+        scale = np.array(257 if tiles == np.uint16 else 1, dtype=tiles)  # 255 -> 65535
+        pos = [t * scale for t in make_noisy_tiles(rng, 20, bright=True)]
+        neg = [t * scale for t in make_noisy_tiles(rng, 40, bright=False)]
+        pool = None if pool is None else [img.astype(pool) for img in random_pool(rng, [(30, 36), (36, 30)], 6)]
+        args = dict(n_stages=2, base_window=12, pool=pool, feature_subsample=300, max_stumps=3, seed=9)
+        dtypes = []
+
+        def stage(values, labels, **kwargs):
+            dtypes.append(values.dtype)
+            return train_stage(values, labels, **kwargs)
+
+        with mock.patch.object(boost, "train_stage", stage):
+            cascade = train_cascade(pos, neg, **args)
+        assert dtypes == [np.dtype(matrix)] * len(cascade.stages) and len(cascade.stages) == 2
+        assert cascade == train_cascade_oracle(pos, neg, **args)
+
 
 class TestTrainCascade:
     def test_metadata_and_structure_on_separable_data(self):
@@ -602,7 +703,9 @@ class TestTrainCascade:
         assert compile_spy.call_count == 1
         # compiling on every call instead trains the same cascade
         original = boost.feature_value_matrix
-        with mock.patch.object(boost, "feature_value_matrix", lambda f, s, program, out=None: original(f, s, out=out)):
+        with mock.patch.object(
+            boost, "feature_value_matrix", lambda f, s, program, out=None, sigma=None: original(f, s, out=out, sigma=sigma)
+        ):
             assert train_cascade(pos, neg, **args) == cascade
 
     def test_same_cascade_on_one_and_two_cpus(self):
@@ -830,13 +933,65 @@ class TestFeatureValueMatrix:
         # normalised responses are the raw integer ones
         high = 2 if low_contrast else 256
         samples = [rng.integers(0, high, size=(base, base)).astype(np.uint8) for _ in range(n_samples)]
+        # the numerator form, into a column slice of a wider matrix and a
+        # slice of a wider sigma vector
+        wide = np.full((len(features), n_samples + 2), -7, dtype=np.int32)
+        sigmas = np.full(n_samples + 2, np.nan)
         with mock.patch.object(boost, "MATRIX_ROWS", rows):
             got = feature_value_matrix(features, samples)
+            numerators = feature_value_matrix(features, samples, out=wide[:, 1:-1], sigma=sigmas[1:-1])
         want = feature_matrix_oracle(features, samples)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        sigma = sigmas[1:-1]
+        assert np.shares_memory(numerators, wide) and np.array_equal((numerators / sigma).view(np.int64), want.view(np.int64))
+        assert (wide[:, [0, -1]] == -7).all() and np.isnan(sigmas[[0, -1]]).all()
         if low_contrast:
             assert np.array_equal(got.view(np.int64), feature_matrix_oracle(features, samples, False).view(np.int64))
+            assert (sigma == 1.0).all()
+
+    @pytest.mark.parametrize(
+        "out, sigma, message",
+        [
+            (np.empty((3, 7), np.int32), np.empty(6), r"sigma must be a float64 array of shape \(7,\), got float64 \(6,\)"),
+            (np.empty((3, 7), np.int32), np.empty(7, np.float32), r"sigma must be a float64 array of shape \(7,\), got float32 \(7,\)"),
+            (np.empty((3, 7), np.int32), [1.0] * 7, r"sigma must be a float64 array of shape \(7,\), got list"),
+            (np.empty((3, 6), np.int32), np.empty(7), r"out must be an int32 or int64 array of shape \(3, 7\), got int32 \(3, 6\)"),
+            (np.empty((3, 7)), np.empty(7), r"out must be an int32 or int64 array of shape \(3, 7\), got float64 \(3, 7\)"),
+            (np.empty((3, 7), np.int16), np.empty(7), r"out must be an int32 or int64 array of shape \(3, 7\), got int16 \(3, 7\)"),
+            (np.empty((3, 7), np.int32), None, r"out must be a float64 array of shape \(3, 7\), got int32 \(3, 7\)"),
+        ],
+        ids=["sigma-short", "sigma-float32", "sigma-list", "out-columns", "out-float64", "out-int16", "integer-out-alone"],
+    )
+    def test_numerator_out_or_sigma_of_another_shape_or_dtype_is_a_one_line_error(self, out, sigma, message):
+        features = enumerate_kind("edge2h", 12)[:3]
+        samples = [np.zeros((12, 12), dtype=np.uint8)] * 7
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            feature_value_matrix(features, samples, out=out, sigma=sigma)
+
+    def test_responses_past_the_int32_range_get_int64_or_are_refused(self):
+        # the centre-surround feature over a whole 195 px window, on a
+        # 16-bit bright centre: -9 * 65535 * 65**2 + 65535 * 65**2 is
+        # -2,215,083,000, past -2**31
+        base = 195
+        features = [HaarFeature("center_surround", 0, 0, base, base, base)]
+        bright = np.zeros((base, base), dtype=np.uint16)
+        bright[65:130, 65:130] = 65535
+        samples = [bright, np.full_like(bright, 9)]
+        program = boost._compile_matrix(features, base)
+        sigma = np.empty(2)
+        got = feature_value_matrix(features, samples, program=program, sigma=sigma)
+        assert got.dtype == np.int64 and got[0, 0] == -2_215_083_000
+        want = feature_value_matrix(features, samples, program=program)
+        assert np.array_equal((got / sigma).view(np.int64), want.view(np.int64))
+        with pytest.raises(ValueError, match=r"^out must be an int64 array of shape \(1, 2\), got int32 \(1, 2\)$"):
+            feature_value_matrix(features, samples, program=program, out=np.empty((1, 2), np.int32), sigma=sigma)
+        # 8-bit pixels: int32 while 255 * size**2 * weight_l1 < 2**31, for
+        # this feature (weight_l1 40) up to 458 px
+        assert program.weight_l1 == 40
+        for size, dtype in [(base, np.int32), (458, np.int32), (459, np.int64)]:
+            program = boost._compile_matrix([HaarFeature("center_surround", 0, 0, size, size, size)], size)
+            assert boost._numerator_dtype(program, [np.zeros((size, size), np.uint8)]) == dtype
 
     def test_traced_peak_of_one_call_stays_a_few_mb(self):
         # 2,500 features of the 24 px bank over 256 tiles: 5.1 MB of
