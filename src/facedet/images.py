@@ -1,14 +1,12 @@
 """Raster image primitives: color conversion, preprocessing filters, resizing.
 
-Arrays are indexed [row, col]. Grayscale images are (H, W) uint8, RGB and
-YCbCr images are (H, W, 3) uint8, binary masks are (H, W) uint8 with values
-in {0, 1}. All functions are pure; inputs are never modified in place.
-
-The colour conversions work in row bands of ``BAND_PIXELS`` pixels (16
-rows of a 320-pixel image, at least one row): each band's float64 planes
-are 40 KB, small enough that the allocator serves them from memory it
-already holds, and only the 8-bit output is image-sized. Both conversions
-are elementwise, so a band's values are those of the whole image.
+Arrays are indexed [row, col]: grayscale images are (H, W) uint8, RGB and
+YCbCr images (H, W, 3) uint8, binary masks (H, W) uint8 in {0, 1}. No
+function modifies its input. The colour conversions run in the bands of
+:func:`row_bands`; :func:`resize_boxes` resamples many boxes in one
+gather. Only :func:`median_filter` uses scipy, and it imports
+``scipy.ndimage`` when called, so detection at the default radius 0 never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "to_grayscale",
@@ -56,7 +53,12 @@ def _require_gray(img: np.ndarray) -> np.ndarray:
 
 def row_bands(height: int, width: int):
     """(first, stop) rows of the bands that cover ``height`` rows of
-    ``width`` pixels, ``BAND_PIXELS // width`` rows each (at least one)."""
+    ``width`` pixels, ``BAND_PIXELS // width`` rows each (at least one).
+
+    At 16 rows of a 320-pixel image a band's float64 planes are 40 KB,
+    small enough that the allocator serves them from memory it already
+    holds; only the 8-bit output is image-sized. The colour conversions are
+    elementwise, so a band's values are those of the whole image."""
     rows = max(1, BAND_PIXELS // max(width, 1))
     return ((lo, min(lo + rows, height)) for lo in range(0, height, rows))
 
@@ -108,6 +110,8 @@ def median_filter(img: np.ndarray, radius: int) -> np.ndarray:
     img = _require_gray(img)
     if radius < 1:
         raise ValueError(f"median radius must be >= 1, got {radius}")
+    from scipy import ndimage  # only a median filter pays for the import; detection's default has none
+
     return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
 
 

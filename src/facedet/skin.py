@@ -1,13 +1,11 @@
 """Skin-color search-space reduction.
 
-Classifies skin pixels by Cb/Cr interval tests, sharpens blob boundaries
-with Sobel edges, cleans the mask with 3x3 morphology, and extracts
-candidate regions. Sobel and the 3x3 square structuring element are both
-separable, so each runs as a row pass then a column pass over shifted slices
-(exact integer sums for Sobel, elementwise max/min for dilation/erosion).
-Sobel runs in the row bands of :func:`facedet.images.row_bands`, each band
-reading one halo row above and one below, so its integer planes stay a few
-tens of KB at any image height.
+:func:`classify_skin` tests each pixel's Cb and Cr against the config's
+intervals, :func:`refine_mask` cuts the skin blobs at :func:`sobel_edges`
+and cleans them with 3x3 :func:`morphology`, and :func:`extract_regions`
+lists the connected candidate regions. Only the region listing uses scipy,
+and it imports ``scipy.ndimage`` when called: segmentation and the gated
+scan never load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import PipelineConfig
 from .images import row_bands
@@ -60,7 +57,12 @@ def classify_skin(ycbcr: np.ndarray, config: PipelineConfig = PipelineConfig()) 
 
 
 def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:
-    """Mask of pixels with sqrt(Gx^2 + Gy^2) > threshold; border ring is 0."""
+    """Mask of pixels with sqrt(Gx^2 + Gy^2) > threshold; border ring is 0.
+
+    Sobel is separable: each band of :func:`facedet.images.row_bands` runs
+    a row pass, then a column pass, over shifted slices with exact integer
+    sums, reading one halo row above and one below, so its integer planes
+    stay a few tens of KB at any image height."""
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.shape[0] < 3 or gray.shape[1] < 3:
         raise ValueError("Sobel needs an image of at least 3x3")
@@ -82,7 +84,8 @@ def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:
 
 
 def _window3(padded: np.ndarray, reduce) -> np.ndarray:
-    """3x3 max or min over an array padded by one pixel: rows, then columns."""
+    """3x3 max or min over an array padded by one pixel: the square element
+    is separable, so rows, then columns, over shifted slices."""
     rows = reduce(reduce(padded[:-2], padded[1:-1]), padded[2:])
     return reduce(reduce(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
@@ -132,6 +135,8 @@ def extract_regions(mask: np.ndarray, min_area: int = 1) -> list[Region]:
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
+    from scipy import ndimage  # only the region listing pays for the import; detection lists none
+
     mask = (np.asarray(mask) > 0).astype(np.uint8)
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=np.uint8))
     regions: list[Region] = []

@@ -360,19 +360,35 @@ class TestPickSvmThreshold:
             pick_svm_threshold(svm, [], PipelineConfig())
 
 
-def test_detection_never_imports_scipy_sparse():
-    # training builds its feature matrix with scipy.sparse; detection must
-    # not load it, since the import alone costs about 10 MB of memory
-    script = textwrap.dedent(
-        """
-        import sys
+def _run_fresh(script: str) -> str:
+    """stdout of ``script`` run in a fresh interpreter that imports this facedet."""
+    env = {**os.environ, "PYTHONPATH": str(Path(facedet.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# the scipy modules a fresh interpreter has loaded, as a sorted list
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+# which of the two scipy submodules that facedet uses it has loaded
+SUBMODULES = "[m for m in ('scipy.ndimage', 'scipy.sparse') if m in sys.modules]"
+
+
+def test_detection_imports_no_scipy(tmp_path):
+    # training builds its feature matrix with scipy.sparse, and only the median
+    # filter and the region listing use scipy.ndimage; detection must load no
+    # scipy module, since the two imports alone raise peak memory by about 20 and 25 MB
+    out = _run_fresh(
+        f"""
+        import contextlib, io, sys
         import numpy as np
         import facedet
-        from facedet import pipeline, synthetic
-        from facedet.boost import Cascade, Stage, WeakClassifier
+        from facedet import cli, netpbm, pipeline, synthetic
+        from facedet.boost import Cascade, Stage, WeakClassifier, save_cascade
         from facedet.haar import HaarFeature
         from facedet.lbp import DESCRIPTOR_LENGTH
-        from facedet.svm import LinearSvmModel
+        from facedet.svm import LinearSvmModel, save_svm
 
         rgb, scene = synthetic.render_color_scene(np.random.default_rng(5), 160, 120, n_faces=2)
         config = synthetic.experiment_config(seed=5)
@@ -385,11 +401,101 @@ def test_detection_never_imports_scipy_sparse():
         pipeline.detect_faces(scene.gray, cascade, config, skin=skin)
         svm = LinearSvmModel(np.zeros(DESCRIPTOR_LENGTH), 1.0)
         kept, _ = pipeline.detect_faces(scene.gray, cascade, config, skin=skin, svm=svm)
-        print("scipy.sparse" in sys.modules, len(kept) > 0)
+
+        tmp = {str(tmp_path)!r}
+        save_cascade(cascade, tmp + "/cascade.txt")
+        save_svm(svm, tmp + "/svm.txt")
+        netpbm.write_ppm(tmp + "/scene.ppm", rgb)
+        with open(tmp + "/scene.txt", "w") as fh:
+            fh.write("scene.ppm " + str(len(scene.faces)) + " " + " ".join(map(str, np.ravel(scene.faces))) + "\\n")
+        models = ["--cascade", tmp + "/cascade.txt", "--svm", tmp + "/svm.txt"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["detect", *models, "--image", tmp + "/scene.ppm", "--out", tmp + "/dets.txt"]),
+                cli.main(["eval", *models, "--manifest", tmp + "/scene.txt", "--roc", tmp + "/roc.csv"]),
+            ]
+        print({SCIPY_MODULES}, len(kept) > 0, codes)
         """
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(facedet.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    # the merged boxes of the gated scan reach the validator
-    assert done.stdout.strip() == "False True"
+    # the merged boxes of the gated scan reach the validator, and both commands succeed
+    assert out.strip() == "[] True [0, 0]"
+    assert (tmp_path / "dets.txt").read_text() and (tmp_path / "roc.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        pytest.param(
+            """
+            errors = []
+            for call in (lambda: median_filter(img, 0), lambda: median_filter(np.stack([img] * 3, -1), 1),
+                         lambda: extract_regions(img, 0)):
+                try:
+                    call()
+                except ValueError as exc:
+                    errors.append(str(exc))
+            print(errors, {scipy})
+            """,
+            "['median radius must be >= 1, got 0', 'expected a non-empty (H, W) grayscale image', "
+            "'min_area must be >= 1'] []",
+            id="input-errors-load-nothing",
+        ),
+        pytest.param(
+            """
+            out = median_filter(img, 1)
+            loaded = {loaded}
+            from scipy import ndimage
+            print(np.array_equal(out, ndimage.median_filter(img, size=3, mode="nearest")), loaded)
+            """,
+            "True ['scipy.ndimage']",
+            id="median-filter",
+        ),
+        pytest.param(
+            """
+            out = preprocess_gray(img, PipelineConfig(median_radius=1))
+            loaded = {loaded}
+            from scipy import ndimage
+            print(np.array_equal(out, ndimage.median_filter(img, size=3, mode="nearest")), loaded)
+            """,
+            "True ['scipy.ndimage']",
+            id="preprocess-median",
+        ),
+        pytest.param(
+            """
+            mask = np.zeros((12, 12), dtype=np.uint8)
+            mask[0:2, 0:2] = 1
+            mask[5:9, 5:9] = 1
+            print(extract_regions(mask, 1) == [Region(5, 5, 4, 4, 16, 1.0), Region(0, 0, 2, 2, 4, 1.0)], {loaded})
+            """,
+            "True ['scipy.ndimage']",
+            id="extract-regions",
+        ),
+        pytest.param(
+            """
+            rng = np.random.default_rng(4)
+            pos = [rng.integers(150, 256, size=(12, 12), dtype=np.uint8) for _ in range(10)]
+            neg = [rng.integers(0, 100, size=(12, 12), dtype=np.uint8) for _ in range(20)]
+            cascade = train_cascade(pos, neg, n_stages=1, base_window=12, feature_subsample=50, max_stumps=2)
+            print(len(cascade.stages), {loaded})
+            """,
+            "1 ['scipy.sparse']",
+            id="training",
+        ),
+    ],
+)
+def test_scipy_loads_with_the_function_that_needs_it(script, expected):
+    # each lazy path loads its one scipy submodule, and only after its input checks
+    header = """
+        import sys
+        import numpy as np
+        from facedet import PipelineConfig
+        from facedet.boost import train_cascade
+        from facedet.images import median_filter
+        from facedet.pipeline import preprocess_gray
+        from facedet.skin import Region, extract_regions
+
+        img = np.random.default_rng(6).integers(0, 256, size=(20, 30), dtype=np.uint8)
+        """
+    body = textwrap.dedent(script).format(scipy=SCIPY_MODULES, loaded=SUBMODULES)
+    out = _run_fresh(textwrap.dedent(header) + body)
+    assert out.strip() == expected
