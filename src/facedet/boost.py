@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import mmap
 import multiprocessing
 import os
 from collections.abc import Sequence
@@ -458,6 +459,23 @@ def _numerator_dtype(program: _MatrixProgram, images: Sequence[np.ndarray]) -> t
     return np.int32 if small and 255 * program.size**2 * program.weight_l1 < 2**31 else np.int64
 
 
+def _mapped_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array in its own private anonymous mapping, unmapped
+    as soon as the array and every view of it are gone.
+
+    malloc serves a block of this size from its heap once it has freed one
+    mapped block of it (glibc raises its mmap threshold, up to 32 MB, to the
+    freed size), and a heap block stays resident after the free while any
+    later allocation sits above it, so a later training in one process
+    would peak one matrix higher, or not, depending on what was allocated
+    in between. Mapping the matrix directly returns its pages on every
+    free, and forked children still share them copy-on-write."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    pages = mmap.mmap(-1, max(count * dtype.itemsize, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=dtype, count=count).reshape(shape)
+
+
 def _describe(array) -> str:
     return f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array).__name__
 
@@ -586,7 +604,8 @@ def train_cascade(
     target, computed once: the positives', then the negatives'. It holds
     the responses' integer numerators, int32 for 8-bit samples (29 MB for
     the experiment's 2,500 features and 2,911 tiles, against 58 MB of
-    float64 responses), and one float64 vector each sample's pixel sigma;
+    float64 responses) in a mapping of its own (:func:`_mapped_empty`),
+    and one float64 vector each sample's pixel sigma;
     the stage divides them a chunk or a row at a time, which gives the
     float64 responses bit for bit. After each stage the surviving
     negatives' columns and sigmas move up behind the positives', the mined
@@ -607,7 +626,7 @@ def train_cascade(
     n_pos, neg_target = len(pos_samples), len(neg_samples)
     # the pool's images are where mined samples come from
     dtype = _numerator_dtype(program, [*pos_samples, *neg_samples, *(pool or [])])
-    matrix = np.empty((len(features), n_pos + neg_target), dtype=dtype)
+    matrix = _mapped_empty((len(features), n_pos + neg_target), dtype)
     sigma = np.empty(n_pos + neg_target)
     feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos], sigma=sigma[:n_pos])
     feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:], sigma=sigma[n_pos:])

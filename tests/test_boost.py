@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -516,6 +517,31 @@ def spied_training(pos, neg, **args):
     return cascade, shapes, mined
 
 
+def traced_training_peak(pos, neg, **args):
+    """train_cascade and its traced peak, plus the bytes of its mapped
+    matrices: tracemalloc sees only allocator memory, not a mapping. The
+    training's first import of scipy.sparse, once per process, is loaded
+    before the trace starts, so the peak is the same in any test order."""
+    import scipy.sparse  # noqa: F401
+
+    mapped, original = [], boost._mapped_empty
+
+    def mapped_empty(shape, dtype):
+        out = original(shape, dtype)
+        mapped.append(out.nbytes)
+        return out
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(boost, "_mapped_empty", mapped_empty):
+            cascade = train_cascade(pos, neg, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mapped) == 1
+    return cascade, peak + mapped[0]
+
+
 # name -> (tiles, base, feature_subsample, pool sizes or None, seed) of the
 # trainings checked against the per-stage matrix oracle
 ORACLE_TRAININGS = {
@@ -599,14 +625,9 @@ class TestOneValueMatrix:
         pool = random_pool(rng, [(80, 80)] * 8, bright_rows=40)
         features = 1000
         matrix_bytes = features * (len(pos) + len(neg)) * 8
-        tracemalloc.start()
-        try:
-            cascade = train_cascade(
-                pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cascade, peak = traced_training_peak(
+            pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
+        )
         assert len(cascade.stages) == 3
         assert peak < 3 * matrix_bytes, f"traced peak {peak / matrix_bytes:.2f} value matrices"
 
@@ -620,16 +641,41 @@ class TestOneValueMatrix:
         pool = random_pool(rng, [(80, 80)] * 8, bright_rows=40)
         features = 1000
         int32_bytes = features * (len(pos) + len(neg)) * 4
-        tracemalloc.start()
-        try:
-            cascade = train_cascade(
-                pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cascade, peak = traced_training_peak(
+            pos, neg, n_stages=3, base_window=12, pool=pool, feature_subsample=features, max_stumps=3, seed=8
+        )
         assert len(cascade.stages) == 3
         assert peak < 2.5 * int32_bytes, f"traced peak {peak / int32_bytes:.2f} int32 matrices"
+
+    def test_matrix_is_unmapped_when_the_training_returns(self):
+        # its own mapping: a second training cannot find its pages still
+        # resident, or not, depending on what the allocator did in between
+        rng = np.random.default_rng(33)
+        pos = make_noisy_tiles(rng, 30, bright=True)
+        neg = make_noisy_tiles(rng, 60, bright=False)
+        pool = random_pool(rng, [(30, 36), (36, 30)], bright_rows=6)
+        args = dict(n_stages=2, base_window=12, pool=pool, feature_subsample=300, max_stumps=3, seed=10)
+        mappings, original = [], boost._mapped_empty
+
+        def mapped_empty(shape, dtype):
+            out = original(shape, dtype)
+            base = out
+            while isinstance(base, np.ndarray):
+                base = base.base
+            mappings.append(weakref.ref(base))
+            return out
+
+        with mock.patch.object(boost, "_mapped_empty", mapped_empty):
+            cascade = train_cascade(pos, neg, **args)
+        assert cascade == train_cascade_oracle(pos, neg, **args)
+        assert len(mappings) == 1 and mappings[0]() is None
+
+    @pytest.mark.parametrize("shape, dtype", [((3, 5), np.int32), ((2, 0), np.float64), ((0, 4), np.int64)])
+    def test_mapped_empty_is_a_writable_array_of_the_shape(self, shape, dtype):
+        out = boost._mapped_empty(shape, dtype)
+        assert out.shape == shape and out.dtype == dtype and out.flags.writeable and out.flags.c_contiguous
+        out[...] = np.arange(out.size).reshape(shape)
+        np.testing.assert_array_equal(out, np.arange(out.size, dtype=dtype).reshape(shape))
 
     @pytest.mark.parametrize(
         "tiles, pool, matrix",
