@@ -7,12 +7,12 @@ vote reaches the stage threshold (default: half the total alpha, lowered
 after every boosting round until the detection-rate target is met on the
 training positives).
 
-Training is fully deterministic: :func:`train_cascade` computes each
-sample's column of one (F, P + N) matrix of integer response numerators,
-and each sample's pixel sigma, once (:func:`feature_value_matrix`),
-:func:`train_stage` boosts over a view of it with an exact stump search in
-forked workers, and hard-negative mining refills the rejected negatives
-between stages.
+Training works on one form of the responses, integer numerators and one
+pixel sigma per sample, and is fully deterministic: :func:`train_cascade`
+computes each sample's column of one (F, P + N) numerator matrix, and its
+sigma, once (:func:`feature_value_matrix`), :func:`train_stage` boosts over
+a view of them with an exact stump search in forked workers, and
+hard-negative mining refills the rejected negatives between stages.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ MATRIX_ROWS = 64
 
 @dataclass(frozen=True)
 class WeakClassifier:
-    feature: HaarFeature | int | None  # bank feature, or a raw column index
+    feature: HaarFeature
     threshold: float
     polarity: int  # +1 or -1
 
@@ -138,9 +138,8 @@ def _allowed_cpus() -> int:
 
 
 class _StumpSearch:
-    """Sorted-order cache over an (F, N) value matrix, reusable across
-    rounds: the float64 responses, or integer numerators whose responses
-    are ``values / sigma`` with one float64 sigma per sample.
+    """Sorted-order cache over the responses ``values / sigma`` of an (F, N)
+    value matrix and one sigma per sample, reusable across rounds.
 
     The cache holds 5 bytes a cell: ``order``, the stable argsort of every
     row's responses (int32), and ``tied[r, j]``, whether its sorted
@@ -155,7 +154,7 @@ class _StumpSearch:
     candidate each row picks.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, sigma: np.ndarray | None = None):
+    def __init__(self, values: np.ndarray, labels: np.ndarray, sigma: np.ndarray):
         f, n = values.shape
         self.values = values
         self.sigma = sigma
@@ -166,11 +165,9 @@ class _StumpSearch:
             self._sort_rows(slice(lo, min(lo + TASK_ROWS, f)))
 
     def _responses(self, rows, cols) -> np.ndarray:
-        """The float64 responses ``values[rows, cols]``; numerators are
-        divided by their samples' sigma, the same bits as dividing a float64
-        copy of them."""
-        v = self.values[rows, cols]
-        return v if self.sigma is None else v / self.sigma[cols]
+        """The float64 responses ``values[rows, cols] / sigma[cols]``, the
+        same bits as dividing a float64 copy of integer numerators."""
+        return self.values[rows, cols] / self.sigma[cols]
 
     def _sort_rows(self, rows: slice) -> None:
         """Sort ``rows`` of the responses and fill their rows of the cache."""
@@ -258,19 +255,19 @@ class _StumpSearch:
 
 
 @contextlib.contextmanager
-def _stump_workers(values: np.ndarray, labels: np.ndarray, sigma: np.ndarray | None = None):
-    """Fork the stump search of one stage and yield its ``best``.
+def _stump_workers(values: np.ndarray, labels: np.ndarray, sigma: np.ndarray):
+    """Fork the stump search of one stage over ``values / sigma`` and yield
+    its ``best``.
 
     There are k = min(allowed CPUs, F) children (the ``fork`` start method:
-    Linux or macOS). Child i inherits the value matrix (float64 responses,
-    or integer numerators and their ``sigma``) copy-on-write, reads its rows
-    F * i // k : F * (i + 1) // k and never writes them, and keeps a
-    :class:`_StumpSearch` cache of 5 bytes a cell of those rows for the
-    stage; each round the parent sends the weights and joins the answers in
-    row order. Rows never interact, so every result is bit-identical
-    whatever the worker count. A child's error, or its exit without a
-    reply, raises in the parent; on exit the pipes close and the children
-    stop.
+    Linux or macOS). Child i inherits both arrays copy-on-write, reads rows
+    F * i // k : F * (i + 1) // k of ``values`` and never writes them, and
+    keeps a :class:`_StumpSearch` cache of 5 bytes a cell of those rows for
+    the stage; each round the parent sends the weights and joins the
+    answers in row order. Rows never interact, so every result is
+    bit-identical whatever the worker count. A child's error, or its exit
+    without a reply, raises in the parent; on exit the pipes close and the
+    children stop.
     """
     f = values.shape[0]
     k = min(_allowed_cpus(), f)
@@ -336,19 +333,18 @@ def train_stage(
     values: np.ndarray,
     labels: np.ndarray,
     *,
+    sigma: np.ndarray,
+    features: Sequence[HaarFeature],
     target_dr: float = 0.99,
     max_fpr: float = 0.5,
     max_stumps: int = 20,
-    features: list[HaarFeature] | None = None,
     round_log: list[dict] | None = None,
-    sigma: np.ndarray | None = None,
 ) -> StageResult:
-    """Boost stumps over the value matrix into one cascade stage.
-
-    ``values`` holds the float64 responses or, with ``sigma``, integer
-    numerators whose responses are ``values / sigma`` (see
-    :func:`feature_value_matrix`); the numerators are never widened as a
-    whole, only a chunk or a row at a time.
+    """Boost stumps over the responses ``values / sigma`` into one cascade
+    stage. ``values`` is (F, N), such as the integer numerators of
+    :func:`feature_value_matrix`, divided a chunk or a row at a time and
+    never widened as a whole; ``sigma`` holds one sigma per sample, and
+    ``features`` the feature of each row.
 
     Rounds add the globally best stump (alpha = ln((1-e)/e)/2, e floored at
     1e-10), reweight with the exponential-loss update, and re-adjust the
@@ -356,14 +352,17 @@ def train_stage(
     stops once the false-positive rate at that threshold reaches ``max_fpr``
     or ``max_stumps`` rounds have run.
     """
-    values = np.asarray(values, dtype=None if sigma is not None else np.float64)
+    values = np.asarray(values)
     labels = np.asarray(labels)
+    sigma = np.asarray(sigma)
     if values.ndim != 2 or values.shape[0] == 0:
         raise ValueError(f"expected an (F, N) value matrix with at least one feature row, got shape {values.shape}")
     if labels.shape != values.shape[1:]:
         raise ValueError(f"expected a 1-D label vector of {values.shape[1]} samples, got shape {labels.shape}")
-    if sigma is not None and np.shape(sigma) != values.shape[1:]:
-        raise ValueError(f"expected a 1-D sigma vector of {values.shape[1]} samples, got shape {np.shape(sigma)}")
+    if sigma.shape != values.shape[1:]:
+        raise ValueError(f"expected a 1-D sigma vector of {values.shape[1]} samples, got shape {sigma.shape}")
+    if len(features) != values.shape[0]:
+        raise ValueError(f"expected {values.shape[0]} features, one per value row, got {len(features)}")
     if not 0.0 < target_dr <= 1.0:
         raise ValueError("target_dr must be in (0, 1]")
     pos = labels > 0
@@ -390,10 +389,8 @@ def train_stage(
                 break
             eps = max(err, MIN_EPSILON)
             alpha = 0.5 * math.log((1.0 - eps) / eps)
-            feature = features[f_idx] if features is not None else f_idx
-            stumps.append((WeakClassifier(feature, thr, pol), alpha))
-            row = values[f_idx] if sigma is None else values[f_idx] / sigma
-            pred = np.where(pol * row < pol * thr, 1, -1)
+            stumps.append((WeakClassifier(features[f_idx], thr, pol), alpha))
+            pred = np.where(pol * (values[f_idx] / sigma) < pol * thr, 1, -1)
             scores = scores + alpha * (pred > 0)
             total_alpha = sum(a for _, a in stumps)
             stage_threshold = min(total_alpha / 2.0, keep_threshold(scores[pos], target_dr))
@@ -486,24 +483,22 @@ def feature_value_matrix(
     program: _MatrixProgram | None = None,
     out: np.ndarray | None = None,
     sigma: np.ndarray | None = None,
-) -> np.ndarray:
-    """(F, N) responses of every feature on every base-window sample, in
-    ``out`` if given (any float64 array of that shape, such as a column
-    slice of a wider matrix), which is returned.
-
-    With ``sigma``, a float64 vector of N, ``out`` holds the responses'
-    integer numerators instead, int32 where :func:`_numerator_dtype` allows
-    it and int64 otherwise, and ``sigma`` each sample's pixel sigma (floored
-    at 1): ``out / sigma`` is then the float64 responses, bit for bit.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F, N) integer numerators of every feature's response on every
+    base-window sample, and each sample's pixel sigma (floored at 1):
+    ``numerators / sigma`` is the float64 responses, bit for bit. They go
+    into ``out``, int32 where :func:`_numerator_dtype` allows it and int64
+    otherwise, and ``sigma``, float64, either of which may be a slice of a
+    wider array and is allocated when not given; both are returned.
 
     The features are compiled into one program at the base size, or
-    ``program`` is their program from an earlier call, and the responses are
-    one sparse product of its weights with the table corners it reads, per
-    block of MATRIX_ROWS samples whose tables are built as one stack. The
-    product runs in float64 on integers: every partial sum is an integer far
-    below 2**53 for 8-bit samples, so it equals the int64 sum exactly. Each
-    column depends on its own sample only, so it is the same bits in any
-    call.
+    ``program`` is their program from an earlier call, and the numerators
+    are one sparse product of its weights with the table corners it reads,
+    per block of MATRIX_ROWS samples whose tables are built as one stack.
+    The product runs in float64 on integers: every partial sum is an
+    integer far below 2**53 for 8-bit samples, so it equals the int64 sum
+    exactly. Each column depends on its own sample only, so it is the same
+    bits in any call.
     """
     if not samples:
         raise ValueError("no samples")
@@ -517,16 +512,15 @@ def feature_value_matrix(
     elif program.size != base:
         raise ValueError(f"features compiled for {program.size} px samples, given {base} px ones")
     if sigma is None:
-        dtypes = [np.float64]
+        sigma = np.empty(shape[1])
     elif not isinstance(sigma, np.ndarray) or sigma.shape != shape[1:] or sigma.dtype != np.float64:
         raise ValueError(f"sigma must be a float64 array of shape {shape[1:]}, got {_describe(sigma)}")
-    else:
-        dtypes = [np.int32, np.int64] if _numerator_dtype(program, samples) == np.int32 else [np.int64]
+    dtypes = [np.int32, np.int64] if _numerator_dtype(program, samples) == np.int32 else [np.int64]
     if out is None:
         out = np.empty(shape, dtype=dtypes[0])
     elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype not in dtypes:
         names = " or ".join(np.dtype(d).name for d in dtypes)
-        raise ValueError(f"out must be {'an' if sigma is not None else 'a'} {names} array of shape {shape}, got {_describe(out)}")
+        raise ValueError(f"out must be an {names} array of shape {shape}, got {_describe(out)}")
     tilted = any(c.table == 1 for c in program.corners)
     origin = np.zeros(1, dtype=np.int64)
     for lo in range(0, len(samples), MATRIX_ROWS):
@@ -542,13 +536,9 @@ def feature_value_matrix(
                 tables[c.table].reshape(n, -1)[:, cells[c.table] + c.offsets(tables[c.table])] for c in program.corners
             ]
             block = program.coef @ np.ascontiguousarray(np.concatenate(reads, axis=1).T, dtype=np.float64)
-        window = window_sigma(iset, base, 1).reshape(n)
-        if sigma is None:
-            block /= window
-        else:
-            sigma[lo : lo + n] = window
+        sigma[lo : lo + n] = window_sigma(iset, base, 1).reshape(n)
         out[:, lo : lo + n] = block
-    return out
+    return out, sigma
 
 
 def _mine_false_positives(
@@ -601,16 +591,15 @@ def train_cascade(
     negatives remain.
 
     One (F, P + N) matrix holds every sample's column, N the negative
-    target, computed once: the positives', then the negatives'. It holds
-    the responses' integer numerators, int32 for 8-bit samples (29 MB for
-    the experiment's 2,500 features and 2,911 tiles, against 58 MB of
-    float64 responses) in a mapping of its own (:func:`_mapped_empty`),
-    and one float64 vector each sample's pixel sigma;
-    the stage divides them a chunk or a row at a time, which gives the
-    float64 responses bit for bit. After each stage the surviving
-    negatives' columns and sigmas move up behind the positives', the mined
-    negatives' follow them, and the next stage trains on the leading P + n
-    columns, a view.
+    target, computed once (:func:`feature_value_matrix`): the positives'
+    and then the negatives' in one call. It holds the responses' integer
+    numerators, int32 for 8-bit samples (29 MB for the experiment's 2,500
+    features and 2,911 tiles, against 58 MB of float64 responses) in a
+    mapping of its own (:func:`_mapped_empty`), and one float64 vector
+    each sample's pixel sigma; the stage divides them a chunk or a row at a
+    time. After each stage the surviving negatives' columns and sigmas move
+    up behind the positives', the mined negatives' follow them, and the
+    next stage trains on the leading P + n columns, a view.
     """
     from .detect import LiveWindows
 
@@ -627,9 +616,7 @@ def train_cascade(
     # the pool's images are where mined samples come from
     dtype = _numerator_dtype(program, [*pos_samples, *neg_samples, *(pool or [])])
     matrix = _mapped_empty((len(features), n_pos + neg_target), dtype)
-    sigma = np.empty(n_pos + neg_target)
-    feature_value_matrix(features, pos_samples, program=program, out=matrix[:, :n_pos], sigma=sigma[:n_pos])
-    feature_value_matrix(features, neg_samples, program=program, out=matrix[:, n_pos:], sigma=sigma[n_pos:])
+    _, sigma = feature_value_matrix(features, [*pos_samples, *neg_samples], program=program, out=matrix)
     labels = np.concatenate([np.ones(n_pos), -np.ones(neg_target)])
     n_neg = neg_target
     live = None if pool is None else [LiveWindows() for _ in pool]
@@ -641,11 +628,11 @@ def train_cascade(
         result = train_stage(
             matrix[:, : n_pos + n_neg],
             labels[: n_pos + n_neg],
+            sigma=sigma[: n_pos + n_neg],
+            features=features,
             target_dr=target_dr,
             max_fpr=max_fpr,
             max_stumps=max_stumps,
-            features=features,
-            sigma=sigma[: n_pos + n_neg],
         )
         stages.append(result.stage)
         metadata.append((result.detection_rate, result.false_positive_rate))

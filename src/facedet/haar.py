@@ -1,24 +1,10 @@
 """Extended Haar-like features over integral images.
 
-Seven kinds: two-rectangle edges (horizontal/vertical), three-rectangle
-lines, a center-surround, and two 45-degree-rotated kinds. A feature is a
-signed decomposition into weighted rectangles whose weights cancel exactly
-(sum of weight * area == 0), so every kind responds 0 on constant input.
-The response is the weighted white-minus-black sum of rectangle pixel sums,
-divided by the window's pixel standard deviation (floored at 1) so that
-stumps are invariant to affine brightness changes.
-
-Upright kinds store their bounding box (x, y, w, h) in base-window
-coordinates; tilted kinds store the apex and diagonal arm lengths in the
-same convention as :mod:`facedet.integral`. Scaling to a detection window
-rounds the geometry and then re-snaps it to the kind's divisibility so the
-zero-sum property survives at every scale.
-
-The bank of a window size holds every placement as integer arrays and
-builds a feature object only when one is read. Features are evaluated only
-as compiled programs: :func:`compile_features` turns a list of features at
-a window size into the table corners they read and their weights there,
-which the cascade scan and the training feature matrix both multiply with.
+A :class:`HaarFeature` is one placement of one of seven kinds
+(``KIND_SPECS``), whose weighted rectangles :func:`_parts` lists;
+:func:`generate_feature_set` is the bank of a window size. Features are
+evaluated only as compiled programs (:func:`compile_features`), which the
+cascade scan and the training feature matrix both multiply with.
 """
 
 from __future__ import annotations
@@ -31,8 +17,9 @@ import numpy as np
 
 __all__ = ["HaarFeature", "KINDS", "FeatureBank", "generate_feature_set", "enumerate_kind", "fits_window", "compile_features"]
 
-# kind -> (w unit, h unit, tilted flag); units are enumeration steps and
-# divisibility constraints (arms for the tilted kinds)
+# kind -> (w unit, h unit, tilted flag): two-rectangle edges, three-rectangle
+# lines, a center-surround and two 45-degree-rotated kinds; units are
+# enumeration steps and divisibility constraints (arms for the tilted kinds)
 KIND_SPECS: dict[str, tuple[int, int, bool]] = {
     "edge2h": (2, 1, False),
     "edge2v": (1, 2, False),
@@ -50,6 +37,13 @@ Part = tuple[int, int, int, int, int]  # (x, y, w, h, weight)
 
 @dataclass(frozen=True)
 class HaarFeature:
+    """One feature. Its response is the weighted white-minus-black sum of
+    its rectangles' pixel sums over the window's pixel standard deviation
+    (floored at 1), which makes stumps invariant to affine brightness
+    changes. Upright kinds store their bounding box (x, y, w, h) in
+    base-window coordinates, tilted kinds the apex and diagonal arm lengths
+    as in :mod:`facedet.integral`."""
+
     kind: str
     x: int
     y: int
@@ -63,6 +57,8 @@ class HaarFeature:
 
 
 def _parts(kind: str, x: int, y: int, w: int, h: int) -> list[Part]:
+    """Weighted rectangles whose weights cancel exactly (sum of weight *
+    area == 0), so every kind responds 0 on constant input."""
     if kind == "edge2h":
         half = w // 2
         return [(x, y, half, h, 1), (x + half, y, half, h, -1)]
@@ -161,7 +157,8 @@ def _snap(value: np.ndarray, unit: int) -> np.ndarray:
 
 def _scaled_boxes(kind: str, x, y, w, h, window, size: int):
     """(x, y, w, h) of features of one kind scaled to a size-px window,
-    elementwise over int64 arrays (``window`` may be one per feature)."""
+    elementwise over int64 arrays (``window`` may be one per feature);
+    re-snapped to the kind's units, so the zero sum survives every scale."""
     s = size / window
     uw, uh, tilted = KIND_SPECS[kind]
     if not tilted:

@@ -1,30 +1,9 @@
 """Integral images for O(1) axis-aligned and 45-degree-rotated rectangle sums.
 
-This module is the only one that knows the tables' layout (the scan only
-inverts a row-major upright cell); readers go through :class:`IntegralSet`.
-
-The upright table is the classic summed-area table with a zero top row and
-left column: ``grid[y, x]`` holds the sum of all pixels in [0, x) x [0, y).
-A companion table of squared values gives per-window variance.
-
-The tilted tables serve rectangles rotated by 45 degrees. A tilted
-rectangle is parameterised by its top corner (apex) and two arm lengths:
-``(x, y, w, h)`` covers the pixel set {(x + i - j, y + i + j) : 0 <= i < w,
-0 <= j < h}, i.e. w diagonal steps down-right and h steps down-left.
-Rotating coordinates to (u, v) = (x + y, y - x + voff) turns that set into
-an axis-aligned box on one colour of the checkerboard lattice, so there is
-one summed-area table per pixel parity p, the leading block of plane p of
-one (2, U, V) buffer; a tilted sum is then again four table lookups.
-Accumulators are int64 throughout: squared 8-bit sums overflow 32 bits
-already on megapixel images. The tables are built from the image's own
-pixels, cast into the tables' interiors (and squared there), never from an
-int64 copy of the image; :func:`integral_set` can refill an earlier set of
-the same shape in place, which the scan does with the tables its per-shape
-plan keeps.
-
-Every table may carry leading sample axes: the functions here take an
-(H, W) image or an (..., H, W) stack of equal-sized images alike, on one
-code path.
+:class:`IntegralSet` holds the tables of an image or of a stack, and only
+it knows their layout; :func:`integral_set` builds or refills one, and
+:func:`window_sums` and :func:`window_sigma` read every lattice window of
+a table at once.
 """
 
 from __future__ import annotations
@@ -39,7 +18,11 @@ __all__ = ["IntegralSet", "integral_set", "upright_table", "window_sigma", "wind
 
 @dataclass(frozen=True)
 class IntegralSet:
-    """The tables of an (H, W) image or of an (..., H, W) stack."""
+    """The tables of an (H, W) image or of an (..., H, W) stack, and the
+    only code that knows their layout (the scan only inverts a row-major
+    upright cell). ``grid[y, x]`` is the sum of the pixels in [0, x) x [0, y),
+    with a zero top row and left column; ``sq`` sums the squares, for
+    per-window variance; :func:`_tilted_scatter` lays out the planes."""
 
     grid: np.ndarray  # (..., H + 1, W + 1) upright table
     sq: np.ndarray  # (..., H + 1, W + 1) upright table of the squared pixels
@@ -68,7 +51,8 @@ def _fill(table: np.ndarray, img: np.ndarray, square: bool = False) -> np.ndarra
     """Write the summed-area table of ``img`` (of its squares if ``square``)
     into the int64 ``table`` of one more row and column: the pixels are cast
     into its interior as ``astype(np.int64)`` casts them, and squared there,
-    so no int64 copy of the image is made."""
+    so no int64 copy of the image is made. Every table accumulates in int64:
+    squared 8-bit sums overflow 32 bits already on megapixel images."""
     table[..., 0, :] = 0
     table[..., :, 0] = 0
     inner = table[..., 1:, 1:]
@@ -92,7 +76,15 @@ def _tilted_scatter(h: int, w: int) -> tuple[np.ndarray, tuple[int, int, int], i
     """Where the pixels of an (h, w) image go in the tilted planes: the flat
     index of each pixel (row-major) in the (2, U, V) buffer, that shape and
     voff. Cached per shape; the index is read-only because every caller of
-    the shape shares it."""
+    the shape shares it.
+
+    A tilted (45-degree) rectangle (x, y, w, h) is its apex and two arm
+    lengths: the pixels {(x + i - j, y + i + j) : 0 <= i < w, 0 <= j < h},
+    w diagonal steps down-right and h down-left. In the rotated coordinates
+    (u, v) = (x + y, y - x + voff) it is an axis-aligned box on one colour
+    of the checkerboard lattice, so each pixel parity p has one summed-area
+    table, the leading block of plane p, and a tilted sum is four lookups.
+    """
     voff = (w - 1) + ((w - 1) & 1)
     umax = (w - 1) + (h - 1)
     vmax = (h - 1) + voff
@@ -112,12 +104,14 @@ def _tilted_scatter(h: int, w: int) -> tuple[np.ndarray, tuple[int, int, int], i
 
 def integral_set(img: np.ndarray, with_tilted: bool = True, out: IntegralSet | None = None) -> IntegralSet:
     """The upright tables, with squares, and optionally the tilted planes of
-    an (H, W) image or an (..., H, W) stack, built from the image's own
-    pixels without an int64 copy of them.
+    an (H, W) image or an (..., H, W) stack of equal-sized images, on one
+    code path, built from the image's own pixels without an int64 copy of
+    them.
 
     With ``out``, an earlier result for an image of the same shape and
     ``with_tilted``, the tables are refilled in place and ``out`` is
-    returned; otherwise the arrays are new.
+    returned, as the scan refills the tables its per-shape plan keeps;
+    otherwise the arrays are new.
     """
     img = np.asarray(img)
     if img.ndim < 2 or img.size == 0:

@@ -1,29 +1,9 @@
 """Two-stage local-binary-pattern descriptor for candidate validation.
 
-The label operator compares each interior pixel against its 8 ring
-neighbors (radius 1). Conventions, fixed so tests can be exact: neighbors
-are taken clockwise starting at the top-left, bit i belongs to the i-th
-neighbor, and a neighbor >= center sets its bit (so a constant image labels
-as 255 everywhere).
-
-The coarse stage is a 59-bin histogram over the whole window: the 58
-uniform labels (at most two circular 0/1 transitions) in ascending order,
-plus one catch-all bin. The fine stage resamples the window to 16x16,
-labels it (14x14), splits it into nine 6x6 blocks with 2-px overlap at
-offsets {0, 4, 8}, and keeps a 16-bin histogram of label // 16 per block:
-9 * 16 = 144 values. Both parts are L1-normalized independently and
-concatenated into the 203-value descriptor; the fine part is then scaled
-by nine per-block emphasis weights (default all ones).
-
-One implementation serves all (x, y, w, h) boxes of an image at once; a
-single window is the one-box case. The coarse part labels the image once,
-over the bounding box of all boxes: a box's labels are that label image
-sliced at the box interior, since every interior pixel's 3x3 neighborhood
-lies inside the box. The fine part resamples all boxes to 16x16 in one
-gather, labels the stack at once and counts all blocks of all boxes with
-one offset ``bincount``. The two parts are separate calls, one per stage of
-the descriptor. Batching changes no value: counts are exact and every
-division is the per-window one.
+:func:`descriptors` builds the 203-value descriptor of every box of an
+image at once from :func:`coarse_parts` and :func:`fine_parts`, over the
+labels of :func:`lbp_label_image`; :func:`validation_feature` is the
+one-window case.
 """
 
 from __future__ import annotations
@@ -61,8 +41,11 @@ _FINE_BASE = np.repeat(np.arange(9) * 16, 36)
 
 
 def lbp_label_image(img: np.ndarray) -> np.ndarray:
-    """(..., H-2, W-2) labels of an image, or of a stack of images along
-    the leading axes; the 1-px border has no full neighborhood."""
+    """(..., H-2, W-2) labels of an image, or of a stack along the leading
+    axes; the 1-px border has no full neighbourhood. Fixed so tests can be
+    exact: the 8 ring neighbours (radius 1) go clockwise from the top-left,
+    and bit i, the i-th neighbour's, is set when it is >= the centre (a
+    constant image labels as 255 everywhere)."""
     img = np.asarray(img)
     if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
         raise ValueError("label image needs a source of at least 3x3")
@@ -107,8 +90,10 @@ def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
-    """(n, 59) normalized coarse histograms of the (x, y, w, h) boxes,
-    from one labelling of their bounding box."""
+    """(n, 59) L1-normalized coarse histograms of the (x, y, w, h) boxes:
+    the 58 uniform labels ascending, then a catch-all bin. One labelling of
+    their bounding box serves all: a box's labels are that label image
+    sliced at its interior, whose pixels' 3x3 neighbourhoods lie in the box."""
     img, boxes = _gray_and_boxes(img, boxes)
     out = np.empty((len(boxes), 59))
     if not len(boxes):
@@ -123,9 +108,11 @@ def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
 
 
 def fine_parts(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
-    """(n, 144) normalized, block-weighted fine histograms of the
-    boxes: one 16x16 resample of all of them, one labelling of the stack
-    and one ``bincount`` over all their blocks."""
+    """(n, 144) fine histograms of the boxes, L1-normalized and then scaled
+    by nine per-block emphasis weights (default all ones): each box resampled
+    to 16x16 and labelled (14x14), nine 6x6 blocks at FINE_BLOCK_OFFSETS
+    (2-px overlap), 16 bins of label // 16 each. One resample gathers all
+    boxes, one labelling covers the stack and one ``bincount`` every block."""
     weights = np.asarray(block_weights, dtype=np.float64)
     if weights.shape != (9,):
         raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
@@ -140,13 +127,16 @@ def fine_parts(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.n
 
 
 def descriptors(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
-    """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image."""
+    """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image,
+    the coarse then the fine part, each normalized on its own and each one
+    call over all boxes. Batching changes no value: counts are exact and
+    every division is the per-window one."""
     return np.concatenate([coarse_parts(img, boxes), fine_parts(img, boxes, block_weights)], axis=1)
 
 
 def validation_feature(window: np.ndarray, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
-    """The 203-value descriptor of a whole window: normalized coarse part
-    then fine part."""
+    """The 203-value descriptor of a whole window: :func:`descriptors` of
+    the one box that covers it."""
     window = np.asarray(window)
     box = [(0, 0, window.shape[1], window.shape[0])] if window.ndim == 2 else []
     return descriptors(window, box, block_weights)[0]

@@ -1,8 +1,9 @@
 """Binary netpbm I/O: 8-bit PGM (P5) and PPM (P6).
 
 These are the fixture formats for all golden tests, so reads and writes are
-bit-exact: the writer emits a canonical single-whitespace header and the
-reader accepts arbitrary whitespace and '#' comments before the raster.
+bit-exact: the writers emit a canonical single-whitespace header and store
+the pixels they are given or refuse them, and the reader accepts arbitrary
+whitespace and '#' comments before the raster.
 """
 
 from __future__ import annotations
@@ -87,14 +88,27 @@ def read_pgm(path: str) -> np.ndarray:
     return _read(path, b"P5")
 
 
+def _write(path: str, img: np.ndarray, magic: str) -> None:
+    """Write an array of the right shape as a P5 or P6 file of maxval 255.
+    A pixel that its uint8 cast would change (300, -1, 2.7, NaN) is refused;
+    uint8 input needs no check."""
+    if img.dtype != np.uint8:
+        with np.errstate(invalid="ignore"):
+            cast = img.astype(np.uint8)
+        bad = np.argwhere(cast != img)
+        if len(bad):
+            at = tuple(bad[0].tolist())
+            raise NetpbmError(f"{path}: pixel {img[at].item()!r} at {at} is not an integer in 0..255")
+        img = cast
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + img.tobytes())
+
+
 def write_pgm(path: str, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.uint8)
+    img = np.asarray(img)
     if img.ndim != 2:
         raise NetpbmError("PGM writer expects an (H, W) array")
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    _write(path, img, "P5")
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -102,13 +116,10 @@ def read_ppm(path: str) -> np.ndarray:
 
 
 def write_ppm(path: str, img: np.ndarray) -> None:
-    img = np.asarray(img, dtype=np.uint8)
+    img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise NetpbmError("PPM writer expects an (H, W, 3) array")
-    h, w = img.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    _write(path, img, "P6")
 
 
 def read_image(path: str) -> np.ndarray:

@@ -183,7 +183,7 @@ def train_stump(
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
     weights = weights / weights.sum()
-    err, thr, pol = _StumpSearch(values[None, :], labels).best(weights)
+    err, thr, pol = _StumpSearch(values[None, :], labels, np.ones(len(values))).best(weights)
     return float(thr[0]), int(pol[0]), float(err[0])
 
 
@@ -296,8 +296,8 @@ def train_cascade_oracle(
     pool=None, feature_subsample=0, seed=0,
 ):
     """Cascade training that computes every stage's value matrix anew: the
-    positives' matrix once, the negatives' per stage, joined by
-    ``np.concatenate``; the survivors are kept as samples and the pool is
+    positives' numerators and sigmas once, the negatives' per stage, joined
+    by ``np.concatenate``; the survivors are kept as samples and the pool is
     mined by :func:`mine_oracle`."""
     features = generate_feature_set(base_window)
     if feature_subsample and feature_subsample < len(features):
@@ -305,18 +305,19 @@ def train_cascade_oracle(
         chosen = np.sort(rng.choice(len(features), size=feature_subsample, replace=False))
         features = [features[i] for i in chosen]
     program = _compile_matrix(features, base_window)
-    v_pos = feature_value_matrix(features, pos_samples, program=program)
+    v_pos, s_pos = feature_value_matrix(features, pos_samples, program=program)
     negatives = list(neg_samples)
     neg_target = len(negatives)
     stages, metadata = [], []
     for _ in range(n_stages):
         if not negatives:
             break
-        v_neg = feature_value_matrix(features, negatives, program=program)
+        v_neg, s_neg = feature_value_matrix(features, negatives, program=program)
         values = np.concatenate([v_pos, v_neg], axis=1)
         labels = np.concatenate([np.ones(len(pos_samples)), -np.ones(len(negatives))])
         result = train_stage(
-            values, labels, target_dr=target_dr, max_fpr=max_fpr, max_stumps=max_stumps, features=features
+            values, labels, sigma=np.concatenate([s_pos, s_neg]), features=features,
+            target_dr=target_dr, max_fpr=max_fpr, max_stumps=max_stumps,
         )
         stages.append(result.stage)
         metadata.append((result.detection_rate, result.false_positive_rate))

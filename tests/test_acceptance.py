@@ -129,7 +129,8 @@ def test_criterion_3_adaboost_round_identity():
                 labels[0] = -labels[0]
             log = []
             train_stage(
-                values, labels, target_dr=0.95, max_fpr=0.0, max_stumps=15, round_log=log
+                values, labels, sigma=np.ones(200), features=enumerate_kind("edge2h", 24)[:50],
+                target_dr=0.95, max_fpr=0.0, max_stumps=15, round_log=log,
             )
             assert log
             for entry in log:

@@ -298,6 +298,24 @@ class TestTrainDetectEval:
         out = capsys.readouterr().out
         assert "stage 0: dr=" in out and "fpr=" in out
 
+    @pytest.mark.parametrize(
+        "odd, message",
+        [
+            ("neg/n007.pgm", "sample 32 is (20, 20), expected (24, 24)"),  # after the 25 positives
+            ("pos/p000.pgm", "sample 1 is (24, 24), expected (20, 20)"),
+        ],
+        ids=["negative", "first-positive"],
+    )
+    def test_tile_of_another_size_is_a_one_line_error(self, workspace, tmp_path, capsys, odd, message):
+        for kind in ("pos", "neg"):
+            (tmp_path / kind).mkdir()
+            for tile in workspace[kind].iterdir():
+                (tmp_path / kind / tile.name).write_bytes(tile.read_bytes())
+        write_pgm(tmp_path / odd, np.zeros((20, 20), np.uint8))
+        code = main(["train", "--pos", str(tmp_path / "pos"), "--neg", str(tmp_path / "neg"),
+                     "--out", str(tmp_path / "cascade.txt"), *TRAIN_FLAGS])
+        assert code == 2 and capsys.readouterr().err == f"facedet: error: {message}\n"
+
     def test_same_seed_is_byte_identical(self, workspace):
         again = workspace["root"] / "rep.txt"
         main(["train", "--pos", str(workspace["pos"]), "--neg", str(workspace["neg"]),

@@ -1,10 +1,12 @@
-"""Fuzzing of every parser, of the models they load and of the CLI.
+"""Fuzzing of every parser, of the models they load, of the netpbm
+writers and of the CLI.
 
 Arbitrary bytes, byte-level edits of a valid file and token-level edits
 (a field replaced by a number at or past a limit) go through each loader.
 Each input must give a valid object or a ValueError subclass (a bad
 encoding raises UnicodeDecodeError, which is one). A mutated model that
-still loads must run through ``detect_faces`` or raise ValueError. The
+still loads must run through ``detect_faces`` or raise ValueError. A
+writer given any array stores it exactly or refuses it with one line. The
 same mutations of every file ``facedet detect`` and ``facedet eval`` read,
 and every setting flag at each edge value, must end in exit 0, 1 or 2, with
 exactly one error line on exit 2.
@@ -19,13 +21,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from facedet.boost import Cascade, load_cascade
 from facedet.cli import main
 from facedet.config import PipelineConfig, load_config_file
 from facedet.evaluate import ManifestEntry, load_manifest
 from facedet.lbp import DESCRIPTOR_LENGTH
-from facedet.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from facedet.netpbm import NetpbmError, read_pgm, read_ppm, write_pgm, write_ppm
 from facedet.pipeline import detect_faces
 from facedet.svm import LinearSvmModel, load_svm
 from facedet.synthetic import SKIN_MIX, face_patch
@@ -140,6 +143,35 @@ def scene():
     img = rng.integers(0, 120, size=(48, 56))
     img[8:32, 6:30] = rng.integers(150, 255, size=(24, 24))
     return img.astype(np.uint8)
+
+
+@pytest.mark.parametrize("name", ["pgm", "ppm"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_writer_stores_the_pixels_or_raises_one_line(name, data, fuzz_dir):
+    """Any array of any shape and dtype: the file reads back equal to it, or
+    the writer raises a one-line NetpbmError and writes nothing, which it
+    must do when the shape is not its format's or a pixel is not an integer
+    in 0..255."""
+    dtype = np.dtype(data.draw(st.sampled_from(["u1", "?", "i2", "u2", "i8", "f4", "f8"]), label="dtype"))
+    in_range = dtype.kind in "iuf" and data.draw(st.booleans(), label="pixels in 0..255")
+    img = data.draw(
+        arrays(dtype, array_shapes(min_dims=1, max_dims=4, max_side=4), elements=st.integers(0, 255) if in_range else None),
+        label="img",
+    )
+    path = fuzz_dir / f"written.{name}"
+    path.unlink(missing_ok=True)
+    try:
+        (write_pgm if name == "pgm" else write_ppm)(path, img)
+    except NetpbmError as exc:
+        assert "\n" not in str(exc) and not path.exists()
+        fits = img.ndim == 2 if name == "pgm" else img.ndim == 3 and img.shape[2] == 3
+        with np.errstate(invalid="ignore"):
+            pixels = ((img >= 0) & (img <= 255) & (img == np.floor(img))).all()
+        assert not (fits and pixels)
+        return
+    back = (read_pgm if name == "pgm" else read_ppm)(path)
+    assert back.shape == img.shape and np.array_equal(back, img)
 
 
 @pytest.mark.parametrize("kind", ["cascade", "svm"])

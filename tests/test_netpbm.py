@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from facedet.netpbm import (
     NetpbmError,
@@ -94,3 +97,47 @@ def test_samples_at_maxval_accepted(tmp_path):
     path = tmp_path / "low.pgm"
     path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")
     assert read_pgm(path).tolist() == [[0, 15]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    colour=st.booleans(),
+    dtype=st.sampled_from([np.uint8, np.bool_]),
+    height=st.integers(1, 6),
+    width=st.integers(1, 6),
+    data=st.data(),
+)
+def test_uint8_and_bool_arrays_round_trip_as_their_bytes(tmp_path_factory, colour, dtype, height, width, data):
+    shape = (height, width, 3) if colour else (height, width)
+    img = data.draw(arrays(dtype, shape), label="img")
+    path = tmp_path_factory.mktemp("written") / "img.pnm"
+    (write_ppm if colour else write_pgm)(path, img)
+    header = f"{'P6' if colour else 'P5'}\n{width} {height}\n255\n".encode("ascii")
+    assert path.read_bytes() == header + img.astype(np.uint8).tobytes()
+    back = read_image(path)
+    assert back.dtype == np.uint8 and np.array_equal(back, img)
+
+
+@pytest.mark.parametrize(
+    "pixels, message",
+    [
+        ([[300, -1], [2.7, 255]], r"pixel 300\.0 at \(0, 0\)"),
+        ([[0, -1]], r"pixel -1 at \(0, 1\)"),
+        ([[256, 0]], r"pixel 256 at \(0, 0\)"),
+        ([[1, 2.7]], r"pixel 2\.7 at \(0, 1\)"),
+        ([[np.nan, 1]], r"pixel nan at \(0, 0\)"),
+        ([[1, 1e9]], r"pixel 1000000000\.0 at \(0, 1\)"),
+        ([[-np.inf, 1]], r"pixel -inf at \(0, 0\)"),
+    ],
+    ids=["mixed", "negative", "past-255", "fractional", "nan", "huge", "infinite"],
+)
+@pytest.mark.parametrize("colour", [False, True], ids=["P5", "P6"])
+def test_writer_refuses_a_pixel_its_uint8_cast_would_change(tmp_path, pixels, message, colour):
+    img = np.array(pixels)
+    if colour:
+        img = np.stack([img, np.zeros_like(img), np.zeros_like(img)], axis=-1)
+        message = message.replace(r"\)", r", 0\)", 1)
+    path = tmp_path / "img.pnm"
+    with pytest.raises(NetpbmError, match=f"^{path}: {message} is not an integer in 0\\.\\.255$"):
+        (write_ppm if colour else write_pgm)(path, img)
+    assert not path.exists()

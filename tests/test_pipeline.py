@@ -8,15 +8,13 @@ from pathlib import Path
 
 from unittest import mock
 
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import facedet
-from facedet import boost, cli, detect, pipeline, validate
+from facedet import cli, detect, pipeline, validate
 
 from facedet.boost import Cascade
 from facedet.config import PipelineConfig
@@ -228,15 +226,6 @@ class TestBenchmarkContract:
         assert (dets == dets) is True and (dets == kept) is False and (kept == dets[:]) is False
         assert ((dets, kept) == (dets[:], kept[:])) is True
         assert all(row in dets for row in kept) and not all(row in kept for row in dets)
-
-    def test_hooked_parameter_names(self):
-        def params(fn):
-            return inspect.signature(fn).parameters
-
-        assert "detections" in params(detect.merge_detections)
-        assert "detections" in params(validate.validate_detections)
-        assert "needed" in params(boost._mine_false_positives)
-        assert {"features", "samples"} <= params(boost.feature_value_matrix).keys()
 
     def test_detect_validate_match_build_no_rows(self, experiment):
         config = experiment["config"]
