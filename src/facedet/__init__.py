@@ -27,14 +27,12 @@ from .images import (
     median_filter,
     resize_bilinear,
     resize_boxes,
-    rgb_to_ycbcr,
     to_grayscale,
 )
 from .integral import IntegralSet, integral_set
 from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from .skin import (
     Region,
-    classify_skin,
     extract_regions,
     morphology,
     refine_mask,

@@ -91,8 +91,8 @@ def _cmd_segment(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _build_config(args)
-    pos = pipeline.load_sample_dir(args.pos)
-    neg = pipeline.load_sample_dir(args.neg)
+    pos = pipeline.load_sample_dir(args.pos, config.base_window)
+    neg = pipeline.load_sample_dir(args.neg, config.base_window)
     pool = pipeline.load_sample_dir(args.pool) if args.pool else None
     cascade = pipeline.train_cascade_from_config(pos, neg, config, pool=pool)
     save_cascade(cascade, args.out)

@@ -1,8 +1,9 @@
 """Raster image primitives: color conversion, preprocessing filters, resizing.
 
-Arrays are indexed [row, col]: grayscale images are (H, W) uint8, RGB and
-YCbCr images (H, W, 3) uint8, binary masks (H, W) uint8 in {0, 1}. No
-function modifies its input. The colour conversions run in the bands of
+Arrays are indexed [row, col]: grayscale images are (H, W) uint8, RGB
+images (H, W, 3) uint8, binary masks (H, W) uint8 in {0, 1}. No function
+modifies its input. :func:`to_grayscale` and the skin segmentation
+(:func:`facedet.pipeline.segment_image`) convert colours in the bands of
 :func:`row_bands`; :func:`resize_boxes` resamples many boxes in one
 gather. Only :func:`median_filter` uses scipy, and it imports
 ``scipy.ndimage`` when called, so detection at the default radius 0 never
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "to_grayscale",
-    "rgb_to_ycbcr",
     "downscale",
     "median_filter",
     "histogram_equalization",
@@ -70,24 +70,12 @@ def _luma(img: np.ndarray):
 
 
 def to_grayscale(img: np.ndarray) -> np.ndarray:
-    """Full-range BT.601 luma, rounded: the Y plane of ``rgb_to_ycbcr``."""
+    """Full-range BT.601 luma, rounded: the gray plane that
+    ``pipeline.segment_image`` returns, from the same expression."""
     img = _require_color(img)
     out = np.empty(img.shape[:2], dtype=np.uint8)
     for lo, hi in row_bands(*out.shape):
         out[lo:hi] = _round_u8(_luma(img[lo:hi])[3])
-    return out
-
-
-def rgb_to_ycbcr(img: np.ndarray) -> np.ndarray:
-    """Full-range BT.601 RGB -> YCbCr, rounded and clamped per channel."""
-    img = _require_color(img)
-    out = np.empty(img.shape, dtype=np.uint8)
-    for lo, hi in row_bands(*img.shape[:2]):
-        r, g, b, y = _luma(img[lo:hi])
-        cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
-        cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
-        for c, plane in enumerate((y, cb, cr)):
-            out[lo:hi, :, c] = _round_u8(plane)
     return out
 
 

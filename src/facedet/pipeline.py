@@ -15,10 +15,20 @@ from .boost import Cascade, keep_threshold, train_cascade
 from .config import PipelineConfig
 from .detect import Detections, ScanStats, detect_multiscale_counted, merge_detections, pairwise_iou
 from .evaluate import detection_rate, false_alarm_rate, match_detections
-from .images import crop_square, downscale, histogram_equalization, median_filter, rgb_to_ycbcr, to_grayscale
+from .images import (
+    _luma,
+    _require_color,
+    _round_u8,
+    crop_square,
+    downscale,
+    histogram_equalization,
+    median_filter,
+    row_bands,
+    to_grayscale,
+)
 from .lbp import DESCRIPTOR_LENGTH, descriptors, validation_feature
 from .netpbm import read_image, read_mask, read_pgm
-from .skin import classify_skin, refine_mask, sobel_edges
+from .skin import refine_mask, sobel_edges
 from .svm import LinearSvmModel, train_svm
 from .validate import validate_detections
 
@@ -65,10 +75,21 @@ class SegmentResult:
 
 
 def segment_image(rgb: np.ndarray, config: PipelineConfig) -> SegmentResult:
-    """Skin classification and Sobel-edge refinement."""
-    ycbcr = rgb_to_ycbcr(rgb)
-    skin = classify_skin(ycbcr, config)
-    gray = ycbcr[..., 0]
+    """Skin classification and Sobel-edge refinement.
+
+    One pass over the row bands of ``images.row_bands`` rounds each band's
+    full-range BT.601 Y into the gray plane and tests its Cb and Cr, rounded
+    and clamped the same way, against the config's inclusive intervals
+    (``cb_min``..``cb_max``, ``cr_min``..``cr_max``)."""
+    rgb = _require_color(rgb)
+    gray = np.empty(rgb.shape[:2], dtype=np.uint8)
+    skin = np.empty(rgb.shape[:2], dtype=np.uint8)
+    for lo, hi in row_bands(*gray.shape):
+        r, g, b, y = _luma(rgb[lo:hi])
+        gray[lo:hi] = _round_u8(y)
+        cb = _round_u8(128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b)
+        cr = _round_u8(128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b)
+        skin[lo:hi] = (cb >= config.cb_min) & (cb <= config.cb_max) & (cr >= config.cr_min) & (cr <= config.cr_max)
     return SegmentResult(refine_mask(skin, sobel_edges(gray, config.sobel_threshold)), gray)
 
 
@@ -137,12 +158,21 @@ def detect_faces(
     return merged, stats
 
 
-def load_sample_dir(path: str) -> list[np.ndarray]:
-    """All PGM samples in a directory, sorted by filename."""
+def load_sample_dir(path: str, side: int | None = None) -> list[np.ndarray]:
+    """All PGM samples in a directory, sorted by filename; with a ``side``,
+    each must be a side x side tile (the config's ``base_window``)."""
     names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
     if not names:
         raise ValueError(f"{path}: no .pgm samples found")
-    return [read_pgm(os.path.join(path, n)) for n in names]
+    samples = []
+    for name in names:
+        tile = os.path.join(path, name)
+        sample = read_pgm(tile)
+        if side is not None and sample.shape != (side, side):
+            h, w = sample.shape
+            raise ValueError(f"{tile}: tile is {w}x{h}, expected {side}x{side} (base_window)")
+        samples.append(sample)
+    return samples
 
 
 def train_cascade_from_config(

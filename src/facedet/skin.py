@@ -1,11 +1,11 @@
 """Skin-color search-space reduction.
 
-:func:`classify_skin` tests each pixel's Cb and Cr against the config's
-intervals, :func:`refine_mask` cuts the skin blobs at :func:`sobel_edges`
-and cleans them with 3x3 :func:`morphology`, and :func:`extract_regions`
-lists the connected candidate regions. Only the region listing uses scipy,
-and it imports ``scipy.ndimage`` when called: segmentation and the gated
-scan never load scipy.
+:func:`facedet.pipeline.segment_image` tests each pixel's Cb and Cr
+against the config's intervals, then :func:`refine_mask` cuts those skin
+blobs at :func:`sobel_edges` and cleans them with 3x3 :func:`morphology`;
+:func:`extract_regions` lists the connected candidate regions. Only the
+region listing uses scipy, and it imports ``scipy.ndimage`` when called:
+segmentation and the gated scan never load scipy.
 """
 
 from __future__ import annotations
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
 from .images import row_bands
 
 __all__ = [
     "Region",
-    "classify_skin",
     "sobel_edges",
     "morphology",
     "refine_mask",
@@ -37,23 +35,6 @@ class Region:
     h: int
     area: int  # count of mask-1 pixels inside the box
     skin_fraction: float  # area / (w * h)
-
-
-def classify_skin(ycbcr: np.ndarray, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
-    """Mask of pixels whose Cb and Cr both fall inside the config's inclusive
-    skin intervals (``cb_min``..``cb_max``, ``cr_min``..``cr_max``)."""
-    ycbcr = np.asarray(ycbcr)
-    if ycbcr.ndim != 3 or ycbcr.shape[2] != 3:
-        raise ValueError("expected an (H, W, 3) YCbCr image")
-    cb = ycbcr[..., 1]
-    cr = ycbcr[..., 2]
-    mask = (
-        (cb >= config.cb_min)
-        & (cb <= config.cb_max)
-        & (cr >= config.cr_min)
-        & (cr <= config.cr_max)
-    )
-    return mask.astype(np.uint8)
 
 
 def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:

@@ -17,9 +17,11 @@ trains the cascade in one value matrix, computing each sample's column
 once, and mines by continuing each pool image's scan from stage to stage;
 :func:`train_cascade_oracle` builds every stage's matrix anew from the
 samples and :func:`mine_oracle` scans the pool from the first stage on
-every call. The package
-converts colours in row bands; :func:`to_grayscale_oracle` and
-:func:`rgb_to_ycbcr_oracle` convert the whole image at once. The package
+every call. The package converts colours in row bands, and segments skin
+(:func:`facedet.pipeline.segment_image`) in one pass over them that keeps
+no YCbCr image; :func:`to_grayscale_oracle` converts the whole image at
+once, and :func:`rgb_to_ycbcr_oracle` then :func:`classify_skin_oracle`
+build the whole YCbCr image first and test its Cb and Cr planes. The package
 places scene objects by testing grown boxes for disjointness;
 :func:`place_oracle` inflates both boxes and calls :func:`facedet.detect.iou`.
 
@@ -418,6 +420,14 @@ def rgb_to_ycbcr_oracle(img):
     cb = 128.0 - 0.168736 * r - 0.331264 * g + 0.5 * b
     cr = 128.0 + 0.5 * r - 0.418688 * g - 0.081312 * b
     return np.stack([_round_u8(y), _round_u8(cb), _round_u8(cr)], axis=-1)
+
+
+def classify_skin_oracle(ycbcr, config):
+    """Mask of the pixels of a YCbCr image whose Cb and Cr both fall inside
+    the config's inclusive intervals."""
+    cb, cr = ycbcr[..., 1], ycbcr[..., 2]
+    inside = (config.cb_min <= cb) & (cb <= config.cb_max) & (config.cr_min <= cr) & (cr <= config.cr_max)
+    return inside.astype(np.uint8)
 
 
 def coarse_histogram(labels):

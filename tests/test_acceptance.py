@@ -15,25 +15,27 @@ import numpy as np
 import pytest
 
 from facedet.boost import Cascade, load_cascade, save_cascade, train_stage
+from facedet.config import PipelineConfig
 from facedet.detect import detect_multiscale_counted, iou
 from facedet.evaluate import match_detections, roc_sweep
 from facedet.haar import KINDS, enumerate_kind
-from facedet.images import resize_bilinear, rgb_to_ycbcr
+from facedet.images import resize_bilinear
 from facedet.integral import integral_set
 from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
 from facedet.netpbm import write_pgm, write_ppm
 from facedet.pipeline import detect_faces, read_scene, summarize
-from facedet.skin import classify_skin
 from facedet.svm import load_svm, save_svm
 from facedet.synthetic import Experiment, _place, experiment_config, render_color_scene, render_scene
 from facedet.validate import decision_values, validate_detections
 from facedet.cli import main as cli_main
 from oracles import (
     _upright_sums,
+    classify_skin_oracle,
     classify_window,
     eval_feature,
     evaluate_segmentation,
     rect_sum,
+    rgb_to_ycbcr_oracle,
     scaled_parts,
     segmentation_report,
     tilted_rect_sum,
@@ -225,7 +227,7 @@ def test_criterion_7_skin_gating(experiment):
         evaluated_ungated = 0
         for _ in range(20):
             rgb, scene = render_color_scene(rng)
-            mask = classify_skin(rgb_to_ycbcr(rgb))
+            mask = classify_skin_oracle(rgb_to_ycbcr_oracle(rgb), PipelineConfig())
             gated, gstats = detect_multiscale_counted(
                 cascade,
                 scene.gray,

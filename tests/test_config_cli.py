@@ -299,21 +299,21 @@ class TestTrainDetectEval:
         assert "stage 0: dr=" in out and "fpr=" in out
 
     @pytest.mark.parametrize(
-        "odd, message",
-        [
-            ("neg/n007.pgm", "sample 32 is (20, 20), expected (24, 24)"),  # after the 25 positives
-            ("pos/p000.pgm", "sample 1 is (24, 24), expected (20, 20)"),
-        ],
-        ids=["negative", "first-positive"],
+        "odd, named",
+        [("neg/n007.pgm", "neg/n007.pgm"), ("pos/p000.pgm", "pos/p000.pgm"), ("*/*.pgm", "pos/p000.pgm")],
+        ids=["negative", "first-positive", "every-tile"],
     )
-    def test_tile_of_another_size_is_a_one_line_error(self, workspace, tmp_path, capsys, odd, message):
+    def test_tile_of_another_size_is_a_one_line_error(self, workspace, tmp_path, capsys, odd, named):
+        # the first tile that is not base_window square is named, whatever the others are
         for kind in ("pos", "neg"):
             (tmp_path / kind).mkdir()
             for tile in workspace[kind].iterdir():
                 (tmp_path / kind / tile.name).write_bytes(tile.read_bytes())
-        write_pgm(tmp_path / odd, np.zeros((20, 20), np.uint8))
+        for path in tmp_path.glob(odd):
+            write_pgm(path, np.zeros((20, 20), np.uint8))
         code = main(["train", "--pos", str(tmp_path / "pos"), "--neg", str(tmp_path / "neg"),
                      "--out", str(tmp_path / "cascade.txt"), *TRAIN_FLAGS])
+        message = f"{tmp_path / named}: tile is 20x20, expected 24x24 (base_window)"
         assert code == 2 and capsys.readouterr().err == f"facedet: error: {message}\n"
 
     def test_same_seed_is_byte_identical(self, workspace):

@@ -257,11 +257,13 @@ def test_cli_exits_0_1_or_2_on_mutated_inputs(kind, data, cli_dir):
 @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_cli_exits_0_1_or_2_on_every_setting_flag_at_edge_values(name, cli_dir):
     # detect checks the work-image size before it scans; eval scans every
-    # manifest image at any setting that parses
+    # manifest image at any setting that parses; segment reads the skin bounds
     models = ["--cascade", str(cli_dir / "cascade"), "--svm", str(cli_dir / "svm")]
     commands = [
         ["detect", *models, "--image", str(cli_dir / "ppm"), "--out", str(cli_dir / "dets.txt")],
         ["eval", *models, "--manifest", str(cli_dir / "manifest"), "--roc", str(cli_dir / "roc.csv")],
+        # segment is the only command that reads --min-area
+        ["segment", "--in", str(cli_dir / "ppm"), "--out", str(cli_dir / "segmented.pgm")],
     ]
     for command in commands:
         for token in [*EDGE_TOKENS, b"1e308"]:

@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,19 +8,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from facedet.config import PipelineConfig
-from facedet.images import BAND_PIXELS, row_bands
+from facedet import images
+from facedet.images import BAND_PIXELS, row_bands, to_grayscale
+from facedet.pipeline import segment_image
 from facedet.skin import (
     Region,
     _dilate3,
     _erode3,
-    classify_skin,
     extract_regions,
     morphology,
     refine_mask,
     skin_ratio,
     sobel_edges,
 )
-from oracles import classify_skin_hsv, classify_skin_rgb, evaluate_segmentation, segmentation_report
+from facedet.synthetic import render_color_scene
+from oracles import (
+    classify_skin_hsv,
+    classify_skin_oracle,
+    classify_skin_rgb,
+    evaluate_segmentation,
+    rgb_to_ycbcr_oracle,
+    segmentation_report,
+    to_grayscale_oracle,
+)
 
 masks = arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=st.integers(0, 1))
 
@@ -49,41 +62,126 @@ def ycbcr_pixel(y, cb, cr):
     return np.array([[[y, cb, cr]]], dtype=np.uint8)
 
 
-class TestClassifySkin:
+# sha256 of the mask bytes, then of the gray bytes, of segment_image over the
+# first four seed-7 320x240 colour scenes with three faces (the detect_skin
+# benchmark's scenes), at the default config
+SEGMENTATION_SHA256 = (
+    "0892f2c260fd386eff8bb40138b8d6c274f1964c1dd94eb7e91c2f8cc9537452",
+    "f9f2047b2c3ae0fb557610d6017325247e154f90c08755bc4a9907e4fbe4518a",
+)
+
+# a skin tone: Cb 108 and Cr 160, inside the default intervals
+SKIN_RGB = (200, 140, 120)
+SKIN_CB, SKIN_CR = 108, 160
+
+OPEN_BOUNDS = dict(cb_min=0, cb_max=255, cr_min=0, cr_max=255)
+
+
+class TestClassifySkinOracle:
     def test_inside_both_intervals(self):
-        assert classify_skin(ycbcr_pixel(120, 100, 150))[0, 0] == 1
+        assert classify_skin_oracle(ycbcr_pixel(120, 100, 150), PipelineConfig())[0, 0] == 1
 
     def test_cb_below_lower_bound(self):
-        assert classify_skin(ycbcr_pixel(120, 50, 150))[0, 0] == 0
+        assert classify_skin_oracle(ycbcr_pixel(120, 50, 150), PipelineConfig())[0, 0] == 0
 
     def test_matches_per_pixel_interval_oracle(self):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, size=(9, 11, 3), dtype=np.uint8)
         t = PipelineConfig()
-        mask = classify_skin(img, t)
+        mask = classify_skin_oracle(img, t)
         for y in range(9):
             for x in range(11):
                 _, cb, cr = (int(v) for v in img[y, x])
                 inside = t.cb_min <= cb <= t.cb_max and t.cr_min <= cr <= t.cr_max
                 assert mask[y, x] == int(inside)
 
-    @given(arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(3))),
+    def test_invalid_thresholds_rejected(self):
+        with pytest.raises(ValueError):
+            PipelineConfig(cb_min=130, cb_max=120)
+
+
+class TestSegmentImage:
+    @pytest.mark.parametrize(
+        "bound, value, inside",
+        [
+            (bound, value + shift, shift * sign <= 0)
+            for bound, value, sign in [
+                ("cb_min", SKIN_CB, 1), ("cb_max", SKIN_CB, -1), ("cr_min", SKIN_CR, 1), ("cr_max", SKIN_CR, -1),
+            ]
+            for shift in (-1, 0, 1)
+        ],
+    )
+    def test_bounds_are_inclusive(self, bound, value, inside):
+        # on a uniform image there are no edges, and opening and closing
+        # leave an all-ones or all-zeros mask as it is
+        rgb = np.full((5, 6, 3), SKIN_RGB, dtype=np.uint8)
+        got = segment_image(rgb, PipelineConfig(**{**OPEN_BOUNDS, bound: value}))
+        assert got.mask.dtype == np.uint8 and np.all(got.mask == int(inside))
+        assert np.array_equal(got.gray, to_grayscale(rgb))
+
+    def test_rejects_gray_input(self):
+        with pytest.raises(ValueError):
+            segment_image(np.zeros((4, 4), dtype=np.uint8), PipelineConfig())
+
+    @given(arrays(np.uint8, st.tuples(st.integers(3, 8), st.integers(3, 8), st.just(3))),
            st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_thresholds(self, img, widen_cb, widen_cr):
-        narrow = classify_skin(img, PipelineConfig())
-        wide = classify_skin(
+        narrow = segment_image(img, PipelineConfig()).mask
+        wide = segment_image(
             img,
             PipelineConfig(
                 cb_min=max(0, 77 - widen_cb), cb_max=min(255, 127 + widen_cb),
                 cr_min=max(0, 133 - widen_cr), cr_max=min(255, 173 + widen_cr),
             ),
-        )
+        ).mask
         assert np.all(wide >= narrow)
 
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(cb_min=130, cb_max=120)
+    @given(
+        st.data(),
+        st.integers(3, 40),
+        # at 320 and 641 pixels a default band is 16 and 7 rows
+        st.one_of(st.integers(3, 24), st.sampled_from([320, 641])),
+        st.sampled_from([1, 3, None]),
+        st.sampled_from(["random", "extremes", "skin"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 100.0, 1500.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_equals_the_ycbcr_composition_property(self, data, h, w, band_rows, pattern, seed, threshold):
+        rng = np.random.default_rng(seed)
+        if pattern == "random":
+            rgb = rng.integers(0, 256, (h, w, 3), np.uint8)
+        elif pattern == "extremes":
+            rgb = rng.choice(np.array([0, 255], dtype=np.uint8), (h, w, 3))
+        else:
+            rgb = np.clip(rng.normal(SKIN_RGB, 30, (h, w, 3)), 0, 255).astype(np.uint8)
+        ycbcr = rgb_to_ycbcr_oracle(rgb)
+        y, x = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+        bounds = {}
+        for channel, name in [(1, "cb"), (2, "cr")]:
+            pixel = int(ycbcr[y, x, channel])
+            edge = st.sampled_from([0, 255, -1, 256, -300, 1000, pixel - 1, pixel, pixel + 1])
+            lo, hi = sorted(data.draw(st.one_of(edge, st.integers(-5, 260))) for _ in range(2))
+            bounds.update({f"{name}_min": lo, f"{name}_max": hi})
+        config = PipelineConfig(sobel_threshold=threshold, **bounds)
+        band_pixels = BAND_PIXELS if band_rows is None else band_rows * w
+        with mock.patch.object(images, "BAND_PIXELS", band_pixels):
+            got = segment_image(rgb, config)
+        gray = to_grayscale_oracle(rgb)
+        mask = refine_mask(classify_skin_oracle(ycbcr, config), sobel_edges(gray, threshold))
+        assert got.gray.dtype == got.mask.dtype == np.uint8
+        assert np.array_equal(got.gray, gray) and np.array_equal(got.mask, mask)
+
+    def test_segmentation_bytes_are_pinned(self):
+        rng = np.random.default_rng(7)
+        mask, gray = hashlib.sha256(), hashlib.sha256()
+        for _ in range(4):
+            rgb, _ = render_color_scene(rng, 320, 240, n_faces=3)
+            segmented = segment_image(rgb, PipelineConfig())
+            mask.update(segmented.mask.tobytes())
+            gray.update(segmented.gray.tobytes())
+        assert (mask.hexdigest(), gray.hexdigest()) == SEGMENTATION_SHA256
 
 
 class TestSobel:
@@ -389,18 +487,16 @@ class TestEvaluateSegmentation:
 class TestBaselineRules:
     def _scene(self):
         # skin block on a blue background, with ground truth
-        from facedet.images import rgb_to_ycbcr
-
         rgb = np.zeros((20, 20, 3), dtype=np.uint8)
         rgb[:] = (60, 90, 200)
         rgb[5:15, 4:14] = (200, 140, 120)
         truth = np.zeros((20, 20), dtype=np.uint8)
         truth[5:15, 4:14] = 1
-        return rgb, rgb_to_ycbcr(rgb), truth
+        return rgb, rgb_to_ycbcr_oracle(rgb), truth
 
     def test_rules_fire_on_skin_tone_not_on_blue(self):
         rgb, ycbcr, truth = self._scene()
-        for mask in (classify_skin_rgb(rgb), classify_skin_hsv(rgb), classify_skin(ycbcr)):
+        for mask in (classify_skin_rgb(rgb), classify_skin_hsv(rgb), classify_skin_oracle(ycbcr, PipelineConfig())):
             assert mask[10, 8] == 1
             assert mask[0, 0] == 0
 
@@ -409,7 +505,7 @@ class TestBaselineRules:
         rows = [
             ("RGB", evaluate_segmentation(classify_skin_rgb(rgb), truth)),
             ("HSV", evaluate_segmentation(classify_skin_hsv(rgb), truth)),
-            ("YCbCr", evaluate_segmentation(classify_skin(ycbcr), truth)),
+            ("YCbCr", evaluate_segmentation(classify_skin_oracle(ycbcr, PipelineConfig()), truth)),
         ]
         text = segmentation_report(rows)
         assert len(text.splitlines()) == 4
