@@ -165,12 +165,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_roc(args) -> int:
-    args.csv = False
-    args.roc = args.out
-    return _cmd_eval(args)
-
-
 def main(argv=None) -> int:
     common = _common_flags()
     parser = _Parser(prog="facedet", description=__doc__)
@@ -207,7 +201,9 @@ def main(argv=None) -> int:
     p_eval.add_argument("--csv", action="store_true", help="machine-readable report")
 
     p_roc = sub.add_parser("roc", parents=[scoring], help="write an ROC curve for a manifest")
-    p_roc.add_argument("--out", required=True, help="output 'threshold,tpr,fp_per_image' lines")
+    # roc is eval with its --out as --roc and no table
+    p_roc.add_argument("--out", dest="roc", metavar="OUT", required=True, help="output 'threshold,tpr,fp_per_image' lines")
+    p_roc.set_defaults(csv=False)
 
     try:
         args = parser.parse_args(argv)
@@ -220,7 +216,7 @@ def main(argv=None) -> int:
         "train": _cmd_train,
         "detect": _cmd_detect,
         "eval": _cmd_eval,
-        "roc": _cmd_roc,
+        "roc": _cmd_eval,
     }
     try:
         return handlers[args.command](args)

@@ -1,9 +1,9 @@
 """Two-stage local-binary-pattern descriptor for candidate validation.
 
-:func:`descriptors` builds the 203-value descriptor of every box of an
-image at once from :func:`coarse_parts` and :func:`fine_parts`, over the
-labels of :func:`lbp_label_image`; :func:`validation_feature` is the
-one-window case.
+- :func:`descriptors` builds the 203-value descriptor of every box of an
+  image in one call: the coarse uniform-pattern histogram, then the fine
+  histograms of nine blocks, both over :func:`lbp_label_image` labels.
+- :func:`validation_feature` is the one-window call.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ __all__ = [
     "lbp_label_image",
     "uniform_pattern_table",
     "UNIT_BLOCK_WEIGHTS",
-    "coarse_parts",
-    "fine_parts",
     "descriptors",
     "validation_feature",
     "FINE_BLOCK_OFFSETS",
@@ -79,59 +77,49 @@ def uniform_pattern_table() -> np.ndarray:
     return _uniform_table
 
 
-def _gray_and_boxes(img: np.ndarray, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """The image as (H, W) and the boxes as (n, 4) int64 (x, y, w, h) rows,
-    each inside the image and at least 3x3; the first bad box is named."""
+def descriptors(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
+    """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image,
+    each half normalized on its own and built in one pass over all boxes:
+
+    - ``[:, :59]``, coarse: a box's labels counted over the 58 uniform
+      patterns ascending, then a catch-all bin, divided by their number.
+      One labelling of the boxes' bounding box serves all: a box's labels
+      are that label image at its interior, whose pixels' 3x3
+      neighbourhoods lie in the box.
+    - ``[:, 59:]``, fine: each box resampled to 16x16 in one gather and
+      labelled (14x14); nine 6x6 blocks at FINE_BLOCK_OFFSETS (2-px
+      overlap) of 16 bins of label // 16 each, counted by one ``bincount``,
+      divided by all 9 * 36 labels and scaled by the nine per-block
+      ``block_weights`` (default all ones).
+
+    The checks run in this order: the image is (H, W); each box lies in it
+    and is at least 3x3, and the first bad box is named; there are nine
+    weights, even when there are no boxes. Batching changes no value:
+    counts are exact and every division is the per-window one."""
     img = np.asarray(img)
     if img.ndim != 2:
         raise ValueError(f"expected an (H, W) grayscale image, got shape {img.shape}")
-    outside = "box {box} outside {width}x{height} image"
-    return img, checked_boxes(boxes, img.shape, 3, outside, "box {box} smaller than 3x3")
-
-
-def coarse_parts(img: np.ndarray, boxes) -> np.ndarray:
-    """(n, 59) L1-normalized coarse histograms of the (x, y, w, h) boxes:
-    the 58 uniform labels ascending, then a catch-all bin. One labelling of
-    their bounding box serves all: a box's labels are that label image
-    sliced at its interior, whose pixels' 3x3 neighbourhoods lie in the box."""
-    img, boxes = _gray_and_boxes(img, boxes)
-    out = np.empty((len(boxes), 59))
-    if not len(boxes):
-        return out
-    x0, y0 = boxes[:, :2].min(axis=0)
-    x1, y1 = (boxes[:, :2] + boxes[:, 2:]).max(axis=0)
-    bins = uniform_pattern_table()[lbp_label_image(img[y0:y1, x0:x1])]
-    for row, (x, y, w, h) in zip(out, (boxes - (x0, y0, 0, 0)).tolist()):
-        row[:] = np.bincount(bins[y : y + h - 2, x : x + w - 2].ravel(), minlength=59)
-    out /= ((boxes[:, 2] - 2) * (boxes[:, 3] - 2))[:, None]
-    return out
-
-
-def fine_parts(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
-    """(n, 144) fine histograms of the boxes, L1-normalized and then scaled
-    by nine per-block emphasis weights (default all ones): each box resampled
-    to 16x16 and labelled (14x14), nine 6x6 blocks at FINE_BLOCK_OFFSETS
-    (2-px overlap), 16 bins of label // 16 each. One resample gathers all
-    boxes, one labelling covers the stack and one ``bincount`` every block."""
+    boxes = checked_boxes(boxes, img.shape, 3, "box {box} outside {width}x{height} image", "box {box} smaller than 3x3")
     weights = np.asarray(block_weights, dtype=np.float64)
     if weights.shape != (9,):
         raise ValueError(f"expected 9 fine-block weights, got shape {weights.shape}")
-    img, boxes = _gray_and_boxes(img, boxes)
     n = len(boxes)
+    out = np.empty((n, DESCRIPTOR_LENGTH))
+    if not n:
+        return out
+    coarse, fine = out[:, :59], out[:, 59:]
+    x0, y0 = boxes[:, :2].min(axis=0)
+    x1, y1 = (boxes[:, :2] + boxes[:, 2:]).max(axis=0)
+    bins = uniform_pattern_table()[lbp_label_image(img[y0:y1, x0:x1])]
+    for row, (x, y, w, h) in zip(coarse, (boxes - (x0, y0, 0, 0)).tolist()):
+        row[:] = np.bincount(bins[y : y + h - 2, x : x + w - 2].ravel(), minlength=59)
+    coarse /= ((boxes[:, 2] - 2) * (boxes[:, 3] - 2))[:, None]
     bands = lbp_label_image(resize_boxes(img, boxes, 16, 16)).reshape(n, 196) >> 4
     keys = bands[:, _FINE_CELLS] + (_FINE_BASE + 144 * np.arange(n)[:, None])
-    fine = np.bincount(keys.ravel(), minlength=144 * n).reshape(n, 144).astype(np.float64)
+    fine[:] = np.bincount(keys.ravel(), minlength=144 * n).reshape(n, 144)
     fine /= 9 * 36  # every block holds 36 labels
     fine *= np.repeat(weights, 16)
-    return fine
-
-
-def descriptors(img: np.ndarray, boxes, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:
-    """(n, 203) descriptors of the (x, y, w, h) boxes of a grayscale image,
-    the coarse then the fine part, each normalized on its own and each one
-    call over all boxes. Batching changes no value: counts are exact and
-    every division is the per-window one."""
-    return np.concatenate([coarse_parts(img, boxes), fine_parts(img, boxes, block_weights)], axis=1)
+    return out
 
 
 def validation_feature(window: np.ndarray, block_weights=UNIT_BLOCK_WEIGHTS) -> np.ndarray:

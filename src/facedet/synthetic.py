@@ -320,15 +320,10 @@ def write_corpus(corpus: Corpus, root: str) -> dict[str, str]:
         with open(manifest, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         paths[split] = manifest
-    for name, tiles in (("pos", corpus.pos_tiles), ("neg", corpus.neg_tiles)):
-        tile_dir = os.path.join(root, name)
-        os.makedirs(tile_dir, exist_ok=True)
-        for i, tile in enumerate(tiles):
-            write_pgm(os.path.join(tile_dir, f"{name}_{i:04d}.pgm"), tile)
-        paths[name] = tile_dir
-    pool_dir = os.path.join(root, "pool")
-    os.makedirs(pool_dir, exist_ok=True)
-    for i, img in enumerate(corpus.pool):
-        write_pgm(os.path.join(pool_dir, f"pool_{i:04d}.pgm"), img)
-    paths["pool"] = pool_dir
+    for name, images in (("pos", corpus.pos_tiles), ("neg", corpus.neg_tiles), ("pool", corpus.pool)):
+        image_dir = os.path.join(root, name)
+        os.makedirs(image_dir, exist_ok=True)
+        for i, img in enumerate(images):
+            write_pgm(os.path.join(image_dir, f"{name}_{i:04d}.pgm"), img)
+        paths[name] = image_dir
     return paths

@@ -21,7 +21,7 @@ from facedet.evaluate import match_detections, roc_sweep
 from facedet.haar import KINDS, enumerate_kind
 from facedet.images import resize_bilinear
 from facedet.integral import integral_set
-from facedet.lbp import fine_parts, lbp_label_image, uniform_pattern_table, validation_feature
+from facedet.lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
 from facedet.netpbm import write_pgm, write_ppm
 from facedet.pipeline import detect_faces, read_scene, summarize
 from facedet.svm import load_svm, save_svm
@@ -157,7 +157,7 @@ def test_criterion_4_descriptor_dimensions():
         from facedet.lbp import FINE_BLOCK_OFFSETS
 
         assert FINE_BLOCK_OFFSETS == (0, 4, 8)
-        assert fine_parts(patch, [(0, 0, 16, 16)]).shape == (1, 144)
+        assert descriptors(patch, [(0, 0, 16, 16)])[:, 59:].shape == (1, 144)
 
 
 def test_criterion_5_segmentation_metric_oracle():

@@ -536,12 +536,15 @@ class TestTrainDetectEval:
                 f"facedet: error: {manifest}:2: box 0 has a field of magnitude 67108864 or more\n"
             )
 
-    def test_roc_subcommand(self, workspace):
-        out = workspace["root"] / "roc2.csv"
-        code = main(["roc", "--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]),
-                     "--manifest", str(workspace["manifest"]), "--out", str(out)])
-        assert code == 0
-        assert out.exists()
+    def test_roc_subcommand(self, workspace, capsys):
+        # roc is eval --roc without --csv: the same report and the same curve file
+        flags = ["--cascade", str(workspace["model"]), "--svm", str(workspace["svm"]), "--manifest", str(workspace["manifest"])]
+        out, eval_out = workspace["root"] / "roc2.csv", workspace["root"] / "eval_roc2.csv"
+        assert main(["roc", *flags, "--out", str(out)]) == 0
+        roc_stdout = capsys.readouterr().out
+        assert main(["eval", *flags, "--roc", str(eval_out)]) == 0
+        assert roc_stdout == capsys.readouterr().out and "Cascade + validation" in roc_stdout
+        assert out.read_bytes() == eval_out.read_bytes() and out.read_text()
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,7 @@ from facedet.lbp import (
     DESCRIPTOR_LENGTH,
     FINE_BLOCK_OFFSETS,
     UNIT_BLOCK_WEIGHTS,
-    coarse_parts,
     descriptors,
-    fine_parts,
     lbp_label_image,
     uniform_pattern_table,
     validation_feature,
@@ -252,11 +250,12 @@ class TestBatchedDescriptor:
         kw = {} if weights is None else {"block_weights": weights}
         got = descriptors(img, boxes, **kw)
         assert got.shape == (len(boxes), DESCRIPTOR_LENGTH) and got.dtype == np.float64
-        for row, (x, y, w, h) in zip(got, boxes):
-            expected = validation_feature_oracle(img[y : y + h, x : x + w], weights)
-            assert np.array_equal(row, expected)
-        assert np.array_equal(coarse_parts(img, boxes), got[:, :59])
-        assert np.array_equal(fine_parts(img, boxes, **kw), got[:, 59:])
+        crops = [img[y : y + h, x : x + w] for x, y, w, h in boxes]
+        expected = np.array([validation_feature_oracle(crop, weights) for crop in crops]).reshape(-1, DESCRIPTOR_LENGTH)
+        # each half on its own: the coarse one from the bounding-box labels,
+        # the fine one from the resize gather
+        assert np.array_equal(got[:, :59], expected[:, :59])
+        assert np.array_equal(got[:, 59:], expected[:, 59:])
 
     @given(scenes_with_boxes(), st.booleans(), st.integers(0, 1 << 30))
     @settings(max_examples=100, deadline=None)
@@ -302,15 +301,30 @@ class TestBatchedDescriptor:
         img = np.zeros((10, 20), dtype=np.uint8)
         # as tuples and as the int64 rows of Detections.boxes
         for boxes in ([(0, 0, 5, 5), box], np.array([(0, 0, 5, 5), box])):
-            for call in (descriptors, coarse_parts, fine_parts):
-                with pytest.raises(ValueError, match=message):
-                    call(img, boxes)
+            with pytest.raises(ValueError, match=message):
+                descriptors(img, boxes)
+            # the box is checked before the weights
+            with pytest.raises(ValueError, match=message):
+                descriptors(img, boxes, np.ones(3))
+        if box[:2] == (0, 0):
+            # a window of the box's size is described by that very box
+            with pytest.raises(ValueError, match=message):
+                validation_feature(np.zeros((box[3], box[2]), dtype=np.uint8))
 
     @pytest.mark.parametrize("weights", [np.ones(3), np.ones(10), np.ones((3, 3))])
     def test_rejects_block_weights_of_wrong_shape(self, weights):
         img = np.zeros((10, 20), dtype=np.uint8)
-        for call in (descriptors, fine_parts):
+        for boxes in ([(0, 0, 5, 5)], []):
+            # checked also when there is no box to describe
             with pytest.raises(ValueError, match="expected 9 fine-block weights"):
-                call(img, [(0, 0, 5, 5)], weights)
+                descriptors(img, boxes, weights)
         with pytest.raises(ValueError, match="expected 9 fine-block weights"):
             validation_feature(img, weights)
+
+    @pytest.mark.parametrize("shape", [(5, 5, 3), (5,)])
+    def test_rejects_images_that_are_not_gray(self, shape):
+        img = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"expected an \(H, W\) grayscale image"):
+            descriptors(img, [])
+        with pytest.raises(ValueError, match=r"expected an \(H, W\) grayscale image"):
+            validation_feature(img)

@@ -1,14 +1,20 @@
 """The synthetic scene generator against its first form: placement by grown
 boxes equals placement by inflated boxes and IoU, draw for draw, and the
-batched tile crop of ``build_corpus`` equals one ``crop_square`` per box."""
+batched tile crop of ``build_corpus`` equals one ``crop_square`` per box.
+A written corpus reads back through the loaders the CLI uses."""
+
+import os
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from facedet.evaluate import load_manifest
 from facedet.images import crop_square, resize_boxes
-from facedet.synthetic import _place
+from facedet.netpbm import read_pgm
+from facedet.pipeline import load_sample_dir
+from facedet.synthetic import _place, build_corpus, write_corpus
 from oracles import place_oracle
 
 
@@ -71,3 +77,20 @@ class TestTileCrop:
         assert tiles.shape == (len(boxes), 24, 24)
         for tile, box in zip(tiles, boxes):
             assert np.array_equal(tile, crop_square(img, box, 24))
+
+
+def test_written_corpus_reads_back(tmp_path):
+    corpus = build_corpus(seed=3, n_train=3, n_test=2, n_pool=2)
+    paths = write_corpus(corpus, str(tmp_path))
+    assert sorted(paths) == ["neg", "pool", "pos", "test", "train"]
+    for split in ("train", "test"):
+        scenes = getattr(corpus, split)
+        entries = load_manifest(paths[split])
+        assert [os.path.basename(e.path) for e in entries] == [f"{split}_{i:04d}.pgm" for i in range(len(scenes))]
+        assert [e.boxes for e in entries] == [scene.faces for scene in scenes]
+        for entry, scene in zip(entries, scenes):
+            assert read_pgm(entry.path).tobytes() == scene.gray.tobytes()
+    for name, images in (("pos", corpus.pos_tiles), ("neg", corpus.neg_tiles), ("pool", corpus.pool)):
+        assert sorted(os.listdir(paths[name])) == [f"{name}_{i:04d}.pgm" for i in range(len(images))]
+        loaded = load_sample_dir(paths[name])
+        assert [(img.shape, img.tobytes()) for img in loaded] == [(img.shape, img.tobytes()) for img in images]
