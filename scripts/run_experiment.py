@@ -33,8 +33,8 @@ def main() -> int:
         f"corpus: {len(corpus.train)} train / {len(corpus.test)} test scenes, "
         f"{len(corpus.pos_tiles)} pos / {len(corpus.neg_tiles)} neg tiles"
     )
-    for i, (dr, fpr) in enumerate(cascade.metadata):
-        print(f"stage {i}: stumps={len(cascade.stages[i].stumps)} dr={dr:.4f} fpr={fpr:.4f}")
+    for i, stage in enumerate(cascade.stages):
+        print(f"stage {i}: stumps={len(stage.stumps)} dr={stage.detection_rate:.4f} fpr={stage.false_positive_rate:.4f}")
     print(f"validator threshold {threshold:.4f}")
 
     counts = summarize(run.results)

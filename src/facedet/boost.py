@@ -66,8 +66,15 @@ class WeakClassifier:
 
 @dataclass(frozen=True)
 class Stage:
+    """Stumps whose weighted face votes must reach ``threshold``, and the rates
+    :func:`train_stage` reached on its samples (NaN when loaded from disk)."""
+
     stumps: list[tuple[WeakClassifier, float]]  # (stump, alpha >= 0)
     threshold: float
+    # not in model files, and not compared: LiveWindows continues a scan when
+    # its stages == the cascade's first ones, be they trained or loaded
+    detection_rate: float = field(default=math.nan, compare=False)
+    false_positive_rate: float = field(default=math.nan, compare=False)
 
     @property
     def total_alpha(self) -> float:
@@ -76,15 +83,15 @@ class Stage:
 
 @dataclass(frozen=True)
 class StageResult:
+    """A trained stage and its per-sample weighted face votes at the final round."""
+
     stage: Stage
-    detection_rate: float
-    false_positive_rate: float
-    scores: np.ndarray  # per-sample weighted face votes at the final round
+    scores: np.ndarray
 
 
 @dataclass(frozen=True)
 class Cascade:
-    """Stages of boosted stumps over ``base_window``-pixel windows.
+    """Stages of boosted stumps over ``base_window``-pixel windows, in scan order.
 
     A Cascade scans one image at a time: its scan plan holds the workspace
     that each scan refills (see :mod:`facedet.detect`), so two threads must
@@ -94,18 +101,11 @@ class Cascade:
 
     base_window: int
     stages: list[Stage]
-    # per-stage (detection_rate, false_positive_rate) on the data each stage
-    # was trained on; NaN pairs for models loaded from disk
-    metadata: list[tuple[float, float]]
     # filled by facedet.detect from ``stages`` (never change them in place): the
     # corners by window size, and one scan plan (16-32 bytes a window, and the
     # shape's workspace), the last shape's
     programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.stages) != len(self.metadata):
-            raise ValueError("cascade metadata length must match stage count")
 
 
 def _restore_index_order(order: np.ndarray, tied: np.ndarray) -> None:
@@ -350,7 +350,8 @@ def train_stage(
     1e-10), reweight with the exponential-loss update, and re-adjust the
     stage threshold so at least ``target_dr`` of the positives pass; training
     stops once the false-positive rate at that threshold reaches ``max_fpr``
-    or ``max_stumps`` rounds have run.
+    or ``max_stumps`` rounds have run. The stage carries the detection and
+    false-positive rates of its last round.
     """
     values = np.asarray(values)
     labels = np.asarray(labels)
@@ -413,7 +414,7 @@ def train_stage(
                 )
             if fpr <= max_fpr:
                 break
-    return StageResult(Stage(stumps, float(stage_threshold)), dr, fpr, scores)
+    return StageResult(Stage(stumps, float(stage_threshold), dr, fpr), scores)
 
 
 @dataclass(frozen=True)
@@ -621,7 +622,6 @@ def train_cascade(
     n_neg = neg_target
     live = None if pool is None else [LiveWindows() for _ in pool]
     stages: list[Stage] = []
-    metadata: list[tuple[float, float]] = []
     for _ in range(n_stages):
         if not n_neg:
             break
@@ -635,7 +635,6 @@ def train_cascade(
             max_stumps=max_stumps,
         )
         stages.append(result.stage)
-        metadata.append((result.detection_rate, result.false_positive_rate))
         # the survivors' columns move up by blocks of rows, so the gather's copy stays small
         kept = n_pos + np.flatnonzero(result.scores[n_pos:] >= result.stage.threshold)
         n_neg = kept.size
@@ -644,7 +643,7 @@ def train_cascade(
             rows[:, n_pos : n_pos + n_neg] = rows[:, kept]
         sigma[n_pos : n_pos + n_neg] = sigma[kept]
         if pool is not None and n_neg < neg_target and len(stages) < n_stages:
-            current = Cascade(base_window, list(stages), list(metadata))
+            current = Cascade(base_window, list(stages))
             mined = _mine_false_positives(current, pool, neg_target - n_neg, live)
             if mined:
                 end = n_pos + n_neg + len(mined)
@@ -652,7 +651,7 @@ def train_cascade(
                     features, mined, program=program, out=matrix[:, n_pos + n_neg : end], sigma=sigma[n_pos + n_neg : end]
                 )
                 n_neg += len(mined)
-    return Cascade(base_window, stages, metadata)
+    return Cascade(base_window, stages)
 
 
 def _fmt(value: float) -> str:
@@ -740,5 +739,4 @@ def load_cascade(path: str) -> Cascade:
     extra = next(rest, None)
     if extra is not None:
         raise ValueError(f"{path}:{extra[0]}: trailing line after the last stage")
-    nan = float("nan")
-    return Cascade(base_window, stages, [(nan, nan)] * len(stages))
+    return Cascade(base_window, stages)

@@ -96,8 +96,8 @@ def _cmd_train(args) -> int:
     pool = pipeline.load_sample_dir(args.pool) if args.pool else None
     cascade = pipeline.train_cascade_from_config(pos, neg, config, pool=pool)
     save_cascade(cascade, args.out)
-    for i, (dr, fpr) in enumerate(cascade.metadata):
-        print(f"stage {i}: dr={dr:.9g} fpr={fpr:.9g}")
+    for i, stage in enumerate(cascade.stages):
+        print(f"stage {i}: dr={stage.detection_rate:.9g} fpr={stage.false_positive_rate:.9g}")
     if args.svm_out:
         # on the tiles themselves; the experiment bootstraps it instead
         save_svm(pipeline.train_validator_from_crops(pos, neg, config), args.svm_out)

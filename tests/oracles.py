@@ -310,7 +310,7 @@ def train_cascade_oracle(
     v_pos, s_pos = feature_value_matrix(features, pos_samples, program=program)
     negatives = list(neg_samples)
     neg_target = len(negatives)
-    stages, metadata = [], []
+    stages = []
     for _ in range(n_stages):
         if not negatives:
             break
@@ -322,13 +322,12 @@ def train_cascade_oracle(
             target_dr=target_dr, max_fpr=max_fpr, max_stumps=max_stumps,
         )
         stages.append(result.stage)
-        metadata.append((result.detection_rate, result.false_positive_rate))
         neg_scores = result.scores[len(pos_samples) :]
         negatives = [s for s, sc in zip(negatives, neg_scores) if sc >= result.stage.threshold]
         if pool is not None and len(negatives) < neg_target and len(stages) < n_stages:
-            current = Cascade(base_window, list(stages), list(metadata))
+            current = Cascade(base_window, list(stages))
             negatives.extend(mine_oracle(current, pool, neg_target - len(negatives)))
-    return Cascade(base_window, stages, metadata)
+    return Cascade(base_window, stages)
 
 
 def scaled_parts_oracle(feature, size):

@@ -258,7 +258,7 @@ def test_criterion_8_first_stage_rejection(experiment):
     with criterion(8, "first stage rejects >= 50% held-out negatives, passes >= 99% positives"):
         cascade = experiment["cascade"]
         corpus = experiment["corpus"]
-        stage1 = Cascade(cascade.base_window, cascade.stages[:1], cascade.metadata[:1])
+        stage1 = Cascade(cascade.base_window, cascade.stages[:1])
         rng = np.random.default_rng(108)
         held_out = []
         while len(held_out) < 400:
@@ -394,6 +394,14 @@ def test_run_experiment_script_reports_the_experiment(experiment, tmp_path, caps
     assert code == 0
     runner.assert_called_once_with(seed=7, n_train=300, n_test=100)
     lines = capsys.readouterr().out.splitlines()
+    # each stage's stumps and the rates it was trained to
+    assert [line for line in lines if line.startswith("stage ")] == [
+        "stage 0: stumps=2 dr=0.9960 fpr=0.1864",
+        "stage 1: stumps=3 dr=0.9907 fpr=0.0503",
+        "stage 2: stumps=4 dr=0.9947 fpr=0.0723",
+        "stage 3: stumps=4 dr=0.9960 fpr=0.1814",
+        "stage 4: stumps=4 dr=0.9947 fpr=0.1205",
+    ]
     counts = summarize(experiment["results"])
     for name, key in (("Adaboost Cascade", "cascade"), ("Cascade + validation", "validated")):
         row = next(line for line in lines if line.startswith(name + " "))

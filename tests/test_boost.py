@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import tracemalloc
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -172,6 +173,17 @@ def unit_stage(values, labels, **kwargs):
     return train_stage(values, labels, **kwargs)
 
 
+def rates_of(stage):
+    return stage.detection_rate, stage.false_positive_rate
+
+
+def assert_same_training(got, want):
+    """Equal cascades whose stages also report the same training rates,
+    which stage equality leaves out."""
+    assert got == want
+    assert [rates_of(s) for s in got.stages] == [rates_of(s) for s in want.stages]
+
+
 def numerator_matrix(rng, n_features, n_samples, levels, exact, equal_rows):
     """int32 numerators and one sigma per sample whose quotients have few
     distinct values, tied across samples; the first ``equal_rows`` rows
@@ -329,8 +341,8 @@ class TestTrainStage:
         labels = np.array([1, 1, 1, -1, -1, -1])
         result = unit_stage(values, labels, target_dr=0.99, max_fpr=0.5, max_stumps=5)
         assert len(result.stage.stumps) == 1
-        assert result.detection_rate == 1.0
-        assert result.false_positive_rate == 0.0
+        assert result.stage.detection_rate == 1.0
+        assert result.stage.false_positive_rate == 0.0
 
     def test_round_identities_on_random_data(self):
         rng = np.random.default_rng(2)
@@ -339,8 +351,10 @@ class TestTrainStage:
         if abs(labels.sum()) == 200:
             labels[0] = -labels[0]
         log = []
-        unit_stage(values, labels, target_dr=0.95, max_fpr=0.0, max_stumps=12, round_log=log)
+        result = unit_stage(values, labels, target_dr=0.95, max_fpr=0.0, max_stumps=12, round_log=log)
         assert len(log) >= 3
+        # the stage carries the rates of its last round
+        assert rates_of(result.stage) == (log[-1]["detection_rate"], log[-1]["false_positive_rate"])
         for entry in log:
             assert entry["weight_sum"] == pytest.approx(1.0, abs=1e-12)
             assert entry["post_error"] == pytest.approx(0.5, abs=1e-9)
@@ -411,7 +425,7 @@ class TestTrainStage:
                 return str(exc)
             stumps = [(wc.feature, wc.polarity, np.float64(wc.threshold).tobytes(), np.float64(alpha).tobytes())
                       for wc, alpha in result.stage.stumps]
-            rates = (result.detection_rate, result.false_positive_rate)
+            rates = rates_of(result.stage)
             return stumps, np.float64(result.stage.threshold).tobytes(), rates, result.scores.tobytes()
 
         args = dict(features=features, target_dr=0.9, max_fpr=0.0, max_stumps=4)
@@ -631,10 +645,10 @@ class TestOneValueMatrix:
         pool = None if sizes is None else random_pool(rng, sizes, bright_rows=base // 2)
         args = dict(n_stages=3, base_window=base, pool=pool, feature_subsample=subsample, max_stumps=4, seed=seed)
         cascade, shapes, mined = spied_training(pos, neg, **args)
-        assert cascade == train_cascade_oracle(pos, neg, **args)
+        assert_same_training(cascade, train_cascade_oracle(pos, neg, **args))
         columns = [n for _, n in shapes]
         # each training reaches the case it is named for
-        rejected_all = [fpr == 0.0 for _, fpr in cascade.metadata]
+        rejected_all = [stage.false_positive_rate == 0.0 for stage in cascade.stages]
         reached = {
             "no pool": lambda: len(cascade.stages) == 3 and not mined,
             "pool": lambda: len(mined) == 2 and min(mined) > 0,
@@ -663,7 +677,7 @@ class TestOneValueMatrix:
         args = dict(
             n_stages=n_stages, base_window=base, pool=pool, feature_subsample=subsample, max_stumps=3, seed=seed
         )
-        assert train_cascade(pos, neg, **args) == train_cascade_oracle(pos, neg, **args)
+        assert_same_training(train_cascade(pos, neg, **args), train_cascade_oracle(pos, neg, **args))
 
     def test_each_sample_column_is_computed_once(self):
         rng = np.random.default_rng(30)
@@ -729,7 +743,7 @@ class TestOneValueMatrix:
 
         with mock.patch.object(boost, "_mapped_empty", mapped_empty):
             cascade = train_cascade(pos, neg, **args)
-        assert cascade == train_cascade_oracle(pos, neg, **args)
+        assert_same_training(cascade, train_cascade_oracle(pos, neg, **args))
         assert len(mappings) == 1 and mappings[0]() is None
 
     @pytest.mark.parametrize("shape, dtype", [((3, 5), np.int32), ((2, 0), np.float64), ((0, 4), np.int64)])
@@ -760,7 +774,7 @@ class TestOneValueMatrix:
         with mock.patch.object(boost, "train_stage", stage):
             cascade = train_cascade(pos, neg, **args)
         assert dtypes == [np.dtype(matrix)] * len(cascade.stages) and len(cascade.stages) == 2
-        assert cascade == train_cascade_oracle(pos, neg, **args)
+        assert_same_training(cascade, train_cascade_oracle(pos, neg, **args))
 
 
 class TestTrainCascade:
@@ -771,7 +785,7 @@ class TestTrainCascade:
         cascade = train_cascade(
             pos, neg, n_stages=15, base_window=12, feature_subsample=400, max_stumps=5, seed=1
         )
-        assert len(cascade.metadata) == len(cascade.stages)
+        assert all(stage.detection_rate >= 0.99 and 0.0 <= stage.false_positive_rate <= 0.5 for stage in cascade.stages)
         assert len(cascade.stages) <= 15
         # separable data empties the negative pool quickly without a pool
         assert len(cascade.stages) < 15
@@ -815,7 +829,7 @@ class TestTrainCascade:
         with mock.patch.object(
             boost, "feature_value_matrix", lambda f, s, program, out=None, sigma=None: original(f, s, out=out, sigma=sigma)
         ):
-            assert train_cascade(pos, neg, **args) == cascade
+            assert_same_training(train_cascade(pos, neg, **args), cascade)
 
     def test_same_cascade_on_one_and_two_cpus(self):
         rng = np.random.default_rng(15)
@@ -828,7 +842,7 @@ class TestTrainCascade:
         with stump_tasks(2, task_rows=7):
             pooled = train_cascade(pos, neg, **args)
         assert len(serial.stages) == 3
-        assert pooled == serial
+        assert_same_training(pooled, serial)
 
     def test_saved_file_same_at_one_two_and_four_workers(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -927,7 +941,7 @@ class TestMining:
 
     def test_empty_cascade_takes_every_window_round_robin(self, setup):
         _, pool, _ = setup
-        empty = Cascade(12, [], [])
+        empty = Cascade(12, [])
         got = _mine_false_positives(empty, pool, 37)
         want = eager_mine_oracle(empty, pool, 37)
         assert len(got) == 37
@@ -944,7 +958,7 @@ class TestMining:
         pool = random_pool(rng, [(30, 40), (10, 40), (16, 16), (40, 24), (26, 33), (11, 11)], bright_rows=12)
         live = [LiveWindows() for _ in pool]
         for k in range(1, 4):
-            current = Cascade(12, cascade.stages[:k], cascade.metadata[:k])
+            current = Cascade(12, cascade.stages[:k])
             available = sum(len(detect_multiscale_counted(current, img, step=3)[0]) for img in pool)
             needed = max(1, int(share * available))
             got = _mine_false_positives(current, pool, needed, live)
@@ -974,13 +988,13 @@ class TestMining:
         )
         assert len(cascade.stages) == n_stages
         # every stage rejects negatives, so each one leaves a deficit to fill
-        assert all(fpr < 1.0 for _, fpr in cascade.metadata)
+        assert all(stage.false_positive_rate < 1.0 for stage in cascade.stages)
         assert len(calls) == n_stages - 1
 
 
 class TestClassifyWindow:
     def test_empty_cascade_accepts_with_zero_score(self):
-        cascade = Cascade(12, [], [])
+        cascade = Cascade(12, [])
         iset = integral_set(np.zeros((12, 12), dtype=np.uint8))
         assert classify_window(cascade, iset, 0, 0, 12) == (True, 0.0)
 
@@ -991,7 +1005,7 @@ class TestClassifyWindow:
         cascade = train_cascade(pos, neg, n_stages=1, base_window=12, feature_subsample=200)
         stage = cascade.stages[0]
         blocked = Stage(stage.stumps, stage.total_alpha + 1.0)
-        cascade = Cascade(12, [blocked], [(0.0, 0.0)])
+        cascade = Cascade(12, [blocked])
         for tile in pos + neg:
             ok, margin = classify_window(cascade, integral_set(tile), 0, 0, 12)
             assert not ok and margin < 0
@@ -1172,6 +1186,42 @@ class TestModelFormat:
             ref = classify_window(cascade, iset, 0, 0, 12)
             assert got[0] == ref[0]
             assert got[1] == pytest.approx(ref[1], rel=1e-8, abs=1e-8)
+
+    def test_loaded_experiment_stages_equal_the_trained_ones(self, experiment, tmp_path):
+        # a model file stores numbers to 9 digits and no rates: the loaded
+        # stages' rates are NaN, and they still == the trained stages at the
+        # file's precision, which keep the rates they were trained to
+        trained, config = experiment["cascade"], experiment["config"]
+        save_cascade(trained, tmp_path / "cascade.txt")
+        loaded = load_cascade(tmp_path / "cascade.txt")
+        digits = [
+            replace(
+                stage,
+                stumps=[(replace(wc, threshold=float(boost._fmt(wc.threshold))), float(boost._fmt(alpha)))
+                        for wc, alpha in stage.stumps],
+                threshold=float(boost._fmt(stage.threshold)),
+            )
+            for stage in trained.stages
+        ]
+        assert loaded == Cascade(trained.base_window, digits) and len(digits) == 5
+        assert all(math.isnan(rate) for stage in loaded.stages for rate in rates_of(stage))
+        for stage in digits:
+            assert stage.detection_rate >= config.target_dr and stage.false_positive_rate <= config.max_fpr
+            assert len(stage.stumps) < config.max_stumps  # so the false-positive ceiling ended it
+        # a record that a trained prefix filled continues under the loaded cascade
+        img = experiment["corpus"].test[0].gray
+        live = LiveWindows()
+        detect_multiscale_counted(Cascade(trained.base_window, digits[:2]), img, live=live)
+        original, calls = detect._stage_margins, []
+
+        def spy(plan, k, *rest):
+            calls.append(k)
+            return original(plan, k, *rest)
+
+        with mock.patch.object(detect, "_stage_margins", spy):
+            got = detect_multiscale_counted(loaded, img, live=live)
+        assert calls == [2, 3, 4]
+        assert got == detect_multiscale_counted(load_cascade(tmp_path / "cascade.txt"), img)
 
     def test_header_format(self, tmp_path):
         cascade = self._train_small(seed=13)

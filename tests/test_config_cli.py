@@ -11,7 +11,7 @@ from facedet.cli import _common_flags, main
 from facedet.config import PipelineConfig, load_config_file
 from facedet.images import to_grayscale
 from facedet.netpbm import read_pgm, write_pgm, write_ppm
-from facedet.synthetic import SKIN_MIX, face_patch, render_color_scene
+from facedet.synthetic import SKIN_MIX, build_corpus, face_patch, render_color_scene, write_corpus
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -297,6 +297,17 @@ class TestTrainDetectEval:
         assert code == 0
         out = capsys.readouterr().out
         assert "stage 0: dr=" in out and "fpr=" in out
+
+    def test_train_prints_each_stage_rates_on_the_ci_corpus(self, tmp_path, capsys):
+        # the seed-3 corpus and flags of the CI step: its stage lines are the
+        # only training output that is not written to a file
+        paths = write_corpus(build_corpus(seed=3, n_train=20, n_test=5), str(tmp_path))
+        code = main(
+            ["train", "--pos", paths["pos"], "--neg", paths["neg"], "--pool", paths["pool"],
+             "--out", str(tmp_path / "cascade.txt"), "--stages", "2", "--feature-subsample", "300", "--seed", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "stage 0: dr=1 fpr=0.177083333\nstage 1: dr=1 fpr=0.260416667\n"
 
     @pytest.mark.parametrize(
         "odd, named",

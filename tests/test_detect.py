@@ -138,7 +138,7 @@ def cascades(draw, scale=1.0):
             stumps.append((WeakClassifier(feature, threshold, polarity), alpha))
         total = sum(alpha for _, alpha in stumps)
         stages.append(Stage(stumps, draw(st.floats(0.0, 1.0), label="pass share") * total))
-    return Cascade(base, stages, [(float("nan"), float("nan"))] * len(stages))
+    return Cascade(base, stages)
 
 
 def edge_skin(h, w):
@@ -171,7 +171,7 @@ def mixed_cascade(features=None):
         Stage([(WeakClassifier(f, t, p), a) for f, t, p, a in zip(features, thresholds, (1, -1, 1), (0.5, 1.0, 0.7))], share)
         for thresholds, share in (((0.0, 0.0, 0.0), 0.5), ((0.5, -0.5, 1.0), 0.9), ((-0.5, 0.0, 0.5), 1.0))
     ]
-    return Cascade(10, stages, [(1.0, 0.5)] * 3)
+    return Cascade(10, stages)
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +251,7 @@ class TestDetectMultiscale:
         assert keys == sorted(keys)
 
     def test_empty_cascade_accepts_everything(self):
-        cascade = Cascade(12, [], [])
+        cascade = Cascade(12, [])
         img = np.zeros((20, 20), dtype=np.uint8)
         dets, stats = detect_multiscale_counted(cascade, img, step=5)
         assert len(dets) == stats.total_windows
@@ -331,7 +331,7 @@ class TestCompiledScan:
         assert calls == list(range(len(toy_cascade.stages)))
 
     def test_one_cascade_over_images_of_different_widths(self, toy_cascade):
-        cascade = Cascade(toy_cascade.base_window, toy_cascade.stages, toy_cascade.metadata)
+        cascade = Cascade(toy_cascade.base_window, toy_cascade.stages)
         rng = np.random.default_rng(31)
         images = [toy_scene(rng, h=40, w=w)[0] for w in (31, 57, 31, 44)]
         for img in images:
@@ -344,13 +344,13 @@ class TestCompiledScan:
             (WeakClassifier(f, 0.0, 1), 1.0)
             for f in (bank("tilted_edge2", 10)[40], bank("tilted_line3", 10)[7], bank("edge2h", 10)[3])
         ]
-        cascade = Cascade(10, [Stage(stumps, 1.5)], [(1.0, 0.5)])
+        cascade = Cascade(10, [Stage(stumps, 1.5)])
         for w in (23, 36, 23, 17):
             img = rng.integers(0, 256, size=(29, w)).astype(np.uint8)
             assert detect_multiscale_counted(cascade, img, step=1) == scan_oracle(cascade, img, step=1)
 
     def test_empty_cascade(self):
-        cascade = Cascade(12, [], [])
+        cascade = Cascade(12, [])
         img = np.random.default_rng(33).integers(0, 256, size=(25, 31)).astype(np.uint8)
         got = detect_multiscale_counted(cascade, img, step=3)
         assert got == scan_oracle(cascade, img, step=3)
@@ -403,7 +403,7 @@ class TestScanPlan:
     @pytest.mark.parametrize("tilted", [False, True])
     def test_one_plan_replaced_on_each_new_shape_and_parameters(self, toy_cascade, tilted):
         model = mixed_cascade() if tilted else toy_cascade
-        cascade = Cascade(model.base_window, model.stages, model.metadata)
+        cascade = Cascade(model.base_window, model.stages)
         rng = np.random.default_rng(40)
         wide, narrow = (rng.integers(0, 256, size=shape).astype(np.uint8) for shape in ((31, 47), (36, 29)))
         runs = [(wide, 1.25, 2), (narrow, 1.25, 2), (wide, 1.25, 2), (wide, 1.5, 1), (wide, 1.5, 1), (narrow, 1.5, 1),
@@ -444,7 +444,7 @@ class TestScanPlan:
         # weight column, so the plan build never refuses a bank feature
         for kind in KINDS:
             features = bank(kind, 24)
-            cascade = Cascade(24, [Stage([(WeakClassifier(f, 0.0, 1), 1.0) for f in features], 0.0)], [(0.0, 0.0)])
+            cascade = Cascade(24, [Stage([(WeakClassifier(f, 0.0, 1), 1.0) for f in features], 0.0)])
             base = detect._compiled(cascade, 24)
             tables = {0} if not features[0].tilted else {1, 2}
             assert set(base) == tables
@@ -479,7 +479,7 @@ class TestExactProducts:
     @staticmethod
     def with_plan(cascade, img, edit, step=4):
         """A copy of the cascade whose plan for ``img`` is edited."""
-        copy = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
+        copy = Cascade(cascade.base_window, cascade.stages)
         plan = detect._scan_plan(copy, img, 1.25, step)
         (key,) = copy.plan
         copy.plan[key] = edit(plan)
@@ -555,7 +555,7 @@ class TestWorkspace:
         """Each (image, skin) scan of ``cascade``, in order, equals that of a fresh copy."""
         for img, skin in scans:
             got = detect_multiscale_counted(cascade, img, skin)
-            fresh = Cascade(cascade.base_window, cascade.stages, cascade.metadata)
+            fresh = Cascade(cascade.base_window, cascade.stages)
             want = detect_multiscale_counted(fresh, img, skin)
             assert got == want
             assert want[1].evaluated_windows > 0
@@ -583,7 +583,7 @@ class TestWorkspace:
 
 def prefix(cascade, k):
     """A new Cascade of the first ``k`` stages of ``cascade``: its plan is empty."""
-    return Cascade(cascade.base_window, cascade.stages[:k], cascade.metadata[:k])
+    return Cascade(cascade.base_window, cascade.stages[:k])
 
 
 class TestLiveWindows:
@@ -678,9 +678,9 @@ class TestLiveWindows:
                 Stage([(replace(wc, feature=replace(wc.feature, window=11)), a) for wc, a in s.stumps], s.threshold)
                 for s in stages
             ]
-        other = Cascade(base, stages, [(1.0, 0.5)] * len(stages))
+        other = Cascade(base, stages)
         got, calls = stage_margin_calls(other, scanned, live=live, **then)
-        fresh = Cascade(base, stages, other.metadata)
+        fresh = Cascade(base, stages)
         assert got == detect_multiscale_counted(fresh, scanned, **then)
         assert calls == list(range(len(stages)))
         assert live.stages == stages
@@ -757,7 +757,7 @@ class ScanCaches(RuleBasedStateMachine):
         cascade = self.cascades[k]
         args = (self.img, skin, scale_factor, step, min_skin)
         got = detect_multiscale_counted(cascade, *args, live=self.record if use_record else None)
-        assert got == detect_multiscale_counted(Cascade(cascade.base_window, cascade.stages, cascade.metadata), *args)
+        assert got == detect_multiscale_counted(Cascade(cascade.base_window, cascade.stages), *args)
         assert got == scan_oracle(cascade, *args)
         if use_record:
             self.recorded = gate, scale_factor, step

@@ -52,7 +52,7 @@ EDGE_TOKENS = [b"0", b"-1", b"1", b"2", b"nan", b"inf", b"-inf", b"1e309", b"1e-
 def is_valid(name, obj):
     """Whether a loaded object is what its loader promises."""
     if name == "cascade":
-        return isinstance(obj, Cascade) and len(obj.stages) == len(obj.metadata)
+        return isinstance(obj, Cascade)
     if name == "svm":
         return isinstance(obj, LinearSvmModel) and obj.weights.shape == (DESCRIPTOR_LENGTH,) and np.isfinite(obj.weights).all()
     if name in ("pgm", "ppm"):
@@ -190,7 +190,7 @@ def test_mutated_model_that_loads_detects_or_raises_value_error(kind, data, fuzz
     if kind == "cascade":
         cascade, svm = model, None
     else:  # a cascade that accepts every window: every merged box is validated
-        cascade, svm = Cascade(24, [], []), model
+        cascade, svm = Cascade(24, []), model
     try:
         dets, _ = detect_faces(scene(), cascade, PipelineConfig(), svm=svm)
     except ValueError:

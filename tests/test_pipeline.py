@@ -167,7 +167,7 @@ class TestDetectFaces:
         # 24 px boxes; every one of them must be clipped to the 25 px input
         img = np.zeros((25, 25), dtype=np.uint8)
         config = PipelineConfig().override(base_window=8, downscale=3, step=1)
-        dets, _ = detect_faces(img, Cascade(8, [], []), config)
+        dets, _ = detect_faces(img, Cascade(8, []), config)
         assert dets
         for d in dets:
             assert d.x >= 0 and d.y >= 0
@@ -268,7 +268,7 @@ class TestEvaluateImages:
         entries = self._entries(tmp_path, experiment, count=8)
         warm = experiment["cascade"]
         config = experiment["config"]
-        cold = Cascade(warm.base_window, warm.stages, warm.metadata)
+        cold = Cascade(warm.base_window, warm.stages)
         assert evaluate_images(entries, cold, config) == evaluate_images(entries, warm, config)
         assert cold.programs and cold.plan
 
@@ -385,7 +385,7 @@ def test_detection_imports_no_scipy(tmp_path):
             (WeakClassifier(HaarFeature("edge2v", 4, 4, 16, 12, 24), 0.0, 1), 1.0),
             (WeakClassifier(HaarFeature("tilted_edge2", 12, 2, 6, 8, 24), 0.0, -1), 1.0),
         ]
-        cascade = Cascade(24, [Stage(stumps, 0.5)], [(1.0, 0.5)])
+        cascade = Cascade(24, [Stage(stumps, 0.5)])
         skin = pipeline.segment_image(rgb, config).mask
         pipeline.detect_faces(scene.gray, cascade, config, skin=skin)
         svm = LinearSvmModel(np.zeros(DESCRIPTOR_LENGTH), 1.0)
