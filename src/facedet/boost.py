@@ -672,6 +672,13 @@ def save_cascade(cascade: Cascade, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the largest base window a model file may name: far beyond any trainable
+# window (the Haar bank grows with the fourth power of its side), and small
+# enough that compile_features' int64 corner keys (below 2**37 per stump at
+# this size) stay exact for any model of fewer than 2**26 stumps
+MAX_BASE_WINDOW = 2**16
+
+
 def _field(path: str, line: int, text: str, kind: type):
     """One numeric field of a model line, finite, or a ValueError naming it."""
     try:
@@ -687,9 +694,10 @@ def load_cascade(path: str) -> Cascade:
     """Read a model written by :func:`save_cascade`.
 
     Raises ValueError naming the file and line for a bad header, a
-    malformed, missing or extra line, a negative count, a non-finite
-    number, a polarity other than +1/-1, an unknown feature kind and stump
-    geometry that does not fit the base window.
+    malformed, missing or extra line, a base window outside
+    1..MAX_BASE_WINDOW, a negative count, a non-finite number, a polarity
+    other than +1/-1, an unknown feature kind and stump geometry that does
+    not fit the base window.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [(no, ln.split()) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -709,7 +717,7 @@ def load_cascade(path: str) -> Cascade:
     head_no, header = lines[0]
     base_window = _field(path, head_no, header[2], int)
     n_stages = _field(path, head_no, header[3], int)
-    if base_window < 1 or n_stages < 0:
+    if not 1 <= base_window <= MAX_BASE_WINDOW or n_stages < 0:
         raise ValueError(f"{path}:{head_no}: bad window {base_window} or stage count {n_stages}")
     stages: list[Stage] = []
     for _ in range(n_stages):

@@ -1288,11 +1288,14 @@ class TestModelFormat:
             ),
             (lambda m: ["CASCADE v1 24 x"] + m[1:], r"model\.txt:1: bad number 'x'"),
             (lambda m: m[:1] + ["STAGE -1 0.5"] + m[2:], r"model\.txt:2: negative stump count"),
+            (lambda m: ["CASCADE v1 99999999999999999999 2"] + m[1:], r"model\.txt:1: bad window 99999999999999999999"),
+            (lambda m: ["CASCADE v1 65537 0"], r"model\.txt:1: bad window 65537"),
         ],
         ids=[
             "truncated-stump", "truncated-stage", "unknown-kind", "outside-window",
             "indivisible-width", "trailing-line", "nan-threshold", "bad-polarity",
             "short-stump-line", "bad-header-number", "negative-count",
+            "window-past-int64", "window-past-bound",
         ],
     )
     def test_invalid_model_names_file_and_line(self, tmp_path, edit, message):
