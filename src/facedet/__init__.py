@@ -31,14 +31,7 @@ from .images import (
 )
 from .integral import IntegralSet, integral_set
 from .lbp import descriptors, lbp_label_image, uniform_pattern_table, validation_feature
-from .skin import (
-    Region,
-    extract_regions,
-    morphology,
-    refine_mask,
-    skin_ratio,
-    sobel_edges,
-)
+from .skin import refine_mask, region_count, skin_ratio, sobel_edges
 from .svm import LinearSvmModel, load_svm, save_svm, train_svm
 from .validate import validate_detections
 

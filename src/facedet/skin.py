@@ -1,40 +1,21 @@
 """Skin-color search-space reduction.
 
-:func:`facedet.pipeline.segment_image` tests each pixel's Cb and Cr
-against the config's intervals, then :func:`refine_mask` cuts those skin
-blobs at :func:`sobel_edges` and cleans them with 3x3 :func:`morphology`;
-:func:`extract_regions` lists the connected candidate regions. Only the
-region listing uses scipy, and it imports ``scipy.ndimage`` when called:
-segmentation and the gated scan never load scipy.
+- :func:`facedet.pipeline.segment_image` tests each pixel's Cb and Cr
+  against the config's intervals, then :func:`refine_mask` cuts the skin
+  blobs at :func:`sobel_edges` and opens and closes them with 3x3 kernels.
+- :func:`skin_ratio` and :func:`region_count` are ``facedet segment``'s
+  summary. Only the region count uses scipy, and it imports
+  ``scipy.ndimage`` when called: segmentation and the gated scan never
+  load scipy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .images import row_bands
 
-__all__ = [
-    "Region",
-    "sobel_edges",
-    "morphology",
-    "refine_mask",
-    "skin_ratio",
-    "extract_regions",
-]
-
-@dataclass(frozen=True)
-class Region:
-    """Bounding box of a connected mask component."""
-
-    x: int
-    y: int
-    w: int
-    h: int
-    area: int  # count of mask-1 pixels inside the box
-    skin_fraction: float  # area / (w * h)
+__all__ = ["sobel_edges", "refine_mask", "skin_ratio", "region_count"]
 
 
 def sobel_edges(gray: np.ndarray, threshold: float = 100.0) -> np.ndarray:
@@ -81,16 +62,6 @@ def _erode3(mask: np.ndarray) -> np.ndarray:
     return _window3(np.pad(mask, 1, mode="constant", constant_values=1), np.minimum)
 
 
-def morphology(mask: np.ndarray, op: str) -> np.ndarray:
-    """Binary opening or closing with a 3x3 square structuring element."""
-    mask = np.asarray(mask).astype(np.uint8)
-    if op == "open":
-        return _dilate3(_erode3(mask))
-    if op == "close":
-        return _erode3(_dilate3(mask))
-    raise ValueError(f"unknown morphology op {op!r}")
-
-
 def refine_mask(skin: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Cut skin blobs at strong edges, then open and close."""
     skin = np.asarray(skin)
@@ -98,7 +69,8 @@ def refine_mask(skin: np.ndarray, edges: np.ndarray) -> np.ndarray:
     if skin.shape != edges.shape:
         raise ValueError(f"mask shapes differ: {skin.shape} vs {edges.shape}")
     cut = (skin.astype(bool) & ~edges.astype(bool)).astype(np.uint8)
-    return morphology(morphology(cut, "open"), "close")
+    # open (erode, dilate), then close (dilate, erode)
+    return _erode3(_dilate3(_dilate3(_erode3(cut))))
 
 
 def skin_ratio(mask: np.ndarray) -> float:
@@ -109,27 +81,11 @@ def skin_ratio(mask: np.ndarray) -> float:
     return 100.0 * float(np.count_nonzero(mask)) / mask.size
 
 
-def extract_regions(mask: np.ndarray, min_area: int = 1) -> list[Region]:
-    """Bounding boxes of 8-connected components with >= min_area pixels.
-
-    Sorted by descending box pixel count, ties by (y, x).
-    """
+def region_count(mask: np.ndarray, min_area: int) -> int:
+    """Number of 8-connected components of mask pixels with >= min_area pixels."""
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    from scipy import ndimage  # only the region listing pays for the import; detection lists none
+    from scipy import ndimage  # only the region count pays for the import; detection counts none
 
-    mask = (np.asarray(mask) > 0).astype(np.uint8)
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=np.uint8))
-    regions: list[Region] = []
-    if count:
-        sizes = np.bincount(labels.ravel())
-        for idx, sl in enumerate(ndimage.find_objects(labels), start=1):
-            if sizes[idx] < min_area or sl is None:
-                continue
-            ysl, xsl = sl
-            x, y = int(xsl.start), int(ysl.start)
-            w, h = int(xsl.stop - xsl.start), int(ysl.stop - ysl.start)
-            area = int(np.count_nonzero(mask[ysl, xsl]))
-            regions.append(Region(x, y, w, h, area, area / (w * h)))
-    regions.sort(key=lambda r: (-r.area, r.y, r.x))
-    return regions
+    labels, _ = ndimage.label(np.asarray(mask) > 0, structure=np.ones((3, 3), dtype=np.uint8))
+    return int((np.bincount(labels.ravel())[1:] >= min_area).sum())

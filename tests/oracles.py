@@ -22,6 +22,8 @@ every call. The package converts colours in row bands, and segments skin
 no YCbCr image; :func:`to_grayscale_oracle` converts the whole image at
 once, and :func:`rgb_to_ycbcr_oracle` then :func:`classify_skin_oracle`
 build the whole YCbCr image first and test its Cb and Cr planes. The package
+counts a mask's regions with one ``scipy.ndimage`` labelling;
+:func:`component_areas` flood-fills each region pixel by pixel. The package
 places scene objects by testing grown boxes for disjointness;
 :func:`place_oracle` inflates both boxes and calls :func:`facedet.detect.iou`.
 
@@ -427,6 +429,32 @@ def classify_skin_oracle(ycbcr, config):
     cb, cr = ycbcr[..., 1], ycbcr[..., 2]
     inside = (config.cb_min <= cb) & (cb <= config.cb_max) & (config.cr_min <= cr) & (cr <= config.cr_max)
     return inside.astype(np.uint8)
+
+
+def component_areas(mask):
+    """Pixel count of each 8-connected component of a mask, by a flood fill."""
+    mask = np.asarray(mask).astype(bool)
+    seen = np.zeros_like(mask)
+    areas = []
+    h, w = mask.shape
+    for sy in range(h):
+        for sx in range(w):
+            if not mask[sy, sx] or seen[sy, sx]:
+                continue
+            area = 0
+            stack = [(sy, sx)]
+            seen[sy, sx] = True
+            while stack:
+                y, x = stack.pop()
+                area += 1
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        yy, xx = y + dy, x + dx
+                        if 0 <= yy < h and 0 <= xx < w and mask[yy, xx] and not seen[yy, xx]:
+                            seen[yy, xx] = True
+                            stack.append((yy, xx))
+            areas.append(area)
+    return areas
 
 
 def coarse_histogram(labels):

@@ -11,21 +11,13 @@ from facedet.config import PipelineConfig
 from facedet import images
 from facedet.images import BAND_PIXELS, row_bands, to_grayscale
 from facedet.pipeline import segment_image
-from facedet.skin import (
-    Region,
-    _dilate3,
-    _erode3,
-    extract_regions,
-    morphology,
-    refine_mask,
-    skin_ratio,
-    sobel_edges,
-)
+from facedet.skin import _dilate3, _erode3, refine_mask, region_count, skin_ratio, sobel_edges
 from facedet.synthetic import render_color_scene
 from oracles import (
     classify_skin_hsv,
     classify_skin_oracle,
     classify_skin_rgb,
+    component_areas,
     evaluate_segmentation,
     rgb_to_ycbcr_oracle,
     segmentation_report,
@@ -263,32 +255,38 @@ class TestSobel:
             assert np.array_equal(sobel_edges(img, threshold), sobel_oracle(img, threshold))
 
 
+def opening(mask):
+    return _dilate3(_erode3(mask))
+
+
+def closing(mask):
+    return _erode3(_dilate3(mask))
+
+
 class TestMorphology:
     def test_open_removes_singleton(self):
         mask = np.zeros((5, 5), dtype=np.uint8)
         mask[2, 2] = 1
-        assert np.all(morphology(mask, "open") == 0)
+        assert np.all(opening(mask) == 0)
 
     def test_close_fills_interior_hole(self):
         mask = np.ones((5, 5), dtype=np.uint8)
         mask[2, 2] = 0
-        assert np.all(morphology(mask, "close") == 1)
+        assert np.all(closing(mask) == 1)
 
     @given(masks)
     @settings(max_examples=60, deadline=None)
     def test_open_anti_extensive_close_extensive(self, mask):
-        opened = morphology(mask, "open")
-        closed = morphology(mask, "close")
-        assert np.all(opened <= mask)
-        assert np.all(mask <= closed)
+        assert np.all(opening(mask) <= mask)
+        assert np.all(mask <= closing(mask))
 
     @given(masks)
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, mask):
-        opened = morphology(mask, "open")
-        closed = morphology(mask, "close")
-        assert np.array_equal(morphology(opened, "open"), opened)
-        assert np.array_equal(morphology(closed, "close"), closed)
+        opened = opening(mask)
+        closed = closing(mask)
+        assert np.array_equal(opening(opened), opened)
+        assert np.array_equal(closing(closed), closed)
 
     @given(arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16))))
     @example(np.array([[1]], dtype=np.uint8))
@@ -301,41 +299,13 @@ class TestMorphology:
             assert got.dtype == want.dtype == np.uint8
             assert np.array_equal(got, want)
 
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            morphology(np.zeros((3, 3), dtype=np.uint8), "erode-only")
-
-
-def count_components(mask):
-    """Independent 8-connected flood fill."""
-    mask = mask.astype(bool)
-    seen = np.zeros_like(mask)
-    count = 0
-    h, w = mask.shape
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or seen[sy, sx]:
-                continue
-            count += 1
-            stack = [(sy, sx)]
-            seen[sy, sx] = True
-            while stack:
-                y, x = stack.pop()
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        yy, xx = y + dy, x + dx
-                        if 0 <= yy < h and 0 <= xx < w and mask[yy, xx] and not seen[yy, xx]:
-                            seen[yy, xx] = True
-                            stack.append((yy, xx))
-    return count
-
 
 class TestRefineMask:
     def test_no_edges_equals_close_of_open(self):
         rng = np.random.default_rng(4)
         skin = rng.integers(0, 2, size=(12, 12), dtype=np.uint8)
         edges = np.zeros_like(skin)
-        expected = morphology(morphology(skin, "open"), "close")
+        expected = closing(opening(skin))
         assert np.array_equal(refine_mask(skin, edges), expected)
 
     def test_empty_skin_stays_empty(self):
@@ -350,9 +320,9 @@ class TestRefineMask:
         skin[4:6, 5:11] = 1  # bridge
         edges = np.zeros_like(skin)
         edges[:, 7:9] = 1  # edge line across the bridge
-        assert count_components(skin) == 1
+        assert len(component_areas(skin)) == 1
         refined = refine_mask(skin, edges)
-        assert count_components(refined) == 2
+        assert len(component_areas(refined)) == 2
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -376,73 +346,39 @@ class TestSkinRatio:
         assert skin_ratio(1 - mask) == pytest.approx(100.0 - skin_ratio(mask))
 
 
-def flood_components(mask):
-    """(pixel set, bbox) per 8-connected component, by an independent fill."""
-    mask = mask.astype(bool)
-    seen = np.zeros_like(mask)
-    comps = []
-    h, w = mask.shape
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or seen[sy, sx]:
-                continue
-            pixels = []
-            stack = [(sy, sx)]
-            seen[sy, sx] = True
-            while stack:
-                y, x = stack.pop()
-                pixels.append((y, x))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        yy, xx = y + dy, x + dx
-                        if 0 <= yy < h and 0 <= xx < w and mask[yy, xx] and not seen[yy, xx]:
-                            seen[yy, xx] = True
-                            stack.append((yy, xx))
-            ys = [p[0] for p in pixels]
-            xs = [p[1] for p in pixels]
-            comps.append((pixels, (min(xs), min(ys), max(xs) - min(xs) + 1, max(ys) - min(ys) + 1)))
-    return comps
-
-
-class TestExtractRegions:
+class TestRegionCount:
     def test_empty_mask(self):
-        assert extract_regions(np.zeros((6, 6), dtype=np.uint8), 1) == []
+        assert region_count(np.zeros((6, 6), dtype=np.uint8), 1) == 0
 
     def test_solid_block(self):
         mask = np.zeros((10, 10), dtype=np.uint8)
-        mask[3:7, 2:6] = 1
-        regions = extract_regions(mask, 1)
-        assert regions == [Region(2, 3, 4, 4, 16, 1.0)]
+        mask[3:7, 2:6] = 1  # area 16
+        assert region_count(mask, 16) == 1
+        assert region_count(mask, 17) == 0
+
+    def test_diagonal_neighbours_are_one_region(self):
+        # the 3x3 structure joins pixels that touch only at a corner
+        mask = np.eye(4, dtype=np.uint8)
+        assert region_count(mask, 4) == 1
+        assert region_count(mask[:, ::-1], 4) == 1
+
+    @pytest.mark.parametrize("min_area", [0, -1])
+    def test_min_area_below_one_rejected(self, min_area):
+        with pytest.raises(ValueError, match="min_area must be >= 1"):
+            region_count(np.ones((3, 3), dtype=np.uint8), min_area)
 
     def test_min_area_filters_small_blob(self):
         mask = np.zeros((10, 12), dtype=np.uint8)
         mask[1:4, 1:5] = 1  # area 12
         mask[7:8, 8:11] = 1  # area 3
-        regions = extract_regions(mask, 5)
-        assert len(regions) == 1
-        assert (regions[0].x, regions[0].y, regions[0].w, regions[0].h) == (1, 1, 4, 3)
+        assert region_count(mask, 5) == 1
+        assert region_count(mask, 3) == 2
 
-    @given(masks, st.integers(1, 4))
+    @given(masks, st.integers(1, 12))
     @settings(max_examples=50, deadline=None)
     def test_matches_flood_fill_oracle(self, mask, min_area):
-        regions = extract_regions(mask, min_area)
-        expected = [
-            bbox for pixels, bbox in flood_components(mask) if len(pixels) >= min_area
-        ]
-        assert sorted((r.x, r.y, r.w, r.h) for r in regions) == sorted(expected)
-        # every kept component's pixels lie inside its box
-        for pixels, bbox in flood_components(mask):
-            if len(pixels) < min_area:
-                continue
-            x, y, w, h = bbox
-            assert all(x <= px < x + w and y <= py < y + h for py, px in pixels)
-
-    def test_sorted_by_descending_area(self):
-        mask = np.zeros((12, 12), dtype=np.uint8)
-        mask[0:2, 0:2] = 1
-        mask[5:9, 5:9] = 1
-        regions = extract_regions(mask, 1)
-        assert [r.area for r in regions] == [16, 4]
+        expected = sum(area >= min_area for area in component_areas(mask))
+        assert region_count(mask, min_area) == expected
 
 
 class TestEvaluateSegmentation:
